@@ -4,9 +4,9 @@ __version__ = "0.1.0"
 
 from .forward import (
     DataSet,
+    DiscreteOperator,
     Pulse,
     SensorArray,
-    build_operator,
     synthesize_dataset,
     synthesize_measurements,
     symmetrize_and_sample,
@@ -27,6 +27,7 @@ from .rom import OperatorRom, build_rom, rest_dk, restrict, triu_vec
 __all__ = [
     "Acquisition",
     "DataSet",
+    "DiscreteOperator",
     "GnConfig",
     "Grid2D",
     "InversionState",
@@ -37,7 +38,6 @@ __all__ = [
     "RomResidualSpec",
     "SensorArray",
     "VelocityModel",
-    "build_operator",
     "build_rom",
     "evaluate_velocity",
     "fwi_objective",

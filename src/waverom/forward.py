@@ -218,10 +218,6 @@ def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) ->
 # Discrete operator ----------------------------------------------------------
 
 
-def _bc_key(bc) -> tuple:
-    return tuple(bc)
-
-
 @lru_cache(maxsize=32)
 def _laplacian_1d(n: int, h: float, lo: str, hi: str) -> sp.csr_matrix:
     """Negated 1D second difference with the given end conditions.
@@ -260,7 +256,7 @@ class DiscreteOperator:
         self.velocity = velocity
         self.grid = velocity.grid
         c = velocity.c.ravel()
-        lap = _laplacian_2d(self.grid, _bc_key(velocity.bc))
+        lap = _laplacian_2d(self.grid, velocity.bc)
         a = lap.copy()
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         a.data = a.data * c[rows] * c[a.indices]
@@ -290,10 +286,6 @@ class DiscreteOperator:
             w, q = scipy.linalg.eigh(self.matrix.toarray())
             self._eig = (w, q)
         return self._eig
-
-
-def build_operator(v: VelocityModel) -> DiscreteOperator:
-    return DiscreteOperator(v)
 
 
 # Matrix functions -----------------------------------------------------------
@@ -353,7 +345,6 @@ def apply_operator_function(
     g,
     x: np.ndarray,
     method: str = "spectral",
-    spectral_cap: int = SPECTRAL_CAP,
 ) -> np.ndarray:
     """Apply g(A) to the columns of x.
 
@@ -362,7 +353,7 @@ def apply_operator_function(
     approximates g to near machine precision on [0, lambda_upper].
     """
     if method == "spectral":
-        w, q = op.eig(cap=spectral_cap)
+        w, q = op.eig()
         return q @ (g(np.maximum(w, 0.0))[:, None] * (q.T @ x))
     if method == "chebyshev":
         return _ChebOperatorFunction(op, g)(x)
@@ -440,17 +431,13 @@ def check_nyquist(tau: float, omega_ess: float, strict: bool = False):
 
 
 def initial_states(
-    op: DiscreteOperator,
-    arr: SensorArray,
-    pulse,
-    method: str = "spectral",
-    spectral_cap: int = SPECTRAL_CAP,
+    op: DiscreteOperator, arr: SensorArray, pulse, method: str = "spectral"
 ) -> np.ndarray:
     """First snapshot block: u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s)."""
     theta = arr.theta_matrix(op.grid)
     cs = arr.local_velocities(op.velocity)
     g = lambda lam: pulse.f_hat_sqrt(np.sqrt(np.maximum(lam, 0.0)))
-    return apply_operator_function(op, g, theta / cs, method, spectral_cap)
+    return apply_operator_function(op, g, theta / cs, method)
 
 
 def propagate_snapshots(
@@ -461,7 +448,6 @@ def propagate_snapshots(
     method: str = "spectral",
     omega_ess: float = None,
     strict_nyquist: bool = False,
-    spectral_cap: int = SPECTRAL_CAP,
 ) -> Snapshots:
     """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1.
 
@@ -480,7 +466,7 @@ def propagate_snapshots(
     blocks = np.empty((u0.shape[0], count * m))
     blocks[:, :m] = u0
     if method == "spectral":
-        w, q = op.eig(cap=spectral_cap)
+        w, q = op.eig()
         sq = np.sqrt(np.maximum(w, 0.0))
         p = q.T @ u0
         for j in range(1, count):
@@ -504,8 +490,6 @@ def synthesize_dataset(
     tau: float,
     n: int,
     method: str = "spectral",
-    strict_nyquist: bool = False,
-    spectral_cap: int = SPECTRAL_CAP,
     op: DiscreteOperator = None,
 ) -> DataSet:
     """Sampled data matrices D_j = <u_0, u_j>, Ddot_j = -<u_0, A u_j>.
@@ -515,12 +499,10 @@ def synthesize_dataset(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    op = build_operator(v) if op is None else op
-    u0 = initial_states(op, arr, pulse, method, spectral_cap)
+    op = DiscreteOperator(v) if op is None else op
+    u0 = initial_states(op, arr, pulse, method)
     snaps = propagate_snapshots(
-        op, u0, tau, 2 * n - 1, method,
-        omega_ess=getattr(pulse, "omega_ess", None),
-        strict_nyquist=strict_nyquist, spectral_cap=spectral_cap,
+        op, u0, tau, 2 * n - 1, method, omega_ess=getattr(pulse, "omega_ess", None)
     )
     w = v.grid.quad_weight
     m = arr.m
@@ -569,7 +551,7 @@ def synthesize_measurements(
     is quiescent there) and runs through t_end.  Raises CflViolation when
     dt exceeds the stability limit of the discrete operator.
     """
-    op = build_operator(v)
+    op = DiscreteOperator(v)
     dt_max = 2.0 / math.sqrt(op.lambda_upper())
     if dt > dt_max:
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
@@ -581,7 +563,7 @@ def synthesize_measurements(
     t0 = -k0 * dt
     w = v.grid.quad_weight
 
-    lap = _laplacian_2d(v.grid, _bc_key(v.bc))
+    lap = _laplacian_2d(v.grid, v.bc)
     traces = np.empty((nt, arr.m, arr.m))
     p_prev = np.zeros_like(theta)
     p_cur = np.zeros_like(theta)

@@ -1,10 +1,11 @@
 """Layer-stripping Gauss-Newton minimization of ROM or FWI misfit.
 
 The outer loop runs exactly L*q regularized Gauss-Newton updates.  Each
-update linearizes the residual by forward finite differences, damps the
-normal equations with an adaptive Tikhonov weight derived from the
-Jacobian's singular values, and line-searches the penalized functional
-with a rejection fallback so accepted steps never increase it.
+update linearizes the residual by forward finite differences and takes
+one thin SVD of the Jacobian.  That SVD gives the adaptive Tikhonov
+weight, the rank check and the damped direction.  The update then
+line-searches the penalized functional with a rejection fallback so
+accepted steps never increase it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     JacobianRankWarning,
@@ -122,7 +124,6 @@ def jacobian(
     fd_step: float,
     base: np.ndarray = None,
     threads: int = 1,
-    check_rank: bool = True,
 ) -> np.ndarray:
     """Forward finite-difference Jacobian of a residual function.
 
@@ -151,47 +152,42 @@ def jacobian(
             cols = list(pool.map(column, range(n)))
     else:
         cols = [column(l) for l in range(n)]
-    jac = np.column_stack(cols)
-    if check_rank:
-        sigma = np.linalg.svd(jac, compute_uv=False)
-        if sigma[0] > 0 and sigma[-1] / sigma[0] < 1e-14:
-            warnings.warn(
-                JacobianRankWarning(
-                    f"Jacobian numerically rank deficient: "
-                    f"sigma_N/sigma_1 = {sigma[-1] / sigma[0]:.2e}"
-                ),
-                stacklevel=2,
-            )
-    return jac
+    return np.column_stack(cols)
 
 
-def tikhonov_mu(jac: np.ndarray, gamma: float) -> float:
-    """Adaptive Tikhonov weight: square of the floor(gamma N)-th largest
-    singular value; a zero index falls back to the largest (maximal
-    regularization for the degenerate small-N case)."""
-    n = jac.shape[1]
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    idx = max(int(math.floor(gamma * n)), 1)
+def tikhonov_mu(sigma: np.ndarray, gamma: float) -> float:
+    """Adaptive Tikhonov weight from the descending singular values of
+    the Jacobian: square of the floor(gamma N)-th largest; a zero index
+    falls back to the largest (maximal regularization for the degenerate
+    small-N case)."""
+    idx = max(int(math.floor(gamma * sigma.size)), 1)
     return float(sigma[idx - 1] ** 2)
 
 
-def gn_step(jac: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
+def gn_step(svd, r: np.ndarray, mu: float) -> np.ndarray:
     """Damped Gauss-Newton direction -(J^T J + mu I)^{-1} J^T r.
 
-    Solved as the augmented least-squares system [J; sqrt(mu) I] d = [-r; 0]
-    rather than through the normal equations.
+    `svd` is the thin SVD (U, sigma, V^T) of J, so the direction is
+    -V diag(sigma / (sigma^2 + mu)) U^T r.  Warns JacobianRankWarning when
+    sigma_N / sigma_1 < 1e-14; with mu = 0 a rank-deficient J (sigma_N at
+    or below the least-squares cutoff eps * max(M, N) * sigma_1) raises
+    SingularSystem.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    n = jac.shape[1]
-    if mu == 0.0:
-        d, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=None)
-        if rank < n:
-            raise SingularSystem("Jacobian rank deficient and mu = 0")
-        return d
-    aug = np.vstack([jac, math.sqrt(mu) * np.eye(n)])
-    rhs = np.concatenate([-r, np.zeros(n)])
-    return np.linalg.lstsq(aug, rhs, rcond=None)[0]
+    u, sigma, vt = svd
+    if sigma[0] > 0 and sigma[-1] / sigma[0] < 1e-14:
+        warnings.warn(
+            JacobianRankWarning(
+                f"Jacobian numerically rank deficient: "
+                f"sigma_N/sigma_1 = {sigma[-1] / sigma[0]:.2e}"
+            ),
+            stacklevel=2,
+        )
+    cutoff = np.finfo(float).eps * max(u.shape[0], vt.shape[1]) * sigma[0]
+    if mu == 0.0 and sigma[-1] <= cutoff:
+        raise SingularSystem("Jacobian rank deficient and mu = 0")
+    return -(vt.T @ (sigma / (sigma**2 + mu) * (u.T @ r)))
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -345,8 +341,12 @@ def run_inversion(
                 state.record(layer_k, obj0, 0.0, 0.0, (obj0, obj0))
                 continue
             jac = jacobian(residual_fn, anchor, cfg.fd_step, base=base, threads=threads)
-            mu = tikhonov_mu(jac, cfg.gamma) if cfg.regularization == "adaptive" else 0.0
-            direction = gn_step(jac, base, mu)
+            svd = scipy.linalg.svd(jac, full_matrices=False)
+            mu = tikhonov_mu(svd[1], cfg.gamma) if cfg.regularization == "adaptive" else 0.0
+            direction = gn_step(svd, base, mu)
+            # J and U (n_res x N) would otherwise stay alive through the
+            # line search and raise the peak memory of the run.
+            del jac, svd
 
             # F_i penalizes the departure from the linearization point, the
             # quadratic model the damped direction actually minimizes.

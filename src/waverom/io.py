@@ -10,7 +10,9 @@ little-endian float64 payload at `<stem>.bin`.  Payload layouts:
 - operator ROM: A_rom then R, each (nm, nm) C-order; header {schema, m, n}.
 
 Parametrizations, experiment configs, and run manifests are plain JSON.
-CSV exports use repr-precision floats so round-trips are bit-exact.
+CSV exports write floats as repr(float(x)), the shortest decimal that
+plain float() parses back to the same double, so round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def load_rom(path) -> OperatorRom:
 # CSV exports -------------------------------------------------------------------
 
 
+def _csv_float(x) -> str:
+    """Shortest round-trip decimal; repr of a numpy scalar would read
+    np.float64(...) under numpy 2."""
+    return repr(float(x))
+
+
 def save_traces_csv(path, rec: TraceRecord):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -161,7 +169,7 @@ def save_traces_csv(path, rec: TraceRecord):
         for k in range(rec.nt):
             for r in range(rec.m):
                 for s in range(rec.m):
-                    writer.writerow([repr(times[k]), r, s, repr(rec.data[k, r, s])])
+                    writer.writerow([_csv_float(times[k]), r, s, _csv_float(rec.data[k, r, s])])
 
 
 def save_state_csv(path, state):
@@ -173,8 +181,8 @@ def save_state_csv(path, state):
         for i in range(state.i):
             writer.writerow([
                 i + 1, state.k_trace[i],
-                repr(state.objective_trace[i]), repr(state.mu_trace[i]),
-                repr(state.alpha_trace[i]),
+                _csv_float(state.objective_trace[i]), _csv_float(state.mu_trace[i]),
+                _csv_float(state.alpha_trace[i]),
             ])
 
 
@@ -200,7 +208,8 @@ def save_sweep_csv(path, p1_name, p2_name, p1_values, p2_values, obj_rom, obj_fw
         writer.writerow([p1_name, p2_name, "obj_rom", "obj_fwi"])
         for i, a in enumerate(p1_values):
             for j, b in enumerate(p2_values):
-                writer.writerow([repr(a), repr(b), repr(obj_rom[i, j]), repr(obj_fwi[i, j])])
+                row = (a, b, obj_rom[i, j], obj_fwi[i, j])
+                writer.writerow([_csv_float(x) for x in row])
 
 
 # Manifests ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import DataSet, Pulse, SensorArray, SPECTRAL_CAP, synthesize_dataset
+from .forward import DataSet, Pulse, SensorArray, synthesize_dataset
 from .model import VelocityModel
 from .rom import OperatorRom, build_rom, rest_dk, restrict, triu_vec
 
@@ -25,13 +25,9 @@ class Acquisition:
     tau: float
     n: int
     method: str = "spectral"
-    spectral_cap: int = SPECTRAL_CAP
 
     def dataset(self, v: VelocityModel) -> DataSet:
-        return synthesize_dataset(
-            v, self.array, self.pulse, self.tau, self.n,
-            method=self.method, spectral_cap=self.spectral_cap,
-        )
+        return synthesize_dataset(v, self.array, self.pulse, self.tau, self.n, method=self.method)
 
     def with_n(self, n: int) -> "Acquisition":
         return dataclasses.replace(self, n=n)

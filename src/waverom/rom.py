@@ -1,9 +1,10 @@
 """Data-driven reduced-order model of the wave operator.
 
 The mass and stiffness matrices are assembled purely from the sampled
-data via the cosine product identity, factored by a block Cholesky, and
-combined into the projected operator A_rom = R^{-T} S R^{-1} without ever
-forming internal wavefields.
+data via the cosine product identity, factored by one LAPACK Cholesky
+(the unique block Cholesky factor of an SPD mass matrix), and combined
+into the projected operator A_rom = R^{-T} S R^{-1} without ever forming
+internal wavefields.
 """
 
 from __future__ import annotations
@@ -51,12 +52,9 @@ class OperatorRom:
 
 def _paired_blocks(samples: np.ndarray, n: int, m: int, sign: float) -> np.ndarray:
     """Assemble the nm x nm matrix with blocks sign/2 (X_{i+j} + X_{|i-j|})."""
-    out = np.empty((n * m, n * m))
-    for i in range(n):
-        for j in range(n):
-            blk = 0.5 * sign * (samples[i + j] + samples[abs(i - j)])
-            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = blk
-    return out
+    i, j = np.indices((n, n))
+    blocks = 0.5 * sign * (samples[i + j] + samples[abs(i - j)])
+    return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def assemble_mass(data: DataSet) -> np.ndarray:
@@ -73,29 +71,17 @@ def block_cholesky(mass: np.ndarray, m: int) -> np.ndarray:
     """Block Cholesky factor R with M = R^T R.
 
     R is block upper triangular with m x m blocks and each diagonal block
-    upper triangular with positive diagonal, which pins the factor (and
-    everything derived from it) uniquely.  Raises MassNotSPD with the
-    failing block index when a diagonal Schur complement is not positive
-    definite.
+    upper triangular with positive diagonal.  That is the ordinary upper
+    Cholesky factor, unique for SPD M, so one LAPACK potrf computes it.
+    Raises MassNotSPD with the index of the block holding the first
+    leading principal submatrix that is not positive definite.
     """
     dim = mass.shape[0]
     if mass.shape != (dim, dim) or dim % m:
         raise ValueError("mass must be square with block size dividing its dimension")
-    nb = dim // m
-    r = np.zeros_like(mass, dtype=float)
-    for k in range(nb):
-        rows = slice(k * m, (k + 1) * m)
-        head = r[: k * m, rows]
-        schur = mass[rows, rows] - head.T @ head
-        try:
-            rkk = scipy.linalg.cholesky(schur, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise MassNotSPD(k) from exc
-        r[rows, rows] = rkk
-        if k + 1 < nb:
-            tail = slice((k + 1) * m, dim)
-            rhs = mass[rows, tail] - head.T @ r[: k * m, tail]
-            r[rows, tail] = scipy.linalg.solve_triangular(rkk, rhs, lower=False, trans="T")
+    r, info = scipy.linalg.lapack.dpotrf(mass, lower=False, clean=True)
+    if info > 0:
+        raise MassNotSPD((info - 1) // m)
     return r
 
 

@@ -6,11 +6,11 @@ import pytest
 from waverom.errors import CflViolation, EigUnavailable, InsufficientRecordLength, NyquistViolation
 from waverom.forward import (
     DataSet,
+    DiscreteOperator,
     FlatPulse,
     Pulse,
     SensorArray,
     TraceRecord,
-    build_operator,
     chebyshev_coeffs,
     initial_states,
     line_array,
@@ -75,7 +75,7 @@ class TestPulse:
 
 class TestOperator:
     def test_symmetry_random_pairs(self, grid):
-        op = build_operator(random_velocity(grid))
+        op = DiscreteOperator(random_velocity(grid))
         rng = np.random.default_rng(1)
         w = grid.quad_weight
         for _ in range(10):
@@ -87,7 +87,7 @@ class TestOperator:
 
     def test_constant_coefficient_eigenpair(self, grid):
         c0 = 1500.0
-        op = build_operator(make_constant_model(c0, grid))
+        op = DiscreteOperator(make_constant_model(c0, grid))
         # lowest Dirichlet mode sin(pi x / Lx) sin(pi z / Lz) on the nodes
         lam_exact = c0**2 * (
             4 / grid.hx**2 * math.sin(math.pi / (2 * (grid.nx + 1))) ** 2
@@ -102,7 +102,7 @@ class TestOperator:
 
     def test_smallest_eigenvalue_closed_form(self, grid):
         c0 = 1500.0
-        op = build_operator(make_constant_model(c0, grid))
+        op = DiscreteOperator(make_constant_model(c0, grid))
         w, _ = op.eig()
         lam_exact = c0**2 * (
             4 / grid.hx**2 * math.sin(math.pi / (2 * (grid.nx + 1))) ** 2
@@ -112,12 +112,12 @@ class TestOperator:
         assert w[0] > 0  # Dirichlet positive definite
 
     def test_gershgorin_bounds_spectrum(self, grid):
-        op = build_operator(random_velocity(grid, seed=2))
+        op = DiscreteOperator(random_velocity(grid, seed=2))
         w, _ = op.eig()
         assert w[-1] <= op.lambda_upper() * (1 + 1e-12)
 
     def test_spectral_cap(self, grid):
-        op = build_operator(random_velocity(grid))
+        op = DiscreteOperator(random_velocity(grid))
         with pytest.raises(EigUnavailable):
             op.eig(cap=10)
 
@@ -136,7 +136,7 @@ class TestChebyshev:
 class TestInitialStates:
     def test_flat_spectrum_identity(self, grid):
         v = random_velocity(grid, seed=3)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         arr = line_array(grid, 3, depth=300.0)
         u0 = initial_states(op, arr, FlatPulse())
         theta = arr.theta_matrix(grid)
@@ -144,7 +144,7 @@ class TestInitialStates:
         np.testing.assert_allclose(u0, theta / cs, atol=1e-12)
 
     def test_spectral_vs_chebyshev(self, grid, pulse):
-        op = build_operator(random_velocity(grid, seed=4))
+        op = DiscreteOperator(random_velocity(grid, seed=4))
         arr = line_array(grid, 2, depth=300.0)
         a = initial_states(op, arr, pulse, method="spectral")
         b = initial_states(op, arr, pulse, method="chebyshev")
@@ -154,7 +154,7 @@ class TestInitialStates:
         # mass outside 3 c(x_s) tf below 1e-3 of total
         g = Grid2D(48, 48, 50.0, 50.0)
         v = make_constant_model(1500.0, g)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         pulse = Pulse.from_hz(6.0, 8.0)  # tight pulse so the ball fits
         arr = SensorArray(np.array([[1225.0, 1225.0]]), theta_width=g.hx)
         u0 = initial_states(op, arr, pulse).ravel()
@@ -168,14 +168,14 @@ class TestInitialStates:
 
 class TestPropagation:
     def test_j0_identity(self, grid, pulse):
-        op = build_operator(random_velocity(grid))
+        op = DiscreteOperator(random_velocity(grid))
         arr = line_array(grid, 2, depth=300.0)
         u0 = initial_states(op, arr, pulse)
         snaps = propagate_snapshots(op, u0, 0.045, 1)
         np.testing.assert_array_equal(snaps.block(0), u0)
 
     def test_recurrence_matches_spectral(self, grid, pulse):
-        op = build_operator(random_velocity(grid, seed=5))
+        op = DiscreteOperator(random_velocity(grid, seed=5))
         arr = line_array(grid, 2, depth=300.0)
         u0 = initial_states(op, arr, pulse, method="spectral")
         tau = pulse.default_tau()
@@ -187,7 +187,7 @@ class TestPropagation:
 
     def test_eigenmode_oscillates_exactly(self, grid):
         c0 = 1700.0
-        op = build_operator(make_constant_model(c0, grid))
+        op = DiscreteOperator(make_constant_model(c0, grid))
         w, q = op.eig()
         k = 7
         u0 = q[:, [k]]
@@ -198,7 +198,7 @@ class TestPropagation:
             assert snaps.block(j)[:, 0] @ q[:, k] == pytest.approx(expected, abs=1e-11)
 
     def test_nyquist_warning(self, grid, pulse):
-        op = build_operator(make_constant_model(1500.0, grid))
+        op = DiscreteOperator(make_constant_model(1500.0, grid))
         arr = line_array(grid, 1, depth=300.0)
         u0 = initial_states(op, arr, pulse)
         bad_tau = 1.2 * pulse.nyquist_tau
@@ -221,7 +221,7 @@ class TestDataset:
 
     def test_symmetry_before_symmetrization(self, grid, pulse):
         v = random_velocity(grid, seed=6)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         arr = line_array(grid, 3, depth=300.0)
         u0 = initial_states(op, arr, pulse)
         tau = pulse.default_tau()
@@ -237,7 +237,7 @@ class TestDataset:
         tau = pulse.default_tau()
         n = 4
         ds = synthesize_dataset(v, arr, pulse, tau, n)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         u0 = initial_states(op, arr, pulse)
         snaps = propagate_snapshots(op, u0, tau, n)
         for i in range(n):
@@ -258,7 +258,7 @@ class TestDataset:
     def test_trace_energy_single_sensor(self, grid, pulse):
         # trace(D_j) equals the spectral sum of cos-weighted projections
         v = random_velocity(grid, seed=9)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         arr = line_array(grid, 1, depth=300.0)
         tau = pulse.default_tau()
         ds = synthesize_dataset(v, arr, pulse, tau, 3)

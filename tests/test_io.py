@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -112,3 +113,35 @@ def test_binary_deterministic(tmp_path, grid):
     io.save_velocity(tmp_path / "b.json", v)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def _csv_columns(path) -> dict:
+    """Every field of a CSV export parsed with plain float(), by column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: np.array([float(row[name]) for row in rows]) for name in rows[0]}
+
+
+def test_sweep_csv_floats_roundtrip_bitwise(tmp_path):
+    rng = np.random.default_rng(7)
+    p1 = np.linspace(0.8, 1.6, 3)
+    p2 = np.linspace(1.2, 2.8, 4) / 3.0
+    obj_rom = rng.random((3, 4)) * 1e-7
+    obj_fwi = rng.random((3, 4)) * 1e5
+    io.save_sweep_csv(tmp_path / "sweep.csv", "depth", "contrast", p1, p2, obj_rom, obj_fwi)
+    cols = _csv_columns(tmp_path / "sweep.csv")
+    np.testing.assert_array_equal(cols["depth"], np.repeat(p1, 4))
+    np.testing.assert_array_equal(cols["contrast"], np.tile(p2, 3))
+    np.testing.assert_array_equal(cols["obj_rom"], obj_rom.ravel())
+    np.testing.assert_array_equal(cols["obj_fwi"], obj_fwi.ravel())
+
+
+def test_traces_csv_floats_roundtrip_bitwise(tmp_path):
+    rng = np.random.default_rng(8)
+    rec = TraceRecord(-0.1, 0.1 / 3.0, rng.standard_normal((5, 2, 2)))
+    io.save_traces_csv(tmp_path / "t.csv", rec)
+    cols = _csv_columns(tmp_path / "t.csv")
+    np.testing.assert_array_equal(cols["t"], np.repeat(rec.times(), 4))
+    np.testing.assert_array_equal(cols["r"], np.tile(np.repeat([0.0, 1.0], 2), 5))
+    np.testing.assert_array_equal(cols["s"], np.tile([0.0, 1.0], 10))
+    np.testing.assert_array_equal(cols["value"], rec.data.ravel())

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from waverom.errors import BandExceedsMatrix, IndexOutOfRange, MassNotSPD
 from waverom.forward import (
     DataSet,
+    DiscreteOperator,
     FlatPulse,
     Pulse,
     SensorArray,
-    build_operator,
     initial_states,
     line_array,
     propagate_snapshots,
@@ -52,7 +52,7 @@ def decorrelated_dataset(n=5):
     g = Grid2D(16, 16, 100.0, 100.0)
     rng = np.random.default_rng(11)
     v = VelocityModel(g, 1500.0 * (1.0 + 0.5 * rng.random((16, 16))))
-    op = build_operator(v)
+    op = DiscreteOperator(v)
     lam_max = op.eig()[0][-1]
     arr = SensorArray(
         np.array([[300.0, 300.0], [1300.0, 500.0], [800.0, 1400.0]]), theta_width=100.0
@@ -70,10 +70,16 @@ def wave_setup():
     tau = pulse.default_tau()
     n = 6
     ds = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
-    op = build_operator(v)
+    op = DiscreteOperator(v)
     u0 = initial_states(op, arr, pulse)
     snaps = propagate_snapshots(op, u0, tau, n)
     return g, v, op, ds, snaps
+
+
+def random_spd(rng, dim):
+    """SPD matrix with every eigenvalue of every principal submatrix >= dim."""
+    a = rng.standard_normal((dim, dim))
+    return a @ a.T + dim * np.eye(dim)
 
 
 class TestAssembly:
@@ -105,6 +111,23 @@ class TestAssembly:
         stiff = assemble_stiffness(ds)
         direct = g.quad_weight * (snaps.u.T @ op.apply(snaps.u))
         assert np.linalg.norm(stiff - direct) / np.linalg.norm(direct) < 1e-10
+
+    @given(m=st.integers(1, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_block_formula(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((2 * n - 1, m, m))
+        ddot = rng.standard_normal((2 * n - 1, m, m))
+        ds = DataSet(d, ddot, 1.0, m, n)
+        mass = np.empty((n * m, n * m))
+        stiff = np.empty_like(mass)
+        for i in range(n):
+            for j in range(n):
+                blk = np.s_[i * m : (i + 1) * m, j * m : (j + 1) * m]
+                mass[blk] = 0.5 * (d[i + j] + d[abs(i - j)])
+                stiff[blk] = -0.5 * (ddot[i + j] + ddot[abs(i - j)])
+        np.testing.assert_array_equal(assemble_mass(ds), mass)
+        np.testing.assert_array_equal(assemble_stiffness(ds), stiff)
 
     def test_rayleigh_trace_bound(self, wave_setup):
         g, v, op, ds, _ = wave_setup
@@ -152,6 +175,45 @@ class TestBlockCholesky:
         with pytest.raises(ValueError):
             block_cholesky(np.eye(6), 4)
 
+    @given(m=st.integers(1, 4), blocks=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_spd_factor(self, m, blocks, seed):
+        mass = random_spd(np.random.default_rng(seed), m * blocks)
+        r = block_cholesky(mass, m)
+        assert np.linalg.norm(r.T @ r - mass) <= 1e-12 * np.linalg.norm(mass)
+        np.testing.assert_array_equal(r, np.triu(r))
+        assert np.all(np.diag(r) > 0)
+        np.testing.assert_allclose(r, np.linalg.cholesky(mass).T, rtol=1e-12, atol=1e-12)
+
+    @given(
+        m=st.integers(1, 4),
+        blocks=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_not_spd_block_matches_eigvalsh_oracle(self, m, blocks, seed, data):
+        # a rank-one downdate on rows p.. drives the leading principal
+        # submatrix of order p + 1 indefinite and leaves the smaller ones
+        rng = np.random.default_rng(seed)
+        dim = m * blocks
+        chosen = data.draw(st.integers(0, blocks - 1))
+        p = chosen * m + data.draw(st.integers(0, m - 1))
+        mass = random_spd(rng, dim)
+        v = np.zeros(dim)
+        v[p:] = rng.standard_normal(dim - p)
+        v[p] = 1.0
+        excess = data.draw(st.floats(0.1, 10.0)) * dim
+        mass -= (mass[p, p] + excess) * np.outer(v, v)
+        leading_min_eig = [
+            np.linalg.eigvalsh(mass[: (k + 1) * m, : (k + 1) * m])[0] for k in range(blocks)
+        ]
+        first_not_pd = next(k for k, lam in enumerate(leading_min_eig) if lam <= 0)
+        assert first_not_pd == chosen
+        with pytest.raises(MassNotSPD) as err:
+            block_cholesky(mass, m)
+        assert err.value.block_index == first_not_pd
+
 
 class TestBuildRom:
     def test_single_mode_stub(self):
@@ -170,7 +232,7 @@ class TestBuildRom:
         v = VelocityModel(g, 1500.0 * (1.0 + 0.3 * rng.random((4, 4))))
         pos = np.column_stack([g.xs(), g.zs()[[0, 2, 1, 3]]])
         arr = SensorArray(pos, theta_width=40.0)
-        op = build_operator(v)
+        op = DiscreteOperator(v)
         w_true, _ = op.eig()
         tau = 0.8 * np.pi / np.sqrt(w_true[-1])
         ds = synthesize_dataset(v, arr, FlatPulse(), tau, 4)
