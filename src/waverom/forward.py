@@ -2,9 +2,15 @@
 
 Two independent routes produce the sampled data matrices:
 
-- the spectral/Chebyshev route applies matrix functions of the
-  symmetrized operator A = C L C directly (`synthesize_dataset`), and
-- the time-domain route leapfrogs the pressure equation, records sensor
+- `synthesize_dataset` works with the symmetrized operator A = C L C.
+  Its chebyshev method never forms a wavefield: it expands the sample
+  functions f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and their -lam multiples
+  in Chebyshev polynomials once, computes the block moments
+  th^T T_k(A~) th of the scaled sensor functions th with the kernel
+  polynomial doubling, and contracts the two.  Its spectral method builds
+  the snapshots u_j = cos(j tau sqrt(A)) u_0 from the dense
+  eigendecomposition and serves as the exact oracle.
+- The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
   `symmetrize_and_sample`).
 
@@ -283,81 +289,103 @@ class DiscreteOperator:
                     f"n_dof {self.dimension} exceeds spectral cap {cap}; "
                     "use the Chebyshev path"
                 )
-            w, q = scipy.linalg.eigh(self.matrix.toarray())
+            # evd (divide and conquer) on an F-ordered copy that LAPACK
+            # overwrites with the eigenvectors.
+            w, q = scipy.linalg.eigh(
+                self.matrix.toarray(order="F"),
+                driver="evd",
+                overwrite_a=True,
+                check_finite=False,
+            )
             self._eig = (w, q)
         return self._eig
 
 
 # Matrix functions -----------------------------------------------------------
 
+#: Coefficients below this fraction of their family's largest are dropped.
+CHEB_TOL = 1e-13
 
-def chebyshev_coeffs(fn, lam_max: float, tol: float = 5e-15, max_degree: int = 4096):
-    """Chebyshev expansion of fn on [0, lam_max], adaptively truncated.
+#: Most Chebyshev nodes sampled before a table is accepted as it stands.
+CHEB_MAX_NODES = 4096
 
-    Returns coefficients c such that fn(lam) ~ c[0]/2 + sum_k c[k] T_k(x)
-    with x = 2 lam / lam_max - 1, accurate to ~tol relative.
+
+def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
+    """Chebyshev expansions of functions on [0, lam_max], cut to one length K.
+
+    `fn` maps eigenvalues, a 1D array of N nodes, to values of shape (N,)
+    for one function or (N, F, R) for F families of R functions.  Returns the
+    coefficients c, shape (K,) + the trailing shape, such that
+    fn(lam) ~ c[0]/2 + sum_k c[k] T_k(x) with x = 2 lam / lam_max - 1.
+
+    Each family is scaled by its largest coefficient, and the table is cut
+    where the largest scaled coefficient of what follows drops below
+    CHEB_TOL.  The node count doubles from 64 until that cut lies in the
+    first half of the coefficients, which keeps the DCT's round-off
+    plateau from setting K.
     """
     n = 64
     while True:
         k = np.arange(n)
         x = np.cos(math.pi * (k + 0.5) / n)
-        lam = 0.5 * lam_max * (x + 1.0)
-        y = fn(lam)
-        c = scipy.fft.dct(y, type=2) / n
-        cmax = np.max(np.abs(c))
-        if cmax == 0.0:
-            return c[:1]
-        if np.max(np.abs(c[-8:])) <= tol * cmax or n >= max_degree:
-            break
+        y = np.asarray(fn(0.5 * lam_max * (x + 1.0)), dtype=float)
+        c = scipy.fft.dct(y, type=2, axis=0) / n
+        mag = np.abs(c).reshape(n, 1) if c.ndim == 1 else np.abs(c).max(axis=2)
+        peak = mag.max(axis=0)
+        env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
+        above = np.nonzero(env >= CHEB_TOL)[0]
+        size = above[-1] + 1 if above.size else 1
+        if 2 * size <= n or n >= CHEB_MAX_NODES:
+            return c[:size]
         n *= 2
-    keep = np.nonzero(np.abs(c) > tol * cmax)[0]
-    return c[: keep[-1] + 1]
 
 
-def _clenshaw(matvec, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k c_k T_k(T) x via the Clenshaw recurrence, where
-    matvec applies the operator already scaled to spectrum [-1, 1]."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for ck in coeffs[:0:-1]:
-        b1, b2 = ck * x + 2.0 * matvec(b1) - b2, b1
-    return 0.5 * coeffs[0] * x + matvec(b1) - b2
+def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarray:
+    """Block moments mu_k = x^T T_k(2 a / lam_max - I) x for k < count.
 
-
-class _ChebOperatorFunction:
-    """g(A) as a Chebyshev polynomial in A, applied to blocks of vectors."""
-
-    def __init__(self, op: DiscreteOperator, g, lam_max: float = None, tol: float = 5e-15):
-        self.lam_max = op.lambda_upper() if lam_max is None else lam_max
-        self.coeffs = chebyshev_coeffs(g, self.lam_max, tol=tol)
-        self._a = op.matrix
-        self._scale = 2.0 / self.lam_max
-
-    def _scaled_matvec(self, x):
-        return self._scale * (self._a @ x) - x
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _clenshaw(self._scaled_matvec, self.coeffs, x)
-
-
-def apply_operator_function(
-    op: DiscreteOperator,
-    g,
-    x: np.ndarray,
-    method: str = "spectral",
-) -> np.ndarray:
-    """Apply g(A) to the columns of x.
-
-    `g` takes eigenvalues (a 1D array) and returns values.  The spectral
-    method is exact via the dense eigendecomposition; the chebyshev method
-    approximates g to near machine precision on [0, lambda_upper].
+    Uses count // 2 products with `a` through the kernel polynomial
+    doubling mu_2k = 2 t_k^T t_k - mu_0, mu_2k+1 = 2 t_k+1^T t_k - mu_1,
+    where t_k = T_k(2 a / lam_max - I) x.
     """
-    if method == "spectral":
-        w, q = op.eig()
-        return q @ (g(np.maximum(w, 0.0))[:, None] * (q.T @ x))
-    if method == "chebyshev":
-        return _ChebOperatorFunction(op, g)(x)
-    raise ValueError(f"unknown method {method!r}")
+    scale = 2.0 / lam_max
+    mu = np.empty((count, x.shape[1], x.shape[1]))
+    mu[0] = x.T @ x
+    prev, cur = None, x
+    for k in range(1, count // 2 + 1):
+        nxt = scale * (a @ cur) - cur
+        if k == 1:
+            mu[1] = nxt.T @ cur
+        else:
+            nxt = 2.0 * nxt - prev
+            mu[2 * k - 1] = 2.0 * (nxt.T @ cur) - mu[1]
+        prev, cur = cur, nxt
+        if 2 * k < count:
+            mu[2 * k] = 2.0 * (cur.T @ cur) - mu[0]
+    return mu
+
+
+def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
+    """Chebyshev table of the data functions, shape (K, 2, count).
+
+    Family 0 holds f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and family 1
+    -lam f_hat(sqrt(lam)) cos(j tau sqrt(lam)), for j = 0..count-1.
+    """
+
+    def fn(lam):
+        root = np.sqrt(lam)
+        d = pulse.f_hat(root)[:, None] * np.cos(np.outer(root, tau * np.arange(count)))
+        return np.stack([d, -lam[:, None] * d], axis=1)
+
+    return chebyshev_coeffs(fn, lam_max)
+
+
+def apply_operator_function(op: DiscreteOperator, g, x: np.ndarray) -> np.ndarray:
+    """Apply g(A) to the columns of x through the dense eigendecomposition.
+
+    `g` takes eigenvalues (a 1D array) and returns values.
+    """
+    w, q = op.eig()
+    return q @ (g(np.maximum(w, 0.0))[:, None] * (q.T @ x))
 
 
 # Snapshots and data ---------------------------------------------------------
@@ -430,14 +458,12 @@ def check_nyquist(tau: float, omega_ess: float, strict: bool = False):
         warnings.warn(NyquistViolation(msg), stacklevel=3)
 
 
-def initial_states(
-    op: DiscreteOperator, arr: SensorArray, pulse, method: str = "spectral"
-) -> np.ndarray:
+def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
     """First snapshot block: u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s)."""
     theta = arr.theta_matrix(op.grid)
     cs = arr.local_velocities(op.velocity)
     g = lambda lam: pulse.f_hat_sqrt(np.sqrt(np.maximum(lam, 0.0)))
-    return apply_operator_function(op, g, theta / cs, method)
+    return apply_operator_function(op, g, theta / cs)
 
 
 def propagate_snapshots(
@@ -445,16 +471,11 @@ def propagate_snapshots(
     u0: np.ndarray,
     tau: float,
     count: int,
-    method: str = "spectral",
     omega_ess: float = None,
     strict_nyquist: bool = False,
 ) -> Snapshots:
-    """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1.
-
-    The spectral path evaluates each cosine exactly; the chebyshev path
-    expands cos(tau sqrt(A)) once and uses the exact three-term identity
-    u_{j+1} = 2 cos(tau sqrt(A)) u_j - u_{j-1}.
-    """
+    """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1, each
+    cosine evaluated exactly through the dense eigendecomposition."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if tau <= 0:
@@ -465,21 +486,11 @@ def propagate_snapshots(
     m = u0.shape[1]
     blocks = np.empty((u0.shape[0], count * m))
     blocks[:, :m] = u0
-    if method == "spectral":
-        w, q = op.eig()
-        sq = np.sqrt(np.maximum(w, 0.0))
-        p = q.T @ u0
-        for j in range(1, count):
-            blocks[:, j * m : (j + 1) * m] = q @ (np.cos(j * tau * sq)[:, None] * p)
-    elif method == "chebyshev":
-        step = _ChebOperatorFunction(op, lambda lam: np.cos(tau * np.sqrt(np.maximum(lam, 0.0))))
-        prev, cur = None, u0
-        for j in range(1, count):
-            nxt = 2.0 * step(cur) - prev if prev is not None else step(cur)
-            blocks[:, j * m : (j + 1) * m] = nxt
-            prev, cur = cur, nxt
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    w, q = op.eig()
+    sq = np.sqrt(np.maximum(w, 0.0))
+    p = q.T @ u0
+    for j in range(1, count):
+        blocks[:, j * m : (j + 1) * m] = q @ (np.cos(j * tau * sq)[:, None] * p)
     return Snapshots(blocks, m)
 
 
@@ -492,23 +503,40 @@ def synthesize_dataset(
     method: str = "spectral",
     op: DiscreteOperator = None,
 ) -> DataSet:
-    """Sampled data matrices D_j = <u_0, u_j>, Ddot_j = -<u_0, A u_j>.
+    """Sampled data matrices D_j = w th^T f_hat(sqrt(A)) cos(j tau sqrt(A)) th
+    and Ddot_j = -w th^T A f_hat(sqrt(A)) cos(j tau sqrt(A)) th.
 
-    Inner products carry the grid quadrature weight hx*hz; both sample
-    families are symmetrized to remove round-off asymmetry.
+    th = Theta diag(1/c_s) holds the scaled sensor functions and w = hx*hz
+    is the grid quadrature weight.  The spectral method forms the snapshots
+    u_j = cos(j tau sqrt(A)) u_0 exactly and takes D_j = w <u_0, u_j>,
+    Ddot_j = -w <u_0, A u_j>.  The chebyshev method expands the 2(2n-1)
+    sample functions in one table of length K and contracts it against
+    the block moments th^T T_k(2A/lambda_upper - I) th, which cost K // 2
+    sparse products.  Both sample families are symmetrized to remove
+    round-off asymmetry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if method not in ("spectral", "chebyshev"):
+        raise ValueError(f"unknown method {method!r}")
+    check_nyquist(tau, getattr(pulse, "omega_ess", None))
     op = DiscreteOperator(v) if op is None else op
-    u0 = initial_states(op, arr, pulse, method)
-    snaps = propagate_snapshots(
-        op, u0, tau, 2 * n - 1, method, omega_ess=getattr(pulse, "omega_ess", None)
-    )
     w = v.grid.quad_weight
     m = arr.m
-    d = np.empty((2 * n - 1, m, m))
+    count = 2 * n - 1
+    if method == "chebyshev":
+        th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
+        lam_max = op.lambda_upper()
+        c = sample_coeffs(pulse, tau, count, lam_max)
+        c[0] *= 0.5
+        mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
+        data = w * np.tensordot(c, mu, axes=(0, 0))
+        return DataSet(_sym(data[0]), _sym(data[1]), tau, m, n)
+    u0 = initial_states(op, arr, pulse)
+    snaps = propagate_snapshots(op, u0, tau, count)
+    d = np.empty((count, m, m))
     ddot = np.empty_like(d)
-    for j in range(2 * n - 1):
+    for j in range(count):
         uj = snaps.block(j)
         d[j] = _sym(w * (u0.T @ uj))
         ddot[j] = _sym(-w * (u0.T @ op.apply(uj)))
