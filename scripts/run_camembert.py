@@ -18,12 +18,10 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/camembert", help="output directory")
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     out = Path(args.out)
     for mode in ("rom", "fwi"):
         rc = waverom_main([
-            "--threads", str(args.threads),
             "invert", "--config", args.config, "--out", str(out / mode), "--mode", mode,
         ])
         if rc:

@@ -19,11 +19,5 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/topography", help="output directory")
     ap.add_argument("--config", default=str(CONFIG))
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
-    sys.exit(
-        waverom_main([
-            "--threads", str(args.threads),
-            "sweep", "--config", args.config, "--out", args.out,
-        ])
-    )
+    sys.exit(waverom_main(["sweep", "--config", args.config, "--out", args.out]))

@@ -8,10 +8,8 @@ only non-reproducible bytes live in the manifest timestamp field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from . import __version__, io
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WaveromError
-from .forward import synthesize_dataset, synthesize_measurements, symmetrize_and_sample
+from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
 from .objective import RomResidualSpec, fwi_residual, rom_residual
 from .rom import assemble_mass, build_rom
@@ -47,7 +45,6 @@ def _manifest_base(command: str, cfg: ExperimentConfig, args) -> dict:
         "command": command,
         "config": cfg.to_dict(),
         "seed": args.seed,
-        "threads": args.threads,
         "versions": {
             "waverom": __version__,
             "numpy": np.__version__,
@@ -165,8 +162,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
 
     v1, v2 = ax1.values(), ax2.values()
 
-    def evaluate(point) -> tuple[float, float]:
-        a, b = point
+    def evaluate(a, b) -> tuple[float, float]:
         model_spec = dict(cfg.model, **{ax1.name: a, ax2.name: b})
         candidate_cfg = ExperimentConfig(
             model=model_spec, grid=cfg.grid, acquisition=cfg.acquisition,
@@ -178,14 +174,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
         r_fwi = fwi_residual(ds, ref_ds)
         return float(r_rom @ r_rom), float(r_fwi @ r_fwi)
 
-    points = [(a, b) for a in v1 for b in v2]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(pt) for pt in points]
-    obj_rom = np.array([r[0] for r in results]).reshape(ax1.count, ax2.count)
-    obj_fwi = np.array([r[1] for r in results]).reshape(ax1.count, ax2.count)
+    results = np.array([evaluate(a, b) for a in v1 for b in v2])
+    obj_rom, obj_fwi = results.T.reshape(2, ax1.count, ax2.count)
 
     io.save_sweep_csv(out / "sweep.csv", ax1.name, ax2.name, v1, v2, obj_rom, obj_fwi)
     census = {}
@@ -226,9 +216,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     gn = cfg.build_gn()
 
     reference = build_rom(ref_ds) if args.mode == "rom" else ref_ds
-    estimate, state = run_inversion(
-        reference, param, schedule, gn, acq, mode=args.mode, threads=args.threads
-    )
+    estimate, state = run_inversion(reference, param, schedule, gn, acq, mode=args.mode)
 
     io.save_velocity(out / "truth.json", truth)
     io.save_velocity(out / "initial.json", param.background)
@@ -321,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="waverom",
         description="Data-driven wave-operator ROM velocity estimation and FWI baseline",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, choices=(1,), default=1,
+        help="accepts only 1; kept for existing callers and will be removed",
+    )
     parser.add_argument("--seed", type=int, default=0, help="recorded in manifests")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -63,13 +63,10 @@ class ExperimentConfig:
 
     def build_grid(self) -> Grid2D:
         g = self.grid
-        try:
-            return Grid2D(
-                int(g["nx"]), int(g["nz"]), float(g["hx"]), float(g["hz"]),
-                float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad grid section: {exc}") from exc
+        return Grid2D(
+            int(g["nx"]), int(g["nz"]), float(g["hx"]), float(g["hz"]),
+            float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
+        )
 
     def _bc(self):
         return self.grid.get("bc", "dirichlet")
@@ -98,54 +95,45 @@ class ExperimentConfig:
 
             return load_velocity(self.base_dir / spec["path"])
         g = self.build_grid() if grid is None else grid
-        try:
-            if factory == "constant":
-                return make_constant_model(spec["c0"], g, bc=self._bc())
-            if factory == "two_layer":
-                return make_two_layer_model(
-                    spec["depth_left"], spec["contrast"], g,
-                    slope_drop=spec.get("slope_drop", 400.0),
-                    c_top=spec.get("c_top", 1500.0), bc=self._bc(),
-                )
-            if factory == "camembert":
-                return make_camembert_model(
-                    g,
-                    center=tuple(spec.get("center", (1000.0, 1000.0))),
-                    radius=spec.get("radius", 600.0),
-                    c_inside=spec.get("c_inside", 4000.0),
-                    c_outside=spec.get("c_outside", 3000.0),
-                    bc=self._bc(),
-                )
-            if factory == "gradient":
-                return make_gradient_model(spec["c_top"], spec["c_bottom"], g, bc=self._bc())
-        except KeyError as exc:
-            raise ConfigError(f"model factory {factory!r} missing parameter {exc}") from exc
+        if factory == "constant":
+            return make_constant_model(spec["c0"], g, bc=self._bc())
+        if factory == "two_layer":
+            return make_two_layer_model(
+                spec["depth_left"], spec["contrast"], g,
+                slope_drop=spec.get("slope_drop", 400.0),
+                c_top=spec.get("c_top", 1500.0), bc=self._bc(),
+            )
+        if factory == "camembert":
+            return make_camembert_model(
+                g,
+                center=tuple(spec.get("center", (1000.0, 1000.0))),
+                radius=spec.get("radius", 600.0),
+                c_inside=spec.get("c_inside", 4000.0),
+                c_outside=spec.get("c_outside", 3000.0),
+                bc=self._bc(),
+            )
+        if factory == "gradient":
+            return make_gradient_model(spec["c_top"], spec["c_bottom"], g, bc=self._bc())
         raise ConfigError(f"unknown model factory {factory!r}")
 
     def build_pulse(self) -> Pulse:
         p = self.acquisition.get("pulse", {})
-        try:
-            return Pulse.from_hz(float(p["freq_hz"]), float(p["bandwidth_hz"]))
-        except KeyError as exc:
-            raise ConfigError(f"pulse section missing {exc}") from exc
+        return Pulse.from_hz(float(p["freq_hz"]), float(p["bandwidth_hz"]))
 
     def build_array(self, grid: Grid2D) -> SensorArray:
         layout = self.acquisition.get("layout", {})
         kind = layout.get("kind", "line")
         width = self.acquisition.get("theta_width")
         width = grid.hx if width is None else float(width)
-        try:
-            if kind == "line":
-                return line_array(
-                    grid, int(layout["m"]), float(layout["depth"]),
-                    theta_width=width, margin=layout.get("margin"),
-                )
-            if kind == "ring":
-                return ring_array(grid, int(layout["m"]), float(layout["inset"]), theta_width=width)
-            if kind == "explicit":
-                return SensorArray(np.asarray(layout["positions"], dtype=float), width)
-        except KeyError as exc:
-            raise ConfigError(f"sensor layout {kind!r} missing {exc}") from exc
+        if kind == "line":
+            return line_array(
+                grid, int(layout["m"]), float(layout["depth"]),
+                theta_width=width, margin=layout.get("margin"),
+            )
+        if kind == "ring":
+            return ring_array(grid, int(layout["m"]), float(layout["inset"]), theta_width=width)
+        if kind == "explicit":
+            return SensorArray(np.asarray(layout["positions"], dtype=float), width)
         raise ConfigError(f"unknown sensor layout {kind!r}")
 
     def resolve_tau(self, pulse: Pulse) -> float:
@@ -156,10 +144,10 @@ class ExperimentConfig:
 
     @property
     def n(self) -> int:
-        try:
-            return int(self.sampling["n"])
-        except KeyError as exc:
-            raise ConfigError("sampling section needs n") from exc
+        n = int(self.sampling["n"])
+        if n < 1:
+            raise ValueError(f"sampling.n must be >= 1, got {n}")
+        return n
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
         if self.method not in ("spectral", "chebyshev"):
@@ -194,36 +182,26 @@ class ExperimentConfig:
 
     def build_schedule(self) -> LayerSchedule:
         s = self.schedule
-        try:
-            q = int(s["q"])
-            d = int(s["d"])
-            if "k" in s and s["k"] is not None:
-                return LayerSchedule(tuple(int(v) for v in s["k"]), q, d)
-            return LayerSchedule.uniform(self.n, int(s["layers"]), q, d)
-        except KeyError as exc:
-            raise ConfigError(f"schedule section missing {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule: {exc}") from exc
+        if not s:
+            raise ConfigError("config has no schedule section")
+        q = int(s["q"])
+        d = int(s["d"])
+        if s.get("k") is not None:
+            return LayerSchedule(tuple(int(v) for v in s["k"]), q, d)
+        return LayerSchedule.uniform(self.n, int(s["layers"]), q, d)
 
     def build_gn(self) -> GnConfig:
-        try:
-            return GnConfig(**self.gn)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gn section: {exc}") from exc
+        return GnConfig(**self.gn)
 
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
         s = self.sweep
         axes = [k for k in ("p1", "p2") if k in s]
         if len(axes) != 2:
             raise ConfigError("sweep needs exactly two parameters p1 and p2")
-        out = []
-        for key in ("p1", "p2"):
-            a = s[key]
-            try:
-                out.append(SweepAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"])))
-            except KeyError as exc:
-                raise ConfigError(f"sweep axis {key} missing {exc}") from exc
-        return tuple(out)
+        return tuple(
+            SweepAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
+            for a in (s["p1"], s["p2"])
+        )
 
     @property
     def reference_refine(self) -> int:
@@ -263,7 +241,39 @@ class ExperimentConfig:
         return out
 
 
+def _build_sections(cfg: ExperimentConfig):
+    """Build every section once, so that a malformed one fails at load time."""
+    section = "grid"
+    try:
+        cfg.build_grid()
+        section = "model"
+        grid = cfg.build_model().grid
+        section = "acquisition"
+        tau = cfg.build_acquisition(grid).tau
+        section = "search"
+        cfg.build_search(grid)
+        section = "gn"
+        cfg.build_gn()
+        if cfg.schedule:
+            section = "schedule"
+            cfg.build_schedule()
+        if cfg.sweep:
+            section = "sweep"
+            cfg.sweep_axes()
+        section = "record"
+        cfg.record_dt(tau)
+        cfg.record_t_end(tau)
+        section = "reference"
+        cfg.reference_refine
+    except KeyError as exc:
+        raise ConfigError(f"{section} section missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} section: {exc}") from exc
+
+
 def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     raw = dict(raw)
     schema = raw.pop("schema", SCHEMA)
     if schema != SCHEMA:
@@ -278,7 +288,9 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
     missing = {"model", "grid", "acquisition", "sampling"} - set(raw)
     if missing:
         raise ConfigError(f"config missing sections: {sorted(missing)}")
-    return ExperimentConfig(base_dir=Path(base_dir), **raw)
+    cfg = ExperimentConfig(base_dir=Path(base_dir), **raw)
+    _build_sections(cfg)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -24,8 +24,9 @@ class EigUnavailable(WaveromError):
 class NyquistViolation(WaveromError, Warning):
     """Sampling interval exceeds the Nyquist limit for the pulse.
 
-    Issued through ``warnings.warn`` by default; callers may escalate it
-    to a hard error via ``strict`` flags.
+    Issued through ``warnings.warn`` by ``synthesize_dataset``; a caller
+    escalates it to an error with
+    ``warnings.simplefilter("error", NyquistViolation)``.
     """
 
 

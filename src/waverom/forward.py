@@ -2,13 +2,13 @@
 
 Two independent routes produce the sampled data matrices:
 
-- `synthesize_dataset` works with the symmetrized operator A = C L C.
-  Its chebyshev method never forms a wavefield: it expands the sample
+- `synthesize_dataset` works with the symmetrized operator A = C L C and
+  never forms a wavefield.  Both its methods contract the sample
   functions f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and their -lam multiples
-  in Chebyshev polynomials once, computes the block moments
-  th^T T_k(A~) th of the scaled sensor functions th with the kernel
-  polynomial doubling, and contracts the two.  Its spectral method builds
-  the snapshots u_j = cos(j tau sqrt(A)) u_0 from the dense
+  against a spectral measure of the scaled sensor functions th.  The
+  chebyshev method expands them in Chebyshev polynomials once and uses
+  the block moments th^T T_k(A~) th from the kernel polynomial doubling;
+  the spectral method evaluates them at the eigenvalues of the dense
   eigendecomposition and serves as the exact oracle.
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
@@ -59,24 +59,26 @@ class Pulse:
     """Even band-limited probing pulse cos(omega0 t) exp(-(2 pi B)^2 t^2 / 2).
 
     `omega0` is the angular central frequency (rad/s), `bandwidth` is B in
-    Hz.  `tf` is the effective support half-width: the time beyond which
-    the envelope drops below PULSE_SUPPORT_CUT of the peak.
+    Hz.
     """
 
     omega0: float
     bandwidth: float
-    tf: float = None
 
     def __post_init__(self):
         if self.omega0 < 0 or self.bandwidth <= 0:
             raise ValueError("pulse needs omega0 >= 0 and bandwidth > 0")
-        if self.tf is None:
-            a = 2.0 * math.pi * self.bandwidth
-            object.__setattr__(self, "tf", math.sqrt(-2.0 * math.log(PULSE_SUPPORT_CUT)) / a)
 
     @classmethod
     def from_hz(cls, freq_hz: float, bandwidth_hz: float) -> "Pulse":
         return cls(2.0 * math.pi * freq_hz, bandwidth_hz)
+
+    @property
+    def tf(self) -> float:
+        """Effective support half-width: the time beyond which the envelope
+        drops below PULSE_SUPPORT_CUT of the peak."""
+        a = 2.0 * math.pi * self.bandwidth
+        return math.sqrt(-2.0 * math.log(PULSE_SUPPORT_CUT)) / a
 
     @property
     def omega_ess(self) -> float:
@@ -281,12 +283,12 @@ class DiscreteOperator:
         a = self.matrix
         return float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1])))
 
-    def eig(self, cap: int = SPECTRAL_CAP):
+    def eig(self):
         """Dense eigendecomposition (ascending values), cached."""
         if self._eig is None:
-            if self.dimension > cap:
+            if self.dimension > SPECTRAL_CAP:
                 raise EigUnavailable(
-                    f"n_dof {self.dimension} exceeds spectral cap {cap}; "
+                    f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
                     "use the Chebyshev path"
                 )
             # evd (divide and conquer) on an F-ordered copy that LAPACK
@@ -364,28 +366,20 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
     return mu
 
 
-def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
-    """Chebyshev table of the data functions, shape (K, 2, count).
+def sample_functions(pulse, tau: float, count: int, lam: np.ndarray) -> np.ndarray:
+    """The data functions at the eigenvalues lam, shape (N, 2, count).
 
     Family 0 holds f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and family 1
     -lam f_hat(sqrt(lam)) cos(j tau sqrt(lam)), for j = 0..count-1.
     """
-
-    def fn(lam):
-        root = np.sqrt(lam)
-        d = pulse.f_hat(root)[:, None] * np.cos(np.outer(root, tau * np.arange(count)))
-        return np.stack([d, -lam[:, None] * d], axis=1)
-
-    return chebyshev_coeffs(fn, lam_max)
+    root = np.sqrt(lam)
+    d = pulse.f_hat(root)[:, None] * np.cos(np.outer(root, tau * np.arange(count)))
+    return np.stack([d, -lam[:, None] * d], axis=1)
 
 
-def apply_operator_function(op: DiscreteOperator, g, x: np.ndarray) -> np.ndarray:
-    """Apply g(A) to the columns of x through the dense eigendecomposition.
-
-    `g` takes eigenvalues (a 1D array) and returns values.
-    """
-    w, q = op.eig()
-    return q @ (g(np.maximum(w, 0.0))[:, None] * (q.T @ x))
+def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
+    """Chebyshev table of `sample_functions` on [0, lam_max], shape (K, 2, count)."""
+    return chebyshev_coeffs(lambda lam: sample_functions(pulse, tau, count, lam), lam_max)
 
 
 # Snapshots and data ---------------------------------------------------------
@@ -402,10 +396,6 @@ class Snapshots:
     def __post_init__(self):
         if self.u.shape[1] % self.m:
             raise ValueError("column count must be a multiple of m")
-
-    @property
-    def count(self) -> int:
-        return self.u.shape[1] // self.m
 
     def block(self, j: int) -> np.ndarray:
         return self.u[:, j * self.m : (j + 1) * self.m]
@@ -450,38 +440,22 @@ class DataSet:
         return DataSet(self.d[: 2 * k - 1], self.ddot[: 2 * k - 1], self.tau, self.m, k)
 
 
-def check_nyquist(tau: float, omega_ess: float, strict: bool = False):
-    if omega_ess and tau > math.pi / omega_ess:
-        msg = f"tau={tau:g} exceeds the Nyquist interval {math.pi / omega_ess:g}"
-        if strict:
-            raise NyquistViolation(msg)
-        warnings.warn(NyquistViolation(msg), stacklevel=3)
-
-
 def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
-    """First snapshot block: u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s)."""
-    theta = arr.theta_matrix(op.grid)
-    cs = arr.local_velocities(op.velocity)
-    g = lambda lam: pulse.f_hat_sqrt(np.sqrt(np.maximum(lam, 0.0)))
-    return apply_operator_function(op, g, theta / cs)
+    """First snapshot block u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s),
+    through the dense eigendecomposition."""
+    w, q = op.eig()
+    th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
+    g = pulse.f_hat_sqrt(np.sqrt(np.maximum(w, 0.0)))
+    return q @ (g[:, None] * (q.T @ th))
 
 
-def propagate_snapshots(
-    op: DiscreteOperator,
-    u0: np.ndarray,
-    tau: float,
-    count: int,
-    omega_ess: float = None,
-    strict_nyquist: bool = False,
-) -> Snapshots:
+def propagate_snapshots(op: DiscreteOperator, u0: np.ndarray, tau: float, count: int) -> Snapshots:
     """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1, each
     cosine evaluated exactly through the dense eigendecomposition."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if omega_ess is not None:
-        check_nyquist(tau, omega_ess, strict_nyquist)
     u0 = np.atleast_2d(u0.T).T if u0.ndim == 1 else u0
     m = u0.shape[1]
     blocks = np.empty((u0.shape[0], count * m))
@@ -507,40 +481,44 @@ def synthesize_dataset(
     and Ddot_j = -w th^T A f_hat(sqrt(A)) cos(j tau sqrt(A)) th.
 
     th = Theta diag(1/c_s) holds the scaled sensor functions and w = hx*hz
-    is the grid quadrature weight.  The spectral method forms the snapshots
-    u_j = cos(j tau sqrt(A)) u_0 exactly and takes D_j = w <u_0, u_j>,
-    Ddot_j = -w <u_0, A u_j>.  The chebyshev method expands the 2(2n-1)
-    sample functions in one table of length K and contracts it against
-    the block moments th^T T_k(2A/lambda_upper - I) th, which cost K // 2
-    sparse products.  Both sample families are symmetrized to remove
-    round-off asymmetry.
+    is the grid quadrature weight.  Both methods contract the 2(2n-1)
+    `sample_functions` against a spectral measure of th.  The spectral
+    method evaluates them at the eigenvalues of A = Q diag(lam) Q^T and
+    contracts with p = Q^T th, so D_j = w p^T diag(f_j(lam)) p.  The
+    chebyshev method expands them in one table of length K and contracts
+    it against the block moments th^T T_k(2A/lambda_upper - I) th, which
+    cost K // 2 sparse products.  Both sample families are symmetrized to
+    remove round-off asymmetry.
+
+    A tau beyond the pulse's Nyquist interval issues NyquistViolation as a
+    warning; `warnings.simplefilter("error", NyquistViolation)` makes it
+    an error.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if method not in ("spectral", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
-    check_nyquist(tau, getattr(pulse, "omega_ess", None))
+    omega_ess = getattr(pulse, "omega_ess", None)
+    if omega_ess and tau > math.pi / omega_ess:
+        warnings.warn(
+            NyquistViolation(f"tau={tau:g} exceeds the Nyquist interval {math.pi / omega_ess:g}"),
+            stacklevel=2,
+        )
     op = DiscreteOperator(v) if op is None else op
-    w = v.grid.quad_weight
-    m = arr.m
+    th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1
     if method == "chebyshev":
-        th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
         lam_max = op.lambda_upper()
         c = sample_coeffs(pulse, tau, count, lam_max)
         c[0] *= 0.5
         mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
-        data = w * np.tensordot(c, mu, axes=(0, 0))
-        return DataSet(_sym(data[0]), _sym(data[1]), tau, m, n)
-    u0 = initial_states(op, arr, pulse)
-    snaps = propagate_snapshots(op, u0, tau, count)
-    d = np.empty((count, m, m))
-    ddot = np.empty_like(d)
-    for j in range(count):
-        uj = snaps.block(j)
-        d[j] = _sym(w * (u0.T @ uj))
-        ddot[j] = _sym(-w * (u0.T @ op.apply(uj)))
-    return DataSet(d, ddot, tau, m, n)
+    else:
+        lam, q = op.eig()
+        c = sample_functions(pulse, tau, count, np.maximum(lam, 0.0))
+        p = q.T @ th
+        mu = p[:, :, None] * p[:, None, :]
+    data = v.grid.quad_weight * np.tensordot(c, mu, axes=(0, 0))
+    return DataSet(_sym(data[0]), _sym(data[1]), tau, arr.m, n)
 
 
 # Time-domain measurement path -----------------------------------------------
@@ -561,10 +539,6 @@ class TraceRecord:
     @property
     def m(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def t_max(self) -> float:
-        return self.t0 + (self.nt - 1) * self.dt
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.nt)

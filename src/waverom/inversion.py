@@ -1,18 +1,17 @@
 """Layer-stripping Gauss-Newton minimization of ROM or FWI misfit.
 
 The outer loop runs exactly L*q regularized Gauss-Newton updates.  Each
-update linearizes the residual by forward finite differences and takes
-one thin SVD of the Jacobian.  That SVD gives the adaptive Tikhonov
-weight, the rank check and the damped direction.  The update then
-line-searches the penalized functional with a rejection fallback so
-accepted steps never increase it.
+update linearizes the residual by forward finite differences, one
+synthesis per column in index order, and takes one thin SVD of the
+Jacobian.  That SVD gives the adaptive Tikhonov weight, the rank check
+and the damped direction.  The update then line-searches the penalized
+functional with a rejection fallback so accepted steps never increase it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, basis_matrix, evaluate_velocity
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
-from .rom import OperatorRom, build_rom
+from .rom import OperatorRom
 from .forward import DataSet
 
 
@@ -66,12 +65,15 @@ class LayerSchedule:
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Gauss-Newton knobs.
+    """Gauss-Newton settings, the `gn` section of a config.
 
     gamma is the Tikhonov quantile: mu_i is the squared floor(gamma N)-th
     largest singular value of the Jacobian (index clamped to 1 at the
     low end).  Setting regularization="off" forces mu_i = 0, the plain
-    Gauss-Newton limit.
+    Gauss-Newton limit.  alpha_max caps the line-search step, fd_step is
+    the finite-difference velocity step, and c_min the velocity clamp.
+    fwi_truncate limits the FWI misfit of layer l to the first 2k_l - 1
+    samples.
     """
 
     gamma: float = 0.3
@@ -79,7 +81,6 @@ class GnConfig:
     fd_step: float = 1e-2
     regularization: str = "adaptive"
     c_min: float = DEFAULT_C_MIN
-    stop_objective: float = 0.0
     fwi_truncate: bool = False
 
     def __post_init__(self):
@@ -118,20 +119,14 @@ class InversionState:
         self.eta_trace.append(np.array(self.eta))
 
 
-def jacobian(
-    residual_fn,
-    eta: np.ndarray,
-    fd_step: float,
-    base: np.ndarray = None,
-    threads: int = 1,
-) -> np.ndarray:
+def jacobian(residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray = None) -> np.ndarray:
     """Forward finite-difference Jacobian of a residual function.
 
     Column l is [G(eta + delta_l e_l) - G(eta)] / delta_l with
     delta_l = fd_step * max(1, |eta_l|); with unit-amplitude bumps one
     eta unit is one m/s of velocity, so fd_step is a velocity step.
-    Columns are evaluated independently (optionally in a thread pool)
-    and assembled in index order.
+    Columns are evaluated one after another in index order.  `base`
+    passes G(eta) when the caller already has it.
     """
     eta = np.asarray(eta, dtype=float)
     n = eta.size
@@ -147,12 +142,7 @@ def jacobian(
         bumped[l] += delta
         return (residual_fn(bumped) - base) / delta
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, range(n)))
-    else:
-        cols = [column(l) for l in range(n)]
-    return np.column_stack(cols)
+    return np.column_stack([column(l) for l in range(n)])
 
 
 def tikhonov_mu(sigma: np.ndarray, gamma: float) -> float:
@@ -192,22 +182,20 @@ def gn_step(svd, r: np.ndarray, mu: float) -> np.ndarray:
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Ratio, size and golden-section refinement passes of the line-search grid.
+LS_RHO = 0.7
+LS_GRID_SIZE = 13
+LS_GOLDEN_ITERS = 8
 
-def line_search(
-    eta: np.ndarray,
-    direction: np.ndarray,
-    functional,
-    alpha_max: float,
-    rho: float = 0.7,
-    grid_size: int = 13,
-    golden_iters: int = 8,
-) -> float:
+
+def line_search(eta: np.ndarray, direction: np.ndarray, functional, alpha_max: float) -> float:
     """Step length minimizing the functional along eta + alpha*direction.
 
-    Samples the geometric grid {alpha_max * rho^j} and refines around the
-    best grid point with a golden-section pass; the functional may return
-    +inf for infeasible trials.  Returns 0 when no sampled step improves
-    on the current value (step rejected).
+    Samples the geometric grid {alpha_max * LS_RHO^j, j < LS_GRID_SIZE}
+    and refines around the best grid point with LS_GOLDEN_ITERS
+    golden-section passes; the functional may return +inf for infeasible
+    trials.  Returns 0 when no sampled step improves on the current value
+    (step rejected).
     """
     f0 = functional(eta)
     best_alpha, best_val = 0.0, f0
@@ -218,21 +206,18 @@ def line_search(
             evals[alpha] = functional(eta + alpha * direction)
         return evals[alpha]
 
-    grid = [alpha_max * rho**j for j in range(grid_size)]
-    for alpha in grid:
+    for alpha in (alpha_max * LS_RHO**j for j in range(LS_GRID_SIZE)):
         val = probe(alpha)
         if val < best_val:
             best_alpha, best_val = alpha, val
     if best_alpha == 0.0:
         return 0.0
 
-    lo = best_alpha * rho
-    hi = min(best_alpha / rho, alpha_max)
-    a, b = lo, hi
+    a, b = best_alpha * LS_RHO, min(best_alpha / LS_RHO, alpha_max)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = probe(x1), probe(x2)
-    for _ in range(golden_iters):
+    for _ in range(LS_GOLDEN_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -279,7 +264,6 @@ def run_inversion(
     cfg: GnConfig,
     acq: Acquisition,
     mode: str = "rom",
-    threads: int = 1,
 ) -> tuple[VelocityModel, InversionState]:
     """Run L*q Gauss-Newton updates minimizing the layered misfit.
 
@@ -290,6 +274,8 @@ def run_inversion(
     Gauss-Newton direction, the same quadratic model the direction solve
     minimizes; a rejected step (alpha = 0) advances i without changing
     eta.  An infeasible trial (MassNotSPD) scores +inf in the line search.
+    An update that starts from a zero objective records itself and takes
+    no step.
     """
     if mode not in ("rom", "fwi"):
         raise ValueError("mode must be 'rom' or 'fwi'")
@@ -337,10 +323,10 @@ def run_inversion(
             if base is None:
                 raise MassNotSPD(-1, "candidate ROM infeasible at the current iterate")
             obj0 = float(base @ base)
-            if obj0 <= cfg.stop_objective:
+            if obj0 == 0.0:
                 state.record(layer_k, obj0, 0.0, 0.0, (obj0, obj0))
                 continue
-            jac = jacobian(residual_fn, anchor, cfg.fd_step, base=base, threads=threads)
+            jac = jacobian(residual_fn, anchor, cfg.fd_step, base=base)
             svd = scipy.linalg.svd(jac, full_matrices=False)
             mu = tikhonov_mu(svd[1], cfg.gamma) if cfg.regularization == "adaptive" else 0.0
             direction = gn_step(svd, base, mu)

@@ -191,28 +191,20 @@ def basis_matrix(p: Parametrization, g: Grid2D) -> np.ndarray:
 
 def evaluate_velocity(
     p: Parametrization,
-    g: Grid2D = None,
     eta=None,
     c_min: float = DEFAULT_C_MIN,
-    clamp: bool = True,
     _basis: np.ndarray = None,
 ) -> VelocityModel:
-    """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the grid.
+    """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid.
 
-    Node values are clamped below at `c_min` unless `clamp` is False, in
-    which case a non-positive node raises NonPositiveVelocity.  `_basis`
-    accepts a precomputed `basis_matrix` for repeated evaluations.
+    Node values are clamped below at `c_min`; with c_min <= 0 a
+    non-positive node raises NonPositiveVelocity.  `_basis` accepts a
+    precomputed `basis_matrix` for repeated evaluations.
     """
-    g = p.background.grid if g is None else g
-    if g != p.background.grid:
-        raise ValueError("evaluation grid must match the background grid")
+    g = p.background.grid
     eta = p.eta if eta is None else np.asarray(eta, dtype=float)
     phi = basis_matrix(p, g) if _basis is None else _basis
-    c = p.background.c.ravel() + phi @ eta
-    if clamp:
-        c = np.maximum(c, c_min)
-    elif np.any(c <= 0):
-        raise NonPositiveVelocity("trial velocity non-positive and clamping disabled")
+    c = np.maximum(p.background.c.ravel() + phi @ eta, c_min)
     return VelocityModel(g, c.reshape(g.nx, g.nz), p.background.bc)
 
 

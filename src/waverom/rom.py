@@ -19,16 +19,6 @@ from .forward import DataSet
 
 
 @dataclass(frozen=True)
-class MassStiffness:
-    """Snapshot Gram (mass) and operator (stiffness) matrices, nm x nm."""
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
 class OperatorRom:
     """Projected wave operator with its block Cholesky provenance."""
 

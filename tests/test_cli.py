@@ -140,6 +140,50 @@ class TestConfigErrors:
         assert rc == 2
 
 
+MALFORMED = [
+    pytest.param(("search", "background"), {"kind": "gradient", "c_bottom": 2000.0},
+                 id="gradient-background-without-c_top"),
+    pytest.param(("search", "background"), {"kind": "file"}, id="file-background-without-path"),
+    pytest.param(("model",), {"factory": "file"}, id="file-model-without-path"),
+    pytest.param(("acquisition", "theta_width"), 0, id="zero-theta-width"),
+    pytest.param(("acquisition", "pulse", "bandwidth_hz"), 0, id="zero-bandwidth"),
+    pytest.param(("search", "lattice"), [0, 3], id="empty-lattice"),
+    pytest.param(("model", "contrast"), -1, id="negative-contrast"),
+    pytest.param(("sampling", "n"), 0, id="zero-samples"),
+    pytest.param(("grid", "bc"), "periodic", id="periodic-bc"),
+    pytest.param((), None, id="top-level-list"),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED)
+def test_malformed_config_exits_2(tmp_path, capsys, path, value):
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    if path:
+        *head, last = path
+        section = cfg
+        for key in head:
+            section = section[key]
+        section[last] = value
+    else:
+        cfg = [cfg]
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_threads_accepts_only_one(tmp_path):
+    cfg_path = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    rc = main(["--threads", "1", "synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
+    assert rc == 0
+    assert "threads" not in json.loads((tmp_path / "b/manifest.json").read_text())
+
+
 class TestSweepCommand:
     def test_tiny_sweep(self, tmp_path):
         cfg = base_config(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +141,11 @@ class TestOperator:
         w, _ = op.eig()
         assert w[-1] <= op.lambda_upper() * (1 + 1e-12)
 
-    def test_spectral_cap(self, grid):
+    def test_spectral_cap(self, grid, monkeypatch):
+        monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
         op = DiscreteOperator(random_velocity(grid))
         with pytest.raises(EigUnavailable):
-            op.eig(cap=10)
+            op.eig()
 
 
 class TestChebyshev:
@@ -232,16 +234,16 @@ class TestPropagation:
             assert snaps.block(j)[:, 0] @ q[:, k] == pytest.approx(expected, abs=1e-11)
 
     def test_nyquist_warning(self, grid, pulse):
-        op = DiscreteOperator(make_constant_model(1500.0, grid))
+        v = make_constant_model(1500.0, grid)
         arr = line_array(grid, 1, depth=300.0)
-        u0 = initial_states(op, arr, pulse)
         bad_tau = 1.2 * pulse.nyquist_tau
-        with pytest.warns(NyquistViolation):
-            propagate_snapshots(op, u0, bad_tau, 2, omega_ess=pulse.omega_ess)
-        with pytest.raises(NyquistViolation):
-            propagate_snapshots(
-                op, u0, bad_tau, 2, omega_ess=pulse.omega_ess, strict_nyquist=True
-            )
+        for method in ("spectral", "chebyshev"):
+            with pytest.warns(NyquistViolation):
+                synthesize_dataset(v, arr, pulse, bad_tau, 2, method=method)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NyquistViolation)
+                with pytest.raises(NyquistViolation):
+                    synthesize_dataset(v, arr, pulse, bad_tau, 2, method=method)
 
 
 class TestDataset:

@@ -58,15 +58,6 @@ class TestJacobian:
         with pytest.warns(JacobianRankWarning):
             gn_step(svd(jac), np.ones(6), 1.0)
 
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((9, 4))
-        fn = lambda eta: a @ eta + eta @ eta * np.ones(9)
-        eta = rng.standard_normal(4)
-        j1 = jacobian(fn, eta, fd_step=1e-6, threads=1)
-        j4 = jacobian(fn, eta, fd_step=1e-6, threads=4)
-        np.testing.assert_array_equal(j1, j4)
-
 
 class TestTikhonovMu:
     def test_identity(self):

@@ -93,11 +93,6 @@ class TestEvaluateVelocity:
         v = evaluate_velocity(p, c_min=300.0)
         assert v.c.min() == pytest.approx(300.0)
 
-    def test_clamp_disabled_raises(self, small_param):
-        p = small_param.with_eta([-5000.0, 0.0])
-        with pytest.raises(NonPositiveVelocity):
-            evaluate_velocity(p, clamp=False)
-
     @given(
         a=st.floats(-30.0, 30.0),
         b=st.floats(-30.0, 30.0),
