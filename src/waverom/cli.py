@@ -33,7 +33,7 @@ def _reference_dataset(cfg: ExperimentConfig, truth, acq):
     factor = cfg.reference_refine
     if factor == 1:
         return acq.dataset(truth)
-    fine = cfg.build_model(grid=cfg.refined_grid(factor))
+    fine = cfg.build_model(cfg.refined_grid(factor))
     return acq.dataset(fine)
 
 
@@ -152,30 +152,19 @@ def local_minima_census(surface: np.ndarray) -> list[dict]:
 def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     ax1, ax2 = cfg.sweep_axes()
     truth = cfg.build_model()
-    grid = truth.grid
-    acq = cfg.build_acquisition(grid)
+    acq = cfg.build_acquisition(truth.grid)
     ref_ds = _reference_dataset(cfg, truth, acq)
-    ref_rom = build_rom(ref_ds)
-    d = int(cfg.sweep.get("d") or acq.n)
-    k = int(cfg.sweep.get("k") or acq.n)
-    spec = RomResidualSpec(d, k, ref_rom)
+    spec = RomResidualSpec(*cfg.sweep_band(), build_rom(ref_ds))
 
-    v1, v2 = ax1.values(), ax2.values()
-
-    def evaluate(a, b) -> tuple[float, float]:
-        model_spec = dict(cfg.model, **{ax1.name: a, ax2.name: b})
-        candidate_cfg = ExperimentConfig(
-            model=model_spec, grid=cfg.grid, acquisition=cfg.acquisition,
-            sampling=cfg.sampling, method=cfg.method, base_dir=cfg.base_dir,
-        )
-        candidate = candidate_cfg.build_model()
+    def evaluate(candidate) -> tuple[float, float]:
         ds = acq.dataset(candidate)  # one synthesis shared by both objectives
         r_rom = rom_residual(build_rom(ds), spec)
         r_fwi = fwi_residual(ds, ref_ds)
         return float(r_rom @ r_rom), float(r_fwi @ r_fwi)
 
-    results = np.array([evaluate(a, b) for a in v1 for b in v2])
+    results = np.array([evaluate(candidate) for candidate in cfg.sweep_candidates()])
     obj_rom, obj_fwi = results.T.reshape(2, ax1.count, ax2.count)
+    v1, v2 = ax1.values(), ax2.values()
 
     io.save_sweep_csv(out / "sweep.csv", ax1.name, ax2.name, v1, v2, obj_rom, obj_fwi)
     census = {}

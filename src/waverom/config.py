@@ -3,6 +3,10 @@
 A config fully determines an experiment; the CLI stores the resolved
 config in every run manifest so artifacts can be reproduced from the
 manifest alone.
+
+A section is passed as keyword arguments to the constructor that holds
+its defaults, which rejects unknown keys; the sections read field by
+field list their keys in SECTION_KEYS.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .forward import Pulse, SensorArray, line_array, ring_array
+from .forward import Pulse, SensorArray, line_array, ring_array, sensor_array
 from .inversion import GnConfig, LayerSchedule
+from .io import load_velocity
 from .model import (
     Grid2D,
     Parametrization,
@@ -31,15 +36,47 @@ from .objective import Acquisition
 SCHEMA = "waverom-config-v1"
 
 
+def _file_model(path, g: Grid2D, bc) -> VelocityModel:
+    """A velocity artifact brings its own grid and boundary conditions."""
+    return load_velocity(path)
+
+
+#: Velocity model constructors under the name a config gives them (the
+#: model's `factory`, the search background's `kind`).  Each is called
+#: with the grid `g`, the boundary conditions `bc` and the remaining keys
+#: of its spec as keyword arguments.
+MODEL_FACTORIES = {
+    "constant": make_constant_model,
+    "two_layer": make_two_layer_model,
+    "camembert": make_camembert_model,
+    "gradient": make_gradient_model,
+    "file": _file_model,
+}
+
+#: Sensor layout constructors under `acquisition.layout.kind`.
+LAYOUTS = {"line": line_array, "ring": ring_array, "explicit": sensor_array}
+
+SECTION_KEYS = {
+    "grid": {"nx", "nz", "hx", "hz", "x0", "z0", "bc"},
+    "acquisition": {"layout", "pulse", "theta_width"},
+    "schedule": {"layers", "q", "k", "d"},
+    "sweep": {"p1", "p2", "d", "k"},
+    "record": {"dt", "dt_factor", "t_end", "t_factor"},
+    "reference": {"refine"},
+}
+
+
 @dataclass(frozen=True)
 class SweepAxis:
+    """One sweep axis, `{name, min, max, count}` in a config."""
+
     name: str
-    lo: float
-    hi: float
+    min: float
+    max: float
     count: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+        return np.linspace(self.min, self.max, self.count)
 
 
 @dataclass(frozen=True)
@@ -68,79 +105,43 @@ class ExperimentConfig:
             float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
         )
 
-    def _bc(self):
-        return self.grid.get("bc", "dirichlet")
+    def _velocity(self, spec: dict, name_key: str, g: Grid2D, **overrides) -> VelocityModel:
+        params = dict(spec, **overrides)
+        name = params.pop(name_key, None)
+        if name not in MODEL_FACTORIES:
+            raise ConfigError(f"unknown model {name_key} {name!r}")
+        if name == "file":
+            params["path"] = self.base_dir / params["path"]
+        return MODEL_FACTORIES[name](g=g, bc=self.grid.get("bc", "dirichlet"), **params)
 
-    _FACTORY_PARAMS = {
-        "file": {"path"},
-        "constant": {"c0"},
-        "two_layer": {"depth_left", "contrast", "slope_drop", "c_top"},
-        "camembert": {"center", "radius", "c_inside", "c_outside"},
-        "gradient": {"c_top", "c_bottom"},
-    }
+    def build_model(self, grid: Grid2D = None, /, **overrides) -> VelocityModel:
+        """The true model on the config grid, or on `grid` (a refinement).
 
-    def build_model(self, grid: Grid2D = None) -> VelocityModel:
-        spec = dict(self.model)
-        factory = spec.pop("factory", None)
-        allowed = self._FACTORY_PARAMS.get(factory)
-        if allowed is not None and not set(spec) <= allowed:
-            raise ConfigError(
-                f"model factory {factory!r} got unknown parameters "
-                f"{sorted(set(spec) - allowed)}"
-            )
-        if factory == "file":
-            if grid is not None:
-                raise ConfigError("file-backed models cannot be re-gridded")
-            from .io import load_velocity
-
-            return load_velocity(self.base_dir / spec["path"])
+        `overrides` replace parameters of the model factory; each sweep
+        candidate is built this way.
+        """
+        if grid is not None and self.model.get("factory") == "file":
+            raise ConfigError("file-backed models cannot be re-gridded")
         g = self.build_grid() if grid is None else grid
-        if factory == "constant":
-            return make_constant_model(spec["c0"], g, bc=self._bc())
-        if factory == "two_layer":
-            return make_two_layer_model(
-                spec["depth_left"], spec["contrast"], g,
-                slope_drop=spec.get("slope_drop", 400.0),
-                c_top=spec.get("c_top", 1500.0), bc=self._bc(),
-            )
-        if factory == "camembert":
-            return make_camembert_model(
-                g,
-                center=tuple(spec.get("center", (1000.0, 1000.0))),
-                radius=spec.get("radius", 600.0),
-                c_inside=spec.get("c_inside", 4000.0),
-                c_outside=spec.get("c_outside", 3000.0),
-                bc=self._bc(),
-            )
-        if factory == "gradient":
-            return make_gradient_model(spec["c_top"], spec["c_bottom"], g, bc=self._bc())
-        raise ConfigError(f"unknown model factory {factory!r}")
-
-    def build_pulse(self) -> Pulse:
-        p = self.acquisition.get("pulse", {})
-        return Pulse.from_hz(float(p["freq_hz"]), float(p["bandwidth_hz"]))
+        return self._velocity(self.model, "factory", g, **overrides)
 
     def build_array(self, grid: Grid2D) -> SensorArray:
-        layout = self.acquisition.get("layout", {})
-        kind = layout.get("kind", "line")
-        width = self.acquisition.get("theta_width")
-        width = grid.hx if width is None else float(width)
-        if kind == "line":
-            return line_array(
-                grid, int(layout["m"]), float(layout["depth"]),
-                theta_width=width, margin=layout.get("margin"),
-            )
-        if kind == "ring":
-            return ring_array(grid, int(layout["m"]), float(layout["inset"]), theta_width=width)
-        if kind == "explicit":
-            return SensorArray(np.asarray(layout["positions"], dtype=float), width)
-        raise ConfigError(f"unknown sensor layout {kind!r}")
+        layout = dict(self.acquisition["layout"])
+        kind = layout.pop("kind", "line")
+        if kind not in LAYOUTS:
+            raise ConfigError(f"unknown sensor layout {kind!r}")
+        array = LAYOUTS[kind](grid, theta_width=self.acquisition.get("theta_width"), **layout)
+        for x, z in array.positions:
+            grid.nearest_node(x, z)  # DomainTooSmall off the node block
+        return array
 
     def resolve_tau(self, pulse: Pulse) -> float:
-        s = self.sampling
-        if s.get("tau") is not None:
-            return float(s["tau"])
-        return pulse.default_tau(float(s.get("nyquist_factor", 0.9)))
+        """sampling.tau, or else the Nyquist rule of `Pulse.default_tau`,
+        which takes the remaining sampling keys."""
+        rule = {k: v for k, v in self.sampling.items() if k not in ("n", "tau")}
+        nyquist = pulse.default_tau(**rule)
+        tau = self.sampling.get("tau")
+        return nyquist if tau is None else float(tau)
 
     @property
     def n(self) -> int:
@@ -152,33 +153,16 @@ class ExperimentConfig:
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
         if self.method not in ("spectral", "chebyshev"):
             raise ConfigError(f"unknown method {self.method!r}")
-        pulse = self.build_pulse()
+        pulse = Pulse.from_hz(**self.acquisition["pulse"])
         return Acquisition(
             self.build_array(grid), pulse, self.resolve_tau(pulse), self.n, self.method
         )
 
     def build_search(self, grid: Grid2D) -> Parametrization:
-        s = self.search
-        bg_spec = dict(s.get("background", {}))
-        kind = bg_spec.pop("kind", "constant")
-        if kind == "constant":
-            background = make_constant_model(bg_spec.get("c0", 3000.0), grid, bc=self._bc())
-        elif kind == "gradient":
-            background = make_gradient_model(
-                bg_spec["c_top"], bg_spec["c_bottom"], grid, bc=self._bc()
-            )
-        elif kind == "file":
-            from .io import load_velocity
-
-            background = load_velocity(self.base_dir / bg_spec["path"])
-        else:
-            raise ConfigError(f"unknown search background {kind!r}")
-        lattice = tuple(s.get("lattice", (10, 10)))
-        return make_bump_lattice(
-            background, lattice,
-            width_factor=float(s.get("width_factor", 1.5)),
-            amplitude=float(s.get("amplitude", 1.0)),
-        )
+        params = dict(self.search)
+        spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
+        background = self._velocity(spec, "kind", grid)
+        return make_bump_lattice(background, **params)
 
     def build_schedule(self) -> LayerSchedule:
         s = self.schedule
@@ -194,14 +178,23 @@ class ExperimentConfig:
         return GnConfig(**self.gn)
 
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
-        s = self.sweep
-        axes = [k for k in ("p1", "p2") if k in s]
-        if len(axes) != 2:
+        if not {"p1", "p2"} <= set(self.sweep):
             raise ConfigError("sweep needs exactly two parameters p1 and p2")
-        return tuple(
-            SweepAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
-            for a in (s["p1"], s["p2"])
-        )
+        return SweepAxis(**self.sweep["p1"]), SweepAxis(**self.sweep["p2"])
+
+    def sweep_band(self) -> tuple[int, int]:
+        """(d, k) of the sweep's ROM objective, by default (n, n)."""
+        d, k = (int(self.sweep.get(key, self.n)) for key in ("d", "k"))
+        if not 1 <= d <= k <= self.n:
+            raise ValueError(f"need 1 <= d={d} <= k={k} <= n={self.n}")
+        return d, k
+
+    def sweep_candidates(self):
+        """The model at each sweep node, p1 major."""
+        ax1, ax2 = self.sweep_axes()
+        for a in ax1.values():
+            for b in ax2.values():
+                yield self.build_model(**{ax1.name: a, ax2.name: b})
 
     @property
     def reference_refine(self) -> int:
@@ -243,8 +236,12 @@ class ExperimentConfig:
 
 def _build_sections(cfg: ExperimentConfig):
     """Build every section once, so that a malformed one fails at load time."""
-    section = "grid"
     try:
+        for section, keys in SECTION_KEYS.items():
+            unknown = set(getattr(cfg, section)) - keys
+            if unknown:
+                raise ConfigError(f"{section} section has unknown keys {sorted(unknown)}")
+        section = "grid"
         cfg.build_grid()
         section = "model"
         grid = cfg.build_model().grid
@@ -259,12 +256,15 @@ def _build_sections(cfg: ExperimentConfig):
             cfg.build_schedule()
         if cfg.sweep:
             section = "sweep"
-            cfg.sweep_axes()
+            cfg.sweep_band()
+            for _ in cfg.sweep_candidates():
+                pass
         section = "record"
         cfg.record_dt(tau)
         cfg.record_t_end(tau)
         section = "reference"
-        cfg.reference_refine
+        if cfg.reference_refine > 1:
+            cfg.build_model(cfg.refined_grid(cfg.reference_refine))
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -278,17 +278,10 @@ def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
     schema = raw.pop("schema", SCHEMA)
     if schema != SCHEMA:
         raise ConfigError(f"unsupported config schema {schema!r}")
-    known = {
-        "model", "grid", "acquisition", "sampling", "method",
-        "search", "schedule", "gn", "sweep", "record", "reference",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    missing = {"model", "grid", "acquisition", "sampling"} - set(raw)
-    if missing:
-        raise ConfigError(f"config missing sections: {sorted(missing)}")
-    cfg = ExperimentConfig(base_dir=Path(base_dir), **raw)
+    try:
+        cfg = ExperimentConfig(base_dir=Path(base_dir), **raw)
+    except TypeError as exc:
+        raise ConfigError(f"bad config sections: {exc}") from exc
     _build_sections(cfg)
     return cfg
 

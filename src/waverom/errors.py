@@ -13,8 +13,8 @@ class NonPositiveVelocity(WaveromError):
     """A velocity field evaluated to a non-positive node value."""
 
 
-class DomainTooSmall(WaveromError):
-    """A model feature does not fit inside the grid's domain."""
+class DomainTooSmall(ConfigError):
+    """A model feature or a sensor does not fit inside the grid's domain."""
 
 
 class EigUnavailable(WaveromError):

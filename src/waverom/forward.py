@@ -89,9 +89,9 @@ class Pulse:
     def nyquist_tau(self) -> float:
         return math.pi / self.omega_ess
 
-    def default_tau(self, factor: float = 0.9) -> float:
-        """Sampling interval: `factor` times the Nyquist limit."""
-        return factor * self.nyquist_tau
+    def default_tau(self, nyquist_factor: float = 0.9) -> float:
+        """Sampling interval: `nyquist_factor` times the Nyquist limit."""
+        return nyquist_factor * self.nyquist_tau
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -192,6 +192,12 @@ class SensorArray:
         return np.array([v.at(x, z) for x, z in self.positions])
 
 
+def sensor_array(grid: Grid2D, positions, theta_width: float = None) -> SensorArray:
+    """Sensors at the given (m, 2) positions; theta_width defaults to one
+    grid cell, hx."""
+    return SensorArray(positions, grid.hx if theta_width is None else theta_width)
+
+
 def line_array(
     grid: Grid2D, m: int, depth: float, theta_width: float = None, margin: float = None
 ) -> SensorArray:
@@ -199,8 +205,7 @@ def line_array(
     lx = grid.extent[0]
     margin = 0.05 * lx if margin is None else margin
     xs = np.linspace(grid.x0 + margin, grid.x_max - margin, m)
-    pos = np.column_stack([xs, np.full(m, grid.z0 + depth)])
-    return SensorArray(pos, grid.hx if theta_width is None else theta_width)
+    return sensor_array(grid, np.column_stack([xs, np.full(m, grid.z0 + depth)]), theta_width)
 
 
 def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) -> SensorArray:
@@ -220,7 +225,7 @@ def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) ->
         else:
             x, z = inset, lz - inset - (s - 2 * px - pz)
         pos.append((grid.x0 + x, grid.z0 + z))
-    return SensorArray(np.array(pos), grid.hx if theta_width is None else theta_width)
+    return sensor_array(grid, np.array(pos), theta_width)
 
 
 # Discrete operator ----------------------------------------------------------

@@ -270,17 +270,17 @@ def make_gradient_model(
 
 def make_bump_lattice(
     background: VelocityModel,
-    shape: tuple[int, int],
+    lattice: tuple[int, int] = (10, 10),
     width_factor: float = 1.5,
     amplitude: float = 1.0,
 ) -> Parametrization:
-    """Gaussian bumps centered on a uniform p x q lattice over the domain.
+    """Gaussian bumps centered on a uniform p x q `lattice` over the domain.
 
     Bump width defaults to `width_factor` times the geometric-mean lattice
     spacing, enough overlap to represent smooth fields without making the
     basis ill-conditioned.
     """
-    p, q = shape
+    p, q = lattice
     if p < 1 or q < 1:
         raise ValueError("lattice shape must be at least 1x1")
     g = background.grid

@@ -140,6 +140,11 @@ class TestConfigErrors:
         assert rc == 2
 
 
+SWEEP = {
+    "p1": {"name": "depth_left", "min": 500.0, "max": 700.0, "count": 3},
+    "p2": {"name": "contrast", "min": 1.8, "max": 2.2, "count": 3},
+}
+
 MALFORMED = [
     pytest.param(("search", "background"), {"kind": "gradient", "c_bottom": 2000.0},
                  id="gradient-background-without-c_top"),
@@ -152,6 +157,27 @@ MALFORMED = [
     pytest.param(("sampling", "n"), 0, id="zero-samples"),
     pytest.param(("grid", "bc"), "periodic", id="periodic-bc"),
     pytest.param((), None, id="top-level-list"),
+    pytest.param(("search", "background"), {"kind": "constant"},
+                 id="constant-background-without-c0"),
+    pytest.param(("model",), {"factory": "camembert"}, id="camembert-disk-outside-domain"),
+    pytest.param(("acquisition", "layout", "depth"), 20.0, id="sensor-above-first-node-row"),
+    pytest.param(("sampling", "nyquist_factr"), 0.8, id="sampling-key-typo"),
+    pytest.param(("record",), {"dt_factr": 12}, id="record-key-typo"),
+    pytest.param(("reference",), {"refin": 2}, id="reference-key-typo"),
+    pytest.param(("acquisition", "layout", "dpth"), 150.0, id="layout-key-typo"),
+    pytest.param(("grid", "hxx"), 100.0, id="grid-key-typo"),
+    pytest.param(("acquisition", "theta_widht"), 100.0, id="acquisition-key-typo"),
+    pytest.param(("acquisition", "pulse", "freq"), 6.0, id="pulse-key-typo"),
+    pytest.param(("model", "c_tpo"), 1500.0, id="model-key-typo"),
+    pytest.param(("search", "widht_factor"), 1.5, id="search-key-typo"),
+    pytest.param(("schedule", "lyers"), 1, id="schedule-key-typo"),
+    pytest.param(("sweep",), dict(SWEEP, d=9), id="sweep-band-beyond-n"),
+    pytest.param(("sweep",), dict(SWEEP, d=0), id="sweep-zero-band"),
+    pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], cnt=3)), id="sweep-axis-key-typo"),
+    pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], name="grid")),
+                 id="sweep-axis-named-grid"),
+    pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], min=-1.0)),
+                 id="sweep-candidate-negative-contrast"),
 ]
 
 
@@ -172,6 +198,15 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
     rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_candidate_out_of_range_exits_2_before_output(tmp_path, capsys):
+    cfg = base_config(sweep=dict(SWEEP, p2={"name": "contrast", "min": -1.0, "max": 2.0, "count": 4}))
+    rc = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_threads_accepts_only_one(tmp_path):
