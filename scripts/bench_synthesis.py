@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Single-synthesis microbenchmark.
+
+Times one Chebyshev data synthesis (`Acquisition.dataset`) of each
+config's reference model and, apart, its two largest stages: the
+Chebyshev table (`sample_coeffs`) and the block moments
+(`chebyshev_moments`).  Prints the median of the repeats in ms, with one
+BLAS thread.
+
+    PYTHONPATH=src python scripts/bench_synthesis.py [--repeats N] [config.json ...]
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import statistics
+import time
+from pathlib import Path
+
+from waverom.config import load_config
+from waverom.forward import DiscreteOperator, chebyshev_moments, sample_coeffs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
+
+
+def median_ms(fn, repeats: int) -> float:
+    fn()  # warm-up: caches, allocator, BLAS
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def bench(path: Path, repeats: int) -> dict:
+    cfg = load_config(path)
+    v = cfg.build_model()
+    acq = cfg.build_acquisition(v.grid)
+    op = DiscreteOperator(v)
+    lam_max = op.lambda_upper()
+    count = 2 * acq.n - 1
+    th = acq.array.theta_matrix(v.grid) / acq.array.local_velocities(v)
+    k = sample_coeffs(acq.pulse, acq.tau, count, lam_max).shape[0]
+    return {
+        "config": path.stem,
+        "dof": v.grid.n_dof,
+        "m": acq.array.m,
+        "K": k,
+        "dataset": median_ms(lambda: acq.dataset(v), repeats),
+        "table": median_ms(lambda: sample_coeffs(acq.pulse, acq.tau, count, lam_max), repeats),
+        "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
+    }
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("configs", nargs="*", type=Path, default=[CONFIGS / name for name in DEFAULT])
+    ap.add_argument("--repeats", type=int, default=50)
+    args = ap.parse_args()
+    print(
+        f"{'config':<18}{'dof':>6}{'m':>4}{'K':>5}"
+        f"{'dataset ms':>12}{'table ms':>10}{'moments ms':>12}"
+    )
+    for path in args.configs:
+        r = bench(path, args.repeats)
+        print(
+            f"{r['config']:<18}{r['dof']:>6}{r['m']:>4}{r['K']:>5}"
+            f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
+        )

@@ -66,6 +66,12 @@ SECTION_KEYS = {
 }
 
 
+def _one_of(spec: dict, section: str, key: str, alternative: str):
+    """Reject a section that sets both of two keys for one quantity."""
+    if spec.get(key) is not None and spec.get(alternative) is not None:
+        raise ConfigError(f"{section} sets both {key} and {alternative}; give one")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One sweep axis, `{name, min, max, count}` in a config."""
@@ -138,6 +144,7 @@ class ExperimentConfig:
     def resolve_tau(self, pulse: Pulse) -> float:
         """sampling.tau, or else the Nyquist rule of `Pulse.default_tau`,
         which takes the remaining sampling keys."""
+        _one_of(self.sampling, "sampling", "tau", "nyquist_factor")
         rule = {k: v for k, v in self.sampling.items() if k not in ("n", "tau")}
         nyquist = pulse.default_tau(**rule)
         tau = self.sampling.get("tau")
@@ -171,7 +178,12 @@ class ExperimentConfig:
         q = int(s["q"])
         d = int(s["d"])
         if s.get("k") is not None:
-            return LayerSchedule(tuple(int(v) for v in s["k"]), q, d)
+            k = tuple(int(v) for v in s["k"])
+            if s.get("layers") is not None and int(s["layers"]) != len(k):
+                raise ConfigError(
+                    f"schedule.layers {s['layers']} disagrees with the {len(k)} entries of k"
+                )
+            return LayerSchedule(k, q, d)
         return LayerSchedule.uniform(self.n, int(s["layers"]), q, d)
 
     def build_gn(self) -> GnConfig:
@@ -218,11 +230,13 @@ class ExperimentConfig:
         )
 
     def record_dt(self, tau: float) -> float:
+        _one_of(self.record, "record", "dt", "dt_factor")
         if self.record.get("dt") is not None:
             return float(self.record["dt"])
         return tau / float(self.record.get("dt_factor", 50))
 
     def record_t_end(self, tau: float) -> float:
+        _one_of(self.record, "record", "t_end", "t_factor")
         if self.record.get("t_end") is not None:
             return float(self.record["t_end"])
         return float(self.record.get("t_factor", 1.25)) * (2 * self.n - 2) * tau

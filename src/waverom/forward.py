@@ -161,35 +161,49 @@ class SensorArray:
     def m(self) -> int:
         return self.positions.shape[0]
 
-    def validate_in_domain(self, grid: Grid2D):
-        for x, z in self.positions:
-            if not grid.contains(x, z):
-                raise ValueError(f"sensor at ({x}, {z}) outside the domain")
-
     def theta_matrix(self, grid: Grid2D) -> np.ndarray:
-        """Discrete sensor functions, one column per sensor.
+        """Discrete sensor functions, one column per sensor (read-only).
 
         Each column is a Gaussian of width `theta_width` centered at the
         sensor, truncated at 4 widths and normalized to unit discrete mass
-        (sum * hx * hz = 1).
+        (sum * hx * hz = 1).  Computed once per grid; a sensor outside the
+        domain raises ValueError on every call.
         """
-        self.validate_in_domain(grid)
-        xx, zz = grid.mesh()
-        w2 = self.theta_width**2
-        cols = []
-        for x, z in self.positions:
-            r2 = (xx - x) ** 2 + (zz - z) ** 2
-            th = np.exp(-r2 / (2.0 * w2))
-            th[r2 > (4.0 * self.theta_width) ** 2] = 0.0
-            total = th.sum() * grid.quad_weight
-            if total <= 0:
-                raise ValueError("sensor function has no support on the grid")
-            cols.append((th / total).ravel())
-        return np.column_stack(cols)
+        return _theta_matrix(grid, self.positions.tobytes(), self.theta_width)
 
     def local_velocities(self, v: VelocityModel) -> np.ndarray:
         """c(x_s) at the node nearest each sensor."""
-        return np.array([v.at(x, z) for x, z in self.positions])
+        return v.c.ravel()[_nearest_nodes(v.grid, self.positions.tobytes())]
+
+
+@lru_cache(maxsize=16)
+def _theta_matrix(grid: Grid2D, positions: bytes, theta_width: float) -> np.ndarray:
+    """`SensorArray.theta_matrix` for positions given as float64 bytes."""
+    xx, zz = grid.mesh()
+    w2 = theta_width**2
+    cols = []
+    for x, z in np.frombuffer(positions).reshape(-1, 2):
+        if not grid.contains(x, z):
+            raise ValueError(f"sensor at ({x}, {z}) outside the domain")
+        r2 = (xx - x) ** 2 + (zz - z) ** 2
+        th = np.exp(-r2 / (2.0 * w2))
+        th[r2 > (4.0 * theta_width) ** 2] = 0.0
+        total = th.sum() * grid.quad_weight
+        if total <= 0:
+            raise ValueError("sensor function has no support on the grid")
+        cols.append((th / total).ravel())
+    theta = np.column_stack(cols)
+    theta.flags.writeable = False
+    return theta
+
+
+@lru_cache(maxsize=16)
+def _nearest_nodes(grid: Grid2D, positions: bytes) -> np.ndarray:
+    """Flat index of the node nearest each sensor, rounded as `VelocityModel.at`."""
+    nodes = [grid.nearest_node(x, z) for x, z in np.frombuffer(positions).reshape(-1, 2)]
+    index = np.array([i * grid.nz + j for i, j in nodes], dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 def sensor_array(grid: Grid2D, positions, theta_width: float = None) -> SensorArray:
@@ -352,22 +366,30 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
 
     Uses count // 2 products with `a` through the kernel polynomial
     doubling mu_2k = 2 t_k^T t_k - mu_0, mu_2k+1 = 2 t_k+1^T t_k - mu_1,
-    where t_k = T_k(2 a / lam_max - I) x.
+    where t_k = T_k(2 a / lam_max - I) x.  The recurrence
+    t_k+1 = 2 (2 a t_k / lam_max - t_k) - t_k-1 runs in place on the array
+    each product returns; the grams t^T t go straight into the result and
+    the doubling is applied to all of them at the end.
     """
     scale = 2.0 / lam_max
     mu = np.empty((count, x.shape[1], x.shape[1]))
-    mu[0] = x.T @ x
+    np.matmul(x.T, x, out=mu[0])
     prev, cur = None, x
     for k in range(1, count // 2 + 1):
-        nxt = scale * (a @ cur) - cur
-        if k == 1:
-            mu[1] = nxt.T @ cur
-        else:
-            nxt = 2.0 * nxt - prev
-            mu[2 * k - 1] = 2.0 * (nxt.T @ cur) - mu[1]
-        prev, cur = cur, nxt
+        nxt = a @ cur
+        nxt *= scale
+        nxt -= cur
+        if k > 1:
+            nxt *= 2.0
+            nxt -= prev
+        np.matmul(nxt.T, cur, out=mu[2 * k - 1])
         if 2 * k < count:
-            mu[2 * k] = 2.0 * (cur.T @ cur) - mu[0]
+            np.matmul(nxt.T, nxt, out=mu[2 * k])
+        prev, cur = cur, nxt
+    mu[2:] *= 2.0
+    mu[2::2] -= mu[0]
+    if count > 3:
+        mu[3::2] -= mu[1]
     return mu
 
 

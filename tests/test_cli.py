@@ -171,6 +171,11 @@ MALFORMED = [
     pytest.param(("model", "c_tpo"), 1500.0, id="model-key-typo"),
     pytest.param(("search", "widht_factor"), 1.5, id="search-key-typo"),
     pytest.param(("schedule", "lyers"), 1, id="schedule-key-typo"),
+    pytest.param(("schedule", "layers"), 2, id="schedule-layers-disagree-with-k"),
+    pytest.param(("record",), {"dt": 0.001, "dt_factor": 12}, id="record-dt-and-dt_factor"),
+    pytest.param(("record",), {"t_end": 1.0, "t_factor": 1.3}, id="record-t_end-and-t_factor"),
+    pytest.param(("sampling",), {"n": 4, "tau": 0.05, "nyquist_factor": 0.9},
+                 id="sampling-tau-and-nyquist_factor"),
     pytest.param(("sweep",), dict(SWEEP, d=9), id="sweep-band-beyond-n"),
     pytest.param(("sweep",), dict(SWEEP, d=0), id="sweep-zero-band"),
     pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], cnt=3)), id="sweep-axis-key-typo"),

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,7 +159,7 @@ class TestChebyshev:
         vals = np.polynomial.chebyshev.chebval(x, np.r_[c[0] / 2, c[1:]])
         np.testing.assert_allclose(vals, fn(lam), atol=1e-13)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 24, 25])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 24, 25])
     @given(size=st.integers(1, 12), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_doubled_moments_match_recurrence(self, count, size, cols, seed):
@@ -176,6 +177,26 @@ class TestChebyshev:
         assert mu.shape == (count, cols, cols)
         np.testing.assert_allclose(mu, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 84])
+    def test_moments_take_half_count_products_with_the_matrix(self, grid, count):
+        class CountingCsr(sp.csr_matrix):
+            log = None  # set on the instance under test; a derived matrix has none
+
+            def __matmul__(self, other):
+                self.log.append(self)
+                return super().__matmul__(other)
+
+        v = random_velocity(grid, seed=5)
+        op = DiscreteOperator(v)
+        a = CountingCsr(op.matrix)
+        a.log = []
+        x = line_array(grid, 3, depth=300.0).theta_matrix(grid)
+        lam_max = op.lambda_upper()
+        mu = chebyshev_moments(a, x, count, lam_max)
+        assert len(a.log) == count // 2
+        assert all(m is a for m in a.log)
+        np.testing.assert_array_equal(mu, chebyshev_moments(op.matrix, x, count, lam_max))
+
     def test_table_length_clear_of_round_off_plateau(self):
         # a cut at the DCT's ~1e-14 plateau would take 2026 terms here
         cfg = load_config(REPO / "configs" / "topography_sweep.json")
@@ -185,6 +206,39 @@ class TestChebyshev:
         c = sample_coeffs(acq.pulse, acq.tau, 2 * acq.n - 1, lam_max)
         assert c.shape[1:] == (2, 2 * acq.n - 1)
         assert c.shape[0] <= 2 * 246
+
+
+class TestSensorFunctions:
+    def test_theta_matrix_is_the_gaussian_computed_once(self, grid):
+        positions = np.array([[350.0, 300.0], [1000.0, 1050.0], [1700.0, 1900.0]])
+        width = 150.0
+        theta = SensorArray(positions, width).theta_matrix(grid)
+        xx, zz = grid.mesh()
+        for col, (x, z) in zip(theta.T, positions):
+            r2 = (xx - x) ** 2 + (zz - z) ** 2
+            ref = np.where(r2 <= (4.0 * width) ** 2, np.exp(-r2 / (2.0 * width**2)), 0.0)
+            np.testing.assert_array_equal(col, ref.ravel() / (ref.sum() * grid.quad_weight))
+        assert not theta.flags.writeable
+        same = SensorArray(positions.copy(), width)
+        assert same.theta_matrix(Grid2D(20, 20, 100.0, 100.0)) is theta
+        assert SensorArray(positions, 2 * width).theta_matrix(grid) is not theta
+
+    def test_out_of_domain_sensor_raises_on_every_call(self, grid):
+        arr = SensorArray(np.array([[500.0, 500.0], [500.0, -50.0]]), theta_width=grid.hx)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="outside the domain"):
+                arr.theta_matrix(grid)
+
+    def test_local_velocities_match_nearest_node(self, grid):
+        v = random_velocity(grid, seed=9)
+        # half-cell ties in x, in z and in both, plus an off-node point
+        positions = np.array(
+            [[250.0, 300.0], [400.0, 650.0], [1050.0, 1150.0], [333.0, 777.0], [100.0, 2000.0]]
+        )
+        arr = SensorArray(positions, theta_width=grid.hx)
+        expected = np.array([v.at(x, z) for x, z in positions])
+        for _ in range(2):
+            np.testing.assert_array_equal(arr.local_velocities(v), expected)
 
 
 class TestInitialStates:
