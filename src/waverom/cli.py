@@ -205,7 +205,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     gn = cfg.build_gn()
 
     reference = build_rom(ref_ds) if args.mode == "rom" else ref_ds
-    estimate, state = run_inversion(reference, param, schedule, gn, acq, mode=args.mode)
+    estimate, state = run_inversion(reference, param, schedule, gn, acq)
 
     io.save_velocity(out / "truth.json", truth)
     io.save_velocity(out / "initial.json", param.background)
@@ -243,44 +243,33 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
 # compare ----------------------------------------------------------------------
 
 
-def _run_error(manifest: dict, manifest_path: Path) -> tuple[float, float]:
+def _load_run(manifest_path: Path):
+    """(mode, truth, estimate, state rows) of an invert run, else a config error."""
+    manifest = io.load_manifest(manifest_path)
+    artifacts = manifest.get("artifacts", {}) if isinstance(manifest, dict) else {}
+    if not {"truth", "estimate", "state"} <= artifacts.keys():
+        raise ConfigError(f"compare: {manifest_path} is not the manifest of an invert run")
     base = manifest_path.parent
-    artifacts = manifest.get("artifacts", {})
-    truth = io.load_velocity(base / artifacts["truth"])
-    initial_error = manifest.get("metrics", {}).get("initial_error")
-    if "estimate" in artifacts:
-        est = io.load_velocity(base / artifacts["estimate"])
-        if est.grid != truth.grid:
-            raise ConfigError("compare: estimate and truth grids differ")
-        return (initial_error, est.rel_l2_error(truth))
-    # truth-only manifest: the baseline is the initial guess error
-    if "initial" in artifacts:
-        init = io.load_velocity(base / artifacts["initial"])
-        err = init.rel_l2_error(truth)
-        return (err, err)
-    raise ConfigError("compare: manifest has neither estimate nor initial model")
+    truth, estimate = (io.load_velocity(base / artifacts[key]) for key in ("truth", "estimate"))
+    if estimate.grid != truth.grid:
+        raise ConfigError(f"compare: {manifest_path} has estimate and truth on different grids")
+    return manifest.get("mode"), truth, estimate, io.load_state_csv(base / artifacts["state"])
 
 
 def cmd_compare(path_a: Path, path_b: Path, out: Path) -> int:
-    man_a, man_b = io.load_manifest(path_a), io.load_manifest(path_b)
-    ta = io.load_velocity(path_a.parent / man_a["artifacts"]["truth"])
-    tb = io.load_velocity(path_b.parent / man_b["artifacts"]["truth"])
+    mode_a, ta, est_a, curve_a = _load_run(path_a)
+    mode_b, tb, est_b, curve_b = _load_run(path_b)
     if ta.grid != tb.grid:
         raise ConfigError("compare: runs use different grids")
     if not np.array_equal(ta.c, tb.c):
         raise ConfigError("compare: runs use different true models")
-    err_a, err_b = _run_error(man_a, path_a)[1], _run_error(man_b, path_b)[1]
-    curves = {}
-    for tag, man, path in (("a", man_a, path_a), ("b", man_b, path_b)):
-        state_rel = man.get("artifacts", {}).get("state")
-        if state_rel:
-            curves[tag] = io.load_state_csv(path.parent / state_rel)
+    err_a, err_b = est_a.rel_l2_error(ta), est_b.rel_l2_error(tb)
     report = {
-        "run_a": {"path": str(path_a), "mode": man_a.get("mode"), "final_error": err_a},
-        "run_b": {"path": str(path_b), "mode": man_b.get("mode"), "final_error": err_b},
+        "run_a": {"path": str(path_a), "mode": mode_a, "final_error": err_a},
+        "run_b": {"path": str(path_b), "mode": mode_b, "final_error": err_b},
         "winner": "a" if err_a < err_b else ("b" if err_b < err_a else "tie"),
         "error_difference": err_a - err_b,
-        "curves": curves,
+        "curves": {"a": curve_a, "b": curve_b},
     }
     io.save_manifest(out / "compare.json", report)
     print(

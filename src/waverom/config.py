@@ -183,6 +183,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"schedule.layers {s['layers']} disagrees with the {len(k)} entries of k"
                 )
+            if any(v > self.n for v in k):
+                raise ConfigError(f"schedule.k {list(k)} exceeds sampling.n {self.n}")
             return LayerSchedule(k, q, d)
         return LayerSchedule.uniform(self.n, int(s["layers"]), q, d)
 

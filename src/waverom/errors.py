@@ -13,6 +13,10 @@ class NonPositiveVelocity(WaveromError):
     """A velocity field evaluated to a non-positive node value."""
 
 
+class ArtifactError(ConfigError, ValueError):
+    """A file is not the artifact its reader expects (JSON, schema, size)."""
+
+
 class DomainTooSmall(ConfigError):
     """A model feature or a sensor does not fit inside the grid's domain."""
 

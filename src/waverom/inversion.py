@@ -23,10 +23,10 @@ from .errors import (
     ResidualShorterThanN,
     SingularSystem,
 )
-from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, basis_matrix, evaluate_velocity
+from .forward import DataSet
+from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, evaluate_velocity
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
-from .forward import DataSet
 
 
 @dataclass(frozen=True)
@@ -232,27 +232,22 @@ def line_search(eta: np.ndarray, direction: np.ndarray, functional, alpha_max: f
     return best_alpha
 
 
-def make_rom_residual_fn(
-    param: Parametrization, spec: RomResidualSpec, acq: Acquisition, cfg: GnConfig, basis=None
+def make_residual_fn(
+    reference, param: Parametrization, acq: Acquisition, cfg: GnConfig, d: int, k: int
 ):
-    basis = basis_matrix(param, param.background.grid) if basis is None else basis
+    """Residual map eta -> r(v(eta)) of the layer with restriction size k.
+
+    An OperatorRom reference gives the banded ROM misfit O_{d,k}, a DataSet
+    the FWI data misfit (over its first 2k-1 samples if cfg.fwi_truncate).
+    """
+    spec = RomResidualSpec(d, k, reference) if isinstance(reference, OperatorRom) else None
+    window = k if cfg.fwi_truncate else None
 
     def residual(eta: np.ndarray) -> np.ndarray:
-        v = evaluate_velocity(param, eta=eta, c_min=cfg.c_min, _basis=basis)
-        return rom_objective(v, spec, acq)[1]
-
-    return residual
-
-
-def make_fwi_residual_fn(
-    param: Parametrization, reference: DataSet, acq: Acquisition, cfg: GnConfig,
-    k: int = None, basis=None,
-):
-    basis = basis_matrix(param, param.background.grid) if basis is None else basis
-
-    def residual(eta: np.ndarray) -> np.ndarray:
-        v = evaluate_velocity(param, eta=eta, c_min=cfg.c_min, _basis=basis)
-        return fwi_objective(v, reference, acq, k=k)[1]
+        v = evaluate_velocity(param, eta=eta, c_min=cfg.c_min)
+        if spec is not None:
+            return rom_objective(v, spec, acq)[1]
+        return fwi_objective(v, reference, acq, k=window)[1]
 
     return residual
 
@@ -263,12 +258,11 @@ def run_inversion(
     schedule: LayerSchedule,
     cfg: GnConfig,
     acq: Acquisition,
-    mode: str = "rom",
 ) -> tuple[VelocityModel, InversionState]:
     """Run L*q Gauss-Newton updates minimizing the layered misfit.
 
-    `reference` is the measured-data OperatorRom in "rom" mode or the
-    reference DataSet in "fwi" mode.  Starting from eta = 0, update
+    The type of `reference`, an OperatorRom or a DataSet with n >= k_L,
+    picks the misfit (see make_residual_fn).  Starting from eta = 0, update
     i = (l-1)q + j line-searches the penalized functional
     F_i(eta) = O_{d,k_l}(eta) + mu_i |eta - eta^(i-1)|^2 along the damped
     Gauss-Newton direction, the same quadratic model the direction solve
@@ -277,27 +271,15 @@ def run_inversion(
     An update that starts from a zero objective records itself and takes
     no step.
     """
-    if mode not in ("rom", "fwi"):
-        raise ValueError("mode must be 'rom' or 'fwi'")
-    if mode == "rom":
-        if not isinstance(reference, OperatorRom):
-            raise TypeError("rom mode needs an OperatorRom reference")
-        if schedule.k[-1] > reference.n:
-            raise ValueError("schedule k exceeds reference n")
-    elif not isinstance(reference, DataSet):
-        raise TypeError("fwi mode needs a DataSet reference")
+    if not isinstance(reference, (OperatorRom, DataSet)):
+        raise TypeError(f"reference is a {type(reference).__name__}, not an OperatorRom or DataSet")
+    if schedule.k[-1] > reference.n:
+        raise ValueError(f"schedule k_L = {schedule.k[-1]} exceeds reference n = {reference.n}")
 
-    grid = param.background.grid
-    basis = basis_matrix(param, grid)
     state = InversionState(eta=np.zeros(param.n_params))
 
     for layer_k in schedule.k:
-        if mode == "rom":
-            spec = RomResidualSpec(schedule.d, layer_k, reference)
-            residual_fn = make_rom_residual_fn(param, spec, acq, cfg, basis)
-        else:
-            k = layer_k if cfg.fwi_truncate else None
-            residual_fn = make_fwi_residual_fn(param, reference, acq, cfg, k, basis)
+        residual_fn = make_residual_fn(reference, param, acq, cfg, schedule.d, layer_k)
 
         # Residual cache, valid within one layer (the residual map changes
         # with k_l).  Line-search probes land here, so the accepted point's
@@ -349,5 +331,5 @@ def run_inversion(
                 obj, f_new = obj0, obj0
             state.record(layer_k, obj, mu, alpha, (f_new, obj0))
 
-    estimate = evaluate_velocity(param, eta=state.eta, c_min=cfg.c_min, _basis=basis)
+    estimate = evaluate_velocity(param, eta=state.eta, c_min=cfg.c_min)
     return estimate, state

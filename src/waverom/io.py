@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ArtifactError
 from .forward import DataSet, TraceRecord
 from .model import GaussianBump, Grid2D, Parametrization, VelocityModel
 from .rom import OperatorRom
@@ -38,7 +39,18 @@ def _write_json(path: Path, header: dict):
 
 
 def _read_json(path: Path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _read_header(path: Path, schema: str) -> dict:
+    """The JSON header at `path`, which must carry the tag `schema`."""
+    header = _read_json(path)
+    if not isinstance(header, dict) or header.get("schema") != schema:
+        raise ArtifactError(f"{path}: not a {schema} header")
+    return header
 
 
 def _write_bin(path: Path, *arrays: np.ndarray):
@@ -49,14 +61,11 @@ def _write_bin(path: Path, *arrays: np.ndarray):
 
 def _read_bin(path: Path, shapes) -> list[np.ndarray]:
     raw = np.fromfile(path, dtype="<f8")
-    out, offset = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(raw[offset : offset + size].reshape(shape).astype(float))
-        offset += size
-    if offset != raw.size:
-        raise ValueError(f"{path}: payload has {raw.size} values, expected {offset}")
-    return out
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if raw.size != sum(sizes):
+        raise ArtifactError(f"{path}: payload has {raw.size} values, expected {sum(sizes)}")
+    parts = np.split(raw, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape).astype(float) for part, shape in zip(parts, shapes)]
 
 
 # Velocity models -------------------------------------------------------------
@@ -75,9 +84,7 @@ def save_velocity(path, v: VelocityModel):
 
 def load_velocity(path) -> VelocityModel:
     path = Path(path)
-    h = _read_json(path)
-    if h.get("schema") != "waverom-velocity-v1":
-        raise ValueError(f"{path}: not a velocity header")
+    h = _read_header(path, "waverom-velocity-v1")
     g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"], h["x0"], h["z0"])
     (c,) = _read_bin(_bin_path(path), [(g.nx, g.nz)])
     return VelocityModel(g, c, tuple(h["bc"]))
@@ -102,9 +109,7 @@ def save_parametrization(path, p: Parametrization, background_path: str):
 
 def load_parametrization(path) -> Parametrization:
     path = Path(path)
-    h = _read_json(path)
-    if h.get("schema") != "waverom-parametrization-v1":
-        raise ValueError(f"{path}: not a parametrization header")
+    h = _read_header(path, "waverom-parametrization-v1")
     background = load_velocity(path.parent / h["background"])
     basis = tuple(
         GaussianBump(tuple(b["center"]), b["width"], b["amplitude"]) for b in h["basis"]
@@ -123,9 +128,7 @@ def save_dataset(path, ds: DataSet):
 
 def load_dataset(path) -> DataSet:
     path = Path(path)
-    h = _read_json(path)
-    if h.get("schema") != "waverom-dataset-v1":
-        raise ValueError(f"{path}: not a dataset header")
+    h = _read_header(path, "waverom-dataset-v1")
     shape = (2 * h["n"] - 1, h["m"], h["m"])
     d, ddot = _read_bin(_bin_path(path), [shape, shape])
     return DataSet(d, ddot, h["tau"], h["m"], h["n"])
@@ -142,9 +145,7 @@ def save_rom(path, rom: OperatorRom):
 
 def load_rom(path) -> OperatorRom:
     path = Path(path)
-    h = _read_json(path)
-    if h.get("schema") != "waverom-rom-v1":
-        raise ValueError(f"{path}: not a ROM header")
+    h = _read_header(path, "waverom-rom-v1")
     nm = h["m"] * h["n"]
     a, r = _read_bin(_bin_path(path), [(nm, nm), (nm, nm)])
     return OperatorRom(a, r, h["m"], h["n"])

@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -178,33 +179,28 @@ class Parametrization:
     def with_eta(self, eta) -> "Parametrization":
         return Parametrization(self.background, self.basis, np.asarray(eta, dtype=float))
 
+    @cached_property
+    def basis_matrix(self) -> np.ndarray:
+        """All basis functions as a read-only (n_dof, N) matrix.
 
-def basis_matrix(p: Parametrization, g: Grid2D) -> np.ndarray:
-    """Stack all basis functions into an (n_dof, N) matrix.
+        Column l is phi_l evaluated on the background grid, flattened in C
+        order.  It is computed once per parametrization, so each trial
+        velocity is a single matrix-vector product.
+        """
+        phi = np.column_stack([b.evaluate(self.background.grid).ravel() for b in self.basis])
+        phi.flags.writeable = False
+        return phi
 
-    Column l is phi_l evaluated on the grid, flattened in C order.  The
-    inversion precomputes this once so trial velocities are a single
-    matrix-vector product.
-    """
-    return np.column_stack([b.evaluate(g).ravel() for b in p.basis])
 
-
-def evaluate_velocity(
-    p: Parametrization,
-    eta=None,
-    c_min: float = DEFAULT_C_MIN,
-    _basis: np.ndarray = None,
-) -> VelocityModel:
+def evaluate_velocity(p: Parametrization, eta=None, c_min: float = DEFAULT_C_MIN) -> VelocityModel:
     """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid.
 
     Node values are clamped below at `c_min`; with c_min <= 0 a
-    non-positive node raises NonPositiveVelocity.  `_basis` accepts a
-    precomputed `basis_matrix` for repeated evaluations.
+    non-positive node raises NonPositiveVelocity.
     """
     g = p.background.grid
     eta = p.eta if eta is None else np.asarray(eta, dtype=float)
-    phi = basis_matrix(p, g) if _basis is None else _basis
-    c = np.maximum(p.background.c.ravel() + phi @ eta, c_min)
+    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ eta, c_min)
     return VelocityModel(g, c.reshape(g.nx, g.nz), p.background.bc)
 
 

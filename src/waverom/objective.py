@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import DataSet, Pulse, SensorArray, synthesize_dataset
 from .model import VelocityModel
-from .rom import OperatorRom, build_rom, rest_dk, restrict, triu_vec
+from .rom import OperatorRom, build_rom, rest_dk, restrict
 
 
 @dataclass(frozen=True)
@@ -26,11 +25,10 @@ class Acquisition:
     n: int
     method: str = "spectral"
 
-    def dataset(self, v: VelocityModel) -> DataSet:
-        return synthesize_dataset(v, self.array, self.pulse, self.tau, self.n, method=self.method)
-
-    def with_n(self, n: int) -> "Acquisition":
-        return dataclasses.replace(self, n=n)
+    def dataset(self, v: VelocityModel, n: int = None) -> DataSet:
+        """Data of v, samples j = 0..2n-2 (by default n = self.n)."""
+        n = self.n if n is None else n
+        return synthesize_dataset(v, self.array, self.pulse, self.tau, n, method=self.method)
 
 
 @dataclass(frozen=True)
@@ -66,25 +64,20 @@ def rom_objective(
     MassNotSPD from the candidate propagates to the caller, which signals
     an infeasible trial velocity.
     """
-    acq_k = acq if spec.k == acq.n else acq.with_n(spec.k)
-    candidate = build_rom(acq_k.dataset(v))
+    candidate = build_rom(acq.dataset(v, spec.k))
     r = rom_residual(candidate, spec)
     return float(r @ r), r
 
 
-def fwi_residual(candidate: DataSet, reference: DataSet, n_samples: int = None) -> np.ndarray:
-    """Stacked upper triangles of D_j(v) - D_j over the sample range."""
-    n_samples = reference.n_samples if n_samples is None else n_samples
-    return np.concatenate(
-        [triu_vec(candidate.d[j] - reference.d[j]) for j in range(n_samples)]
-    )
+def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
+    """Stacked upper triangles of D_j(v) - D_j over the candidate's samples."""
+    iu, ju = np.triu_indices(candidate.m)
+    diff = candidate.d - reference.d[: candidate.n_samples]
+    return diff[:, iu, ju].ravel()
 
 
 def fwi_objective(
-    v: VelocityModel,
-    reference: DataSet,
-    acq: Acquisition,
-    k: int = None,
+    v: VelocityModel, reference: DataSet, acq: Acquisition, k: int = None
 ) -> tuple[float, np.ndarray]:
     """Conventional FWI data misfit and its residual vector.
 
@@ -92,8 +85,5 @@ def fwi_objective(
     j = 0..2n-2.  Passing `k` truncates the range to j <= 2k-2, the
     restriction-parity variant used for layer-stripping comparisons.
     """
-    n_samples = reference.n_samples if k is None else 2 * k - 1
-    acq_k = acq if k is None or k == acq.n else acq.with_n(k)
-    candidate = acq_k.dataset(v)
-    r = fwi_residual(candidate, reference, n_samples)
+    r = fwi_residual(acq.dataset(v, k), reference)
     return float(r @ r), r

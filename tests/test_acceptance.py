@@ -40,9 +40,9 @@ from waverom.model import (
     make_camembert_model,
     make_constant_model,
 )
-from waverom.objective import Acquisition, RomResidualSpec
+from waverom.objective import Acquisition
 from waverom.rom import assemble_mass, assemble_stiffness, build_rom, restrict
-from waverom.inversion import make_rom_residual_fn
+from waverom.inversion import make_residual_fn
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -85,9 +85,9 @@ def camembert_runs():
     param = cfg.build_search(truth.grid)
     schedule = cfg.build_schedule()
     gn = cfg.build_gn()
-    est_rom, state_rom = run_inversion(ref_rom, param, schedule, gn, acq, mode="rom")
-    est_rom2, state_rom2 = run_inversion(ref_rom, param, schedule, gn, acq, mode="rom")
-    est_fwi, state_fwi = run_inversion(ref_ds, param, schedule, gn, acq, mode="fwi")
+    est_rom, state_rom = run_inversion(ref_rom, param, schedule, gn, acq)
+    est_rom2, state_rom2 = run_inversion(ref_rom, param, schedule, gn, acq)
+    est_fwi, state_fwi = run_inversion(ref_ds, param, schedule, gn, acq)
     return {
         "config": cfg, "truth": truth, "acq": acq, "param": param,
         "schedule": schedule, "gn": gn, "ref_rom": ref_rom, "ref_ds": ref_ds,
@@ -269,8 +269,9 @@ def test_criterion_8_optimizer_contracts(camembert_runs):
     mu_ok = True
     for i in (1, state.i // 2, state.i):
         eta_prev = np.zeros(n_params) if i == 1 else state.eta_trace[i - 2]
-        spec = RomResidualSpec(r["schedule"].d, state.k_trace[i - 1], r["ref_rom"])
-        residual_fn = make_rom_residual_fn(param, spec, acq, gn)
+        residual_fn = make_residual_fn(
+            r["ref_rom"], param, acq, gn, r["schedule"].d, state.k_trace[i - 1]
+        )
         jac = jacobian(residual_fn, eta_prev, gn.fd_step)
         sigma = scipy.linalg.svdvals(jac)
         mu_indep = float(sigma[idx - 1] ** 2)
@@ -309,7 +310,7 @@ def test_criterion_9_identifiable_toy_recovery():
     ref_rom = build_rom(acq.dataset(v_true))
     schedule = LayerSchedule((acq.n,), q=10, d=acq.n)
     cfg = GnConfig(regularization="off")
-    est, state = run_inversion(ref_rom, param, schedule, cfg, acq, mode="rom")
+    est, state = run_inversion(ref_rom, param, schedule, cfg, acq)
     err = np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star)
     elapsed = time.time() - t0
     report(

@@ -172,6 +172,7 @@ MALFORMED = [
     pytest.param(("search", "widht_factor"), 1.5, id="search-key-typo"),
     pytest.param(("schedule", "lyers"), 1, id="schedule-key-typo"),
     pytest.param(("schedule", "layers"), 2, id="schedule-layers-disagree-with-k"),
+    pytest.param(("schedule", "k"), [9], id="schedule-k-beyond-n"),
     pytest.param(("record",), {"dt": 0.001, "dt_factor": 12}, id="record-dt-and-dt_factor"),
     pytest.param(("record",), {"t_end": 1.0, "t_factor": 1.3}, id="record-t_end-and-t_factor"),
     pytest.param(("sampling",), {"n": 4, "tau": 0.05, "nyquist_factor": 0.9},
@@ -306,6 +307,25 @@ class TestInvertCommand:
         report = json.loads((tmp_path / "compare.json").read_text())
         assert report["winner"] == "tie"
         assert report["error_difference"] == 0.0
+
+    @pytest.mark.parametrize("wrong", ["sweep", "truth"])
+    def test_wrong_kind_input_exits_2(self, invert_runs, tmp_path, capsys, wrong):
+        # compare takes only invert manifests and rom only datasets
+        if wrong == "sweep":
+            cfg = base_config(sweep={
+                "p1": {"name": "depth_left", "min": 600.0, "max": 600.0, "count": 1},
+                "p2": {"name": "contrast", "min": 2.0, "max": 2.0, "count": 1},
+            })
+            cfg_path = write_config(tmp_path, cfg)
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+            path = tmp_path / "s/manifest.json"
+        else:
+            path = invert_runs / "rom/truth.json"
+        run = str(invert_runs / "rom/manifest.json")
+        out = str(tmp_path / "o")
+        assert main(["compare", "--run-a", run, "--run-b", str(path), "--out", out]) == 2
+        assert main(["rom", "--dataset", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err.count("config error") == 2
 
     def test_invert_deterministic(self, invert_runs, tmp_path):
         cfg = base_config(

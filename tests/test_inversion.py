@@ -189,7 +189,7 @@ class TestRunInversion:
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
         cfg = GnConfig(regularization="off")
-        est, state = run_inversion(ref_rom, param, sched, cfg, acq, mode="rom")
+        est, state = run_inversion(ref_rom, param, sched, cfg, acq)
         assert np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star) < 1e-4
         assert state.i == 8
 
@@ -197,8 +197,8 @@ class TestRunInversion:
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((2, acq.n), q=2, d=2)
         cfg = GnConfig(gamma=0.3)
-        _, s1 = run_inversion(ref_rom, param, sched, cfg, acq, mode="rom")
-        _, s2 = run_inversion(ref_rom, param, sched, cfg, acq, mode="rom")
+        _, s1 = run_inversion(ref_rom, param, sched, cfg, acq)
+        _, s2 = run_inversion(ref_rom, param, sched, cfg, acq)
         np.testing.assert_array_equal(s1.eta, s2.eta)
         assert s1.objective_trace == s2.objective_trace
         assert s1.mu_trace == s2.mu_trace
@@ -207,7 +207,7 @@ class TestRunInversion:
     def test_accepted_step_monotonicity(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((2, acq.n), q=3, d=2)
-        _, state = run_inversion(ref_rom, param, sched, GnConfig(), acq, mode="rom")
+        _, state = run_inversion(ref_rom, param, sched, GnConfig(), acq)
         for f_new, f_old in state.penalized_trace:
             assert f_new <= f_old * (1 + 1e-12)
         # the plain objective is also non-increasing within each layer
@@ -221,12 +221,9 @@ class TestRunInversion:
         param, eta_star, v_true, ref_rom, acq = toy_problem
         ref_ds = acq.dataset(v_true)
         sched = LayerSchedule((2, acq.n), q=1, d=2)
-        _, full = run_inversion(
-            ref_ds, param, sched, GnConfig(regularization="off"), acq, mode="fwi"
-        )
+        _, full = run_inversion(ref_ds, param, sched, GnConfig(regularization="off"), acq)
         _, trunc = run_inversion(
-            ref_ds, param, sched, GnConfig(regularization="off", fwi_truncate=True),
-            acq, mode="fwi",
+            ref_ds, param, sched, GnConfig(regularization="off", fwi_truncate=True), acq
         )
         assert full.i == trunc.i == 2
         assert not np.array_equal(full.eta, trunc.eta)  # different data windows
@@ -238,7 +235,7 @@ class TestRunInversion:
         cfg = GnConfig(regularization="off")
         bg_star = evaluate_velocity(param, eta=eta_star)
         param0 = Parametrization(bg_star, param.basis)
-        est, state = run_inversion(ref_rom, param0, sched, cfg, acq, mode="rom")
+        est, state = run_inversion(ref_rom, param0, sched, cfg, acq)
         np.testing.assert_array_equal(state.eta, np.zeros(3))
         assert all(a == 0.0 for a in state.alpha_trace)
 
@@ -247,14 +244,21 @@ class TestRunInversion:
         ref_ds = acq.dataset(v_true)
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
         cfg = GnConfig(regularization="off")
-        est, state = run_inversion(ref_ds, param, sched, cfg, acq, mode="fwi")
+        est, state = run_inversion(ref_ds, param, sched, cfg, acq)
         assert np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star) < 1e-3
 
     def test_mode_reference_type_checked(self, toy_problem):
+        # only an OperatorRom or a DataSet reference picks a misfit, and
+        # either refuses a schedule beyond its n
         param, eta_star, v_true, ref_rom, acq = toy_problem
+        ref_ds = acq.dataset(v_true)
         sched = LayerSchedule((acq.n,), q=1, d=acq.n)
         with pytest.raises(TypeError):
-            run_inversion(ref_rom, param, sched, GnConfig(), acq, mode="fwi")
+            run_inversion(ref_ds.d, param, sched, GnConfig(), acq)
+        beyond = LayerSchedule((acq.n + 1,), q=1, d=acq.n)
+        for reference in (ref_rom, ref_ds):
+            with pytest.raises(ValueError):
+                run_inversion(reference, param, beyond, GnConfig(), acq)
 
     def test_amplitude_scale_invariance_at_mu_zero(self, toy_problem):
         # phi_l -> s phi_l with eta -> eta/s leaves v(x; eta) unchanged

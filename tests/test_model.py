@@ -9,7 +9,6 @@ from waverom.model import (
     Grid2D,
     Parametrization,
     VelocityModel,
-    basis_matrix,
     evaluate_velocity,
     make_bump_lattice,
     make_camembert_model,
@@ -86,7 +85,14 @@ class TestEvaluateVelocity:
         bg = make_constant_model(3000.0, g)
         p = make_bump_lattice(bg, (20, 20))
         assert p.n_params == 400
-        assert basis_matrix(p, g).shape == (g.n_dof, 400)
+        assert p.basis_matrix.shape == (g.n_dof, 400)
+
+    def test_basis_matrix_stacks_bumps_once(self, small_param, grid):
+        phi = small_param.basis_matrix
+        stacked = np.stack([b.evaluate(grid).ravel() for b in small_param.basis], axis=1)
+        np.testing.assert_array_equal(phi, stacked)
+        assert not phi.flags.writeable
+        assert small_param.basis_matrix is phi
 
     def test_clamp_floor(self, small_param):
         p = small_param.with_eta([-5000.0, 0.0])
