@@ -1,14 +1,19 @@
-"""Digest the seed-0 outputs of the four benchmark workloads of one source tree.
+"""Digest the outputs of every CLI writer of one source tree.
 
 Usage: python3 scripts/artifact_digests.py TREE OUT
 
 Runs desk_rom, desk_fwi, topo_sweep and spectral_ref at seed 0, as
 `perfbench/workloads.py` in TREE defines them, through `waverom.cli.main`
 of TREE's `src` (in this process, on one BLAS thread), with their outputs
-under OUT.  It then writes `OUT/digests.json`, the sha256 of every file
-under OUT by relative path; a manifest is hashed without its `timestamp`,
-the one field that differs between identical runs.  Two trees produce the
-same outputs when their `digests.json` files are identical:
+under OUT.  Then, so that every writer is covered, it runs `rom` on
+desk_rom's dataset, `compare` of desk_rom against desk_fwi,
+`synthesize --path timedomain --traces` on the spectral_ref config and a
+`synthesize` of the desk config with `reference.refine` 2.  It writes
+`OUT/digests.json`, the sha256 of every file under OUT by relative path.
+A manifest is hashed without its `timestamp` and `compare.json` without
+the two run paths, the fields that differ between identical runs in
+different directories.  Two trees produce the same outputs when their
+`digests.json` files are identical:
 
     python3 scripts/artifact_digests.py . out/new
     python3 scripts/artifact_digests.py ../parent out/old
@@ -30,6 +35,11 @@ def file_digest(path: Path) -> str:
         manifest = json.loads(path.read_text())
         manifest.pop("timestamp", None)
         data = json.dumps(manifest, sort_keys=True).encode()
+    elif path.name == "compare.json":
+        report = json.loads(path.read_text())
+        for run in ("run_a", "run_b"):
+            report[run].pop("path")
+        data = json.dumps(report, sort_keys=True).encode()
     else:
         data = path.read_bytes()
     return hashlib.sha256(data).hexdigest()
@@ -42,12 +52,30 @@ def main(tree: Path, out: Path) -> int:
 
     work = out / "configs"
     work.mkdir(parents=True, exist_ok=True)
+    runs = []
     for name, workload in WORKLOADS.items():
-        for argv in workload(tree, work, 0).commands(out / name):
-            rc = waverom_main(argv)
-            if rc != 0:
-                print(f"{name}: waverom {' '.join(argv)} exited {rc}", file=sys.stderr)
-                return rc
+        runs += [(name, argv) for argv in workload(tree, work, 0).commands(out / name)]
+    refine = json.loads((work / "desk_rom.json").read_text())
+    refine["reference"] = {"refine": 2}
+    (work / "desk_refine.json").write_text(json.dumps(refine, indent=2, sort_keys=True))
+    runs += [
+        ("rom", ["rom", "--dataset", out / "desk_rom/dataset.json", "--out", out / "rom"]),
+        ("compare", [
+            "compare", "--run-a", out / "desk_rom/manifest.json",
+            "--run-b", out / "desk_fwi/manifest.json", "--out", out / "compare",
+        ]),
+        ("traces", [
+            "synthesize", "--config", work / "spectral_ref.json", "--out", out / "traces",
+            "--path", "timedomain", "--traces",
+        ]),
+        ("refine", ["synthesize", "--config", work / "desk_refine.json", "--out", out / "refine"]),
+    ]
+    for name, argv in runs:
+        argv = [str(arg) for arg in argv]
+        rc = waverom_main(argv)
+        if rc != 0:
+            print(f"{name}: waverom {' '.join(argv)} exited {rc}", file=sys.stderr)
+            return rc
     digests = {
         str(path.relative_to(out)): file_digest(path)
         for path in sorted(out.rglob("*"))

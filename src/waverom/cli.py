@@ -23,20 +23,6 @@ from .objective import RomResidualSpec, fwi_residual, rom_residual
 from .rom import assemble_mass, build_rom
 
 
-def _reference_dataset(cfg: ExperimentConfig, truth, acq):
-    """Synthesize the reference data, on a refined grid when configured.
-
-    With reference.refine > 1 the true model is rebuilt on the finer grid
-    (same domain and sensors), breaking the inverse-crime symmetry between
-    reference and candidate discretizations.
-    """
-    factor = cfg.reference_refine
-    if factor == 1:
-        return acq.dataset(truth)
-    fine = cfg.build_model(cfg.refined_grid(factor))
-    return acq.dataset(fine)
-
-
 def _manifest_base(command: str, cfg: ExperimentConfig, args) -> dict:
     import scipy
 
@@ -60,9 +46,8 @@ def _manifest_base(command: str, cfg: ExperimentConfig, args) -> dict:
 def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
-    path_kind = args.path
-    if path_kind == "spectral":
-        ds = _reference_dataset(cfg, truth, acq)
+    if args.path == "spectral":
+        ds = acq.dataset(cfg.reference_model(truth))
     else:
         dt = cfg.record_dt(acq.tau)
         rec = synthesize_measurements(truth, acq.array, acq.pulse, cfg.record_t_end(acq.tau), dt)
@@ -73,7 +58,7 @@ def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
     io.save_velocity(out / "truth.json", truth)
     manifest = _manifest_base("synthesize", cfg, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
-    manifest["path"] = path_kind
+    manifest["path"] = args.path
     io.save_manifest(out / "manifest.json", manifest)
     print(f"wrote dataset (m={ds.m}, n={ds.n}, tau={ds.tau:g}) to {out}")
     return 0
@@ -82,7 +67,7 @@ def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
 # rom --------------------------------------------------------------------------
 
 
-def cmd_rom(dataset_path: Path, out: Path, args) -> int:
+def cmd_rom(dataset_path: Path, out: Path) -> int:
     ds = io.load_dataset(dataset_path)
     mass = assemble_mass(ds)
     rom = build_rom(ds)
@@ -153,7 +138,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     ax1, ax2 = cfg.sweep_axes()
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
-    ref_ds = _reference_dataset(cfg, truth, acq)
+    ref_ds = acq.dataset(cfg.reference_model(truth))
     spec = RomResidualSpec(*cfg.sweep_band(), build_rom(ref_ds))
 
     def evaluate(candidate) -> tuple[float, float]:
@@ -199,7 +184,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     truth = cfg.build_model()
     grid = truth.grid
     acq = cfg.build_acquisition(grid)
-    ref_ds = _reference_dataset(cfg, truth, acq)
+    ref_ds = acq.dataset(cfg.reference_model(truth))
     param = cfg.build_search(grid)
     schedule = cfg.build_schedule()
     gn = cfg.build_gn()
@@ -324,20 +309,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "compare":
-            args.out.mkdir(parents=True, exist_ok=True)
             return cmd_compare(args.run_a, args.run_b, args.out)
         if args.command == "rom":
-            args.out.mkdir(parents=True, exist_ok=True)
-            return cmd_rom(args.dataset, args.out, args)
+            return cmd_rom(args.dataset, args.out)
         cfg = load_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg, args.out, args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args)
-        if args.command == "invert":
-            return cmd_invert(cfg, args.out, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"synthesize": cmd_synthesize, "sweep": cmd_sweep, "invert": cmd_invert}
+        return command[args.command](cfg, args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

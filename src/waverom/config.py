@@ -120,16 +120,10 @@ class ExperimentConfig:
             params["path"] = self.base_dir / params["path"]
         return MODEL_FACTORIES[name](g=g, bc=self.grid.get("bc", "dirichlet"), **params)
 
-    def build_model(self, grid: Grid2D = None, /, **overrides) -> VelocityModel:
-        """The true model on the config grid, or on `grid` (a refinement).
-
-        `overrides` replace parameters of the model factory; each sweep
-        candidate is built this way.
-        """
-        if grid is not None and self.model.get("factory") == "file":
-            raise ConfigError("file-backed models cannot be re-gridded")
-        g = self.build_grid() if grid is None else grid
-        return self._velocity(self.model, "factory", g, **overrides)
+    def build_model(self, **overrides) -> VelocityModel:
+        """The true model.  `overrides` replace parameters of the model
+        factory; each sweep candidate is built this way."""
+        return self._velocity(self.model, "factory", self.build_grid(), **overrides)
 
     def build_array(self, grid: Grid2D) -> SensorArray:
         layout = dict(self.acquisition["layout"])
@@ -210,26 +204,27 @@ class ExperimentConfig:
             for b in ax2.values():
                 yield self.build_model(**{ax1.name: a, ax2.name: b})
 
-    @property
-    def reference_refine(self) -> int:
-        """Grid refinement factor for reference-data synthesis.
+    def reference_model(self, truth: VelocityModel) -> VelocityModel:
+        """The model that makes the reference data.
 
-        1 (the default) is the inverse-crime regime: reference and
-        candidate data share one discretization.  Larger factors rebuild
-        the true model on a finer grid (same domain, same sensors) so the
-        reference carries discretization error no candidate can match.
+        At reference.refine 1 (the default, the inverse-crime regime) that
+        is `truth`, so reference and candidate data share one
+        discretization.  A larger factor rebuilds the true model on a grid
+        that many times finer (same domain, same sensors), so the reference
+        carries discretization error no candidate can match.
         """
         factor = int(self.reference.get("refine", 1))
         if factor < 1:
             raise ConfigError("reference.refine must be >= 1")
-        return factor
-
-    def refined_grid(self, factor: int) -> Grid2D:
-        g = self.build_grid()
-        return Grid2D(
+        if factor == 1:
+            return truth
+        if self.model.get("factory") == "file":
+            raise ConfigError("file-backed models cannot be re-gridded")
+        g = truth.grid
+        return self._velocity(self.model, "factory", Grid2D(
             (g.nx + 1) * factor - 1, (g.nz + 1) * factor - 1,
             g.hx / factor, g.hz / factor, g.x0, g.z0,
-        )
+        ))
 
     def record_dt(self, tau: float) -> float:
         _one_of(self.record, "record", "dt", "dt_factor")
@@ -260,11 +255,11 @@ def _build_sections(cfg: ExperimentConfig):
         section = "grid"
         cfg.build_grid()
         section = "model"
-        grid = cfg.build_model().grid
+        truth = cfg.build_model()
         section = "acquisition"
-        tau = cfg.build_acquisition(grid).tau
+        tau = cfg.build_acquisition(truth.grid).tau
         section = "search"
-        cfg.build_search(grid)
+        cfg.build_search(truth.grid)
         section = "gn"
         cfg.build_gn()
         if cfg.schedule:
@@ -279,8 +274,7 @@ def _build_sections(cfg: ExperimentConfig):
         cfg.record_dt(tau)
         cfg.record_t_end(tau)
         section = "reference"
-        if cfg.reference_refine > 1:
-            cfg.build_model(cfg.refined_grid(cfg.reference_refine))
+        cfg.reference_model(truth)
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
     except (TypeError, ValueError) as exc:

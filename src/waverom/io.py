@@ -1,5 +1,9 @@
 """On-disk formats.
 
+Every file a run writes or reads goes through this module.  A writer
+makes the directories above its file; a reader raises `ArtifactError`
+on a file that is not the artifact it expects.
+
 Every binary artifact is a pair: a JSON header at `<stem>.json` and raw
 little-endian float64 payload at `<stem>.bin`.  Payload layouts:
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +34,19 @@ from .model import GaussianBump, Grid2D, Parametrization, VelocityModel
 from .rom import OperatorRom
 
 
-def _bin_path(json_path: Path) -> Path:
-    return json_path.with_suffix(".bin")
-
-
-def _write_json(path: Path, header: dict):
+def _write_json(path, header: dict):
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
+
+
+def _save(path, header: dict, *arrays: np.ndarray):
+    """`header` at `path`, `arrays` one after another as the payload at `<stem>.bin`."""
+    path = Path(path)
+    _write_json(path, header)
+    with open(path.with_suffix(".bin"), "wb") as fh:
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_json(path: Path) -> dict:
@@ -45,49 +56,57 @@ def _read_json(path: Path) -> dict:
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _read_header(path: Path, schema: str) -> dict:
-    """The JSON header at `path`, which must carry the tag `schema`."""
+@contextmanager
+def _parsing(path):
+    """A missing field, a wrong type or a rejected value as ArtifactError."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed artifact: {exc!r}") from exc
+
+
+def _load(path, schema: str, build):
+    """`build(header, payload)` on the header at `path`, tagged `schema`;
+    `payload(*shapes)` reads `<stem>.bin` as arrays of those shapes."""
+    path = Path(path)
     header = _read_json(path)
     if not isinstance(header, dict) or header.get("schema") != schema:
         raise ArtifactError(f"{path}: not a {schema} header")
-    return header
 
+    def payload(*shapes) -> list[np.ndarray]:
+        bin_path = path.with_suffix(".bin")
+        raw = np.fromfile(bin_path, dtype="<f8")
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        if raw.size != sum(sizes):
+            raise ArtifactError(f"{bin_path}: payload has {raw.size} values, expected {sum(sizes)}")
+        parts = np.split(raw, np.cumsum(sizes)[:-1])
+        return [part.reshape(shape).astype(float) for part, shape in zip(parts, shapes)]
 
-def _write_bin(path: Path, *arrays: np.ndarray):
-    with open(path, "wb") as fh:
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_bin(path: Path, shapes) -> list[np.ndarray]:
-    raw = np.fromfile(path, dtype="<f8")
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    if raw.size != sum(sizes):
-        raise ArtifactError(f"{path}: payload has {raw.size} values, expected {sum(sizes)}")
-    parts = np.split(raw, np.cumsum(sizes)[:-1])
-    return [part.reshape(shape).astype(float) for part, shape in zip(parts, shapes)]
+    with _parsing(path):
+        return build(header, payload)
 
 
 # Velocity models -------------------------------------------------------------
 
 
 def save_velocity(path, v: VelocityModel):
-    path = Path(path)
     g = v.grid
-    _write_json(path, {
+    _save(path, {
         "schema": "waverom-velocity-v1",
         "nx": g.nx, "nz": g.nz, "hx": g.hx, "hz": g.hz,
         "x0": g.x0, "z0": g.z0, "bc": list(v.bc),
-    })
-    _write_bin(_bin_path(path), v.c)
+    }, v.c)
 
 
 def load_velocity(path) -> VelocityModel:
-    path = Path(path)
-    h = _read_header(path, "waverom-velocity-v1")
-    g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"], h["x0"], h["z0"])
-    (c,) = _read_bin(_bin_path(path), [(g.nx, g.nz)])
-    return VelocityModel(g, c, tuple(h["bc"]))
+    def build(h, payload):
+        g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"], h["x0"], h["z0"])
+        (c,) = payload((g.nx, g.nz))
+        return VelocityModel(g, c, tuple(h["bc"]))
+
+    return _load(path, "waverom-velocity-v1", build)
 
 
 # Parametrizations -------------------------------------------------------------
@@ -96,7 +115,7 @@ def load_velocity(path) -> VelocityModel:
 def save_parametrization(path, p: Parametrization, background_path: str):
     """Store the basis and eta; the background velocity lives in its own
     file referenced by (relative) path."""
-    _write_json(Path(path), {
+    _write_json(path, {
         "schema": "waverom-parametrization-v1",
         "background": background_path,
         "basis": [
@@ -108,47 +127,45 @@ def save_parametrization(path, p: Parametrization, background_path: str):
 
 
 def load_parametrization(path) -> Parametrization:
-    path = Path(path)
-    h = _read_header(path, "waverom-parametrization-v1")
-    background = load_velocity(path.parent / h["background"])
-    basis = tuple(
-        GaussianBump(tuple(b["center"]), b["width"], b["amplitude"]) for b in h["basis"]
-    )
-    return Parametrization(background, basis, np.asarray(h["eta"], dtype=float))
+    def build(h, payload):
+        background = load_velocity(Path(path).parent / h["background"])
+        basis = tuple(
+            GaussianBump(tuple(b["center"]), b["width"], b["amplitude"]) for b in h["basis"]
+        )
+        return Parametrization(background, basis, np.asarray(h["eta"], dtype=float))
+
+    return _load(path, "waverom-parametrization-v1", build)
 
 
 # Datasets ---------------------------------------------------------------------
 
 
 def save_dataset(path, ds: DataSet):
-    path = Path(path)
-    _write_json(path, {"schema": "waverom-dataset-v1", "m": ds.m, "n": ds.n, "tau": ds.tau})
-    _write_bin(_bin_path(path), ds.d, ds.ddot)
+    header = {"schema": "waverom-dataset-v1", "m": ds.m, "n": ds.n, "tau": ds.tau}
+    _save(path, header, ds.d, ds.ddot)
 
 
 def load_dataset(path) -> DataSet:
-    path = Path(path)
-    h = _read_header(path, "waverom-dataset-v1")
-    shape = (2 * h["n"] - 1, h["m"], h["m"])
-    d, ddot = _read_bin(_bin_path(path), [shape, shape])
-    return DataSet(d, ddot, h["tau"], h["m"], h["n"])
+    def build(h, payload):
+        shape = (2 * h["n"] - 1, h["m"], h["m"])
+        return DataSet(*payload(shape, shape), h["tau"], h["m"], h["n"])
+
+    return _load(path, "waverom-dataset-v1", build)
 
 
 # Operator ROMs -----------------------------------------------------------------
 
 
 def save_rom(path, rom: OperatorRom):
-    path = Path(path)
-    _write_json(path, {"schema": "waverom-rom-v1", "m": rom.m, "n": rom.n})
-    _write_bin(_bin_path(path), rom.a_rom, rom.r)
+    _save(path, {"schema": "waverom-rom-v1", "m": rom.m, "n": rom.n}, rom.a_rom, rom.r)
 
 
 def load_rom(path) -> OperatorRom:
-    path = Path(path)
-    h = _read_header(path, "waverom-rom-v1")
-    nm = h["m"] * h["n"]
-    a, r = _read_bin(_bin_path(path), [(nm, nm), (nm, nm)])
-    return OperatorRom(a, r, h["m"], h["n"])
+    def build(h, payload):
+        nm = h["m"] * h["n"]
+        return OperatorRom(*payload((nm, nm), (nm, nm)), h["m"], h["n"])
+
+    return _load(path, "waverom-rom-v1", build)
 
 
 # CSV exports -------------------------------------------------------------------
@@ -160,64 +177,56 @@ def _csv_float(x) -> str:
     return repr(float(x))
 
 
-def save_traces_csv(path, rec: TraceRecord):
+def _write_csv(path, header: list, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "r", "s", "value"])
-        times = rec.times()
-        for k in range(rec.nt):
-            for r in range(rec.m):
-                for s in range(rec.m):
-                    writer.writerow([_csv_float(times[k]), r, s, _csv_float(rec.data[k, r, s])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_traces_csv(path, rec: TraceRecord):
+    times = rec.times()
+    _write_csv(path, ["t", "r", "s", "value"], (
+        [_csv_float(times[k]), r, s, _csv_float(rec.data[k, r, s])]
+        for k, r, s in np.ndindex(rec.data.shape)
+    ))
+
+
+#: state.csv columns and the type each is read back as.
+_STATE_COLUMNS = {"iteration": int, "k_l": int, "objective": float, "mu": float, "alpha": float}
 
 
 def save_state_csv(path, state):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "k_l", "objective", "mu", "alpha"])
-        for i in range(state.i):
-            writer.writerow([
-                i + 1, state.k_trace[i],
-                _csv_float(state.objective_trace[i]), _csv_float(state.mu_trace[i]),
-                _csv_float(state.alpha_trace[i]),
-            ])
+    floats = (state.objective_trace, state.mu_trace, state.alpha_trace)
+    _write_csv(path, list(_STATE_COLUMNS), (
+        [i + 1, state.k_trace[i], *(_csv_float(trace[i]) for trace in floats)]
+        for i in range(state.i)
+    ))
 
 
 def load_state_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _parsing(path):
         return [
-            {
-                "iteration": int(row["iteration"]),
-                "k_l": int(row["k_l"]),
-                "objective": float(row["objective"]),
-                "mu": float(row["mu"]),
-                "alpha": float(row["alpha"]),
-            }
+            {name: kind(row[name]) for name, kind in _STATE_COLUMNS.items()}
             for row in csv.DictReader(fh)
         ]
 
 
 def save_sweep_csv(path, p1_name, p2_name, p1_values, p2_values, obj_rom, obj_fwi):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([p1_name, p2_name, "obj_rom", "obj_fwi"])
-        for i, a in enumerate(p1_values):
-            for j, b in enumerate(p2_values):
-                row = (a, b, obj_rom[i, j], obj_fwi[i, j])
-                writer.writerow([_csv_float(x) for x in row])
+    _write_csv(path, [p1_name, p2_name, "obj_rom", "obj_fwi"], (
+        [_csv_float(x) for x in (a, b, obj_rom[i, j], obj_fwi[i, j])]
+        for i, a in enumerate(p1_values)
+        for j, b in enumerate(p2_values)
+    ))
 
 
 # Manifests ---------------------------------------------------------------------
 
 
 def save_manifest(path, manifest: dict):
-    _write_json(Path(path), manifest)
+    _write_json(path, manifest)
 
 
 def load_manifest(path) -> dict:

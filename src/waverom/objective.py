@@ -23,7 +23,7 @@ class Acquisition:
     pulse: Pulse
     tau: float
     n: int
-    method: str = "spectral"
+    method: str
 
     def dataset(self, v: VelocityModel, n: int = None) -> DataSet:
         """Data of v, samples j = 0..2n-2 (by default n = self.n)."""

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestRomCommand:
         io.save_dataset(tmp_path / "d/dataset.json", type(ds)(bad, ds.ddot, ds.tau, ds.m, ds.n))
         rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"), "--out", str(tmp_path / "r")])
         assert rc == 3
+        assert not (tmp_path / "r").exists()
+
+    def test_header_without_n_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        header = json.loads((tmp_path / "d/dataset.json").read_text())
+        del header["n"]
+        (tmp_path / "d/dataset.json").write_text(json.dumps(header))
+        rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_dataset_io_error(self, tmp_path):
         rc = main(["rom", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
@@ -326,6 +339,20 @@ class TestInvertCommand:
         assert main(["compare", "--run-a", run, "--run-b", str(path), "--out", out]) == 2
         assert main(["rom", "--dataset", str(path), "--out", out]) == 2
         assert capsys.readouterr().err.count("config error") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_state_without_alpha_exits_2(self, invert_runs, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(invert_runs / "rom", run)
+        lines = (run / "state.csv").read_text().splitlines()
+        (run / "state.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        rc = main([
+            "compare", "--run-a", str(run / "manifest.json"),
+            "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invert_deterministic(self, invert_runs, tmp_path):
         cfg = base_config(

@@ -1,5 +1,6 @@
 """Every shipped config loads and builds the objects its command needs."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,13 @@ def test_shipped_config_builds(path):
         candidates = list(cfg.sweep_candidates())
         assert len(candidates) == ax1.count * ax2.count
         assert all(c.grid == truth.grid for c in candidates)
+
+
+def test_reference_model_refines_the_true_grid():
+    cfg = load_config(REPO / "configs" / "camembert_desk.json")
+    truth = cfg.build_model()
+    assert cfg.reference_model(truth) is truth
+    fine = replace(cfg, reference={"refine": 2}).reference_model(truth)
+    g, f = truth.grid, fine.grid
+    assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
+    assert (f.x0, f.z0, f.x_max, f.z_max) == pytest.approx((g.x0, g.z0, g.x_max, g.z_max))

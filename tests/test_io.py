@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from waverom import io
+from waverom.errors import ArtifactError
 from waverom.forward import Pulse, TraceRecord, line_array, synthesize_dataset
 from waverom.inversion import InversionState
 from waverom.model import (
@@ -89,6 +90,64 @@ def test_wrong_schema_rejected(tmp_path):
         io.load_dataset(tmp_path / "x.json")
 
 
+@pytest.fixture
+def artifacts(tmp_path, grid):
+    """A velocity, dataset, ROM and parametrization on disk, by kind."""
+    v = make_constant_model(2000.0, grid)
+    pulse = Pulse.from_hz(6.0, 4.0)
+    ds = synthesize_dataset(v, line_array(grid, 2, depth=200.0), pulse, pulse.default_tau(), 3)
+    p = Parametrization(v, (GaussianBump((400.0, 600.0), 150.0),), np.array([1.0]))
+    io.save_velocity(tmp_path / "velocity.json", v)
+    io.save_dataset(tmp_path / "dataset.json", ds)
+    io.save_rom(tmp_path / "rom.json", build_rom(ds))
+    io.save_parametrization(tmp_path / "parametrization.json", p, "velocity.json")
+    return tmp_path
+
+
+LOADERS = {
+    "velocity": io.load_velocity,
+    "dataset": io.load_dataset,
+    "rom": io.load_rom,
+    "parametrization": io.load_parametrization,
+}
+
+MALFORMED_HEADERS = [
+    pytest.param("velocity", lambda h: h.pop("nx"), id="velocity-missing-field"),
+    pytest.param("velocity", lambda h: h.update(hx="100"), id="velocity-wrong-type"),
+    pytest.param("velocity", lambda h: h.update(nx=2), id="velocity-rejected-value"),
+    pytest.param("dataset", lambda h: h.pop("n"), id="dataset-missing-field"),
+    pytest.param("dataset", lambda h: h.update(n="3"), id="dataset-wrong-type"),
+    pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),
+    pytest.param("rom", lambda h: h.pop("m"), id="rom-missing-field"),
+    pytest.param("rom", lambda h: h.update(n="3"), id="rom-wrong-type"),
+    # -m keeps the payload size (nm squared) but no array has a negative shape
+    pytest.param("rom", lambda h: h.update(m=-h["m"]), id="rom-rejected-value"),
+    pytest.param("parametrization", lambda h: h.pop("eta"), id="parametrization-missing-field"),
+    pytest.param("parametrization", lambda h: h.update(basis=5), id="parametrization-wrong-type"),
+    pytest.param("parametrization", lambda h: h["basis"][0].update(width=-1.0),
+                 id="parametrization-rejected-value"),
+]
+
+
+@pytest.mark.parametrize("kind, edit", MALFORMED_HEADERS)
+def test_malformed_header_rejected(artifacts, kind, edit):
+    path = artifacts / f"{kind}.json"
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header))
+    with pytest.raises(ArtifactError, match="malformed artifact"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_short_payload_rejected(artifacts, kind):
+    # a parametrization's payload is its background velocity's
+    payload = artifacts / ("velocity.bin" if kind == "parametrization" else f"{kind}.bin")
+    payload.write_bytes(payload.read_bytes()[:-8])
+    with pytest.raises(ArtifactError, match="payload has"):
+        LOADERS[kind](artifacts / f"{kind}.json")
+
+
 def test_state_csv_roundtrip(tmp_path):
     state = InversionState(eta=np.zeros(2))
     state.record(2, 1.5, 0.25, 1.0, (1.0, 1.5))
@@ -97,6 +156,16 @@ def test_state_csv_roundtrip(tmp_path):
     rows = io.load_state_csv(tmp_path / "s.csv")
     assert rows[0] == {"iteration": 1, "k_l": 2, "objective": 1.5, "mu": 0.25, "alpha": 1.0}
     assert rows[1]["objective"] == 0.75
+
+
+def test_state_csv_missing_column_rejected(tmp_path):
+    state = InversionState(eta=np.zeros(2))
+    state.record(2, 1.5, 0.25, 1.0)
+    io.save_state_csv(tmp_path / "s.csv", state)
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    (tmp_path / "s.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    with pytest.raises(ArtifactError, match="'alpha'"):
+        io.load_state_csv(tmp_path / "s.csv")
 
 
 def test_traces_csv_header(tmp_path):

@@ -19,7 +19,7 @@ def bundle():
     truth = make_camembert_model(g)
     pulse = Pulse.from_hz(6.0, 4.0)
     arr = line_array(g, 4, depth=200.0)
-    acq = Acquisition(arr, pulse, pulse.default_tau(), 5)
+    acq = Acquisition(arr, pulse, pulse.default_tau(), 5, method="spectral")
     ref_ds = acq.dataset(truth)
     ref_rom = build_rom(ref_ds)
     return g, truth, acq, ref_ds, ref_rom
@@ -128,7 +128,9 @@ class TestRelabeling:
         perm = [2, 0, 3, 1]
         values = []
         for p in (pos, pos[perm]):
-            acq = Acquisition(SensorArray(p, theta_width=g.hx), pulse, pulse.default_tau(), 4)
+            acq = Acquisition(
+                SensorArray(p, theta_width=g.hx), pulse, pulse.default_tau(), 4, method="spectral"
+            )
             ref = acq.dataset(truth)
             values.append(fwi_objective(cand, ref, acq)[0])
         assert values[0] == pytest.approx(values[1], rel=1e-12)
