@@ -231,14 +231,17 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
 def _load_run(manifest_path: Path):
     """(mode, truth, estimate, state rows) of an invert run, else a config error."""
     manifest = io.load_manifest(manifest_path)
-    artifacts = manifest.get("artifacts", {}) if isinstance(manifest, dict) else {}
-    if not {"truth", "estimate", "state"} <= artifacts.keys():
+    artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, dict):
+        artifacts = {}
+    names = [artifacts.get(key) for key in ("truth", "estimate", "state")]
+    if not all(isinstance(name, str) for name in names):
         raise ConfigError(f"compare: {manifest_path} is not the manifest of an invert run")
     base = manifest_path.parent
-    truth, estimate = (io.load_velocity(base / artifacts[key]) for key in ("truth", "estimate"))
+    truth, estimate = (io.load_velocity(base / name) for name in names[:2])
     if estimate.grid != truth.grid:
         raise ConfigError(f"compare: {manifest_path} has estimate and truth on different grids")
-    return manifest.get("mode"), truth, estimate, io.load_state_csv(base / artifacts["state"])
+    return manifest.get("mode"), truth, estimate, io.load_state_csv(base / names[2])
 
 
 def cmd_compare(path_a: Path, path_b: Path, out: Path) -> int:

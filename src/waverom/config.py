@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonPositiveVelocity
 from .forward import Pulse, SensorArray, line_array, ring_array, sensor_array
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
@@ -277,7 +277,7 @@ def _build_sections(cfg: ExperimentConfig):
         cfg.reference_model(truth)
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NonPositiveVelocity) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 

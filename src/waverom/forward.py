@@ -9,7 +9,10 @@ Two independent routes produce the sampled data matrices:
   chebyshev method expands them in Chebyshev polynomials once and uses
   the block moments th^T T_k(A~) th from the kernel polynomial doubling;
   the spectral method evaluates them at the eigenvalues of the dense
-  eigendecomposition and serves as the exact oracle.
+  eigendecomposition and serves as the exact oracle.  The Chebyshev
+  interval is the Gershgorin bound rounded up to a geometric grid
+  (`chebyshev_interval`), so all operators whose bounds fall in one
+  bucket of that grid share one cached table (`sample_coeffs`).
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
   `symmetrize_and_sample`).
@@ -264,11 +267,26 @@ def _laplacian_1d(n: int, h: float, lo: str, hi: str) -> sp.csr_matrix:
 
 @lru_cache(maxsize=16)
 def _laplacian_2d(grid: Grid2D, bc: tuple) -> sp.csr_matrix:
-    """Negated 5-point Laplacian (positive semidefinite) on the grid."""
+    """Negated 5-point Laplacian (positive semidefinite) on the grid.
+
+    Its arrays are read-only: every `DiscreteOperator` on the grid shares
+    the index arrays.
+    """
     tx = _laplacian_1d(grid.nx, grid.hx, bc[0], bc[1])
     tz = _laplacian_1d(grid.nz, grid.hz, bc[2], bc[3])
-    lap = sp.kron(tx, sp.identity(grid.nz)) + sp.kron(sp.identity(grid.nx), tz)
-    return lap.tocsr()
+    lap = (sp.kron(tx, sp.identity(grid.nz)) + sp.kron(sp.identity(grid.nx), tz)).tocsr()
+    for part in (lap.data, lap.indices, lap.indptr):
+        part.flags.writeable = False
+    return lap
+
+
+@lru_cache(maxsize=16)
+def _laplacian_rows(grid: Grid2D, bc: tuple) -> np.ndarray:
+    """Row of each stored entry of `_laplacian_2d` (read-only)."""
+    lap = _laplacian_2d(grid, bc)
+    rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
+    rows.flags.writeable = False
+    return rows
 
 
 class DiscreteOperator:
@@ -284,10 +302,10 @@ class DiscreteOperator:
         self.grid = velocity.grid
         c = velocity.c.ravel()
         lap = _laplacian_2d(self.grid, velocity.bc)
-        a = lap.copy()
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        a.data = a.data * c[rows] * c[a.indices]
-        self.matrix = a
+        rows = _laplacian_rows(self.grid, velocity.bc)
+        self.matrix = sp.csr_matrix(
+            (lap.data * c[rows] * c[lap.indices], lap.indices, lap.indptr), shape=lap.shape
+        )
         self._eig = None
 
     @property
@@ -329,6 +347,9 @@ CHEB_TOL = 1e-13
 
 #: Most Chebyshev nodes sampled before a table is accepted as it stands.
 CHEB_MAX_NODES = 4096
+
+#: Ratio of the geometric grid the Chebyshev interval is rounded up to.
+CHEB_RATIO = 1.001
 
 
 def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
@@ -404,9 +425,29 @@ def sample_functions(pulse, tau: float, count: int, lam: np.ndarray) -> np.ndarr
     return np.stack([d, -lam[:, None] * d], axis=1)
 
 
+def chebyshev_interval(lam_upper: float) -> float:
+    """lam_upper rounded up to the geometric grid CHEB_RATIO**e, e integer.
+
+    Operators whose bounds share a grid point share one Chebyshev table.
+    """
+    e = math.ceil(math.log(lam_upper) / math.log(CHEB_RATIO))
+    if CHEB_RATIO**e < lam_upper:  # the log quotient rounded down onto e
+        e += 1
+    return CHEB_RATIO**e
+
+
+@lru_cache(maxsize=2)
 def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
-    """Chebyshev table of `sample_functions` on [0, lam_max], shape (K, 2, count)."""
-    return chebyshev_coeffs(lambda lam: sample_functions(pulse, tau, count, lam), lam_max)
+    """Chebyshev table of `sample_functions` on [0, lam_max], shape (K, 2, count).
+
+    The table is ready to contract: c[0] is already halved, so
+    fn(lam) ~ sum_k c[k] T_k(x).  Cached and read-only; a compact copy,
+    so that it does not keep the DCT buffer alive.
+    """
+    c = chebyshev_coeffs(lambda lam: sample_functions(pulse, tau, count, lam), lam_max).copy()
+    c[0] *= 0.5
+    c.flags.writeable = False
+    return c
 
 
 # Snapshots and data ---------------------------------------------------------
@@ -512,10 +553,13 @@ def synthesize_dataset(
     `sample_functions` against a spectral measure of th.  The spectral
     method evaluates them at the eigenvalues of A = Q diag(lam) Q^T and
     contracts with p = Q^T th, so D_j = w p^T diag(f_j(lam)) p.  The
-    chebyshev method expands them in one table of length K and contracts
-    it against the block moments th^T T_k(2A/lambda_upper - I) th, which
-    cost K // 2 sparse products.  Both sample families are symmetrized to
-    remove round-off asymmetry.
+    chebyshev method expands them in one table of length K on [0, lam_max]
+    and contracts it against the block moments th^T T_k(2A/lam_max - I) th,
+    which cost K // 2 sparse products.  lam_max is `lambda_upper` rounded
+    up to the grid CHEB_RATIO**e, so that every operator whose bound falls
+    in the same bucket reuses the cached table of the same (pulse, tau,
+    count, lam_max).  Both sample families are symmetrized to remove
+    round-off asymmetry.
 
     A tau beyond the pulse's Nyquist interval issues NyquistViolation as a
     warning; `warnings.simplefilter("error", NyquistViolation)` makes it
@@ -535,9 +579,8 @@ def synthesize_dataset(
     th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1
     if method == "chebyshev":
-        lam_max = op.lambda_upper()
+        lam_max = chebyshev_interval(op.lambda_upper())
         c = sample_coeffs(pulse, tau, count, lam_max)
-        c[0] *= 0.5
         mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
     else:
         lam, q = op.eig()

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError
+from .errors import ArtifactError, NonPositiveVelocity
 from .forward import DataSet, TraceRecord
 from .model import GaussianBump, Grid2D, Parametrization, VelocityModel
 from .rom import OperatorRom
@@ -63,7 +63,7 @@ def _parsing(path):
         yield
     except ArtifactError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NonPositiveVelocity) as exc:
         raise ArtifactError(f"{path}: malformed artifact: {exc!r}") from exc
 
 

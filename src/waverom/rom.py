@@ -10,6 +10,7 @@ internal wavefields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -40,10 +41,20 @@ class OperatorRom:
         return self.r[:, : self.m].copy()
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple:
+    """Read-only n x n arrays i + j and |i - j|."""
+    i, j = np.indices((n, n))
+    pairs = (i + j, abs(i - j))
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _paired_blocks(samples: np.ndarray, n: int, m: int, sign: float) -> np.ndarray:
     """Assemble the nm x nm matrix with blocks sign/2 (X_{i+j} + X_{|i-j|})."""
-    i, j = np.indices((n, n))
-    blocks = 0.5 * sign * (samples[i + j] + samples[abs(i - j)])
+    plus, minus = _pair_indices(n)
+    blocks = 0.5 * sign * (samples[plus] + samples[minus])
     return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
@@ -93,6 +104,15 @@ def restrict(rom: OperatorRom, k: int) -> np.ndarray:
     return rom.a_rom[:km, :km]
 
 
+@lru_cache(maxsize=16)
+def _band_mask(dim: int, band: int) -> np.ndarray:
+    """Read-only dim x dim mask of the first `band` upper diagonals."""
+    i, j = np.indices((dim, dim))
+    keep = (j >= i) & (j - i < band)
+    keep.flags.writeable = False
+    return keep
+
+
 def rest_dk(x: np.ndarray, d: int, m: int) -> np.ndarray:
     """Stack the first d*m upper diagonals (main included) of a km x km
     symmetric matrix into a vector.
@@ -107,9 +127,7 @@ def rest_dk(x: np.ndarray, d: int, m: int) -> np.ndarray:
     band = d * m
     if not 1 <= band <= dim:
         raise BandExceedsMatrix(f"band {band} outside 1..{dim}")
-    i, j = np.indices(x.shape)
-    keep = (j >= i) & (j - i < band)
-    return x[keep]
+    return x[_band_mask(dim, band)]
 
 
 def triu_vec(x: np.ndarray) -> np.ndarray:

@@ -158,6 +158,8 @@ SWEEP = {
     "p2": {"name": "contrast", "min": 1.8, "max": 2.2, "count": 3},
 }
 
+CAMEMBERT = {"factory": "camembert", "center": [550.0, 700.0], "radius": 300.0}
+
 MALFORMED = [
     pytest.param(("search", "background"), {"kind": "gradient", "c_bottom": 2000.0},
                  id="gradient-background-without-c_top"),
@@ -197,6 +199,10 @@ MALFORMED = [
                  id="sweep-axis-named-grid"),
     pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], min=-1.0)),
                  id="sweep-candidate-negative-contrast"),
+    pytest.param(("model",), dict(CAMEMBERT, c_inside=-1.0), id="negative-c_inside"),
+    pytest.param(("model",), dict(CAMEMBERT, c_outside=0.0), id="zero-c_outside"),
+    pytest.param(("search", "background", "c0"), -1500.0, id="negative-background-c0"),
+    pytest.param(("search", "background", "c0"), float("nan"), id="nan-background-c0"),
 ]
 
 
@@ -346,6 +352,39 @@ class TestInvertCommand:
         shutil.copytree(invert_runs / "rom", run)
         lines = (run / "state.csv").read_text().splitlines()
         (run / "state.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        rc = main([
+            "compare", "--run-a", str(run / "manifest.json"),
+            "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda man: man.update(artifacts=list(man["artifacts"])), id="artifacts-list"),
+        pytest.param(lambda man: man["artifacts"].update(state=5), id="state-number"),
+    ])
+    def test_compare_malformed_manifest_exits_2(self, invert_runs, tmp_path, capsys, edit):
+        run = tmp_path / "run"
+        shutil.copytree(invert_runs / "rom", run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        edit(manifest)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        rc = main([
+            "compare", "--run-a", str(run / "manifest.json"),
+            "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_compare_nonpositive_estimate_exits_2(self, invert_runs, tmp_path, capsys, value):
+        run = tmp_path / "run"
+        shutil.copytree(invert_runs / "rom", run)
+        payload = np.fromfile(run / "estimate.bin", dtype="<f8")
+        payload[7] = value
+        payload.tofile(run / "estimate.bin")
         rc = main([
             "compare", "--run-a", str(run / "manifest.json"),
             "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),

@@ -11,18 +11,22 @@ from hypothesis import strategies as st
 from waverom.config import load_config
 from waverom.errors import CflViolation, EigUnavailable, InsufficientRecordLength, NyquistViolation
 from waverom.forward import (
+    CHEB_RATIO,
     DataSet,
     DiscreteOperator,
     FlatPulse,
     Pulse,
     SensorArray,
     TraceRecord,
+    _laplacian_2d,
     chebyshev_coeffs,
+    chebyshev_interval,
     chebyshev_moments,
     initial_states,
     line_array,
     propagate_snapshots,
     sample_coeffs,
+    sample_functions,
     second_derivative_fourier,
     symmetrize_and_sample,
     synthesize_dataset,
@@ -142,6 +146,17 @@ class TestOperator:
         w, _ = op.eig()
         assert w[-1] <= op.lambda_upper() * (1 + 1e-12)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_matrix_bitwise_equal_to_scaled_laplacian_copy(self, grid, bc):
+        v = random_velocity(grid, seed=4, bc=bc)
+        c = v.c.ravel()
+        a = _laplacian_2d(grid, v.bc).copy()
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        a.data = a.data * c[rows] * c[a.indices]
+        m = DiscreteOperator(v).matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(m, part).tobytes() == getattr(a, part).tobytes(), part
+
     def test_spectral_cap(self, grid, monkeypatch):
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
         op = DiscreteOperator(random_velocity(grid))
@@ -196,6 +211,42 @@ class TestChebyshev:
         assert len(a.log) == count // 2
         assert all(m is a for m in a.log)
         np.testing.assert_array_equal(mu, chebyshev_moments(op.matrix, x, count, lam_max))
+
+    def test_interval_rounds_up_within_one_ratio(self, grid):
+        for seed in range(5):
+            lam_upper = DiscreteOperator(random_velocity(grid, seed=seed)).lambda_upper()
+            lam = chebyshev_interval(lam_upper)
+            assert lam_upper <= lam < CHEB_RATIO * lam_upper
+        on_grid = CHEB_RATIO**12345
+        assert chebyshev_interval(on_grid) == on_grid
+        # just above a grid point the log quotient rounds down onto its exponent
+        above = np.nextafter(on_grid, np.inf)
+        assert chebyshev_interval(above) == CHEB_RATIO**12346 >= above
+
+    def test_table_cached_read_only_and_halved(self, grid, pulse):
+        tau, count = pulse.default_tau(), 7
+        lam = chebyshev_interval(DiscreteOperator(random_velocity(grid, seed=3)).lambda_upper())
+        c = sample_coeffs(pulse, tau, count, lam)
+        assert not c.flags.writeable
+        assert c.base is None  # a compact copy, not a view of the DCT buffer
+        assert sample_coeffs(Pulse.from_hz(6.0, 4.0), tau, count, lam) is c
+        direct = chebyshev_coeffs(lambda x: sample_functions(pulse, tau, count, x), lam)
+        direct[0] *= 0.5
+        assert c.shape == direct.shape
+        assert c.tobytes() == direct.tobytes()
+
+    def test_syntheses_in_one_bucket_share_a_table(self, grid, pulse):
+        v = random_velocity(grid, seed=10)
+        w = VelocityModel(grid, v.c * (1.0 + 1e-7), v.bc)
+        bounds = [DiscreteOperator(u).lambda_upper() for u in (v, w)]
+        assert bounds[0] != bounds[1]
+        assert chebyshev_interval(bounds[0]) == chebyshev_interval(bounds[1])
+        arr = line_array(grid, 2, depth=300.0)
+        synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="chebyshev")
+        before = sample_coeffs.cache_info()
+        synthesize_dataset(w, arr, pulse, pulse.default_tau(), 3, method="chebyshev")
+        after = sample_coeffs.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_table_length_clear_of_round_off_plateau(self):
         # a cut at the DCT's ~1e-14 plateau would take 2026 terms here

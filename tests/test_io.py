@@ -148,6 +148,16 @@ def test_short_payload_rejected(artifacts, kind):
         LOADERS[kind](artifacts / f"{kind}.json")
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_nonpositive_velocity_payload_rejected(artifacts, value):
+    payload = np.fromfile(artifacts / "velocity.bin", dtype="<f8")
+    payload[3] = value
+    payload.tofile(artifacts / "velocity.bin")
+    for kind in ("velocity", "parametrization"):
+        with pytest.raises(ArtifactError, match="malformed artifact"):
+            LOADERS[kind](artifacts / f"{kind}.json")
+
+
 def test_state_csv_roundtrip(tmp_path):
     state = InversionState(eta=np.zeros(2))
     state.record(2, 1.5, 0.25, 1.0, (1.0, 1.5))
