@@ -6,9 +6,10 @@ config's reference model, which repeats one model and so always finds
 its table in the cache, and, apart, its two largest stages: an uncached
 build of the Chebyshev table (`sample_coeffs`) and the block moments
 (`chebyshev_moments`) on the rounded interval that synthesis uses.
-Prints the median of the repeats in ms, with one BLAS thread, and, next
-to the table length K, the ratio of the rounded interval to the
-Gershgorin bound.
+Prints the median of the repeats in ms, with one BLAS thread; next to
+the table length K, the ratio of the rounded interval to the Gershgorin
+bound; and the moment time per step of the recurrence, moments / (K // 2)
+in us.
 
     PYTHONPATH=src python scripts/bench_synthesis.py [--repeats N] [config.json ...]
 """
@@ -77,11 +78,12 @@ if __name__ == "__main__":
     args = ap.parse_args()
     print(
         f"{'config':<18}{'dof':>6}{'m':>4}{'K':>5}{'lam/bound':>11}"
-        f"{'dataset ms':>12}{'table ms':>10}{'moments ms':>12}"
+        f"{'dataset ms':>12}{'table ms':>10}{'moments ms':>12}{'us/step':>9}"
     )
     for path in args.configs:
         r = bench(path, args.repeats)
         print(
             f"{r['config']:<18}{r['dof']:>6}{r['m']:>4}{r['K']:>5}{r['ratio']:>11.6f}"
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
+            f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )

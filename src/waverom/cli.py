@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, io, profile
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
@@ -40,6 +40,12 @@ def _manifest_base(command: str, cfg: ExperimentConfig, args) -> dict:
     }
 
 
+def _save_manifest(out: Path, manifest: dict):
+    """`manifest.json`, and beside it `profile.json` with the run's work counters."""
+    io.save_manifest(out / "manifest.json", manifest)
+    io.save_manifest(out / "profile.json", profile.counts())
+
+
 # synthesize -------------------------------------------------------------------
 
 
@@ -59,7 +65,7 @@ def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
     manifest = _manifest_base("synthesize", cfg, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
     manifest["path"] = args.path
-    io.save_manifest(out / "manifest.json", manifest)
+    _save_manifest(out, manifest)
     print(f"wrote dataset (m={ds.m}, n={ds.n}, tau={ds.tau:g}) to {out}")
     return 0
 
@@ -166,7 +172,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     io.save_manifest(out / "census.json", census)
     manifest = _manifest_base("sweep", cfg, args)
     manifest["artifacts"] = {"sweep": "sweep.csv", "census": "census.json"}
-    io.save_manifest(out / "manifest.json", manifest)
+    _save_manifest(out, manifest)
     print(
         "sweep done: ROM census %d interior / %d total, FWI census %d interior / %d total"
         % (
@@ -217,7 +223,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
         "final_objective": state.objective_trace[-1] if state.objective_trace else None,
         "iterations": state.i,
     }
-    io.save_manifest(out / "manifest.json", manifest)
+    _save_manifest(out, manifest)
     print(
         f"{args.mode} inversion: initial error {initial_error:.4f} -> "
         f"final error {final_error:.4f} after {state.i} iterations"
@@ -310,6 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    profile.reset()
     try:
         if args.command == "compare":
             return cmd_compare(args.run_a, args.run_b, args.out)

@@ -12,7 +12,8 @@ field list their keys in SECTION_KEYS.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,12 @@ class ExperimentConfig:
     reference: dict = field(default_factory=dict)
     base_dir: Path = Path(".")
 
+    def __post_init__(self):
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if f.type == "dict" and not isinstance(section, dict):
+                raise TypeError(f"section {f.name} must be an object, not {type(section).__name__}")
+
     # -- builders ----------------------------------------------------------
 
     def build_grid(self) -> Grid2D:
@@ -147,8 +154,8 @@ class ExperimentConfig:
     @property
     def n(self) -> int:
         n = int(self.sampling["n"])
-        if n < 1:
-            raise ValueError(f"sampling.n must be >= 1, got {n}")
+        if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable
+            raise ValueError(f"sampling.n must be in [1, {sys.maxsize // 2}], got {n}")
         return n
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:

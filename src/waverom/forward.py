@@ -33,6 +33,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import profile
 from .errors import (
     CflViolation,
     ConfigError,
@@ -69,8 +70,8 @@ class Pulse:
     bandwidth: float
 
     def __post_init__(self):
-        if self.omega0 < 0 or self.bandwidth <= 0:
-            raise ValueError("pulse needs omega0 >= 0 and bandwidth > 0")
+        if not (self.omega0 >= 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)):
+            raise ValueError("pulse needs a finite omega0 >= 0 and bandwidth > 0")
 
     @classmethod
     def from_hz(cls, freq_hz: float, bandwidth_hz: float) -> "Pulse":
@@ -387,10 +388,11 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
 
     Uses count // 2 products with `a` through the kernel polynomial
     doubling mu_2k = 2 t_k^T t_k - mu_0, mu_2k+1 = 2 t_k+1^T t_k - mu_1,
-    where t_k = T_k(2 a / lam_max - I) x.  The recurrence
+    where t_k = T_k(2 a / lam_max - I) x, and counts each product as
+    `forward.matvecs` in `profile`.  The recurrence
     t_k+1 = 2 (2 a t_k / lam_max - t_k) - t_k-1 runs in place on the array
-    each product returns; the grams t^T t go straight into the result and
-    the doubling is applied to all of them at the end.
+    each product returns, so `x` is only read; the grams t^T t go straight
+    into the result and the doubling is applied to all of them at the end.
     """
     scale = 2.0 / lam_max
     mu = np.empty((count, x.shape[1], x.shape[1]))
@@ -398,6 +400,7 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
     prev, cur = None, x
     for k in range(1, count // 2 + 1):
         nxt = a @ cur
+        profile.count("forward.matvecs")
         nxt *= scale
         nxt -= cur
         if k > 1:
@@ -436,13 +439,15 @@ def chebyshev_interval(lam_upper: float) -> float:
     return CHEB_RATIO**e
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=32)
 def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
     """Chebyshev table of `sample_functions` on [0, lam_max], shape (K, 2, count).
 
     The table is ready to contract: c[0] is already halved, so
     fn(lam) ~ sum_k c[k] T_k(x).  Cached and read-only; a compact copy,
-    so that it does not keep the DCT buffer alive.
+    so that it does not keep the DCT buffer alive.  The 32 entries hold
+    every bucket a sweep cycles through (21 on the shipped 21x21 sweep,
+    one per value of its inner axis).
     """
     c = chebyshev_coeffs(lambda lam: sample_functions(pulse, tau, count, lam), lam_max).copy()
     c[0] *= 0.5
@@ -575,6 +580,7 @@ def synthesize_dataset(
             NyquistViolation(f"tau={tau:g} exceeds the Nyquist interval {math.pi / omega_ess:g}"),
             stacklevel=2,
         )
+    profile.count("forward.synth")
     op = DiscreteOperator(v) if op is None else op
     th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import profile
 from .errors import (
     JacobianRankWarning,
     MassNotSPD,
@@ -292,6 +293,7 @@ def run_inversion(
                 try:
                     cache[key] = residual_fn(eta)
                 except MassNotSPD:
+                    profile.count("inversion.infeasible")
                     cache[key] = None
             return cache[key]
 

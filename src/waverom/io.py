@@ -13,7 +13,8 @@ little-endian float64 payload at `<stem>.bin`.  Payload layouts:
   header {schema, m, n, tau}.
 - operator ROM: A_rom then R, each (nm, nm) C-order; header {schema, m, n}.
 
-Parametrizations, experiment configs, and run manifests are plain JSON.
+Parametrizations, experiment configs, run manifests and run profiles are
+plain JSON.
 CSV exports write floats as repr(float(x)), the shortest decimal that
 plain float() parses back to the same double, so round-trips are
 bit-exact.
@@ -222,7 +223,7 @@ def save_sweep_csv(path, p1_name, p2_name, p1_values, p2_values, obj_rom, obj_fw
     ))
 
 
-# Manifests ---------------------------------------------------------------------
+# Manifests and profiles --------------------------------------------------------
 
 
 def save_manifest(path, manifest: dict):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class Acquisition:
     tau: float
     n: int
     method: str
+
+    def __post_init__(self):
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def dataset(self, v: VelocityModel, n: int = None) -> DataSet:
         """Data of v, samples j = 0..2n-2 (by default n = self.n)."""

@@ -1,0 +1,28 @@
+"""Process-local counters of the work a run does.
+
+The program counts its syntheses (`forward.synth`), the sparse products
+of their Chebyshev moments (`forward.matvecs`), its ROM builds
+(`rom.build`) and the Gauss-Newton trials whose ROM is infeasible
+(`inversion.infeasible`).  `cli.main` resets the counters, and every
+command that writes a `manifest.json` writes them beside it as
+`profile.json`.  They count work, not time, so two runs of one command
+on one input read the same.
+"""
+
+from __future__ import annotations
+
+_counts: dict[str, int] = {}
+
+
+def count(name: str, k: int = 1):
+    """Add k to the counter `name`."""
+    _counts[name] = _counts.get(name, 0) + k
+
+
+def counts() -> dict[str, int]:
+    """A copy of every counter, by name."""
+    return dict(sorted(_counts.items()))
+
+
+def reset():
+    _counts.clear()

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from . import profile
 from .errors import BandExceedsMatrix, IndexOutOfRange, MassNotSPD
 from .forward import DataSet
 
@@ -88,6 +89,7 @@ def block_cholesky(mass: np.ndarray, m: int) -> np.ndarray:
 
 def build_rom(data: DataSet) -> OperatorRom:
     """Projected operator A_rom = R^{-T} S R^{-1} via triangular solves."""
+    profile.count("rom.build")
     mass = assemble_mass(data)
     stiff = assemble_stiffness(data)
     r = block_cholesky(mass, data.m)

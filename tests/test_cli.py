@@ -203,6 +203,12 @@ MALFORMED = [
     pytest.param(("model",), dict(CAMEMBERT, c_outside=0.0), id="zero-c_outside"),
     pytest.param(("search", "background", "c0"), -1500.0, id="negative-background-c0"),
     pytest.param(("search", "background", "c0"), float("nan"), id="nan-background-c0"),
+    pytest.param(("sampling",), [], id="sampling-list"),
+    pytest.param(("sampling",), "x", id="sampling-string"),
+    pytest.param(("acquisition", "pulse", "freq_hz"), 1e308, id="huge-freq"),
+    pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e308, id="huge-bandwidth"),
+    pytest.param(("sampling", "nyquist_factor"), 0, id="zero-nyquist-factor"),
+    pytest.param(("sampling", "n"), 1e308, id="huge-n"),
 ]
 
 
@@ -406,6 +412,18 @@ class TestInvertCommand:
             invert_runs / "rom/estimate.bin"
         ).read_bytes()
         assert (tmp_path / "x/state.csv").read_text() == (invert_runs / "rom/state.csv").read_text()
+        assert (tmp_path / "x/profile.json").read_text() == (
+            invert_runs / "rom/profile.json"
+        ).read_text()
+
+    def test_profile_counts_the_work(self, invert_runs):
+        rom = json.loads((invert_runs / "rom/profile.json").read_text())
+        fwi = json.loads((invert_runs / "fwi/profile.json").read_text())
+        for counts in (rom, fwi):
+            assert counts["forward.synth"] > 0
+            assert counts["forward.matvecs"] >= counts["forward.synth"]
+        assert rom["rom.build"] > 0
+        assert "rom.build" not in fwi
 
 
 class TestHonestReference:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waverom import profile
 from waverom.config import load_config
 from waverom.errors import CflViolation, EigUnavailable, InsufficientRecordLength, NyquistViolation
 from waverom.forward import (
@@ -207,10 +208,22 @@ class TestChebyshev:
         a.log = []
         x = line_array(grid, 3, depth=300.0).theta_matrix(grid)
         lam_max = op.lambda_upper()
+        before = profile.counts().get("forward.matvecs", 0)
         mu = chebyshev_moments(a, x, count, lam_max)
         assert len(a.log) == count // 2
         assert all(m is a for m in a.log)
+        assert profile.counts().get("forward.matvecs", 0) - before == count // 2
         np.testing.assert_array_equal(mu, chebyshev_moments(op.matrix, x, count, lam_max))
+
+    def test_moments_only_read_x(self, grid):
+        op = DiscreteOperator(random_velocity(grid, seed=6))
+        x = np.array(line_array(grid, 3, depth=300.0).theta_matrix(grid))
+        kept = x.copy()
+        lam_max = op.lambda_upper()
+        mu = chebyshev_moments(op.matrix, x, 25, lam_max)
+        assert x.tobytes() == kept.tobytes()
+        x.flags.writeable = False
+        np.testing.assert_array_equal(chebyshev_moments(op.matrix, x, 25, lam_max), mu)
 
     def test_interval_rounds_up_within_one_ratio(self, grid):
         for seed in range(5):
@@ -247,6 +260,20 @@ class TestChebyshev:
         synthesize_dataset(w, arr, pulse, pulse.default_tau(), 3, method="chebyshev")
         after = sample_coeffs.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_table_cache_holds_cycled_buckets(self, grid):
+        pulse = Pulse.from_hz(5.0, 3.0)  # no other test builds a table for this pulse
+        v = random_velocity(grid, seed=11)
+        models = [VelocityModel(grid, v.c * scale, v.bc) for scale in (1.0, 1.01, 1.02)]
+        lams = {chebyshev_interval(DiscreteOperator(u).lambda_upper()) for u in models}
+        assert len(lams) == 3
+        arr = line_array(grid, 2, depth=300.0)
+        before = sample_coeffs.cache_info()
+        for _ in range(3):
+            for u in models:
+                synthesize_dataset(u, arr, pulse, pulse.default_tau(), 3, method="chebyshev")
+        after = sample_coeffs.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 3)
 
     def test_table_length_clear_of_round_off_plateau(self):
         # a cut at the DCT's ~1e-14 plateau would take 2026 terms here
