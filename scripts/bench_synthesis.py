@@ -11,6 +11,11 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
+Then prints the start-up cost of a run: the median wall time of 9 fresh
+`python -c "import waverom.cli"` processes with one BLAS thread (what the
+benchmark's `setup_s` measures, less its own spawn bookkeeping) and the
+number of modules that import loads.
+
     PYTHONPATH=src python scripts/bench_synthesis.py [--repeats N] [config.json ...]
 """
 
@@ -21,6 +26,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -69,6 +76,23 @@ def bench(path: Path, repeats: int) -> dict:
     }
 
 
+def cold_import(runs: int = 9) -> tuple[float, int]:
+    """Median wall time in s of `runs` fresh processes that import
+    waverom.cli, and the number of modules loaded after that import.  The
+    processes inherit this one's environment, so they import the same
+    package as the timings above."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import waverom.cli"], check=True)
+        times.append(time.perf_counter() - start)
+    count = subprocess.run(
+        [sys.executable, "-c", "import sys, waverom.cli; print(len(sys.modules))"],
+        check=True, capture_output=True, text=True,
+    )
+    return statistics.median(times), int(count.stdout)
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -87,3 +111,5 @@ if __name__ == "__main__":
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
+    seconds, modules = cold_import()
+    print(f"cold import of waverom.cli: {seconds:.3f} s (median of 9), {modules} modules")

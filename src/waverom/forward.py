@@ -6,8 +6,9 @@ Two independent routes produce the sampled data matrices:
   never forms a wavefield.  Both its methods contract the sample
   functions f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and their -lam multiples
   against a spectral measure of the scaled sensor functions th.  The
-  chebyshev method expands them in Chebyshev polynomials once and uses
-  the block moments th^T T_k(A~) th from the kernel polynomial doubling;
+  chebyshev method expands them in Chebyshev polynomials once, with a
+  DCT-II that runs on `numpy.fft` (no `scipy.fft`), and uses the block
+  moments th^T T_k(A~) th from the kernel polynomial doubling;
   the spectral method evaluates them at the eigenvalues of the dense
   eigendecomposition and serves as the exact oracle.  The Chebyshev
   interval is the Gershgorin bound rounded up to a geometric grid
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -366,13 +366,25 @@ def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
     CHEB_TOL.  The node count doubles from 64 until that cut lies in the
     first half of the coefficients, which keeps the DCT's round-off
     plateau from setting K.
+
+    The DCT-II of the samples runs on `numpy.fft` as one real FFT
+    (Makhoul, IEEE TASSP 28(1), 1980): the nodes are sampled with the even
+    indices ascending and then the odd ones descending, and the FFT of
+    that sequence, turned by exp(-i pi k / 2n), gives coefficient k as its
+    real part and coefficient n - k as minus its imaginary part.
     """
     n = 64
     while True:
-        k = np.arange(n)
+        k = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
         x = np.cos(math.pi * (k + 0.5) / n)
         y = np.asarray(fn(0.5 * lam_max * (x + 1.0)), dtype=float)
-        c = scipy.fft.dct(y, type=2, axis=0) / n
+        h = n // 2 + 1
+        turn = (2.0 / n) * np.exp(-0.5j * math.pi * np.arange(h) / n)
+        u = np.fft.rfft(y, axis=0)
+        u *= turn.reshape((h,) + (1,) * (y.ndim - 1))
+        c = np.empty(y.shape)
+        c[:h] = u.real
+        np.negative(u.imag[n - h : 0 : -1], out=c[h:])
         mag = np.abs(c).reshape(n, 1) if c.ndim == 1 else np.abs(c).max(axis=2)
         peak = mag.max(axis=0)
         env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
@@ -628,29 +640,45 @@ def synthesize_measurements(
     Integration starts at the first grid time at or before -tf (the field
     is quiescent there) and runs through t_end.  Raises CflViolation when
     dt exceeds the stability limit of the discrete operator.
+
+    Each step p+ = (2 p - p-) + dt^2 (-c^2 L p + f'(t) theta) runs in
+    place on two field buffers and one work buffer, operation for
+    operation in that order, so the sparse product is its only allocation.
+    Counts one `forward.timedomain` per record and each product as
+    `forward.timedomain.matvecs` in `profile`.
     """
     op = DiscreteOperator(v)
     dt_max = 2.0 / math.sqrt(op.lambda_upper())
     if dt > dt_max:
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
+    profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
-    c2 = v.c.ravel() ** 2
+    neg_c2 = -(v.c.reshape(-1, 1) ** 2)
 
     k0 = int(math.ceil(pulse.tf / dt - 1e-12))
     nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
     t0 = -k0 * dt
-    w = v.grid.quad_weight
+    source = pulse.df(t0 + dt * np.arange(nt - 1))
 
     lap = _laplacian_2d(v.grid, v.bc)
     traces = np.empty((nt, arr.m, arr.m))
+    traces[0] = 0.0
     p_prev = np.zeros_like(theta)
     p_cur = np.zeros_like(theta)
-    traces[0] = w * (theta.T @ p_cur)
+    buf = np.empty_like(theta)
     for k in range(1, nt):
-        t_k = t0 + (k - 1) * dt
-        accel = -c2[:, None] * (lap @ p_cur) + pulse.df(t_k) * theta
-        p_prev, p_cur = p_cur, 2.0 * p_cur - p_prev + dt**2 * accel
-        traces[k] = w * (theta.T @ p_cur)
+        accel = lap @ p_cur
+        profile.count("forward.timedomain.matvecs")
+        accel *= neg_c2
+        np.multiply(theta, source[k - 1], out=buf)
+        accel += buf
+        accel *= dt**2
+        np.add(p_cur, p_cur, out=buf)
+        buf -= p_prev
+        np.add(buf, accel, out=p_prev)
+        p_prev, p_cur = p_cur, p_prev
+        np.matmul(theta.T, p_cur, out=traces[k])
+    traces *= v.grid.quad_weight
     return TraceRecord(t0, dt, traces)
 
 

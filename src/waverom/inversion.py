@@ -72,7 +72,8 @@ class GnConfig:
     largest singular value of the Jacobian (index clamped to 1 at the
     low end).  Setting regularization="off" forces mu_i = 0, the plain
     Gauss-Newton limit.  alpha_max caps the line-search step, fd_step is
-    the finite-difference velocity step, and c_min the velocity clamp.
+    the finite-difference velocity step (both positive and finite), and
+    c_min the velocity clamp.
     fwi_truncate limits the FWI misfit of layer l to the first 2k_l - 1
     samples.
     """
@@ -87,8 +88,9 @@ class GnConfig:
     def __post_init__(self):
         if not 0.2 < self.gamma < 0.4:
             raise ValueError("gamma must lie in the open interval (0.2, 0.4)")
-        if self.alpha_max <= 0:
-            raise ValueError("alpha_max must be positive")
+        for name in ("alpha_max", "fd_step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.regularization not in ("adaptive", "off"):
             raise ValueError("regularization must be 'adaptive' or 'off'")
 

@@ -139,8 +139,10 @@ class GaussianBump:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("bump width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("bump width must be positive and finite")
+        if not (math.isfinite(self.amplitude) and self.amplitude != 0):
+            raise ValueError("bump amplitude must be finite and non-zero")
 
     def evaluate(self, grid: Grid2D) -> np.ndarray:
         xx, zz = grid.mesh()
@@ -242,6 +244,8 @@ def make_camembert_model(
 ) -> VelocityModel:
     """Circular inclusion in a constant background (closed-disk convention)."""
     cx, cz = center
+    if not (math.isfinite(cx) and math.isfinite(cz) and 0 < radius < math.inf):
+        raise ValueError("camembert needs a finite center and a positive, finite radius")
     if (
         cx - radius < g.x0
         or cx + radius > g.x_max

@@ -2,8 +2,10 @@
 
 The program counts its syntheses (`forward.synth`), the sparse products
 of their Chebyshev moments (`forward.matvecs`), its ROM builds
-(`rom.build`) and the Gauss-Newton trials whose ROM is infeasible
-(`inversion.infeasible`).  `cli.main` resets the counters, and every
+(`rom.build`), the Gauss-Newton trials whose ROM is infeasible
+(`inversion.infeasible`), its time-domain leapfrog records
+(`forward.timedomain`) and their sparse products, one per time step
+(`forward.timedomain.matvecs`).  `cli.main` resets the counters, and every
 command that writes a `manifest.json` writes them beside it as
 `profile.json`.  They count work, not time, so two runs of one command
 on one input read the same.

@@ -84,9 +84,14 @@ class TestSynthesize:
             "--path", "timedomain", "--traces",
         ])
         assert rc == 0
-        assert (tmp_path / "out/traces.csv").exists()
+        rows = (tmp_path / "out/traces.csv").read_text().splitlines()
         ds = io.load_dataset(tmp_path / "out/dataset.json")
         assert ds.n == 4
+        nt = (len(rows) - 1) // 9  # one row per time and (r, s) pair of the 3 sensors
+        assert json.loads((tmp_path / "out/profile.json").read_text()) == {
+            "forward.timedomain": 1,
+            "forward.timedomain.matvecs": nt - 1,
+        }
 
     def test_manifest_reruns_identically(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -209,6 +214,15 @@ MALFORMED = [
     pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e308, id="huge-bandwidth"),
     pytest.param(("sampling", "nyquist_factor"), 0, id="zero-nyquist-factor"),
     pytest.param(("sampling", "n"), 1e308, id="huge-n"),
+    pytest.param(("gn",), {"fd_step": "x"}, id="string-fd-step"),
+    pytest.param(("gn",), {"fd_step": 0}, id="zero-fd-step"),
+    pytest.param(("gn",), {"fd_step": -0.01}, id="negative-fd-step"),
+    pytest.param(("gn",), {"alpha_max": float("nan")}, id="nan-alpha-max"),
+    pytest.param(("search", "amplitude"), "x", id="string-amplitude"),
+    pytest.param(("search", "amplitude"), 0, id="zero-amplitude"),
+    pytest.param(("search", "width_factor"), float("nan"), id="nan-width-factor"),
+    pytest.param(("model",), dict(CAMEMBERT, radius=-5.0), id="negative-radius"),
+    pytest.param(("model",), dict(CAMEMBERT, center=[float("nan"), 700.0]), id="nan-center"),
 ]
 
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +16,9 @@ from waverom import profile
 from waverom.config import load_config
 from waverom.errors import CflViolation, EigUnavailable, InsufficientRecordLength, NyquistViolation
 from waverom.forward import (
+    CHEB_MAX_NODES,
     CHEB_RATIO,
+    CHEB_TOL,
     DataSet,
     DiscreteOperator,
     FlatPulse,
@@ -165,7 +171,68 @@ class TestOperator:
             op.eig()
 
 
+def scipy_dct_coeffs(fn, lam_max: float):
+    """`chebyshev_coeffs`' node loop with the nodes in natural order and the
+    DCT-II from `scipy.fft`; returns the table and its node count."""
+    n = 64
+    while True:
+        x = np.cos(math.pi * (np.arange(n) + 0.5) / n)
+        y = np.asarray(fn(0.5 * lam_max * (x + 1.0)), dtype=float)
+        c = scipy.fft.dct(y, type=2, axis=0) / n
+        mag = np.abs(c).reshape(n, 1) if c.ndim == 1 else np.abs(c).max(axis=2)
+        peak = mag.max(axis=0)
+        env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
+        above = np.nonzero(env >= CHEB_TOL)[0]
+        size = above[-1] + 1 if above.size else 1
+        if 2 * size <= n or n >= CHEB_MAX_NODES:
+            return c[:size], n
+        n *= 2
+
+
+def test_cli_import_loads_no_scipy_fft_or_special():
+    code = "import sys, waverom.cli; print(*sys.modules, sep=chr(10))"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    modules = run.stdout.split()
+    assert "waverom.cli" in modules and "scipy.sparse" in modules
+    loaded = [m for m in modules if m.split(".")[:2] in (["scipy", "fft"], ["scipy", "special"])]
+    assert loaded == []
+
+
 class TestChebyshev:
+    @pytest.mark.parametrize("omega, nodes", [(20, 64), (50, 128), (100, 256), (200, 512), (600, 1024)])
+    def test_dct_matches_scipy_on_one_function(self, omega, nodes):
+        fn = lambda lam: np.cos(omega * np.sqrt(lam))
+        expected, n = scipy_dct_coeffs(fn, 1.0)
+        assert n == nodes
+        c = chebyshev_coeffs(fn, 1.0)
+        assert c.shape == expected.shape
+        assert np.abs(c - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lam_max, nodes", [(1e3, 64), (1e4, 128), (3e4, 256), (1e5, 512), (3e5, 1024)])
+    def test_dct_matches_scipy_on_sample_families(self, pulse, lam_max, nodes):
+        fn = lambda lam: sample_functions(pulse, pulse.default_tau(), 15, lam)
+        expected, n = scipy_dct_coeffs(fn, lam_max)
+        assert n == nodes
+        c = chebyshev_coeffs(fn, lam_max)
+        assert c.shape == expected.shape
+        for f in range(expected.shape[1]):  # each family against its own peak
+            peak = np.abs(expected[:, f]).max()
+            assert np.abs(c[:, f] - expected[:, f]).max() <= 1e-15 * peak
+
+    @pytest.mark.parametrize("name", ["camembert_desk", "topography_sweep", "camembert_paper"])
+    def test_reference_table_length_matches_scipy_dct(self, name):
+        cfg = load_config(REPO / "configs" / f"{name}.json")
+        truth = cfg.build_model()
+        acq = cfg.build_acquisition(truth.grid)
+        ref = cfg.reference_model(truth)
+        lam = chebyshev_interval(DiscreteOperator(ref).lambda_upper())
+        count = 2 * acq.n - 1
+        expected, _ = scipy_dct_coeffs(lambda x: sample_functions(acq.pulse, acq.tau, count, x), lam)
+        assert sample_coeffs(acq.pulse, acq.tau, count, lam).shape == expected.shape
+
     def test_coefficients_reproduce_function(self):
         lam_max = 500.0
         fn = lambda lam: np.cos(0.05 * np.sqrt(lam))
@@ -472,7 +539,43 @@ def setup():
     return g, v, pulse, arr, tau, n, rec
 
 
+def allocating_leapfrog(v, arr, pulse, t_end, dt):
+    """The leapfrog loop that allocates every intermediate, one pulse.df call
+    per step; the in-place loop of `synthesize_measurements` must match it."""
+    theta = arr.theta_matrix(v.grid)
+    c2 = v.c.ravel() ** 2
+    k0 = int(math.ceil(pulse.tf / dt - 1e-12))
+    nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
+    t0 = -k0 * dt
+    lap = _laplacian_2d(v.grid, v.bc)
+    traces = np.empty((nt, arr.m, arr.m))
+    p_prev = np.zeros_like(theta)
+    p_cur = np.zeros_like(theta)
+    traces[0] = v.grid.quad_weight * (theta.T @ p_cur)
+    for k in range(1, nt):
+        accel = -c2[:, None] * (lap @ p_cur) + pulse.df(t0 + (k - 1) * dt) * theta
+        p_prev, p_cur = p_cur, 2.0 * p_cur - p_prev + dt**2 * accel
+        traces[k] = v.grid.quad_weight * (theta.T @ p_cur)
+    return t0, traces
+
+
 class TestTimeDomain:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_in_place_leapfrog_matches_allocating_loop_and_counts(self, grid, pulse, bc):
+        v = random_velocity(grid, seed=8, bc=bc)
+        arr = line_array(grid, 3, depth=300.0)
+        dt = pulse.default_tau() / 20
+        before = profile.counts()
+        rec = synthesize_measurements(v, arr, pulse, 0.4, dt)
+        after = profile.counts()
+        t0, expected = allocating_leapfrog(v, arr, pulse, 0.4, dt)
+        assert rec.t0 == t0 and rec.data.shape == expected.shape
+        assert np.abs(rec.data - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert after.get("forward.timedomain", 0) - before.get("forward.timedomain", 0) == 1
+        matvecs = "forward.timedomain.matvecs"
+        assert after.get(matvecs, 0) - before.get(matvecs, 0) == rec.nt - 1
+        assert after.get("forward.matvecs") == before.get("forward.matvecs")
+
     def test_cfl_violation(self, grid, pulse):
         v = make_constant_model(3000.0, grid)
         with pytest.raises(CflViolation):
