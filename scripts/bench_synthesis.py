@@ -11,6 +11,12 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
+Then times one Gauss-Newton step's linear algebra (`qr_svd`, `tikhonov_mu`
+and `gn_step`) on a random Jacobian of the desk (3240 x 100) and the
+camembert_paper (12 880 x 400) shape: the median ms of the repeats, and
+the `tracemalloc` peak in MB of one step that starts by copying J, so the
+peak counts J itself.
+
 Then prints the start-up cost of a run: the median wall time of 9 fresh
 `python -c "import waverom.cli"` processes with one BLAS thread (what the
 benchmark's `setup_s` measures, less its own spawn bookkeeping) and the
@@ -29,7 +35,10 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 from waverom.config import load_config
 from waverom.forward import (
@@ -38,9 +47,13 @@ from waverom.forward import (
     chebyshev_moments,
     sample_coeffs,
 )
+from waverom.inversion import gn_step, qr_svd, tikhonov_mu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
+# (name, residual length M, parameters N) of the Jacobians the configs'
+# inversions build
+GN_SHAPES = (("camembert_desk", 3240, 100), ("camembert_paper", 12880, 400))
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -74,6 +87,32 @@ def bench(path: Path, repeats: int) -> dict:
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
     }
+
+
+def bench_gn_step(m: int, n: int, repeats: int) -> dict:
+    """Median ms and tracemalloc peak MB of one Gauss-Newton step's linear
+    algebra on a random F-ordered m x n Jacobian.  qr_svd overwrites J, so
+    each repeat factors a fresh copy, made outside the timed region."""
+    rng = np.random.default_rng(0)
+    jac = np.asfortranarray(rng.standard_normal((m, n)))
+    r = rng.standard_normal(m)
+
+    def step(work):
+        svd, qtr = qr_svd(work, r)
+        return gn_step(svd, qtr, tikhonov_mu(svd[1], 0.3))
+
+    times = []
+    for _ in range(repeats + 1):  # the first is a warm-up
+        work = jac.copy(order="F")
+        start = time.perf_counter()
+        step(work)
+        times.append(time.perf_counter() - start)
+    del work
+    tracemalloc.start()
+    step(jac.copy(order="F"))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"ms": 1e3 * statistics.median(times[1:]), "peak_mb": peak / 1e6, "jac_mb": jac.nbytes / 1e6}
 
 
 def cold_import(runs: int = 9) -> tuple[float, int]:
@@ -111,5 +150,9 @@ if __name__ == "__main__":
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
+    print(f"{'GN step':<18}{'M':>7}{'N':>5}{'J MB':>8}{'ms':>9}{'peak MB':>9}")
+    for name, m, n in GN_SHAPES:
+        g = bench_gn_step(m, n, args.repeats)
+        print(f"{name:<18}{m:>7}{n:>5}{g['jac_mb']:>8.1f}{g['ms']:>9.2f}{g['peak_mb']:>9.1f}")
     seconds, modules = cold_import()
     print(f"cold import of waverom.cli: {seconds:.3f} s (median of 9), {modules} modules")

@@ -70,8 +70,8 @@ class Pulse:
     bandwidth: float
 
     def __post_init__(self):
-        if not (self.omega0 >= 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)):
-            raise ValueError("pulse needs a finite omega0 >= 0 and bandwidth > 0")
+        if not (self.omega0 > 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)):
+            raise ValueError("pulse needs a finite omega0 > 0 and bandwidth > 0")
 
     @classmethod
     def from_hz(cls, freq_hz: float, bandwidth_hz: float) -> "Pulse":

@@ -2,10 +2,12 @@
 
 The outer loop runs exactly L*q regularized Gauss-Newton updates.  Each
 update linearizes the residual by forward finite differences, one
-synthesis per column in index order, and takes one thin SVD of the
-Jacobian.  That SVD gives the adaptive Tikhonov weight, the rank check
-and the damped direction.  The update then line-searches the penalized
-functional with a rejection fallback so accepted steps never increase it.
+synthesis per column in index order, into a single M x N Jacobian.  It
+factors that Jacobian in place with one Householder QR and takes the SVD
+of the N x N triangle, which gives the adaptive Tikhonov weight, the rank
+check and the damped direction.  The update then line-searches the
+penalized functional with a rejection fallback so accepted steps never
+increase it.
 """
 
 from __future__ import annotations
@@ -122,14 +124,18 @@ class InversionState:
         self.eta_trace.append(np.array(self.eta))
 
 
-def jacobian(residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray = None) -> np.ndarray:
+def jacobian(
+    residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray = None, out: np.ndarray = None
+) -> np.ndarray:
     """Forward finite-difference Jacobian of a residual function.
 
     Column l is [G(eta + delta_l e_l) - G(eta)] / delta_l with
     delta_l = fd_step * max(1, |eta_l|); with unit-amplitude bumps one
     eta unit is one m/s of velocity, so fd_step is a velocity step.
-    Columns are evaluated one after another in index order.  `base`
-    passes G(eta) when the caller already has it.
+    Columns are evaluated one after another in index order and written
+    straight into one Fortran-ordered (M, N) array, the layout qr_svd
+    factors in place: `out` when given, else a new one.  `base` passes
+    G(eta) when the caller already has it.
     """
     eta = np.asarray(eta, dtype=float)
     n = eta.size
@@ -139,13 +145,38 @@ def jacobian(residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray = No
             f"residual has {base.size} entries for {n} parameters"
         )
 
-    def column(l: int) -> np.ndarray:
+    if out is None:
+        out = np.empty((base.size, n), order="F")
+    for l in range(n):
         delta = fd_step * max(1.0, abs(eta[l]))
         bumped = eta.copy()
         bumped[l] += delta
-        return (residual_fn(bumped) - base) / delta
+        column = out[:, l]
+        np.subtract(residual_fn(bumped), base, out=column)
+        column /= delta
+    return out
 
-    return np.column_stack([column(l) for l in range(n)])
+
+def qr_svd(jac: np.ndarray, r: np.ndarray):
+    """SVD of an M x N Jacobian (M >= N) through its QR factor, and Q^T r.
+
+    Factors J = QR in place with one Householder QR, so `jac` is
+    overwritten by the reflectors; applies Q^T to r from the reflectors;
+    then takes the SVD U_R diag(sigma) V^T of the N x N triangle R.  Since
+    J = (Q U_R) diag(sigma) V^T, this is the SVD of J without a copy of J
+    or its M x N left factor (Chan, ACM TOMS 8(1), 1982).  Returns
+    ((U_R, sigma, V^T), Q^T r), the arguments of gn_step.
+    """
+    (reflectors, tau), r_factor = scipy.linalg.qr(
+        jac, mode="raw", overwrite_a=True, check_finite=False
+    )
+    dormqr = scipy.linalg.lapack.dormqr
+    rhs = r.reshape(-1, 1)
+    lwork = int(dormqr("L", "T", reflectors, tau, rhs, -1)[1][0])
+    qtr, _, info = dormqr("L", "T", reflectors, tau, rhs, lwork)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dormqr failed with info = {info}")
+    return scipy.linalg.svd(r_factor, overwrite_a=True, check_finite=False), qtr[:, 0]
 
 
 def tikhonov_mu(sigma: np.ndarray, gamma: float) -> float:
@@ -157,13 +188,15 @@ def tikhonov_mu(sigma: np.ndarray, gamma: float) -> float:
     return float(sigma[idx - 1] ** 2)
 
 
-def gn_step(svd, r: np.ndarray, mu: float) -> np.ndarray:
+def gn_step(svd, qtr: np.ndarray, mu: float) -> np.ndarray:
     """Damped Gauss-Newton direction -(J^T J + mu I)^{-1} J^T r.
 
-    `svd` is the thin SVD (U, sigma, V^T) of J, so the direction is
-    -V diag(sigma / (sigma^2 + mu)) U^T r.  Warns JacobianRankWarning when
-    sigma_N / sigma_1 < 1e-14; with mu = 0 a rank-deficient J (sigma_N at
-    or below the least-squares cutoff eps * max(M, N) * sigma_1) raises
+    `svd` and `qtr` are what qr_svd returns for J = QR and r: the SVD
+    (U_R, sigma, V^T) of the N x N factor R and all M entries of Q^T r.
+    The direction is -V diag(sigma / (sigma^2 + mu)) U_R^T (Q^T r)[:N].
+    Warns JacobianRankWarning when sigma_N / sigma_1 < 1e-14; with mu = 0
+    a rank-deficient J (sigma_N at or below the least-squares cutoff
+    eps * max(M, N) * sigma_1, with M the residual length) raises
     SingularSystem.
     """
     if mu < 0:
@@ -177,10 +210,10 @@ def gn_step(svd, r: np.ndarray, mu: float) -> np.ndarray:
             ),
             stacklevel=2,
         )
-    cutoff = np.finfo(float).eps * max(u.shape[0], vt.shape[1]) * sigma[0]
+    cutoff = np.finfo(float).eps * max(qtr.size, vt.shape[1]) * sigma[0]
     if mu == 0.0 and sigma[-1] <= cutoff:
         raise SingularSystem("Jacobian rank deficient and mu = 0")
-    return -(vt.T @ (sigma / (sigma**2 + mu) * (u.T @ r)))
+    return -(vt.T @ (sigma / (sigma**2 + mu) * (u.T @ qtr[: sigma.size])))
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -288,6 +321,9 @@ def run_inversion(
         # with k_l).  Line-search probes land here, so the accepted point's
         # residual is free at the next iteration.
         cache: dict[bytes, np.ndarray] = {}
+        # One Jacobian array per layer: each update of the layer assembles
+        # and factors J in it, so no update allocates another M x N array.
+        jac = None
 
         def cached_residual(eta: np.ndarray):
             key = eta.tobytes()
@@ -312,13 +348,11 @@ def run_inversion(
             if obj0 == 0.0:
                 state.record(layer_k, obj0, 0.0, 0.0, (obj0, obj0))
                 continue
-            jac = jacobian(residual_fn, anchor, cfg.fd_step, base=base)
-            svd = scipy.linalg.svd(jac, full_matrices=False)
+            if jac is None:
+                jac = np.empty((base.size, param.n_params), order="F")
+            svd, qtr = qr_svd(jacobian(residual_fn, anchor, cfg.fd_step, base=base, out=jac), base)
             mu = tikhonov_mu(svd[1], cfg.gamma) if cfg.regularization == "adaptive" else 0.0
-            direction = gn_step(svd, base, mu)
-            # J and U (n_res x N) would otherwise stay alive through the
-            # line search and raise the peak memory of the run.
-            del jac, svd
+            direction = gn_step(svd, qtr, mu)
 
             # F_i penalizes the departure from the linearization point, the
             # quadratic model the damped direction actually minimizes.
@@ -334,6 +368,11 @@ def run_inversion(
             else:
                 obj, f_new = obj0, obj0
             state.record(layer_k, obj, mu, alpha, (f_new, obj0))
+            # The next update reads only the new iterate's residual.
+            key = state.eta.tobytes()
+            kept = cache[key]
+            cache.clear()
+            cache[key] = kept
 
     estimate = evaluate_velocity(param, eta=state.eta, c_min=cfg.c_min)
     return estimate, state

@@ -172,6 +172,7 @@ MALFORMED = [
     pytest.param(("model",), {"factory": "file"}, id="file-model-without-path"),
     pytest.param(("acquisition", "theta_width"), 0, id="zero-theta-width"),
     pytest.param(("acquisition", "pulse", "bandwidth_hz"), 0, id="zero-bandwidth"),
+    pytest.param(("acquisition", "pulse", "freq_hz"), 0, id="zero-freq"),
     pytest.param(("search", "lattice"), [0, 3], id="empty-lattice"),
     pytest.param(("model", "contrast"), -1, id="negative-contrast"),
     pytest.param(("sampling", "n"), 0, id="zero-samples"),

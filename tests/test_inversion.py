@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from waverom.inversion import (
     gn_step,
     jacobian,
     line_search,
+    qr_svd,
     run_inversion,
     tikhonov_mu,
 )
@@ -19,9 +22,9 @@ from waverom.objective import Acquisition
 from waverom.rom import build_rom
 
 
-def svd(jac):
-    """The thin SVD triple gn_step takes."""
-    return scipy.linalg.svd(jac, full_matrices=False)
+def factor(jac, r):
+    """gn_step's (SVD of R, Q^T r) for a copy of jac."""
+    return qr_svd(np.array(jac, dtype=float, order="F"), np.asarray(r, dtype=float))
 
 
 class TestJacobian:
@@ -56,7 +59,28 @@ class TestJacobian:
         fn = lambda eta: a @ eta
         jac = jacobian(fn, np.zeros(3), fd_step=1e-6)
         with pytest.warns(JacobianRankWarning):
-            gn_step(svd(jac), np.ones(6), 1.0)
+            gn_step(*factor(jac, np.ones(6)), 1.0)
+
+    def test_fortran_order_bitwise_equal_to_column_formula(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((9, 4))
+        fn = lambda eta: np.tanh(a @ eta) + eta.sum() ** 2
+        eta = np.array([0.3, -2.5, 7.0, 0.0])  # deltas both fd_step and fd_step |eta_l|
+        base = fn(eta)
+        jac = jacobian(fn, eta, fd_step=1e-2, base=base)
+
+        def column(l):
+            delta = 1e-2 * max(1.0, abs(eta[l]))
+            bumped = eta.copy()
+            bumped[l] += delta
+            return (fn(bumped) - base) / delta
+
+        expected = np.column_stack([column(l) for l in range(4)])
+        assert jac.flags.f_contiguous
+        np.testing.assert_array_equal(jac, expected)
+        out = np.empty((9, 4), order="F")
+        assert jacobian(fn, eta, fd_step=1e-2, base=base, out=out) is out
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestTikhonovMu:
@@ -89,11 +113,11 @@ class TestTikhonovMu:
 
 class TestGnStep:
     def test_zero_residual(self):
-        d = gn_step(svd(np.eye(3)), np.zeros(3), 1.0)
+        d = gn_step(*factor(np.eye(3), np.zeros(3)), 1.0)
         np.testing.assert_allclose(d, 0.0, atol=1e-14)
 
     def test_hand_system(self):
-        d = gn_step(svd(np.eye(2)), np.array([1.0, 2.0]), 1.0)
+        d = gn_step(*factor(np.eye(2), [1.0, 2.0]), 1.0)
         np.testing.assert_allclose(d, [-0.5, -1.0], rtol=1e-12)
 
     def test_large_mu_gradient_limit(self):
@@ -101,23 +125,76 @@ class TestGnStep:
         jac = rng.standard_normal((6, 3))
         r = rng.standard_normal(6)
         mu = 1e8
-        d = gn_step(svd(jac), r, mu)
+        d = gn_step(*factor(jac, r), mu)
         np.testing.assert_allclose(d, -(jac.T @ r) / mu, rtol=1e-6)
 
     def test_singular_at_zero_mu(self):
         jac = np.zeros((4, 2))
         jac[:, 0] = 1.0  # rank 1
         with pytest.raises(SingularSystem):
-            gn_step(svd(jac), np.ones(4), 0.0)
+            gn_step(*factor(jac, np.ones(4)), 0.0)
+
+    def test_rank_cutoff_counts_residual_rows(self):
+        # sigma_N lies between eps N sigma_1 and eps M sigma_1: the cutoff
+        # uses M, the residual length, not the order N of R
+        rng = np.random.default_rng(7)
+        m, n = 4000, 4
+        u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        jac = (u * [1.0, 1.0, 1.0, 1e-13]) @ v.T
+        svd, qtr = factor(jac, rng.standard_normal(m))
+        eps = np.finfo(float).eps
+        assert eps * n * svd[1][0] < svd[1][-1] < eps * m * svd[1][0]
+        with pytest.raises(SingularSystem):
+            gn_step(svd, qtr, 0.0)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(5)
         jac = rng.standard_normal((8, 4))
         r = rng.standard_normal(8)
         mu = 0.37
-        d = gn_step(svd(jac), r, mu)
+        d = gn_step(*factor(jac, r), mu)
         expected = -np.linalg.solve(jac.T @ jac + mu * np.eye(4), jac.T @ r)
         np.testing.assert_allclose(d, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("grading", [0.0, 8.0], ids=["random", "graded"])
+    def test_qr_route_matches_thin_svd(self, grading):
+        # graded: column l scaled by 10^(-grading l / (N - 1)), rows by up
+        # to 10^-3, as residual entries and parameter sensitivities differ
+        rng = np.random.default_rng(8)
+        m, n = 300, 24
+        jac = rng.standard_normal((m, n)) * np.logspace(0, -grading, n)
+        jac *= np.logspace(0, -3 * (grading > 0), m)[:, None]
+        r = rng.standard_normal(m)
+        u, sigma, vt = scipy.linalg.svd(jac, full_matrices=False)  # the oracle
+        mu = tikhonov_mu(sigma, 0.3)
+        expected = -(vt.T @ (sigma / (sigma**2 + mu) * (u.T @ r)))
+        svd, qtr = factor(jac, r)
+        np.testing.assert_allclose(svd[1], sigma, rtol=1e-12)
+        assert tikhonov_mu(svd[1], 0.3) == pytest.approx(mu, rel=1e-12)
+        d = gn_step(svd, qtr, tikhonov_mu(svd[1], 0.3))
+        assert np.linalg.norm(d - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_one_update_holds_one_jacobian(self):
+        # jacobian, factor and direction of one update on a linear residual
+        # peak at about the M x N Jacobian itself; the thin-SVD route
+        # peaked at about 3x, holding J, its copy and U in the SVD
+        rng = np.random.default_rng(9)
+        m, n = 4000, 60
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        fn = lambda eta: a @ eta - b
+        eta = np.zeros(n)
+        base = fn(eta)
+        tracemalloc.start()
+        try:
+            svd, qtr = qr_svd(jacobian(fn, eta, 1e-2, base=base), base)
+            d = gn_step(svd, qtr, tikhonov_mu(svd[1], 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (n,)
+        assert peak <= 1.3 * m * n * 8
 
 
 class TestLineSearch:
