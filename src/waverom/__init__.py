@@ -22,7 +22,7 @@ from .model import (
     make_two_layer_model,
 )
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
-from .rom import OperatorRom, build_rom, rest_dk, restrict, triu_vec
+from .rom import OperatorRom, build_rom, rest_dk, restrict
 
 __all__ = [
     "Acquisition",
@@ -51,5 +51,4 @@ __all__ = [
     "symmetrize_and_sample",
     "synthesize_dataset",
     "synthesize_measurements",
-    "triu_vec",
 ]

@@ -31,6 +31,7 @@ from .model import (
     make_constant_model,
     make_gradient_model,
     make_two_layer_model,
+    whole,
 )
 from .objective import Acquisition
 
@@ -60,17 +61,12 @@ LAYOUTS = {"line": line_array, "ring": ring_array, "explicit": sensor_array}
 SECTION_KEYS = {
     "grid": {"nx", "nz", "hx", "hz", "x0", "z0", "bc"},
     "acquisition": {"layout", "pulse", "theta_width"},
+    "sampling": {"n", "nyquist_factor"},
     "schedule": {"layers", "q", "k", "d"},
     "sweep": {"p1", "p2", "d", "k"},
-    "record": {"dt", "dt_factor", "t_end", "t_factor"},
+    "record": {"dt_factor", "t_factor"},
     "reference": {"refine"},
 }
-
-
-def _one_of(spec: dict, section: str, key: str, alternative: str):
-    """Reject a section that sets both of two keys for one quantity."""
-    if spec.get(key) is not None and spec.get(alternative) is not None:
-        raise ConfigError(f"{section} sets both {key} and {alternative}; give one")
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,8 @@ class ExperimentConfig:
     def build_grid(self) -> Grid2D:
         g = self.grid
         return Grid2D(
-            int(g["nx"]), int(g["nz"]), float(g["hx"]), float(g["hz"]),
-            float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
+            whole(g["nx"], "grid.nx"), whole(g["nz"], "grid.nz"),
+            float(g["hx"]), float(g["hz"]), float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
         )
 
     def _velocity(self, spec: dict, name_key: str, g: Grid2D, **overrides) -> VelocityModel:
@@ -142,18 +138,9 @@ class ExperimentConfig:
             grid.nearest_node(x, z)  # DomainTooSmall off the node block
         return array
 
-    def resolve_tau(self, pulse: Pulse) -> float:
-        """sampling.tau, or else the Nyquist rule of `Pulse.default_tau`,
-        which takes the remaining sampling keys."""
-        _one_of(self.sampling, "sampling", "tau", "nyquist_factor")
-        rule = {k: v for k, v in self.sampling.items() if k not in ("n", "tau")}
-        nyquist = pulse.default_tau(**rule)
-        tau = self.sampling.get("tau")
-        return nyquist if tau is None else float(tau)
-
     @property
     def n(self) -> int:
-        n = int(self.sampling["n"])
+        n = whole(self.sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable
             raise ValueError(f"sampling.n must be in [1, {sys.maxsize // 2}], got {n}")
         return n
@@ -162,8 +149,10 @@ class ExperimentConfig:
         if self.method not in ("spectral", "chebyshev"):
             raise ConfigError(f"unknown method {self.method!r}")
         pulse = Pulse.from_hz(**self.acquisition["pulse"])
+        # tau is `Pulse.default_tau` at sampling.nyquist_factor, if given
+        rule = {k: v for k, v in self.sampling.items() if k != "n"}
         return Acquisition(
-            self.build_array(grid), pulse, self.resolve_tau(pulse), self.n, self.method
+            self.build_array(grid), pulse, pulse.default_tau(**rule), self.n, self.method
         )
 
     def build_search(self, grid: Grid2D) -> Parametrization:
@@ -173,21 +162,19 @@ class ExperimentConfig:
         return make_bump_lattice(background, **params)
 
     def build_schedule(self) -> LayerSchedule:
+        """The schedule of `k`, `q` and `d`; an optional `layers` must
+        equal the number of entries of `k`."""
         s = self.schedule
         if not s:
             raise ConfigError("config has no schedule section")
-        q = int(s["q"])
-        d = int(s["d"])
-        if s.get("k") is not None:
-            k = tuple(int(v) for v in s["k"])
-            if s.get("layers") is not None and int(s["layers"]) != len(k):
-                raise ConfigError(
-                    f"schedule.layers {s['layers']} disagrees with the {len(k)} entries of k"
-                )
-            if any(v > self.n for v in k):
-                raise ConfigError(f"schedule.k {list(k)} exceeds sampling.n {self.n}")
-            return LayerSchedule(k, q, d)
-        return LayerSchedule.uniform(self.n, int(s["layers"]), q, d)
+        schedule = LayerSchedule(s["k"], s["q"], s["d"])
+        if s.get("layers", len(schedule.k)) != len(schedule.k):
+            raise ConfigError(
+                f"schedule.layers {s['layers']} disagrees with the {len(schedule.k)} entries of k"
+            )
+        if schedule.k[-1] > self.n:
+            raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {self.n}")
+        return schedule
 
     def build_gn(self) -> GnConfig:
         return GnConfig(**self.gn)
@@ -199,7 +186,7 @@ class ExperimentConfig:
 
     def sweep_band(self) -> tuple[int, int]:
         """(d, k) of the sweep's ROM objective, by default (n, n)."""
-        d, k = (int(self.sweep.get(key, self.n)) for key in ("d", "k"))
+        d, k = (whole(self.sweep.get(key, self.n), f"sweep.{key}") for key in ("d", "k"))
         if not 1 <= d <= k <= self.n:
             raise ValueError(f"need 1 <= d={d} <= k={k} <= n={self.n}")
         return d, k
@@ -220,7 +207,7 @@ class ExperimentConfig:
         that many times finer (same domain, same sensors), so the reference
         carries discretization error no candidate can match.
         """
-        factor = int(self.reference.get("refine", 1))
+        factor = whole(self.reference.get("refine", 1), "reference.refine")
         if factor < 1:
             raise ConfigError("reference.refine must be >= 1")
         if factor == 1:
@@ -234,15 +221,11 @@ class ExperimentConfig:
         ))
 
     def record_dt(self, tau: float) -> float:
-        _one_of(self.record, "record", "dt", "dt_factor")
-        if self.record.get("dt") is not None:
-            return float(self.record["dt"])
+        """The leapfrog step, tau / record.dt_factor."""
         return tau / float(self.record.get("dt_factor", 50))
 
     def record_t_end(self, tau: float) -> float:
-        _one_of(self.record, "record", "t_end", "t_factor")
-        if self.record.get("t_end") is not None:
-            return float(self.record["t_end"])
+        """The record length, record.t_factor times the last sample time."""
         return float(self.record.get("t_factor", 1.25)) * (2 * self.n - 2) * tau
 
     def to_dict(self) -> dict:

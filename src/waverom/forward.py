@@ -97,11 +97,6 @@ class Pulse:
         """Sampling interval: `nyquist_factor` times the Nyquist limit."""
         return nyquist_factor * self.nyquist_tau
 
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        a = 2.0 * math.pi * self.bandwidth
-        return np.cos(self.omega0 * t) * np.exp(-0.5 * (a * t) ** 2)
-
     def df(self, t):
         """Analytic derivative f'(t), the source time function."""
         t = np.asarray(t, dtype=float)
@@ -124,21 +119,6 @@ class Pulse:
 
     def f_hat_sqrt(self, omega):
         return np.sqrt(np.maximum(self.f_hat(omega), 0.0))
-
-
-class FlatPulse:
-    """Stub with a flat unit spectrum, for operator-function identities."""
-
-    omega_ess = None
-    tf = 0.0
-
-    @staticmethod
-    def f_hat(omega):
-        return np.ones_like(np.asarray(omega, dtype=float))
-
-    @staticmethod
-    def f_hat_sqrt(omega):
-        return np.ones_like(np.asarray(omega, dtype=float))
 
 
 # Sensor array ---------------------------------------------------------------
@@ -203,7 +183,7 @@ def _theta_matrix(grid: Grid2D, positions: bytes, theta_width: float) -> np.ndar
 
 @lru_cache(maxsize=16)
 def _nearest_nodes(grid: Grid2D, positions: bytes) -> np.ndarray:
-    """Flat index of the node nearest each sensor, rounded as `VelocityModel.at`."""
+    """Flat index of the node nearest each sensor, rounded as `Grid2D.nearest_node`."""
     nodes = [grid.nearest_node(x, z) for x, z in np.frombuffer(positions).reshape(-1, 2)]
     index = np.array([i * grid.nz + j for i, j in nodes], dtype=np.intp)
     index.flags.writeable = False
@@ -313,9 +293,6 @@ class DiscreteOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def lambda_upper(self) -> float:
         """Gershgorin upper bound on the spectrum."""
         a = self.matrix
@@ -356,10 +333,10 @@ CHEB_RATIO = 1.001
 def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
     """Chebyshev expansions of functions on [0, lam_max], cut to one length K.
 
-    `fn` maps eigenvalues, a 1D array of N nodes, to values of shape (N,)
-    for one function or (N, F, R) for F families of R functions.  Returns the
-    coefficients c, shape (K,) + the trailing shape, such that
-    fn(lam) ~ c[0]/2 + sum_k c[k] T_k(x) with x = 2 lam / lam_max - 1.
+    `fn` maps eigenvalues, a 1D array of N nodes, to values of shape
+    (N, F, R) for F families of R functions.  Returns the coefficients c,
+    shape (K, F, R), such that fn(lam) ~ c[0]/2 + sum_k c[k] T_k(x) with
+    x = 2 lam / lam_max - 1.
 
     Each family is scaled by its largest coefficient, and the table is cut
     where the largest scaled coefficient of what follows drops below
@@ -381,11 +358,11 @@ def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
         h = n // 2 + 1
         turn = (2.0 / n) * np.exp(-0.5j * math.pi * np.arange(h) / n)
         u = np.fft.rfft(y, axis=0)
-        u *= turn.reshape((h,) + (1,) * (y.ndim - 1))
+        u *= turn[:, None, None]
         c = np.empty(y.shape)
         c[:h] = u.real
         np.negative(u.imag[n - h : 0 : -1], out=c[h:])
-        mag = np.abs(c).reshape(n, 1) if c.ndim == 1 else np.abs(c).max(axis=2)
+        mag = np.abs(c).max(axis=2)
         peak = mag.max(axis=0)
         env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
         above = np.nonzero(env >= CHEB_TOL)[0]
@@ -510,19 +487,6 @@ class DataSet:
     @property
     def n_samples(self) -> int:
         return 2 * self.n - 1
-
-    def truncate(self, k: int) -> "DataSet":
-        """First 2k-1 samples as a DataSet of size k.
-
-        By causality of the projected operator, the ROM built from the
-        truncated set equals the upper-left km x km restriction of the
-        full ROM.
-        """
-        if not 1 <= k <= self.n:
-            raise ValueError(f"truncation k={k} outside 1..{self.n}")
-        if k == self.n:
-            return self
-        return DataSet(self.d[: 2 * k - 1], self.ddot[: 2 * k - 1], self.tau, self.m, k)
 
 
 def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
     SingularSystem,
 )
 from .forward import DataSet
-from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, evaluate_velocity
+from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
 
@@ -41,29 +41,16 @@ class LayerSchedule:
     d: int
 
     def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
+        k = tuple(whole(v, "k") for v in self.k)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", whole(self.q, "q"))
+        object.__setattr__(self, "d", whole(self.d, "d"))
         if len(k) < 1 or self.q < 1:
             raise ValueError("need at least one layer and one iteration per layer")
         if any(k[i] > k[i + 1] for i in range(len(k) - 1)) or k[0] < 1:
             raise ValueError("k must satisfy 1 <= k_1 <= ... <= k_L")
         if not 1 <= self.d <= k[0]:
             raise ValueError("need 1 <= d <= k_1")
-
-    @property
-    def layers(self) -> int:
-        return len(self.k)
-
-    @property
-    def total_iterations(self) -> int:
-        return self.layers * self.q
-
-    @classmethod
-    def uniform(cls, n: int, layers: int, q: int, d: int = None) -> "LayerSchedule":
-        """k_l growing linearly to n, e.g. n=8, layers=4 -> (2, 4, 6, 8)."""
-        k = tuple(max(1, round(n * (l + 1) / layers)) for l in range(layers))
-        d = k[0] if d is None else d
-        return cls(k, q, d)
 
 
 @dataclass(frozen=True)
@@ -75,9 +62,9 @@ class GnConfig:
     low end).  Setting regularization="off" forces mu_i = 0, the plain
     Gauss-Newton limit.  alpha_max caps the line-search step, fd_step is
     the finite-difference velocity step (both positive and finite), and
-    c_min the velocity clamp.
-    fwi_truncate limits the FWI misfit of layer l to the first 2k_l - 1
-    samples.
+    c_min the velocity clamp (finite).
+    fwi_truncate, true or false, limits the FWI misfit of layer l to the
+    first 2k_l - 1 samples.
     """
 
     gamma: float = 0.3
@@ -95,6 +82,10 @@ class GnConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.regularization not in ("adaptive", "off"):
             raise ValueError("regularization must be 'adaptive' or 'off'")
+        if not math.isfinite(self.c_min):
+            raise ValueError("c_min must be finite")
+        if not isinstance(self.fwi_truncate, bool):
+            raise ValueError("fwi_truncate must be true or false")
 
 
 @dataclass

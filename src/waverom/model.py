@@ -28,6 +28,16 @@ BC_KINDS = ("dirichlet", "neumann")
 DEFAULT_C_MIN = 300.0
 
 
+def whole(value, name: str) -> int:
+    """A count given in a config: `value` as an int, or ValueError when it
+    is not a whole number (a bool, a fraction, NaN or a string)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _normalize_bc(bc) -> tuple[str, str, str, str]:
     """Expand a bc spec into per-side tags (x_lo, x_hi, z_lo, z_hi)."""
     if isinstance(bc, str):
@@ -116,11 +126,6 @@ class VelocityModel:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-
-    def at(self, x: float, z: float) -> float:
-        """Velocity at the node nearest to (x, z)."""
-        i, j = self.grid.nearest_node(x, z)
-        return float(self.c[i, j])
 
     def rel_l2_error(self, other: "VelocityModel") -> float:
         """Relative L2 distance of self from `other` (the reference)."""
@@ -280,7 +285,7 @@ def make_bump_lattice(
     spacing, enough overlap to represent smooth fields without making the
     basis ill-conditioned.
     """
-    p, q = lattice
+    p, q = (whole(v, "lattice") for v in lattice)
     if p < 1 or q < 1:
         raise ValueError("lattice shape must be at least 1x1")
     g = background.grid

@@ -33,14 +33,6 @@ class OperatorRom:
     def dimension(self) -> int:
         return self.n * self.m
 
-    def initial_block(self) -> np.ndarray:
-        """Projection of the first snapshot block onto the ROM basis.
-
-        Equals the leading block column of R, [R_00; 0; ...]; feeding it
-        through cos(j tau sqrt(A_rom)) reproduces the data samples.
-        """
-        return self.r[:, : self.m].copy()
-
 
 @lru_cache(maxsize=16)
 def _pair_indices(n: int) -> tuple:
@@ -131,17 +123,3 @@ def rest_dk(x: np.ndarray, d: int, m: int) -> np.ndarray:
         raise BandExceedsMatrix(f"band {band} outside 1..{dim}")
     return x[_band_mask(dim, band)]
 
-
-def triu_vec(x: np.ndarray) -> np.ndarray:
-    """Upper triangle (diagonal included) stacked row-major."""
-    dim = x.shape[0]
-    if x.shape != (dim, dim):
-        raise ValueError("input must be square")
-    i, j = np.indices(x.shape)
-    return x[j >= i]
-
-
-def rest_dk_length(d: int, k: int, m: int) -> int:
-    """Length of the rest_dk output vector."""
-    band = d * m
-    return band * k * m - band * (band - 1) // 2

@@ -1,0 +1,45 @@
+"""Test oracles that no command of the program calls.
+
+A flat-spectrum pulse for operator-function identities, the truncated
+data set behind the causality checks, and the velocity at a point.
+"""
+
+import numpy as np
+
+from waverom.forward import DataSet
+from waverom.model import VelocityModel
+
+
+class FlatPulse:
+    """Stub with a flat unit spectrum, for operator-function identities."""
+
+    omega_ess = None
+    tf = 0.0
+
+    @staticmethod
+    def f_hat(omega):
+        return np.ones_like(np.asarray(omega, dtype=float))
+
+    @staticmethod
+    def f_hat_sqrt(omega):
+        return np.ones_like(np.asarray(omega, dtype=float))
+
+
+def truncate(ds: DataSet, k: int) -> DataSet:
+    """First 2k-1 samples as a DataSet of size k.
+
+    By causality of the projected operator, the ROM built from the
+    truncated set equals the upper-left km x km restriction of the full
+    ROM.
+    """
+    if not 1 <= k <= ds.n:
+        raise ValueError(f"truncation k={k} outside 1..{ds.n}")
+    if k == ds.n:
+        return ds
+    return DataSet(ds.d[: 2 * k - 1], ds.ddot[: 2 * k - 1], ds.tau, ds.m, k)
+
+
+def velocity_at(v: VelocityModel, x: float, z: float) -> float:
+    """Velocity at the node nearest to (x, z)."""
+    i, j = v.grid.nearest_node(x, z)
+    return float(v.c[i, j])

@@ -6,6 +6,7 @@ import pytest
 
 from waverom import io
 from waverom.cli import local_minima_census, main
+from waverom.config import load_config
 
 
 def base_config(**overrides):
@@ -92,6 +93,18 @@ class TestSynthesize:
             "forward.timedomain": 1,
             "forward.timedomain.matvecs": nt - 1,
         }
+
+    def test_explicit_layout_matches_line_layout(self, tmp_path):
+        line_path = write_config(tmp_path, base_config(), "line.json")
+        cfg = load_config(line_path)
+        positions = cfg.build_array(cfg.build_grid()).positions.tolist()
+        explicit = base_config()
+        explicit["acquisition"]["layout"] = {"kind": "explicit", "positions": positions}
+        explicit_path = write_config(tmp_path, explicit, "explicit.json")
+        for path, out in ((line_path, "line"), (explicit_path, "explicit")):
+            assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        line_bin = (tmp_path / "line/dataset.bin").read_bytes()
+        assert (tmp_path / "explicit/dataset.bin").read_bytes() == line_bin
 
     def test_manifest_reruns_identically(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -224,6 +237,19 @@ MALFORMED = [
     pytest.param(("search", "width_factor"), float("nan"), id="nan-width-factor"),
     pytest.param(("model",), dict(CAMEMBERT, radius=-5.0), id="negative-radius"),
     pytest.param(("model",), dict(CAMEMBERT, center=[float("nan"), 700.0]), id="nan-center"),
+    pytest.param(("gn",), {"c_min": "x"}, id="string-c-min"),
+    pytest.param(("gn",), {"c_min": float("nan")}, id="nan-c-min"),
+    pytest.param(("gn",), {"fwi_truncate": "no"}, id="string-fwi-truncate"),
+    pytest.param(("schedule", "q"), 1.5, id="fractional-q"),
+    pytest.param(("reference",), {"refine": 1.7}, id="fractional-refine"),
+    pytest.param(("search", "lattice"), [2.5, 2], id="fractional-lattice"),
+    pytest.param(("sampling", "n"), 4.5, id="fractional-n"),
+    pytest.param(("grid", "nx"), 12.5, id="fractional-nx"),
+    pytest.param(("sweep",), dict(SWEEP, d=2.5), id="fractional-sweep-band"),
+    pytest.param(("sampling",), {"n": 4, "tau": 0.05}, id="sampling-tau"),
+    pytest.param(("record",), {"dt": 0.001}, id="record-dt"),
+    pytest.param(("record",), {"t_end": 1.0}, id="record-t_end"),
+    pytest.param(("schedule",), {"layers": 1, "q": 1, "d": 4}, id="schedule-without-k"),
 ]
 
 

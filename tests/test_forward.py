@@ -21,7 +21,6 @@ from waverom.forward import (
     CHEB_TOL,
     DataSet,
     DiscreteOperator,
-    FlatPulse,
     Pulse,
     SensorArray,
     TraceRecord,
@@ -40,6 +39,8 @@ from waverom.forward import (
     synthesize_measurements,
 )
 from waverom.model import Grid2D, VelocityModel, make_camembert_model, make_constant_model
+
+from oracles import FlatPulse, velocity_at
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -75,18 +76,25 @@ def moment_case(case, pulse):
     return v, arr, FlatPulse() if case == "flat" else pulse, pulse.default_tau(), n
 
 
+def pulse_f(pulse, t):
+    """The pulse in time, cos(omega0 t) exp(-(2 pi B t)^2 / 2)."""
+    t = np.asarray(t, dtype=float)
+    a = 2.0 * math.pi * pulse.bandwidth
+    return np.cos(pulse.omega0 * t) * np.exp(-0.5 * (a * t) ** 2)
+
+
 class TestPulse:
     def test_even(self, pulse):
         t = np.linspace(-0.3, 0.3, 101)
-        np.testing.assert_array_equal(pulse.f(t), pulse.f(-t))
+        np.testing.assert_array_equal(pulse_f(pulse, t), pulse_f(pulse, -t))
 
     def test_spectrum_nonnegative(self, pulse):
         w = np.linspace(-300.0, 300.0, 2001)
         assert np.all(pulse.f_hat(w) >= 0)
 
     def test_support_cut(self, pulse):
-        assert abs(pulse.f(pulse.tf)) <= 1e-8
-        assert abs(pulse.f(2 * pulse.tf)) < 1e-8
+        assert abs(pulse_f(pulse, pulse.tf)) <= 1e-8
+        assert abs(pulse_f(pulse, 2 * pulse.tf)) < 1e-8
 
     def test_essential_frequency_matches_ten_hz(self, pulse):
         assert pulse.omega_ess == pytest.approx(2 * math.pi * 10.0)
@@ -96,7 +104,7 @@ class TestPulse:
         # f_hat(w) = int f(t) exp(-i w t) dt
         dt = 1e-3
         t = np.arange(-4096, 4096) * dt
-        ft = pulse.f(t)
+        ft = pulse_f(pulse, t)
         spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(ft))) * dt
         omega = 2 * math.pi * np.fft.fftshift(np.fft.fftfreq(t.size, dt))
         sel = np.abs(omega) < 150.0
@@ -106,7 +114,7 @@ class TestPulse:
     def test_derivative_consistent(self, pulse):
         t = np.linspace(-0.2, 0.2, 41)
         h = 1e-6
-        fd = (pulse.f(t + h) - pulse.f(t - h)) / (2 * h)
+        fd = (pulse_f(pulse, t + h) - pulse_f(pulse, t - h)) / (2 * h)
         np.testing.assert_allclose(pulse.df(t), fd, rtol=1e-6, atol=1e-6)
 
 
@@ -118,8 +126,8 @@ class TestOperator:
         for _ in range(10):
             u = rng.standard_normal(grid.n_dof)
             v = rng.standard_normal(grid.n_dof)
-            a = w * (op.apply(u) @ v)
-            b = w * (u @ op.apply(v))
+            a = w * ((op.matrix @ u) @ v)
+            b = w * (u @ (op.matrix @ v))
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
     def test_constant_coefficient_eigenpair(self, grid):
@@ -135,7 +143,7 @@ class TestOperator:
         mode = np.outer(
             np.sin(math.pi * xx / (grid.nx + 1)), np.sin(math.pi * zz / (grid.nz + 1))
         ).ravel()
-        np.testing.assert_allclose(op.apply(mode), lam_exact * mode, rtol=1e-10)
+        np.testing.assert_allclose(op.matrix @ mode, lam_exact * mode, rtol=1e-10)
 
     def test_smallest_eigenvalue_closed_form(self, grid):
         c0 = 1500.0
@@ -179,7 +187,7 @@ def scipy_dct_coeffs(fn, lam_max: float):
         x = np.cos(math.pi * (np.arange(n) + 0.5) / n)
         y = np.asarray(fn(0.5 * lam_max * (x + 1.0)), dtype=float)
         c = scipy.fft.dct(y, type=2, axis=0) / n
-        mag = np.abs(c).reshape(n, 1) if c.ndim == 1 else np.abs(c).max(axis=2)
+        mag = np.abs(c).max(axis=2)
         peak = mag.max(axis=0)
         env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
         above = np.nonzero(env >= CHEB_TOL)[0]
@@ -204,7 +212,7 @@ def test_cli_import_loads_no_scipy_fft_or_special():
 class TestChebyshev:
     @pytest.mark.parametrize("omega, nodes", [(20, 64), (50, 128), (100, 256), (200, 512), (600, 1024)])
     def test_dct_matches_scipy_on_one_function(self, omega, nodes):
-        fn = lambda lam: np.cos(omega * np.sqrt(lam))
+        fn = lambda lam: np.cos(omega * np.sqrt(lam))[:, None, None]
         expected, n = scipy_dct_coeffs(fn, 1.0)
         assert n == nodes
         c = chebyshev_coeffs(fn, 1.0)
@@ -235,12 +243,12 @@ class TestChebyshev:
 
     def test_coefficients_reproduce_function(self):
         lam_max = 500.0
-        fn = lambda lam: np.cos(0.05 * np.sqrt(lam))
-        c = chebyshev_coeffs(fn, lam_max)
+        fn = lambda lam: np.cos(0.05 * np.sqrt(lam))[:, None, None]
+        c = chebyshev_coeffs(fn, lam_max)[:, 0, 0]
         lam = np.linspace(0.0, lam_max, 777)
         x = 2 * lam / lam_max - 1.0
         vals = np.polynomial.chebyshev.chebval(x, np.r_[c[0] / 2, c[1:]])
-        np.testing.assert_allclose(vals, fn(lam), atol=1e-13)
+        np.testing.assert_allclose(vals, fn(lam)[:, 0, 0], atol=1e-13)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 24, 25])
     @given(size=st.integers(1, 12), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -381,7 +389,7 @@ class TestSensorFunctions:
             [[250.0, 300.0], [400.0, 650.0], [1050.0, 1150.0], [333.0, 777.0], [100.0, 2000.0]]
         )
         arr = SensorArray(positions, theta_width=grid.hx)
-        expected = np.array([v.at(x, z) for x, z in positions])
+        expected = np.array([velocity_at(v, x, z) for x, z in positions])
         for _ in range(2):
             np.testing.assert_array_equal(arr.local_velocities(v), expected)
 

@@ -229,11 +229,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             LayerSchedule((2, 4), 3, 3)  # d > k_1
 
-    def test_uniform(self):
-        s = LayerSchedule.uniform(8, 4, 3)
-        assert s.k == (2, 4, 6, 8)
-        assert s.total_iterations == 12
-
     def test_gn_config_gamma_interval(self):
         with pytest.raises(ValueError):
             GnConfig(gamma=0.5)
