@@ -52,14 +52,15 @@ def _save_manifest(out: Path, manifest: dict):
 def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
+    reference = cfg.reference_model(truth)
     if args.path == "spectral":
-        ds = acq.dataset(cfg.reference_model(truth))
+        ds = acq.dataset(reference)
     else:
-        dt = cfg.record_dt(acq.tau)
-        rec = synthesize_measurements(truth, acq.array, acq.pulse, cfg.record_t_end(acq.tau), dt)
+        dt, t_end = cfg.record_times(acq.tau)
+        rec = synthesize_measurements(reference, acq.array, acq.pulse, t_end, dt)
         if args.traces:
             io.save_traces_csv(out / "traces.csv", rec)
-        ds = symmetrize_and_sample(rec, acq.array, truth, acq.tau, acq.n)
+        ds = symmetrize_and_sample(rec, acq.array, reference, acq.tau, acq.n)
     io.save_dataset(out / "dataset.json", ds)
     io.save_velocity(out / "truth.json", truth)
     manifest = _manifest_base("synthesize", cfg, args)

@@ -12,6 +12,7 @@ field list their keys in SECTION_KEYS.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -19,7 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonPositiveVelocity
-from .forward import Pulse, SensorArray, line_array, ring_array, sensor_array
+from .forward import (
+    SPECTRAL_CAP,
+    Pulse,
+    SensorArray,
+    line_array,
+    record_steps,
+    ring_array,
+    sensor_array,
+    untapered_steps,
+)
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
 from .model import (
@@ -77,6 +87,12 @@ class SweepAxis:
     min: float
     max: float
     count: int
+
+    def __post_init__(self):
+        count = whole(self.count, f"sweep axis {self.name} count")
+        if count < 1:
+            raise ValueError(f"sweep axis {self.name} needs count >= 1, got {count}")
+        object.__setattr__(self, "count", count)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
@@ -206,27 +222,52 @@ class ExperimentConfig:
         discretization.  A larger factor rebuilds the true model on a grid
         that many times finer (same domain, same sensors), so the reference
         carries discretization error no candidate can match.
+
+        With `method: spectral` the model's grid, the largest any synthesis
+        of the run sees, must not exceed SPECTRAL_CAP nodes.
         """
         factor = whole(self.reference.get("refine", 1), "reference.refine")
         if factor < 1:
             raise ConfigError("reference.refine must be >= 1")
-        if factor == 1:
-            return truth
-        if self.model.get("factory") == "file":
-            raise ConfigError("file-backed models cannot be re-gridded")
-        g = truth.grid
-        return self._velocity(self.model, "factory", Grid2D(
-            (g.nx + 1) * factor - 1, (g.nz + 1) * factor - 1,
-            g.hx / factor, g.hz / factor, g.x0, g.z0,
-        ))
+        model = truth
+        if factor > 1:
+            if self.model.get("factory") == "file":
+                raise ConfigError("file-backed models cannot be re-gridded")
+            g = truth.grid
+            model = self._velocity(self.model, "factory", Grid2D(
+                (g.nx + 1) * factor - 1, (g.nz + 1) * factor - 1,
+                g.hx / factor, g.hz / factor, g.x0, g.z0,
+            ))
+        if self.method == "spectral" and model.grid.n_dof > SPECTRAL_CAP:
+            raise ConfigError(
+                f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
+                f"the reference grid has {model.grid.n_dof}"
+            )
+        return model
 
-    def record_dt(self, tau: float) -> float:
-        """The leapfrog step, tau / record.dt_factor."""
-        return tau / float(self.record.get("dt_factor", 50))
+    def record_times(self, tau: float) -> tuple[float, float]:
+        """The leapfrog step dt = tau / record.dt_factor and the record
+        length t_end, record.t_factor times the last sample time.
 
-    def record_t_end(self, tau: float) -> float:
-        """The record length, record.t_factor times the last sample time."""
-        return float(self.record.get("t_factor", 1.25)) * (2 * self.n - 2) * tau
+        dt_factor is a whole number >= 1.  The record must reach its last
+        sample ahead of the tail that `symmetrize_and_sample` tapers off,
+        counted in the steps `synthesize_measurements` takes.
+        """
+        dt_factor = whole(self.record.get("dt_factor", 50), "record.dt_factor")
+        if dt_factor < 1:
+            raise ValueError(f"record.dt_factor must be at least 1, got {dt_factor}")
+        dt = tau / dt_factor
+        t_end = float(self.record.get("t_factor", 1.25)) * (2 * self.n - 2) * tau
+        if not math.isfinite(t_end / dt):
+            raise ValueError("record.t_factor and dt_factor must give a finite number of steps")
+        need = (2 * self.n - 2) * round(tau / dt)
+        usable = untapered_steps(record_steps(t_end, dt))
+        if need > usable:
+            raise ValueError(
+                f"record.t_factor is too short: the last sample is {need} steps past t = 0, "
+                f"but the record ends its untapered part after {usable}"
+            )
+        return dt, t_end
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -261,8 +302,7 @@ def _build_sections(cfg: ExperimentConfig):
             for _ in cfg.sweep_candidates():
                 pass
         section = "record"
-        cfg.record_dt(tau)
-        cfg.record_t_end(tau)
+        cfg.record_times(tau)
         section = "reference"
         cfg.reference_model(truth)
     except KeyError as exc:
@@ -271,7 +311,7 @@ def _build_sections(cfg: ExperimentConfig):
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
-def config_from_dict(raw: dict, base_dir=".") -> ExperimentConfig:
+def config_from_dict(raw: dict, base_dir) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     raw = dict(raw)

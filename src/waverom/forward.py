@@ -41,7 +41,7 @@ from .errors import (
     InsufficientRecordLength,
     NyquistViolation,
 )
-from .model import Grid2D, VelocityModel
+from .model import Grid2D, VelocityModel, whole
 
 #: Largest n_dof for which the dense eigendecomposition path is allowed.
 SPECTRAL_CAP = 20_000
@@ -196,10 +196,19 @@ def sensor_array(grid: Grid2D, positions, theta_width: float = None) -> SensorAr
     return SensorArray(positions, grid.hx if theta_width is None else theta_width)
 
 
+def _sensor_count(m) -> int:
+    """The sensor count of a layout: a whole number >= 1."""
+    m = whole(m, "m")
+    if m < 1:
+        raise ValueError(f"a layout needs m >= 1 sensors, got {m}")
+    return m
+
+
 def line_array(
     grid: Grid2D, m: int, depth: float, theta_width: float = None, margin: float = None
 ) -> SensorArray:
     """Uniform horizontal line of m sensors at the given depth."""
+    m = _sensor_count(m)
     lx = grid.extent[0]
     margin = 0.05 * lx if margin is None else margin
     xs = np.linspace(grid.x0 + margin, grid.x_max - margin, m)
@@ -208,6 +217,7 @@ def line_array(
 
 def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) -> SensorArray:
     """m sensors spread along a rectangle inset from the domain boundary."""
+    m = _sensor_count(m)
     lx, lz = grid.extent
     px, pz = lx - 2 * inset, lz - 2 * inset
     perimeter = 2 * (px + pz)
@@ -444,23 +454,7 @@ def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
     return c
 
 
-# Snapshots and data ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Snapshots:
-    """Block matrix of propagated wavefields; block j holds the m states
-    at time j tau."""
-
-    u: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        if self.u.shape[1] % self.m:
-            raise ValueError("column count must be a multiple of m")
-
-    def block(self, j: int) -> np.ndarray:
-        return self.u[:, j * self.m : (j + 1) * self.m]
+# Data -------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -498,14 +492,19 @@ def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
     return q @ (g[:, None] * (q.T @ th))
 
 
-def propagate_snapshots(op: DiscreteOperator, u0: np.ndarray, tau: float, count: int) -> Snapshots:
+def propagate_snapshots(
+    op: DiscreteOperator, u0: np.ndarray, tau: float, count: int
+) -> np.ndarray:
     """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1, each
-    cosine evaluated exactly through the dense eigendecomposition."""
+    cosine evaluated exactly through the dense eigendecomposition.
+
+    Returns the (n_dof, count m) block matrix whose block j holds the m
+    states of the (n_dof, m) array u_0 at time j tau.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    u0 = np.atleast_2d(u0.T).T if u0.ndim == 1 else u0
     m = u0.shape[1]
     blocks = np.empty((u0.shape[0], count * m))
     blocks[:, :m] = u0
@@ -514,17 +513,11 @@ def propagate_snapshots(op: DiscreteOperator, u0: np.ndarray, tau: float, count:
     p = q.T @ u0
     for j in range(1, count):
         blocks[:, j * m : (j + 1) * m] = q @ (np.cos(j * tau * sq)[:, None] * p)
-    return Snapshots(blocks, m)
+    return blocks
 
 
 def synthesize_dataset(
-    v: VelocityModel,
-    arr: SensorArray,
-    pulse,
-    tau: float,
-    n: int,
-    method: str = "spectral",
-    op: DiscreteOperator = None,
+    v: VelocityModel, arr: SensorArray, pulse, tau: float, n: int, method: str
 ) -> DataSet:
     """Sampled data matrices D_j = w th^T f_hat(sqrt(A)) cos(j tau sqrt(A)) th
     and Ddot_j = -w th^T A f_hat(sqrt(A)) cos(j tau sqrt(A)) th.
@@ -550,14 +543,13 @@ def synthesize_dataset(
         raise ValueError("n must be >= 1")
     if method not in ("spectral", "chebyshev"):
         raise ValueError(f"unknown method {method!r}")
-    omega_ess = getattr(pulse, "omega_ess", None)
-    if omega_ess and tau > math.pi / omega_ess:
+    if tau > pulse.nyquist_tau:
         warnings.warn(
-            NyquistViolation(f"tau={tau:g} exceeds the Nyquist interval {math.pi / omega_ess:g}"),
+            NyquistViolation(f"tau={tau:g} exceeds the Nyquist interval {pulse.nyquist_tau:g}"),
             stacklevel=2,
         )
     profile.count("forward.synth")
-    op = DiscreteOperator(v) if op is None else op
+    op = DiscreteOperator(v)
     th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1
     if method == "chebyshev":
@@ -574,6 +566,20 @@ def synthesize_dataset(
 
 
 # Time-domain measurement path -----------------------------------------------
+
+#: Trailing fraction of a record that the Fourier differentiation tapers off.
+TAPER_FRACTION = 0.1
+
+
+def record_steps(t_end: float, dt: float) -> int:
+    """Time steps of a record from t = 0 through t_end."""
+    return int(math.ceil(t_end / dt - 1e-12))
+
+
+def untapered_steps(steps: int) -> int:
+    """Time steps from t = 0 to the last one ahead of the tapered tail of
+    a record that runs `steps` steps past t = 0."""
+    return int(math.floor((1.0 - TAPER_FRACTION) * steps))
 
 
 @dataclass(frozen=True)
@@ -620,7 +626,7 @@ def synthesize_measurements(
     neg_c2 = -(v.c.reshape(-1, 1) ** 2)
 
     k0 = int(math.ceil(pulse.tf / dt - 1e-12))
-    nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
+    nt = k0 + record_steps(t_end, dt) + 1
     t0 = -k0 * dt
     source = pulse.df(t0 + dt * np.arange(nt - 1))
 
@@ -646,9 +652,7 @@ def synthesize_measurements(
     return TraceRecord(t0, dt, traces)
 
 
-def second_derivative_fourier(
-    series: np.ndarray, dt: float, taper_fraction: float = 0.1
-) -> np.ndarray:
+def second_derivative_fourier(series: np.ndarray, dt: float, taper_fraction: float) -> np.ndarray:
     """d^2/dt^2 of an even-in-time series given on t >= 0.
 
     The series is extended evenly to a full period, differentiated by
@@ -661,10 +665,9 @@ def second_derivative_fourier(
     if npos < 3:
         raise ValueError("need at least 3 samples")
     taper = np.ones(npos)
-    if taper_fraction > 0:
-        ramp = int(math.ceil(taper_fraction * (npos - 1)))
-        s = np.linspace(0.0, math.pi, ramp + 1)
-        taper[npos - 1 - ramp :] = 0.5 * (1.0 + np.cos(s))
+    ramp = int(math.ceil(taper_fraction * (npos - 1)))
+    s = np.linspace(0.0, math.pi, ramp + 1)
+    taper[npos - 1 - ramp :] = 0.5 * (1.0 + np.cos(s))
     tapered = series * taper.reshape((npos,) + (1,) * (series.ndim - 1))
     ext = np.concatenate([tapered, tapered[-2:0:-1]], axis=0)
     nfft = ext.shape[0]
@@ -675,20 +678,16 @@ def second_derivative_fourier(
 
 
 def symmetrize_and_sample(
-    rec: TraceRecord,
-    arr: SensorArray,
-    v: VelocityModel,
-    tau: float,
-    n: int,
-    taper_fraction: float = 0.1,
+    rec: TraceRecord, arr: SensorArray, v: VelocityModel, tau: float, n: int
 ) -> DataSet:
     """Build the sampled DataSet from recorded traces.
 
     D(t) = [M(t) + M(-t)] / (c(x_r) c(x_s)) on the non-negative time grid,
     with M(-t) taken as zero beyond the recorded pre-zero segment; the
     second derivative comes from Fourier-domain differentiation of the
-    even extension.  Samples at j*tau, j = 0..2n-2, must land on grid
-    points outside the tapered tail.
+    even extension, tapered over the trailing TAPER_FRACTION of the
+    record.  Samples at j*tau, j = 0..2n-2, must land on grid points
+    ahead of that tail.
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
@@ -703,7 +702,7 @@ def symmetrize_and_sample(
         raise ConfigError("tau must be an integer multiple of the trace dt")
     stride = int(round(stride))
     need = (2 * n - 2) * stride
-    usable = int(math.floor((1.0 - taper_fraction) * (npos - 1)))
+    usable = untapered_steps(npos - 1)
     if need > usable:
         raise InsufficientRecordLength(
             f"need samples through t={need * dt:g}s but the un-tapered record "
@@ -717,7 +716,7 @@ def symmetrize_and_sample(
     dpos[k] += rec.data[i0 - k]
     dpos[0] *= 2.0
     dpos /= norm
-    ddot_t = second_derivative_fourier(dpos, dt, taper_fraction)
+    ddot_t = second_derivative_fourier(dpos, dt, TAPER_FRACTION)
 
     idx = stride * np.arange(2 * n - 1)
     return DataSet(_sym(dpos[idx]), _sym(ddot_t[idx]), tau, arr.m, n)

@@ -27,7 +27,7 @@ from .errors import (
     SingularSystem,
 )
 from .forward import DataSet
-from .model import DEFAULT_C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
+from .model import Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
 
@@ -62,7 +62,9 @@ class GnConfig:
     low end).  Setting regularization="off" forces mu_i = 0, the plain
     Gauss-Newton limit.  alpha_max caps the line-search step, fd_step is
     the finite-difference velocity step (both positive and finite), and
-    c_min the velocity clamp (finite).
+    c_min the lower clamp on trial velocities in m/s (finite), which
+    keeps the wave operator well-posed during aggressive line-search
+    trials.
     fwi_truncate, true or false, limits the FWI misfit of layer l to the
     first 2k_l - 1 samples.
     """
@@ -71,7 +73,7 @@ class GnConfig:
     alpha_max: float = 3.0
     fd_step: float = 1e-2
     regularization: str = "adaptive"
-    c_min: float = DEFAULT_C_MIN
+    c_min: float = 300.0
     fwi_truncate: bool = False
 
     def __post_init__(self):
@@ -105,7 +107,7 @@ class InversionState:
     penalized_trace: list = field(default_factory=list)
     eta_trace: list = field(default_factory=list)
 
-    def record(self, k: int, objective: float, mu: float, alpha: float, penalized=None):
+    def record(self, k: int, objective: float, mu: float, alpha: float, penalized):
         self.i += 1
         self.k_trace.append(k)
         self.objective_trace.append(objective)
@@ -116,28 +118,24 @@ class InversionState:
 
 
 def jacobian(
-    residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray = None, out: np.ndarray = None
+    residual_fn, eta: np.ndarray, fd_step: float, base: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Forward finite-difference Jacobian of a residual function.
 
     Column l is [G(eta + delta_l e_l) - G(eta)] / delta_l with
     delta_l = fd_step * max(1, |eta_l|); with unit-amplitude bumps one
     eta unit is one m/s of velocity, so fd_step is a velocity step.
-    Columns are evaluated one after another in index order and written
-    straight into one Fortran-ordered (M, N) array, the layout qr_svd
-    factors in place: `out` when given, else a new one.  `base` passes
-    G(eta) when the caller already has it.
+    `base` is G(eta).  Columns are evaluated one after another in index
+    order and written straight into `out`, a Fortran-ordered (M, N) array,
+    the layout qr_svd factors in place.
     """
     eta = np.asarray(eta, dtype=float)
     n = eta.size
-    base = residual_fn(eta) if base is None else base
     if base.size < n:
         raise ResidualShorterThanN(
             f"residual has {base.size} entries for {n} parameters"
         )
 
-    if out is None:
-        out = np.empty((base.size, n), order="F")
     for l in range(n):
         delta = fd_step * max(1.0, abs(eta[l]))
         bumped = eta.copy()

@@ -23,10 +23,6 @@ from .errors import DomainTooSmall, NonPositiveVelocity
 
 BC_KINDS = ("dirichlet", "neumann")
 
-#: Default lower clamp for evaluated velocities (m/s).  Keeps the wave
-#: operator well-posed during aggressive line-search trials.
-DEFAULT_C_MIN = 300.0
-
 
 def whole(value, name: str) -> int:
     """A count given in a config: `value` as an int, or ValueError when it
@@ -199,15 +195,14 @@ class Parametrization:
         return phi
 
 
-def evaluate_velocity(p: Parametrization, eta=None, c_min: float = DEFAULT_C_MIN) -> VelocityModel:
+def evaluate_velocity(p: Parametrization, eta, c_min: float) -> VelocityModel:
     """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid.
 
     Node values are clamped below at `c_min`; with c_min <= 0 a
     non-positive node raises NonPositiveVelocity.
     """
     g = p.background.grid
-    eta = p.eta if eta is None else np.asarray(eta, dtype=float)
-    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ eta, c_min)
+    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float), c_min)
     return VelocityModel(g, c.reshape(g.nx, g.nz), p.background.bc)
 
 

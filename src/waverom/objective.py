@@ -82,13 +82,14 @@ def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
 
 
 def fwi_objective(
-    v: VelocityModel, reference: DataSet, acq: Acquisition, k: int = None
+    v: VelocityModel, reference: DataSet, acq: Acquisition, k: int | None
 ) -> tuple[float, np.ndarray]:
     """Conventional FWI data misfit and its residual vector.
 
-    Sums squared upper-triangle differences over all available samples
-    j = 0..2n-2.  Passing `k` truncates the range to j <= 2k-2, the
-    restriction-parity variant used for layer-stripping comparisons.
+    Sums squared upper-triangle differences over the samples
+    j = 0..2n-2, all of them when `k` is None.  A `k` truncates the range
+    to j <= 2k-2, the restriction-parity variant used for layer-stripping
+    comparisons.
     """
     r = fwi_residual(acq.dataset(v, k), reference)
     return float(r @ r), r

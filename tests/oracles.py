@@ -1,8 +1,11 @@
 """Test oracles that no command of the program calls.
 
-A flat-spectrum pulse for operator-function identities, the truncated
-data set behind the causality checks, and the velocity at a point.
+A flat-spectrum pulse for operator-function identities, the blocks of a
+snapshot matrix, the truncated data set behind the causality checks,
+and the velocity at a point.
 """
+
+import math
 
 import numpy as np
 
@@ -13,7 +16,7 @@ from waverom.model import VelocityModel
 class FlatPulse:
     """Stub with a flat unit spectrum, for operator-function identities."""
 
-    omega_ess = None
+    nyquist_tau = math.inf
     tf = 0.0
 
     @staticmethod
@@ -23,6 +26,12 @@ class FlatPulse:
     @staticmethod
     def f_hat_sqrt(omega):
         return np.ones_like(np.asarray(omega, dtype=float))
+
+
+def block(snapshots: np.ndarray, m: int, j: int) -> np.ndarray:
+    """Block j, the m states at time j tau, of the (n_dof, count m) matrix
+    that `propagate_snapshots` returns."""
+    return snapshots[:, j * m : (j + 1) * m]
 
 
 def truncate(ds: DataSet, k: int) -> DataSet:

@@ -6,7 +6,9 @@ import pytest
 
 from waverom import io
 from waverom.cli import local_minima_census, main
-from waverom.config import load_config
+from waverom.config import config_from_dict, load_config
+from waverom.errors import ConfigError, InsufficientRecordLength
+from waverom.forward import symmetrize_and_sample, synthesize_measurements
 
 
 def base_config(**overrides):
@@ -250,6 +252,21 @@ MALFORMED = [
     pytest.param(("record",), {"dt": 0.001}, id="record-dt"),
     pytest.param(("record",), {"t_end": 1.0}, id="record-t_end"),
     pytest.param(("schedule",), {"layers": 1, "q": 1, "d": 4}, id="schedule-without-k"),
+    pytest.param(("record",), {"t_factor": float("nan")}, id="nan-t-factor"),
+    pytest.param(("record",), {"t_factor": float("inf")}, id="infinite-t-factor"),
+    pytest.param(("record",), {"t_factor": 1.05}, id="t-factor-into-the-taper"),
+    pytest.param(("record",), {"t_factor": -1.0}, id="negative-t-factor"),
+    pytest.param(("record",), {"dt_factor": 0}, id="zero-dt-factor"),
+    pytest.param(("record",), {"dt_factor": float("nan")}, id="nan-dt-factor"),
+    pytest.param(("record",), {"dt_factor": -50}, id="negative-dt-factor"),
+    pytest.param(("record",), {"dt_factor": 12.5}, id="fractional-dt-factor"),
+    pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 2.5, "inset": 200.0},
+                 id="fractional-ring-m"),
+    pytest.param(("acquisition", "layout", "m"), 2.5, id="fractional-line-m"),
+    pytest.param(("acquisition", "layout", "m"), 0, id="zero-line-m"),
+    pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=0)), id="zero-sweep-count"),
+    pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], count=2.5)),
+                 id="fractional-sweep-count"),
 ]
 
 
@@ -268,6 +285,62 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
     else:
         cfg = [cfg]
     rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_valued_float_counts_load():
+    cfg = base_config(sweep=dict(SWEEP, p1=dict(SWEEP["p1"], count=2.0)))
+    cfg["acquisition"]["layout"]["m"] = 3.0
+    loaded = config_from_dict(cfg, ".")
+    assert loaded.build_acquisition(loaded.build_grid()).array.m == 3
+    assert [ax.count for ax in loaded.sweep_axes()] == [2, 3]
+    assert len(list(loaded.sweep_candidates())) == 6
+    cfg["acquisition"]["layout"] = {"kind": "ring", "m": 5.0, "inset": 200.0}
+    loaded = config_from_dict(cfg, ".")
+    assert loaded.build_acquisition(loaded.build_grid()).array.m == 5
+
+
+@pytest.mark.parametrize("dt_factor", [3, 4, 7])
+def test_record_check_at_load_agrees_with_the_run(dt_factor):
+    # t_factor swept across the taper threshold, on and next to each value
+    # that ends the record on a whole step past the last sample
+    raw = base_config()
+    cfg = config_from_dict(raw, ".")
+    truth = cfg.build_model()
+    acq = cfg.build_acquisition(truth.grid)
+    dt = acq.tau / dt_factor
+    need = (2 * acq.n - 2) * dt_factor
+    outcomes = set()
+    for steps in range(need, need + need // 3):
+        x = steps / need
+        for t_factor in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0)):
+            record = {"dt_factor": dt_factor, "t_factor": float(t_factor)}
+            try:
+                config_from_dict(dict(raw, record=record), ".")
+                accepted = True
+            except ConfigError:
+                accepted = False
+            t_end = record["t_factor"] * (2 * acq.n - 2) * acq.tau  # as the run computes it
+            rec = synthesize_measurements(truth, acq.array, acq.pulse, t_end, dt)
+            try:
+                symmetrize_and_sample(rec, acq.array, truth, acq.tau, acq.n)
+                ran = True
+            except InsufficientRecordLength:
+                ran = False
+            assert accepted == ran, (dt_factor, t_factor)
+            outcomes.add(ran)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("grid, reference", [
+    ({"nx": 150, "nz": 150, "hx": 10.0, "hz": 10.0}, {}),
+    ({"nx": 12, "nz": 15, "hx": 100.0, "hz": 100.0}, {"refine": 10}),
+], ids=["truth-grid", "refined-grid"])
+def test_oversized_spectral_grid_exits_2_at_load(tmp_path, capsys, grid, reference):
+    cfg = base_config(grid=grid, reference=reference, method="spectral")
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -494,6 +567,20 @@ class TestHonestReference:
         assert da.d.shape == db.d.shape
         rel = np.max(np.abs(da.d - db.d)) / np.max(np.abs(da.d))
         assert 1e-6 < rel < 1.0  # discretization error visible but bounded
+
+    def test_timedomain_synthesizes_the_refined_reference(self, tmp_path):
+        # both paths synthesize the refined model, so they differ only by
+        # the leapfrog's time discretization
+        cfg_path = write_config(tmp_path, base_config(reference={"refine": 2}))
+        ds = {}
+        for path in ("spectral", "timedomain"):
+            out = tmp_path / path
+            rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out), "--path", path])
+            assert rc == 0
+            ds[path] = io.load_dataset(out / "dataset.json")
+        for field in ("d", "ddot"):
+            a, b = getattr(ds["timedomain"], field), getattr(ds["spectral"], field)
+            assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-3, field
 
 
 def test_sweep_axis_typo_rejected(tmp_path):

@@ -22,6 +22,12 @@ from waverom.objective import Acquisition
 from waverom.rom import build_rom
 
 
+def fd_jacobian(fn, eta, fd_step):
+    """`jacobian` given G(eta) and a new Fortran-ordered (M, N) array."""
+    base = fn(eta)
+    return jacobian(fn, eta, fd_step, base, np.empty((base.size, eta.size), order="F"))
+
+
 def factor(jac, r):
     """gn_step's (SVD of R, Q^T r) for a copy of jac."""
     return qr_svd(np.array(jac, dtype=float, order="F"), np.asarray(r, dtype=float))
@@ -30,7 +36,7 @@ def factor(jac, r):
 class TestJacobian:
     def test_quadratic_toy(self):
         fn = lambda eta: np.array([eta[0] ** 2, eta[1]])
-        jac = jacobian(fn, np.array([1.0, 1.0]), fd_step=1e-6)
+        jac = fd_jacobian(fn, np.array([1.0, 1.0]), fd_step=1e-6)
         np.testing.assert_allclose(jac, [[2.0, 0.0], [0.0, 1.0]], atol=5e-6)
 
     def test_directional_derivative(self):
@@ -41,7 +47,7 @@ class TestJacobian:
             return a @ eta + 0.1 * np.sin(eta).sum() * np.ones(7)
 
         eta = rng.standard_normal(3)
-        jac = jacobian(fn, eta, fd_step=1e-7)
+        jac = fd_jacobian(fn, eta, fd_step=1e-7)
         w = rng.standard_normal(3)
         delta = 1e-7
         fd = (fn(eta + delta * w) - fn(eta)) / delta
@@ -50,14 +56,14 @@ class TestJacobian:
     def test_residual_shorter_than_n(self):
         fn = lambda eta: np.array([eta.sum()])
         with pytest.raises(ResidualShorterThanN):
-            jacobian(fn, np.zeros(3), fd_step=1e-6)
+            fd_jacobian(fn, np.zeros(3), fd_step=1e-6)
 
     def test_rank_deficiency_warns(self):
         from waverom.errors import JacobianRankWarning
 
         a = np.ones((6, 3))  # all columns identical
         fn = lambda eta: a @ eta
-        jac = jacobian(fn, np.zeros(3), fd_step=1e-6)
+        jac = fd_jacobian(fn, np.zeros(3), fd_step=1e-6)
         with pytest.warns(JacobianRankWarning):
             gn_step(*factor(jac, np.ones(6)), 1.0)
 
@@ -67,7 +73,7 @@ class TestJacobian:
         fn = lambda eta: np.tanh(a @ eta) + eta.sum() ** 2
         eta = np.array([0.3, -2.5, 7.0, 0.0])  # deltas both fd_step and fd_step |eta_l|
         base = fn(eta)
-        jac = jacobian(fn, eta, fd_step=1e-2, base=base)
+        jac = jacobian(fn, eta, fd_step=1e-2, base=base, out=np.empty((9, 4), order="F"))
 
         def column(l):
             delta = 1e-2 * max(1.0, abs(eta[l]))
@@ -188,7 +194,7 @@ class TestGnStep:
         base = fn(eta)
         tracemalloc.start()
         try:
-            svd, qtr = qr_svd(jacobian(fn, eta, 1e-2, base=base), base)
+            svd, qtr = qr_svd(jacobian(fn, eta, 1e-2, base, np.empty((m, n), order="F")), base)
             d = gn_step(svd, qtr, tikhonov_mu(svd[1], 0.3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -251,7 +257,7 @@ def toy_problem():
     )
     param = Parametrization(bg, bumps)
     eta_star = np.array([90.0, -70.0, 120.0])
-    v_true = evaluate_velocity(param, eta=eta_star)
+    v_true = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
     ref_rom = build_rom(acq.dataset(v_true))
     return param, eta_star, v_true, ref_rom, acq
 
@@ -305,7 +311,7 @@ class TestRunInversion:
         # shift the background so eta=0 is already optimal: steps reject
         sched = LayerSchedule((acq.n,), q=2, d=acq.n)
         cfg = GnConfig(regularization="off")
-        bg_star = evaluate_velocity(param, eta=eta_star)
+        bg_star = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
         param0 = Parametrization(bg_star, param.basis)
         est, state = run_inversion(ref_rom, param0, sched, cfg, acq)
         np.testing.assert_array_equal(state.eta, np.zeros(3))
@@ -340,6 +346,6 @@ class TestRunInversion:
             param.background,
             tuple(GaussianBump(b.center, b.width, s * b.amplitude) for b in param.basis),
         )
-        v1 = evaluate_velocity(param, eta=eta_star)
-        v2 = evaluate_velocity(scaled, eta=eta_star / s)
+        v1 = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
+        v2 = evaluate_velocity(scaled, eta=eta_star / s, c_min=GnConfig.c_min)
         np.testing.assert_allclose(v1.c, v2.c, rtol=1e-13)

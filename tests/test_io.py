@@ -63,7 +63,8 @@ def test_parametrization_roundtrip(tmp_path, grid):
 def test_dataset_roundtrip(tmp_path, grid):
     v = make_constant_model(2000.0, grid)
     pulse = Pulse.from_hz(6.0, 4.0)
-    ds = synthesize_dataset(v, line_array(grid, 3, depth=200.0), pulse, pulse.default_tau(), 4)
+    arr = line_array(grid, 3, depth=200.0)
+    ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 4, method="spectral")
     io.save_dataset(tmp_path / "d.json", ds)
     back = io.load_dataset(tmp_path / "d.json")
     assert (back.m, back.n, back.tau) == (ds.m, ds.n, ds.tau)
@@ -74,7 +75,8 @@ def test_dataset_roundtrip(tmp_path, grid):
 def test_rom_roundtrip(tmp_path, grid):
     v = make_constant_model(2000.0, grid)
     pulse = Pulse.from_hz(6.0, 4.0)
-    ds = synthesize_dataset(v, line_array(grid, 2, depth=200.0), pulse, pulse.default_tau(), 3)
+    arr = line_array(grid, 2, depth=200.0)
+    ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="spectral")
     rom = build_rom(ds)
     io.save_rom(tmp_path / "r.json", rom)
     back = io.load_rom(tmp_path / "r.json")
@@ -95,7 +97,8 @@ def artifacts(tmp_path, grid):
     """A velocity, dataset, ROM and parametrization on disk, by kind."""
     v = make_constant_model(2000.0, grid)
     pulse = Pulse.from_hz(6.0, 4.0)
-    ds = synthesize_dataset(v, line_array(grid, 2, depth=200.0), pulse, pulse.default_tau(), 3)
+    arr = line_array(grid, 2, depth=200.0)
+    ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="spectral")
     p = Parametrization(v, (GaussianBump((400.0, 600.0), 150.0),), np.array([1.0]))
     io.save_velocity(tmp_path / "velocity.json", v)
     io.save_dataset(tmp_path / "dataset.json", ds)
@@ -170,7 +173,7 @@ def test_state_csv_roundtrip(tmp_path):
 
 def test_state_csv_missing_column_rejected(tmp_path):
     state = InversionState(eta=np.zeros(2))
-    state.record(2, 1.5, 0.25, 1.0)
+    state.record(2, 1.5, 0.25, 1.0, None)
     io.save_state_csv(tmp_path / "s.csv", state)
     lines = (tmp_path / "s.csv").read_text().splitlines()
     (tmp_path / "s.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))

@@ -1,4 +1,4 @@
-"""`src` holds only what the program calls.
+"""`src` holds only what the program calls, and takes only what it passes.
 
 Every top-level function and class of `src/waverom`, and every method
 that is not a dunder, must be referenced somewhere in `src`, `scripts`
@@ -7,10 +7,20 @@ constant that spells a dotted name, the way `perfbench/tracer.py`
 resolves its hooks.  Exports in `waverom/__init__.py` do not count, and
 neither do the tests, so code that only tests reach fails here: it
 belongs in the tests (`tests/oracles.py`) or nowhere.
+
+The same holds for parameters.  Each parameter of those functions and
+methods must be passed by some call in that code, and each default must
+be left out by some call.  Calls are matched by bare name.  A call
+through `*args` or `**kwargs`, or a function stored as a value (a
+factory table of `waverom.config`), passes and omits every parameter.  A
+function that no call names, such as a hook perfbench resolves from a
+string, has no call to judge.
 """
 
 import ast
+import math
 import re
+from collections import defaultdict
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -20,10 +30,27 @@ PACKAGE = REPO / "src" / "waverom"
 ALLOWED = {
     "load_rom": "reads the rom.json that `waverom rom` writes",
     "load_parametrization": "reads the parametrization.json that `waverom invert` writes",
-    "Snapshots.block": "part of the dense snapshot oracle that perfbench resolves by name",
 }
 
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+#: A call that passes and omits every parameter.
+ANY = None
+
+
+def checked_functions():
+    """(qualified name, bare name, def node, is a method) of every checked
+    function and method in src."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield f"{node.name}.{item.name}", item.name, item, True
 
 
 def definitions() -> dict[str, str]:
@@ -31,24 +58,25 @@ def definitions() -> dict[str, str]:
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found[node.name] = node.name
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
-                        found[f"{node.name}.{item.name}"] = item.name
+                found[node.name] = node.name
+    for qualified, name, _, _ in checked_functions():
+        found[qualified] = name
     return found
+
+
+def program_trees():
+    """The parsed modules of src (without `__init__.py`), scripts and perfbench."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(REPO / "scripts").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text()) for path in sorted(paths)]
 
 
 def references() -> set[str]:
     """Every name, attribute and dotted-name string part outside the tests."""
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    paths += [*(REPO / "scripts").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
     seen = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -57,6 +85,59 @@ def references() -> set[str]:
                 if DOTTED_NAME.fullmatch(node.value):
                     seen.update(node.value.split("."))
     return seen
+
+
+def calls() -> dict[str, list]:
+    """Bare name -> each call outside the tests, as (positional count,
+    keyword names), or ANY."""
+    found = defaultdict(list)
+    for tree in program_trees():
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    kw.arg is None for kw in node.keywords
+                ):
+                    found[name].append(ANY)
+                else:
+                    found[name].append((len(node.args), {kw.arg for kw in node.keywords}))
+            elif (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in callees
+            ):
+                found[node.id].append(ANY)
+    return found
+
+
+def parameter_faults() -> list[str]:
+    """'<function>(<parameter>): ...' for each parameter that no call
+    passes and each default that no call leaves out."""
+    program = calls()
+    faults = []
+    for qualified, name, node, method in checked_functions():
+        sites = program.get(name)
+        if not sites:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = {a.arg for a in positional[len(positional) - len(args.defaults):]}
+        defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        if method and not static:
+            positional = positional[1:]
+        params = [(i, a.arg) for i, a in enumerate(positional)]
+        params += [(math.inf, a.arg) for a in args.kwonlyargs]
+        for index, param in params:
+            passed = [site is ANY or index < site[0] or param in site[1] for site in sites]
+            omitted = [site is ANY or not p for site, p in zip(sites, passed)]
+            if not any(passed):
+                faults.append(f"{qualified}({param}): passed by no call")
+            elif param in defaulted and not any(omitted):
+                faults.append(f"{qualified}({param}=): default left out by no call")
+    return faults
 
 
 def test_every_definition_in_src_is_referenced_outside_the_tests():
@@ -71,3 +152,8 @@ def test_every_definition_in_src_is_referenced_outside_the_tests():
 
 def test_allowed_names_are_still_defined():
     assert set(ALLOWED) <= set(definitions())
+
+
+def test_every_parameter_and_default_is_used_outside_the_tests():
+    faults = parameter_faults()
+    assert faults == [], "set only by tests or never:\n" + "\n".join(faults)
