@@ -25,10 +25,8 @@ from .forward import (
     Pulse,
     SensorArray,
     line_array,
-    record_steps,
     ring_array,
     sensor_array,
-    untapered_steps,
 )
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
@@ -74,7 +72,7 @@ SECTION_KEYS = {
     "sampling": {"n", "nyquist_factor"},
     "schedule": {"layers", "q", "k", "d"},
     "sweep": {"p1", "p2", "d", "k"},
-    "record": {"dt_factor", "t_factor"},
+    "record": {"dt_factor"},
     "reference": {"refine"},
 }
 
@@ -247,26 +245,18 @@ class ExperimentConfig:
 
     def record_times(self, tau: float) -> tuple[float, float]:
         """The leapfrog step dt = tau / record.dt_factor and the record
-        length t_end, record.t_factor times the last sample time.
+        length t_end = (2n - 2) tau + dt, one step past the last sample,
+        which `symmetrize_and_sample` needs for its central difference.
 
-        dt_factor is a whole number >= 1.  The record must reach its last
-        sample ahead of the tail that `symmetrize_and_sample` tapers off,
-        counted in the steps `synthesize_measurements` takes.
+        dt_factor is a whole number >= 1 that gives a finite step count.
         """
         dt_factor = whole(self.record.get("dt_factor", 50), "record.dt_factor")
         if dt_factor < 1:
             raise ValueError(f"record.dt_factor must be at least 1, got {dt_factor}")
         dt = tau / dt_factor
-        t_end = float(self.record.get("t_factor", 1.25)) * (2 * self.n - 2) * tau
+        t_end = (2 * self.n - 2) * tau + dt
         if not math.isfinite(t_end / dt):
-            raise ValueError("record.t_factor and dt_factor must give a finite number of steps")
-        need = (2 * self.n - 2) * round(tau / dt)
-        usable = untapered_steps(record_steps(t_end, dt))
-        if need > usable:
-            raise ValueError(
-                f"record.t_factor is too short: the last sample is {need} steps past t = 0, "
-                f"but the record ends its untapered part after {usable}"
-            )
+            raise ValueError("record.dt_factor must give a finite number of steps")
         return dt, t_end
 
     def to_dict(self) -> dict:
@@ -307,7 +297,7 @@ def _build_sections(cfg: ExperimentConfig):
         cfg.reference_model(truth)
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
-    except (TypeError, ValueError, NonPositiveVelocity) as exc:
+    except (TypeError, ValueError, OverflowError, NonPositiveVelocity) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 

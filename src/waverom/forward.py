@@ -239,7 +239,6 @@ def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) ->
 # Discrete operator ----------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def _laplacian_1d(n: int, h: float, lo: str, hi: str) -> sp.csr_matrix:
     """Negated 1D second difference with the given end conditions.
 
@@ -567,20 +566,6 @@ def synthesize_dataset(
 
 # Time-domain measurement path -----------------------------------------------
 
-#: Trailing fraction of a record that the Fourier differentiation tapers off.
-TAPER_FRACTION = 0.1
-
-
-def record_steps(t_end: float, dt: float) -> int:
-    """Time steps of a record from t = 0 through t_end."""
-    return int(math.ceil(t_end / dt - 1e-12))
-
-
-def untapered_steps(steps: int) -> int:
-    """Time steps from t = 0 to the last one ahead of the tapered tail of
-    a record that runs `steps` steps past t = 0."""
-    return int(math.floor((1.0 - TAPER_FRACTION) * steps))
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -626,7 +611,7 @@ def synthesize_measurements(
     neg_c2 = -(v.c.reshape(-1, 1) ** 2)
 
     k0 = int(math.ceil(pulse.tf / dt - 1e-12))
-    nt = k0 + record_steps(t_end, dt) + 1
+    nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
     t0 = -k0 * dt
     source = pulse.df(t0 + dt * np.arange(nt - 1))
 
@@ -652,71 +637,47 @@ def synthesize_measurements(
     return TraceRecord(t0, dt, traces)
 
 
-def second_derivative_fourier(series: np.ndarray, dt: float, taper_fraction: float) -> np.ndarray:
-    """d^2/dt^2 of an even-in-time series given on t >= 0.
-
-    The series is extended evenly to a full period, differentiated by
-    multiplying with -omega^2 in the Fourier domain, and transformed
-    back.  A cosine taper spanning the trailing `taper_fraction` of the
-    record suppresses wrap-around leakage; entries in the tapered zone
-    are unreliable.
-    """
-    npos = series.shape[0]
-    if npos < 3:
-        raise ValueError("need at least 3 samples")
-    taper = np.ones(npos)
-    ramp = int(math.ceil(taper_fraction * (npos - 1)))
-    s = np.linspace(0.0, math.pi, ramp + 1)
-    taper[npos - 1 - ramp :] = 0.5 * (1.0 + np.cos(s))
-    tapered = series * taper.reshape((npos,) + (1,) * (series.ndim - 1))
-    ext = np.concatenate([tapered, tapered[-2:0:-1]], axis=0)
-    nfft = ext.shape[0]
-    omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, dt)
-    spec = np.fft.rfft(ext, axis=0)
-    spec *= (-(omega**2)).reshape((-1,) + (1,) * (series.ndim - 1))
-    return np.fft.irfft(spec, n=nfft, axis=0)[:npos]
-
-
 def symmetrize_and_sample(
     rec: TraceRecord, arr: SensorArray, v: VelocityModel, tau: float, n: int
 ) -> DataSet:
     """Build the sampled DataSet from recorded traces.
 
     D(t) = [M(t) + M(-t)] / (c(x_r) c(x_s)) on the non-negative time grid,
-    with M(-t) taken as zero beyond the recorded pre-zero segment; the
-    second derivative comes from Fourier-domain differentiation of the
-    even extension, tapered over the trailing TAPER_FRACTION of the
-    record.  Samples at j*tau, j = 0..2n-2, must land on grid points
-    ahead of that tail.
+    with M(-t) taken as zero beyond the recorded pre-zero segment.  Each
+    Ddot_j is the central second difference
+    (D[i+1] - 2 D[i] + D[i-1]) / dt^2 at the sample index i = j tau / dt,
+    the difference the leapfrog itself satisfies; the source terms are odd
+    in t and cancel in the fold, and at i = 0 the fold's evenness gives
+    D[-1] = D[1].  The record must reach one step past the last sample,
+    j = 2n - 2.
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
     dt = rec.dt
     i0 = -rec.t0 / dt
-    if abs(i0 - round(i0)) > 1e-8:
+    if abs(i0 - round(i0)) > 1e-8 or round(i0) < 0:
         raise ValueError("t = 0 must lie on the trace time grid")
     i0 = int(round(i0))
-    npos = rec.nt - i0
     stride = tau / dt
     if abs(stride - round(stride)) > 1e-6 * stride:
         raise ConfigError("tau must be an integer multiple of the trace dt")
     stride = int(round(stride))
     need = (2 * n - 2) * stride
-    usable = untapered_steps(npos - 1)
-    if need > usable:
+    if need + 1 >= rec.nt - i0:
         raise InsufficientRecordLength(
-            f"need samples through t={need * dt:g}s but the un-tapered record "
-            f"ends at t={usable * dt:g}s"
+            f"need the record through t={(need + 1) * dt:g}s but it ends at "
+            f"t={(rec.nt - i0 - 1) * dt:g}s"
         )
 
     cs = arr.local_velocities(v)
     norm = np.outer(cs, cs)
-    dpos = np.array(rec.data[i0:], copy=True)
-    k = np.arange(1, min(i0, npos - 1) + 1)
+    dpos = np.array(rec.data[i0 : i0 + need + 2], copy=True)
+    k = np.arange(1, min(i0, need + 1) + 1)
     dpos[k] += rec.data[i0 - k]
     dpos[0] *= 2.0
     dpos /= norm
-    ddot_t = second_derivative_fourier(dpos, dt, TAPER_FRACTION)
 
     idx = stride * np.arange(2 * n - 1)
-    return DataSet(_sym(dpos[idx]), _sym(ddot_t[idx]), tau, arr.m, n)
+    d = dpos[idx]
+    ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / dt**2
+    return DataSet(_sym(d), _sym(ddot), tau, arr.m, n)

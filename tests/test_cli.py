@@ -8,7 +8,7 @@ from waverom import io
 from waverom.cli import local_minima_census, main
 from waverom.config import config_from_dict, load_config
 from waverom.errors import ConfigError, InsufficientRecordLength
-from waverom.forward import symmetrize_and_sample, synthesize_measurements
+from waverom.forward import TraceRecord, symmetrize_and_sample, synthesize_measurements
 
 
 def base_config(**overrides):
@@ -31,6 +31,21 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def assert_paths_agree(tmp_path, cfg, n):
+    """`synthesize` of cfg on both paths writes n samples that agree to 1e-3."""
+    cfg_path = write_config(tmp_path, cfg)
+    ds = {}
+    for path in ("spectral", "timedomain"):
+        out = tmp_path / path
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out), "--path", path])
+        assert rc == 0
+        ds[path] = io.load_dataset(out / "dataset.json")
+        assert ds[path].n == n
+    for field in ("d", "ddot"):
+        a, b = getattr(ds["timedomain"], field), getattr(ds["spectral"], field)
+        assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-3, field
 
 
 class TestCensus:
@@ -80,7 +95,7 @@ class TestSynthesize:
 
     def test_timedomain_path_with_traces(self, tmp_path):
         cfg = base_config()
-        cfg["record"] = {"dt_factor": 12, "t_factor": 1.3}
+        cfg["record"] = {"dt_factor": 12}
         cfg_path = write_config(tmp_path, cfg)
         rc = main([
             "synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
@@ -95,6 +110,10 @@ class TestSynthesize:
             "forward.timedomain": 1,
             "forward.timedomain.matvecs": nt - 1,
         }
+
+    def test_timedomain_with_one_sample_pair(self, tmp_path):
+        # n = 1 samples only t = 0: D_0 and its second derivative there
+        assert_paths_agree(tmp_path, base_config(sampling={"n": 1}), n=1)
 
     def test_explicit_layout_matches_line_layout(self, tmp_path):
         line_path = write_config(tmp_path, base_config(), "line.json")
@@ -260,6 +279,7 @@ MALFORMED = [
     pytest.param(("record",), {"dt_factor": float("nan")}, id="nan-dt-factor"),
     pytest.param(("record",), {"dt_factor": -50}, id="negative-dt-factor"),
     pytest.param(("record",), {"dt_factor": 12.5}, id="fractional-dt-factor"),
+    pytest.param(("record",), {"dt_factor": 10**400}, id="huge-integer-dt-factor"),
     pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 2.5, "inset": 200.0},
                  id="fractional-ring-m"),
     pytest.param(("acquisition", "layout", "m"), 2.5, id="fractional-line-m"),
@@ -302,36 +322,23 @@ def test_whole_valued_float_counts_load():
     assert loaded.build_acquisition(loaded.build_grid()).array.m == 5
 
 
-@pytest.mark.parametrize("dt_factor", [3, 4, 7])
-def test_record_check_at_load_agrees_with_the_run(dt_factor):
-    # t_factor swept across the taper threshold, on and next to each value
-    # that ends the record on a whole step past the last sample
-    raw = base_config()
-    cfg = config_from_dict(raw, ".")
+@pytest.mark.parametrize("n", [1, 2, 4], ids="n{}".format)
+@pytest.mark.parametrize("dt_factor", [1, 3, 7, 50], ids="dt_factor{}".format)
+def test_record_ends_one_step_past_the_last_sample(n, dt_factor):
+    # the constant 1000 m/s model keeps dt = tau under the stability limit
+    cfg = config_from_dict(base_config(
+        model={"factory": "constant", "c0": 1000.0},
+        sampling={"n": n},
+        record={"dt_factor": dt_factor},
+    ), ".")
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
-    dt = acq.tau / dt_factor
-    need = (2 * acq.n - 2) * dt_factor
-    outcomes = set()
-    for steps in range(need, need + need // 3):
-        x = steps / need
-        for t_factor in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0)):
-            record = {"dt_factor": dt_factor, "t_factor": float(t_factor)}
-            try:
-                config_from_dict(dict(raw, record=record), ".")
-                accepted = True
-            except ConfigError:
-                accepted = False
-            t_end = record["t_factor"] * (2 * acq.n - 2) * acq.tau  # as the run computes it
-            rec = synthesize_measurements(truth, acq.array, acq.pulse, t_end, dt)
-            try:
-                symmetrize_and_sample(rec, acq.array, truth, acq.tau, acq.n)
-                ran = True
-            except InsufficientRecordLength:
-                ran = False
-            assert accepted == ran, (dt_factor, t_factor)
-            outcomes.add(ran)
-    assert outcomes == {True, False}
+    dt, t_end = cfg.record_times(acq.tau)
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, t_end, dt)
+    assert symmetrize_and_sample(rec, acq.array, truth, acq.tau, n).n == n
+    cut = TraceRecord(rec.t0, rec.dt, rec.data[:-1])
+    with pytest.raises(InsufficientRecordLength):
+        symmetrize_and_sample(cut, acq.array, truth, acq.tau, n)
 
 
 @pytest.mark.parametrize("grid, reference", [
@@ -571,16 +578,7 @@ class TestHonestReference:
     def test_timedomain_synthesizes_the_refined_reference(self, tmp_path):
         # both paths synthesize the refined model, so they differ only by
         # the leapfrog's time discretization
-        cfg_path = write_config(tmp_path, base_config(reference={"refine": 2}))
-        ds = {}
-        for path in ("spectral", "timedomain"):
-            out = tmp_path / path
-            rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out), "--path", path])
-            assert rc == 0
-            ds[path] = io.load_dataset(out / "dataset.json")
-        for field in ("d", "ddot"):
-            a, b = getattr(ds["timedomain"], field), getattr(ds["spectral"], field)
-            assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-3, field
+        assert_paths_agree(tmp_path, base_config(reference={"refine": 2}), n=4)
 
 
 def test_sweep_axis_typo_rejected(tmp_path):

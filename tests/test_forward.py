@@ -33,7 +33,6 @@ from waverom.forward import (
     propagate_snapshots,
     sample_coeffs,
     sample_functions,
-    second_derivative_fourier,
     symmetrize_and_sample,
     synthesize_dataset,
     synthesize_measurements,
@@ -626,28 +625,41 @@ class TestTimeDomain:
 
 
 class TestSymmetrizeAndSample:
-    def test_even_trace_fixed_point(self):
-        # an even recorded trace comes back shape-unchanged, scaled by velocities
+    DT = 0.01
+    OMEGA = 2 * math.pi * 5.0
+
+    @pytest.fixture
+    def even_cosine(self):
+        """The DataSet of the even trace cos(omega t), recorded on [-0.4, 0.8]
+        at one sensor where c = 2000."""
         g = Grid2D(10, 10, 100.0, 100.0)
         v = make_constant_model(2000.0, g)
         arr = SensorArray(np.array([[500.0, 500.0]]), theta_width=100.0)
-        dt, k0, nt = 0.01, 40, 121
-        times = -k0 * dt + dt * np.arange(nt)
-        trace = np.cos(2 * math.pi * 5.0 * times)  # even in t
-        rec = TraceRecord(-k0 * dt, dt, trace.reshape(-1, 1, 1))
-        ds = symmetrize_and_sample(rec, arr, v, tau=5 * dt, n=3)
-        expected = 2.0 * np.cos(2 * math.pi * 5.0 * 5 * dt * np.arange(5)) / 2000.0**2
-        np.testing.assert_allclose(ds.d[:, 0, 0], expected, atol=1e-12)
+        k0, nt = 40, 121
+        times = -k0 * self.DT + self.DT * np.arange(nt)
+        trace = np.cos(self.OMEGA * times)
+        rec = TraceRecord(-k0 * self.DT, self.DT, trace.reshape(-1, 1, 1))
+        return symmetrize_and_sample(rec, arr, v, tau=5 * self.DT, n=3)
 
-    def test_fourier_derivative_of_cosine(self):
-        # periodic band-limited cosine differentiates exactly
-        omega = 2 * math.pi * 4.0
-        dt = 1 / 256.0
-        npos = 129  # even extension length 256, exactly 4 Hz periodic
-        t = dt * np.arange(npos)
-        series = np.cos(omega * t)
-        dd = second_derivative_fourier(series, dt, taper_fraction=0.0)
-        np.testing.assert_allclose(dd, -(omega**2) * series, rtol=1e-8, atol=1e-8)
+    def test_even_trace_fixed_point(self, even_cosine):
+        # an even recorded trace comes back shape-unchanged, scaled by velocities
+        expected = 2.0 * np.cos(self.OMEGA * 5 * self.DT * np.arange(5)) / 2000.0**2
+        np.testing.assert_allclose(even_cosine.d[:, 0, 0], expected, atol=1e-12)
+
+    def test_central_difference_of_cosine(self, even_cosine):
+        # the second difference of cos(omega t) is 2 (cos(omega dt) - 1) / dt^2
+        # times itself, at j = 0 (through the fold's evenness) as elsewhere
+        ds = even_cosine
+        expected = 2.0 * (math.cos(self.OMEGA * self.DT) - 1.0) / self.DT**2 * ds.d
+        assert np.abs(ds.ddot - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("t0", [0.013, 0.05], ids=["off-grid", "after-zero"])
+    def test_record_must_hold_t_zero(self, t0):
+        g = Grid2D(10, 10, 100.0, 100.0)
+        arr = SensorArray(np.array([[500.0, 500.0]]), theta_width=100.0)
+        rec = TraceRecord(t0, self.DT, np.ones((121, 1, 1)))
+        with pytest.raises(ValueError, match="t = 0"):
+            symmetrize_and_sample(rec, arr, make_constant_model(2000.0, g), 5 * self.DT, 3)
 
 
 def test_serialized_dataset_is_symmetric_invariant(grid, pulse):
