@@ -11,6 +11,13 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
+Then times the two dense routes on the same reference operator, each on
+a fresh operator so that `eig` cannot answer from its cache: the full
+eigendecomposition `DiscreteOperator.eig` and the eigenvalues with the
+sensor coordinates `DiscreteOperator.eig_coordinates(th)`, which the
+spectral synthesis calls.  Prints the median ms of DENSE_REPEATS warmed
+calls and the `tracemalloc` peak in MB of one more call of each.
+
 Then times one Gauss-Newton step's linear algebra (`qr_svd`, `tikhonov_mu`
 and `gn_step`) on a random Jacobian of the desk (3240 x 100) and the
 camembert_paper (12 880 x 400) shape: the median ms of the repeats, and
@@ -51,6 +58,9 @@ from waverom.inversion import gn_step, qr_svd, tikhonov_mu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
+#: Warmed calls of each dense route: one `eig` of a 1911-dof operator
+#: takes about a second.
+DENSE_REPEATS = 3
 # (name, residual length M, parameters N) of the Jacobians the configs'
 # inversions build
 GN_SHAPES = (("camembert_desk", 3240, 100), ("camembert_paper", 12880, 400))
@@ -89,6 +99,32 @@ def bench(path: Path, repeats: int) -> dict:
     }
 
 
+def traced_peak_mb(fn) -> float:
+    """tracemalloc peak in MB of one call of fn."""
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1e6
+
+
+def bench_dense(path: Path) -> dict:
+    """Median ms and tracemalloc peak MB of `eig` and of `eig_coordinates`
+    on the config's reference operator, rebuilt for every call."""
+    cfg = load_config(path)
+    v = cfg.build_model()
+    arr = cfg.build_acquisition(v.grid).array
+    th = arr.theta_matrix(v.grid) / arr.local_velocities(v)
+    routes = {
+        "eig": lambda: DiscreteOperator(v).eig(),
+        "eig_coordinates": lambda: DiscreteOperator(v).eig_coordinates(th),
+    }
+    out = {"config": path.stem, "dof": v.grid.n_dof}
+    for name, fn in routes.items():
+        out[name] = (median_ms(fn, DENSE_REPEATS), traced_peak_mb(fn))
+    return out
+
+
 def bench_gn_step(m: int, n: int, repeats: int) -> dict:
     """Median ms and tracemalloc peak MB of one Gauss-Newton step's linear
     algebra on a random F-ordered m x n Jacobian.  qr_svd overwrites J, so
@@ -108,11 +144,8 @@ def bench_gn_step(m: int, n: int, repeats: int) -> dict:
         step(work)
         times.append(time.perf_counter() - start)
     del work
-    tracemalloc.start()
-    step(jac.copy(order="F"))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return {"ms": 1e3 * statistics.median(times[1:]), "peak_mb": peak / 1e6, "jac_mb": jac.nbytes / 1e6}
+    peak_mb = traced_peak_mb(lambda: step(jac.copy(order="F")))
+    return {"ms": 1e3 * statistics.median(times[1:]), "peak_mb": peak_mb, "jac_mb": jac.nbytes / 1e6}
 
 
 def cold_import(runs: int = 9) -> tuple[float, int]:
@@ -150,6 +183,11 @@ if __name__ == "__main__":
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
+    print(f"{'dense routes':<18}{'dof':>6}{'eig ms':>10}{'eig MB':>9}{'coords ms':>11}{'coords MB':>11}")
+    for path in args.configs:
+        r = bench_dense(path)
+        (eig_ms, eig_mb), (co_ms, co_mb) = r["eig"], r["eig_coordinates"]
+        print(f"{r['config']:<18}{r['dof']:>6}{eig_ms:>10.1f}{eig_mb:>9.1f}{co_ms:>11.1f}{co_mb:>11.1f}")
     print(f"{'GN step':<18}{'M':>7}{'N':>5}{'J MB':>8}{'ms':>9}{'peak MB':>9}")
     for name, m, n in GN_SHAPES:
         g = bench_gn_step(m, n, args.repeats)

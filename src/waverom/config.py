@@ -248,15 +248,21 @@ class ExperimentConfig:
         length t_end = (2n - 2) tau + dt, one step past the last sample,
         which `symmetrize_and_sample` needs for its central difference.
 
-        dt_factor is a whole number >= 1 that gives a finite step count.
+        dt_factor is a whole number >= 1 that gives a finite step count,
+        counted over the whole leapfrog: the pre-zero segment of the
+        pulse's support tf, which the leapfrog starts at, then t_end.
         """
         dt_factor = whole(self.record.get("dt_factor", 50), "record.dt_factor")
         if dt_factor < 1:
             raise ValueError(f"record.dt_factor must be at least 1, got {dt_factor}")
         dt = tau / dt_factor
         t_end = (2 * self.n - 2) * tau + dt
-        if not math.isfinite(t_end / dt):
-            raise ValueError("record.dt_factor must give a finite number of steps")
+        tf = Pulse.from_hz(**self.acquisition["pulse"]).tf
+        if not math.isfinite((tf + t_end) / dt):
+            raise ValueError(
+                f"record.dt_factor {dt_factor:g} gives no finite number of steps of {dt:g} s "
+                f"through the pulse's {tf:g} s before t = 0 and {t_end:g} s after"
+            )
         return dt, t_end
 
     def to_dict(self) -> dict:

@@ -9,11 +9,14 @@ Two independent routes produce the sampled data matrices:
   chebyshev method expands them in Chebyshev polynomials once, with a
   DCT-II that runs on `numpy.fft` (no `scipy.fft`), and uses the block
   moments th^T T_k(A~) th from the kernel polynomial doubling;
-  the spectral method evaluates them at the eigenvalues of the dense
-  eigendecomposition and serves as the exact oracle.  The Chebyshev
-  interval is the Gershgorin bound rounded up to a geometric grid
-  (`chebyshev_interval`), so all operators whose bounds fall in one
-  bucket of that grid share one cached table (`sample_coeffs`).
+  the spectral method evaluates them at the eigenvalues of A and serves
+  as the exact oracle.  It takes the eigenvalues and the coordinates of
+  th in A's eigenbasis from one Householder tridiagonal reduction
+  (`DiscreteOperator.eig_coordinates`); the eigenvectors of A are never
+  formed.  The Chebyshev interval is the Gershgorin bound rounded up to a
+  geometric grid (`chebyshev_interval`), so all operators whose bounds
+  fall in one bucket of that grid share one cached table
+  (`sample_coeffs`).
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
   `symmetrize_and_sample`).
@@ -307,14 +310,18 @@ class DiscreteOperator:
         a = self.matrix
         return float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1])))
 
+    def _check_cap(self):
+        """Refuse a dense eigenproblem above SPECTRAL_CAP."""
+        if self.dimension > SPECTRAL_CAP:
+            raise EigUnavailable(
+                f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
+                "use the Chebyshev path"
+            )
+
     def eig(self):
         """Dense eigendecomposition (ascending values), cached."""
         if self._eig is None:
-            if self.dimension > SPECTRAL_CAP:
-                raise EigUnavailable(
-                    f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
-                    "use the Chebyshev path"
-                )
+            self._check_cap()
             # evd (divide and conquer) on an F-ordered copy that LAPACK
             # overwrites with the eigenvectors.
             w, q = scipy.linalg.eigh(
@@ -325,6 +332,48 @@ class DiscreteOperator:
             )
             self._eig = (w, q)
         return self._eig
+
+    def eig_coordinates(self, x: np.ndarray):
+        """Ascending eigenvalues w of A and the coordinates V^T x of the
+        block x in A's orthonormal eigenbasis V, without forming V.
+
+        One Householder reduction Q^T A Q = T (`dsytrd`, lower) overwrites
+        an F-ordered dense copy of A.  Its reflectors H(1)...H(n-1) sit
+        below the subdiagonal in `dgeqrf` layout and leave row 0 alone, so
+        Q^T x is row 0 of x stacked on `dormqr` of the other rows.  The
+        copy is dropped before divide and conquer on the tridiagonal
+        (`dstevd`) gives T = S diag(w) S^T, and the result is
+        (w, S^T Q^T x).  `x` is only read and nothing is cached: unlike
+        `eig`, this never holds an n x n eigenvector matrix of A beside
+        its workspace.  Raises EigUnavailable above SPECTRAL_CAP and
+        LinAlgError when LAPACK reports a failure.
+        """
+        self._check_cap()
+        n = self.dimension
+        if n == 1:
+            return self.matrix.toarray().ravel(), np.array(x, dtype=float)
+        lapack = scipy.linalg.lapack
+        lwork, info = lapack.dsytrd_lwork(n, lower=1)
+        _check_info("dsytrd_lwork", info)
+        c, d, e, tau, info = lapack.dsytrd(
+            self.matrix.toarray(order="F"), lower=1, lwork=int(lwork), overwrite_a=1
+        )
+        _check_info("dsytrd", info)
+        # the minimal workspace runs the unblocked product, as fast here
+        # for a few columns; the call copies the strided reflector block
+        y = np.array(x, dtype=float, order="F")
+        y[1:], _, info = lapack.dormqr("L", "T", c[1:, :-1], tau, y[1:], y.shape[1])
+        _check_info("dormqr", info)
+        del c
+        w, s, info = lapack.dstevd(d, e, overwrite_d=1, overwrite_e=1)
+        _check_info("dstevd", info)
+        return w, s.T @ y
+
+
+def _check_info(routine: str, info: int):
+    """Raise LinAlgError when a LAPACK routine reports failure."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info {info}")
 
 
 # Matrix functions -----------------------------------------------------------
@@ -386,8 +435,8 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
 
     Uses count // 2 products with `a` through the kernel polynomial
     doubling mu_2k = 2 t_k^T t_k - mu_0, mu_2k+1 = 2 t_k+1^T t_k - mu_1,
-    where t_k = T_k(2 a / lam_max - I) x, and counts each product as
-    `forward.matvecs` in `profile`.  The recurrence
+    where t_k = T_k(2 a / lam_max - I) x, and adds them to
+    `forward.matvecs` in `profile` once per call.  The recurrence
     t_k+1 = 2 (2 a t_k / lam_max - t_k) - t_k-1 runs in place on the array
     each product returns, so `x` is only read; the grams t^T t go straight
     into the result and the doubling is applied to all of them at the end.
@@ -398,7 +447,6 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
     prev, cur = None, x
     for k in range(1, count // 2 + 1):
         nxt = a @ cur
-        profile.count("forward.matvecs")
         nxt *= scale
         nxt -= cur
         if k > 1:
@@ -408,6 +456,7 @@ def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarra
         if 2 * k < count:
             np.matmul(nxt.T, nxt, out=mu[2 * k])
         prev, cur = cur, nxt
+    profile.count("forward.matvecs", count // 2)
     mu[2:] *= 2.0
     mu[2::2] -= mu[0]
     if count > 3:
@@ -524,9 +573,11 @@ def synthesize_dataset(
     th = Theta diag(1/c_s) holds the scaled sensor functions and w = hx*hz
     is the grid quadrature weight.  Both methods contract the 2(2n-1)
     `sample_functions` against a spectral measure of th.  The spectral
-    method evaluates them at the eigenvalues of A = Q diag(lam) Q^T and
-    contracts with p = Q^T th, so D_j = w p^T diag(f_j(lam)) p.  The
-    chebyshev method expands them in one table of length K on [0, lam_max]
+    method evaluates them at the eigenvalues of A = V diag(lam) V^T and
+    contracts with p = V^T th, so D_j = w p^T diag(f_j(lam)) p; lam and p
+    come from `DiscreteOperator.eig_coordinates`, one Householder
+    tridiagonal reduction that never forms V.  The chebyshev method
+    expands them in one table of length K on [0, lam_max]
     and contracts it against the block moments th^T T_k(2A/lam_max - I) th,
     which cost K // 2 sparse products.  lam_max is `lambda_upper` rounded
     up to the grid CHEB_RATIO**e, so that every operator whose bound falls
@@ -556,9 +607,8 @@ def synthesize_dataset(
         c = sample_coeffs(pulse, tau, count, lam_max)
         mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
     else:
-        lam, q = op.eig()
+        lam, p = op.eig_coordinates(th)
         c = sample_functions(pulse, tau, count, np.maximum(lam, 0.0))
-        p = q.T @ th
         mu = p[:, :, None] * p[:, None, :]
     data = v.grid.quad_weight * np.tensordot(c, mu, axes=(0, 0))
     return DataSet(_sym(data[0]), _sym(data[1]), tau, arr.m, n)
@@ -599,8 +649,8 @@ def synthesize_measurements(
     Each step p+ = (2 p - p-) + dt^2 (-c^2 L p + f'(t) theta) runs in
     place on two field buffers and one work buffer, operation for
     operation in that order, so the sparse product is its only allocation.
-    Counts one `forward.timedomain` per record and each product as
-    `forward.timedomain.matvecs` in `profile`.
+    Counts one `forward.timedomain` per record and its nt - 1 products
+    as `forward.timedomain.matvecs` in `profile`.
     """
     op = DiscreteOperator(v)
     dt_max = 2.0 / math.sqrt(op.lambda_upper())
@@ -623,7 +673,6 @@ def synthesize_measurements(
     buf = np.empty_like(theta)
     for k in range(1, nt):
         accel = lap @ p_cur
-        profile.count("forward.timedomain.matvecs")
         accel *= neg_c2
         np.multiply(theta, source[k - 1], out=buf)
         accel += buf
@@ -633,6 +682,7 @@ def synthesize_measurements(
         np.add(buf, accel, out=p_prev)
         p_prev, p_cur = p_cur, p_prev
         np.matmul(theta.T, p_cur, out=traces[k])
+    profile.count("forward.timedomain.matvecs", nt - 1)
     traces *= v.grid.quad_weight
     return TraceRecord(t0, dt, traces)
 

@@ -115,6 +115,19 @@ class TestSynthesize:
         # n = 1 samples only t = 0: D_0 and its second derivative there
         assert_paths_agree(tmp_path, base_config(sampling={"n": 1}), n=1)
 
+    def test_huge_dt_factor_at_one_sample_pair_exits_2(self, tmp_path, capsys):
+        # at n = 1 the record after t = 0 is one step; the steps through the
+        # pulse's support before t = 0 are what overflow
+        cfg = base_config(sampling={"n": 1}, record={"dt_factor": 1e308})
+        out = tmp_path / "out"
+        rc = main([
+            "synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+            "--path", "timedomain",
+        ])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_layout_matches_line_layout(self, tmp_path):
         line_path = write_config(tmp_path, base_config(), "line.json")
         cfg = load_config(line_path)
@@ -280,6 +293,9 @@ MALFORMED = [
     pytest.param(("record",), {"dt_factor": -50}, id="negative-dt-factor"),
     pytest.param(("record",), {"dt_factor": 12.5}, id="fractional-dt-factor"),
     pytest.param(("record",), {"dt_factor": 10**400}, id="huge-integer-dt-factor"),
+    # tf = 9.7e305 s: the leapfrog's pre-zero segment has no finite step count
+    pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e-306,
+                 id="pulse-support-beyond-any-step-count"),
     pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 2.5, "inset": 200.0},
                  id="fractional-ring-m"),
     pytest.param(("acquisition", "layout", "m"), 2.5, id="fractional-line-m"),

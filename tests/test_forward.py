@@ -178,6 +178,96 @@ class TestOperator:
             op.eig()
 
 
+def spectral_case(case):
+    """(model, array) of the eigen-coordinate comparisons."""
+    if case == "camembert":
+        # the disk centred in the square: many exactly degenerate eigenvalues
+        g = Grid2D(19, 19, 100.0, 100.0)
+        return make_camembert_model(g), line_array(g, 3, depth=300.0)
+    g = Grid2D(20, 20, 100.0, 100.0)
+    v = random_velocity(g, seed=13, bc="neumann" if case == "neumann" else "dirichlet")
+    return v, line_array(g, 1 if case == "m1" else 3, depth=300.0)
+
+
+def dataset_through_eig(v, arr, pulse, tau, n):
+    """D_j and Ddot_j contracted through the full eigenvector matrix of
+    `DiscreteOperator.eig`, p = Q^T th, symmetrized as the synthesis does."""
+    lam, q = DiscreteOperator(v).eig()
+    p = q.T @ (arr.theta_matrix(v.grid) / arr.local_velocities(v))
+    c = sample_functions(pulse, tau, 2 * n - 1, np.maximum(lam, 0.0))
+    data = v.grid.quad_weight * np.einsum("kfj,kr,ks->fjrs", c, p, p)
+    return 0.5 * (data + np.swapaxes(data, -1, -2))
+
+
+class TestEigCoordinates:
+    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "camembert", "m1"])
+    def test_spectral_data_match_the_full_eigenvectors(self, case, pulse):
+        v, arr = spectral_case(case)
+        if case == "camembert":
+            w, _ = DiscreteOperator(v).eig()
+            assert np.sum(np.diff(w) < 1e-12 * w[-1]) > 10
+        tau, n = pulse.default_tau(), 4
+        ds = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
+        ref = dataset_through_eig(v, arr, pulse, tau, n)
+        for field, expected in zip(("d", "ddot"), ref):
+            got = getattr(ds, field)
+            err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+            assert err <= 1e-12, (field, err)
+
+    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "camembert"])
+    def test_eigenvalues_and_column_norms(self, case):
+        v, arr = spectral_case(case)
+        op = DiscreteOperator(v)
+        x = arr.theta_matrix(v.grid) / arr.local_velocities(v)
+        w, p = op.eig_coordinates(x)
+        w_ref, _ = op.eig()
+        assert p.shape == x.shape
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * w_ref[-1]
+        norms = np.linalg.norm(x, axis=0)
+        np.testing.assert_allclose(np.linalg.norm(p, axis=0), norms, rtol=1e-12, atol=0)
+
+    def test_one_column(self, grid):
+        op = DiscreteOperator(random_velocity(grid, seed=14))
+        x = np.random.default_rng(15).standard_normal((grid.n_dof, 1))
+        w, p = op.eig_coordinates(x)
+        assert p.shape == (grid.n_dof, 1)
+        # x^T A^k x = sum_i w_i^k p_i^2, whatever the eigenvectors' signs
+        ax = x
+        for k in range(4):
+            expected = (x.T @ ax).item()
+            assert np.sum(w**k * p[:, 0] ** 2) == pytest.approx(expected, rel=1e-12)
+            ax = op.matrix @ ax
+
+    def test_one_dof(self, grid):
+        op = DiscreteOperator(random_velocity(grid))
+        op.matrix = sp.csr_matrix([[4.0]])
+        x = np.array([[3.0, -2.0]])
+        w, p = op.eig_coordinates(x)
+        np.testing.assert_array_equal(w, [4.0])
+        np.testing.assert_array_equal(p, x)
+        assert p is not x
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_only_reads_x_and_caches_nothing(self, grid, order, cols):
+        op = DiscreteOperator(random_velocity(grid, seed=16))
+        x = np.array(np.random.default_rng(17).standard_normal((grid.n_dof, cols)), order=order)
+        kept = x.copy(order="A")
+        w, p = op.eig_coordinates(x)
+        assert x.tobytes(order="A") == kept.tobytes(order="A")
+        assert op._eig is None
+        x.flags.writeable = False
+        w2, p2 = op.eig_coordinates(x)
+        np.testing.assert_array_equal(w2, w)
+        np.testing.assert_array_equal(p2, p)
+
+    def test_spectral_cap_through_the_synthesis(self, grid, pulse, monkeypatch):
+        monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
+        arr = line_array(grid, 2, depth=300.0)
+        with pytest.raises(EigUnavailable):
+            synthesize_dataset(random_velocity(grid), arr, pulse, pulse.default_tau(), 2, "spectral")
+
+
 def scipy_dct_coeffs(fn, lam_max: float):
     """`chebyshev_coeffs`' node loop with the nodes in natural order and the
     DCT-II from `scipy.fft`; returns the table and its node count."""
