@@ -76,6 +76,15 @@ def median_ms(fn, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
+def traced_peak_mb(fn) -> float:
+    """tracemalloc peak in MB of one call of fn."""
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1e6
+
+
 def bench(path: Path, repeats: int) -> dict:
     cfg = load_config(path)
     v = cfg.build_model()
@@ -87,6 +96,11 @@ def bench(path: Path, repeats: int) -> dict:
     th = acq.array.theta_matrix(v.grid) / acq.array.local_velocities(v)
     build_table = sample_coeffs.__wrapped__  # the build, not a cache hit
     k = build_table(acq.pulse, acq.tau, count, lam_max).shape[0]
+    # each dense call gets a fresh operator, so that `eig` misses its cache
+    dense = {
+        "eig": lambda: DiscreteOperator(v).eig(),
+        "eig_coordinates": lambda: DiscreteOperator(v).eig_coordinates(th),
+    }
     return {
         "config": path.stem,
         "dof": v.grid.n_dof,
@@ -96,33 +110,8 @@ def bench(path: Path, repeats: int) -> dict:
         "dataset": median_ms(lambda: acq.dataset(v), repeats),
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
+        **{name: (median_ms(fn, DENSE_REPEATS), traced_peak_mb(fn)) for name, fn in dense.items()},
     }
-
-
-def traced_peak_mb(fn) -> float:
-    """tracemalloc peak in MB of one call of fn."""
-    tracemalloc.start()
-    fn()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak / 1e6
-
-
-def bench_dense(path: Path) -> dict:
-    """Median ms and tracemalloc peak MB of `eig` and of `eig_coordinates`
-    on the config's reference operator, rebuilt for every call."""
-    cfg = load_config(path)
-    v = cfg.build_model()
-    arr = cfg.build_acquisition(v.grid).array
-    th = arr.theta_matrix(v.grid) / arr.local_velocities(v)
-    routes = {
-        "eig": lambda: DiscreteOperator(v).eig(),
-        "eig_coordinates": lambda: DiscreteOperator(v).eig_coordinates(th),
-    }
-    out = {"config": path.stem, "dof": v.grid.n_dof}
-    for name, fn in routes.items():
-        out[name] = (median_ms(fn, DENSE_REPEATS), traced_peak_mb(fn))
-    return out
 
 
 def bench_gn_step(m: int, n: int, repeats: int) -> dict:
@@ -176,16 +165,15 @@ if __name__ == "__main__":
         f"{'config':<18}{'dof':>6}{'m':>4}{'K':>5}{'lam/bound':>11}"
         f"{'dataset ms':>12}{'table ms':>10}{'moments ms':>12}{'us/step':>9}"
     )
-    for path in args.configs:
-        r = bench(path, args.repeats)
+    results = [bench(path, args.repeats) for path in args.configs]
+    for r in results:
         print(
             f"{r['config']:<18}{r['dof']:>6}{r['m']:>4}{r['K']:>5}{r['ratio']:>11.6f}"
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
     print(f"{'dense routes':<18}{'dof':>6}{'eig ms':>10}{'eig MB':>9}{'coords ms':>11}{'coords MB':>11}")
-    for path in args.configs:
-        r = bench_dense(path)
+    for r in results:
         (eig_ms, eig_mb), (co_ms, co_mb) = r["eig"], r["eig_coordinates"]
         print(f"{r['config']:<18}{r['dof']:>6}{eig_ms:>10.1f}{eig_mb:>9.1f}{co_ms:>11.1f}{co_mb:>11.1f}")
     print(f"{'GN step':<18}{'M':>7}{'N':>5}{'J MB':>8}{'ms':>9}{'peak MB':>9}")
