@@ -18,6 +18,11 @@ sensor coordinates `DiscreteOperator.eig_coordinates(th)`, which the
 spectral synthesis calls.  Prints the median ms of DENSE_REPEATS warmed
 calls and the `tracemalloc` peak in MB of one more call of each.
 
+Then times the time-domain route on the same reference at the config's
+`record.dt_factor`: one record is `synthesize_measurements` followed by
+`symmetrize_and_sample`.  Prints the record's length nt in leapfrog
+steps and the median ms of DENSE_REPEATS warmed records.
+
 Then times one Gauss-Newton step's linear algebra (`qr_svd`, `tikhonov_mu`
 and `gn_step`) on a random Jacobian of the desk (3240 x 100) and the
 camembert_paper (12 880 x 400) shape: the median ms of the repeats, and
@@ -52,14 +57,17 @@ from waverom.forward import (
     DiscreteOperator,
     chebyshev_interval,
     chebyshev_moments,
+    record_layout,
     sample_coeffs,
+    symmetrize_and_sample,
+    synthesize_measurements,
 )
 from waverom.inversion import gn_step, qr_svd, tikhonov_mu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
-#: Warmed calls of each dense route: one `eig` of a 1911-dof operator
-#: takes about a second.
+#: Warmed calls of each dense route and of the time-domain record: one
+#: `eig` of a 1911-dof operator takes about a second.
 DENSE_REPEATS = 3
 # (name, residual length M, parameters N) of the Jacobians the configs'
 # inversions build
@@ -101,6 +109,11 @@ def bench(path: Path, repeats: int) -> dict:
         "eig": lambda: DiscreteOperator(v).eig(),
         "eig_coordinates": lambda: DiscreteOperator(v).eig_coordinates(th),
     }
+
+    def record():
+        rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n, cfg.dt_factor)
+        return symmetrize_and_sample(rec, acq.array, v, acq.n)
+
     return {
         "config": path.stem,
         "dof": v.grid.n_dof,
@@ -111,6 +124,9 @@ def bench(path: Path, repeats: int) -> dict:
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
         **{name: (median_ms(fn, DENSE_REPEATS), traced_peak_mb(fn)) for name, fn in dense.items()},
+        "dt_factor": cfg.dt_factor,
+        "nt": record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)[1],
+        "record": median_ms(record, DENSE_REPEATS),
     }
 
 
@@ -176,6 +192,9 @@ if __name__ == "__main__":
     for r in results:
         (eig_ms, eig_mb), (co_ms, co_mb) = r["eig"], r["eig_coordinates"]
         print(f"{r['config']:<18}{r['dof']:>6}{eig_ms:>10.1f}{eig_mb:>9.1f}{co_ms:>11.1f}{co_mb:>11.1f}")
+    print(f"{'time domain':<18}{'dof':>6}{'dt_factor':>11}{'nt':>8}{'record ms':>11}")
+    for r in results:
+        print(f"{r['config']:<18}{r['dof']:>6}{r['dt_factor']:>11}{r['nt']:>8}{r['record']:>11.1f}")
     print(f"{'GN step':<18}{'M':>7}{'N':>5}{'J MB':>8}{'ms':>9}{'peak MB':>9}")
     for name, m, n in GN_SHAPES:
         g = bench_gn_step(m, n, args.repeats)

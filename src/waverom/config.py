@@ -12,7 +12,6 @@ field list their keys in SECTION_KEYS.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -25,6 +24,7 @@ from .forward import (
     Pulse,
     SensorArray,
     line_array,
+    record_layout,
     ring_array,
     sensor_array,
 )
@@ -87,10 +87,7 @@ class SweepAxis:
     count: int
 
     def __post_init__(self):
-        count = whole(self.count, f"sweep axis {self.name} count")
-        if count < 1:
-            raise ValueError(f"sweep axis {self.name} needs count >= 1, got {count}")
-        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "count", whole(self.count, f"sweep axis {self.name} count", 1))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
@@ -224,9 +221,7 @@ class ExperimentConfig:
         With `method: spectral` the model's grid, the largest any synthesis
         of the run sees, must not exceed SPECTRAL_CAP nodes.
         """
-        factor = whole(self.reference.get("refine", 1), "reference.refine")
-        if factor < 1:
-            raise ConfigError("reference.refine must be >= 1")
+        factor = whole(self.reference.get("refine", 1), "reference.refine", 1)
         model = truth
         if factor > 1:
             if self.model.get("factory") == "file":
@@ -243,27 +238,10 @@ class ExperimentConfig:
             )
         return model
 
-    def record_times(self, tau: float) -> tuple[float, float]:
-        """The leapfrog step dt = tau / record.dt_factor and the record
-        length t_end = (2n - 2) tau + dt, one step past the last sample,
-        which `symmetrize_and_sample` needs for its central difference.
-
-        dt_factor is a whole number >= 1 that gives a finite step count,
-        counted over the whole leapfrog: the pre-zero segment of the
-        pulse's support tf, which the leapfrog starts at, then t_end.
-        """
-        dt_factor = whole(self.record.get("dt_factor", 50), "record.dt_factor")
-        if dt_factor < 1:
-            raise ValueError(f"record.dt_factor must be at least 1, got {dt_factor}")
-        dt = tau / dt_factor
-        t_end = (2 * self.n - 2) * tau + dt
-        tf = Pulse.from_hz(**self.acquisition["pulse"]).tf
-        if not math.isfinite((tf + t_end) / dt):
-            raise ValueError(
-                f"record.dt_factor {dt_factor:g} gives no finite number of steps of {dt:g} s "
-                f"through the pulse's {tf:g} s before t = 0 and {t_end:g} s after"
-            )
-        return dt, t_end
+    @property
+    def dt_factor(self):
+        """record.dt_factor, the leapfrog steps per sample interval (default 50)."""
+        return self.record.get("dt_factor", 50)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -284,7 +262,7 @@ def _build_sections(cfg: ExperimentConfig):
         section = "model"
         truth = cfg.build_model()
         section = "acquisition"
-        tau = cfg.build_acquisition(truth.grid).tau
+        acq = cfg.build_acquisition(truth.grid)
         section = "search"
         cfg.build_search(truth.grid)
         section = "gn"
@@ -298,7 +276,7 @@ def _build_sections(cfg: ExperimentConfig):
             for _ in cfg.sweep_candidates():
                 pass
         section = "record"
-        cfg.record_times(tau)
+        record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)
         section = "reference"
         cfg.reference_model(truth)
     except KeyError as exc:

@@ -19,7 +19,7 @@ Two independent routes produce the sampled data matrices:
   (`sample_coeffs`).
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
-  `symmetrize_and_sample`).
+  `symmetrize_and_sample`), laid out in whole steps by `record_layout`.
 
 Both share the same discrete operator, so their disagreement measures
 only time-discretization error.
@@ -28,6 +28,8 @@ only time-discretization error.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +41,6 @@ import scipy.sparse as sp
 from . import profile
 from .errors import (
     CflViolation,
-    ConfigError,
     EigUnavailable,
     InsufficientRecordLength,
     NyquistViolation,
@@ -73,8 +74,11 @@ class Pulse:
     bandwidth: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)):
-            raise ValueError("pulse needs a finite omega0 > 0 and bandwidth > 0")
+        a = 2.0 * math.pi * self.bandwidth  # f_hat divides by a^2
+        if not (self.omega0 > 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)
+                and sys.float_info.min <= a * a < math.inf):
+            raise ValueError("pulse needs a finite omega0 > 0 and a bandwidth B > 0 "
+                             "whose (2 pi B)^2 is a normal double")
 
     @classmethod
     def from_hz(cls, freq_hz: float, bandwidth_hz: float) -> "Pulse":
@@ -119,9 +123,6 @@ class Pulse:
             np.exp(-((omega - self.omega0) ** 2) / (2.0 * a**2))
             + np.exp(-((omega + self.omega0) ** 2) / (2.0 * a**2))
         )
-
-    def f_hat_sqrt(self, omega):
-        return np.sqrt(np.maximum(self.f_hat(omega), 0.0))
 
 
 # Sensor array ---------------------------------------------------------------
@@ -199,19 +200,11 @@ def sensor_array(grid: Grid2D, positions, theta_width: float = None) -> SensorAr
     return SensorArray(positions, grid.hx if theta_width is None else theta_width)
 
 
-def _sensor_count(m) -> int:
-    """The sensor count of a layout: a whole number >= 1."""
-    m = whole(m, "m")
-    if m < 1:
-        raise ValueError(f"a layout needs m >= 1 sensors, got {m}")
-    return m
-
-
 def line_array(
     grid: Grid2D, m: int, depth: float, theta_width: float = None, margin: float = None
 ) -> SensorArray:
     """Uniform horizontal line of m sensors at the given depth."""
-    m = _sensor_count(m)
+    m = whole(m, "m", 1)
     lx = grid.extent[0]
     margin = 0.05 * lx if margin is None else margin
     xs = np.linspace(grid.x0 + margin, grid.x_max - margin, m)
@@ -220,7 +213,7 @@ def line_array(
 
 def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) -> SensorArray:
     """m sensors spread along a rectangle inset from the domain boundary."""
-    m = _sensor_count(m)
+    m = whole(m, "m", 1)
     lx, lz = grid.extent
     px, pz = lx - 2 * inset, lz - 2 * inset
     perimeter = 2 * (px + pz)
@@ -536,7 +529,7 @@ def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
     through the dense eigendecomposition."""
     w, q = op.eig()
     th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
-    g = pulse.f_hat_sqrt(np.sqrt(np.maximum(w, 0.0)))
+    g = np.sqrt(np.maximum(pulse.f_hat(np.sqrt(np.maximum(w, 0.0))), 0.0))
     return q @ (g[:, None] * (q.T @ th))
 
 
@@ -617,13 +610,50 @@ def synthesize_dataset(
 # Time-domain measurement path -----------------------------------------------
 
 
+def record_layout(pulse: Pulse, tau: float, n: int, dt_factor, m: int) -> tuple[int, int]:
+    """(k0, nt) of the record of n sample pairs in steps of dt = tau / dt_factor.
+
+    The leapfrog starts k0 = ceil(tf / dt - 1e-12) steps before t = 0, at
+    or before -tf where the field is quiescent, and records nt = k0 +
+    (2n - 2) dt_factor + 2 times, through one step past the last sample.
+    ValueError for a dt_factor that is not a whole number >= 1, a step dt
+    that is not positive, or m x m traces (8 nt m^2 bytes) beyond the
+    physical memory; OverflowError when tf / dt is not finite.
+    """
+    dt_factor = whole(dt_factor, "dt_factor", 1)
+    dt = tau / dt_factor
+    if not dt > 0:
+        raise ValueError(f"the step tau / dt_factor = {tau:g} / {dt_factor} is not positive")
+    k0 = math.ceil(pulse.tf / dt - 1e-12)
+    nt = k0 + (2 * n - 2) * dt_factor + 2
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * nt * m * m > memory:
+        raise ValueError(f"a record of {nt} steps of {dt:g} s needs {8 * nt * m * m:.3g} "
+                         f"bytes of traces, more than the {memory:.3g} bytes of memory")
+    return k0, nt
+
+
 @dataclass(frozen=True)
 class TraceRecord:
-    """Receiver traces M^(r,s)(t) on a uniform time grid starting at t0."""
+    """Receiver traces M^(r,s)(t) at t = (k - k0) dt, k = 0..nt-1, with
+    dt = tau / dt_factor: sample j of interval tau is step k0 + j dt_factor."""
 
-    t0: float
-    dt: float
+    tau: float
+    dt_factor: int
+    k0: int
     data: np.ndarray  # (nt, m, m), [k, r, s]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dt_factor", whole(self.dt_factor, "dt_factor", 1))
+        object.__setattr__(self, "k0", whole(self.k0, "k0"))
+        if self.k0 < 0:
+            raise ValueError(f"the record must hold t = 0, but starts {-self.k0} steps after it")
+        if not self.tau > 0:
+            raise ValueError("tau must be positive")
+
+    @property
+    def dt(self) -> float:
+        return self.tau / self.dt_factor
 
     @property
     def nt(self) -> int:
@@ -634,17 +664,17 @@ class TraceRecord:
         return self.data.shape[1]
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.nt)
+        return -self.k0 * self.dt + self.dt * np.arange(self.nt)
 
 
 def synthesize_measurements(
-    v: VelocityModel, arr: SensorArray, pulse: Pulse, t_end: float, dt: float
+    v: VelocityModel, arr: SensorArray, pulse: Pulse, tau: float, n: int, dt_factor: int
 ) -> TraceRecord:
     """Leapfrog the pressure equation and record all m^2 sensor traces.
 
-    Integration starts at the first grid time at or before -tf (the field
-    is quiescent there) and runs through t_end.  Raises CflViolation when
-    dt exceeds the stability limit of the discrete operator.
+    The record is laid out by `record_layout`, in steps of dt = tau /
+    dt_factor.  Raises CflViolation when dt exceeds the stability limit of
+    the discrete operator.
 
     Each step p+ = (2 p - p-) + dt^2 (-c^2 L p + f'(t) theta) runs in
     place on two field buffers and one work buffer, operation for
@@ -652,6 +682,8 @@ def synthesize_measurements(
     Counts one `forward.timedomain` per record and its nt - 1 products
     as `forward.timedomain.matvecs` in `profile`.
     """
+    k0, nt = record_layout(pulse, tau, n, dt_factor, arr.m)
+    dt = tau / dt_factor
     op = DiscreteOperator(v)
     dt_max = 2.0 / math.sqrt(op.lambda_upper())
     if dt > dt_max:
@@ -659,11 +691,7 @@ def synthesize_measurements(
     profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
     neg_c2 = -(v.c.reshape(-1, 1) ** 2)
-
-    k0 = int(math.ceil(pulse.tf / dt - 1e-12))
-    nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
-    t0 = -k0 * dt
-    source = pulse.df(t0 + dt * np.arange(nt - 1))
+    source = pulse.df(-k0 * dt + dt * np.arange(nt - 1))
 
     lap = _laplacian_2d(v.grid, v.bc)
     traces = np.empty((nt, arr.m, arr.m))
@@ -684,34 +712,26 @@ def synthesize_measurements(
         np.matmul(theta.T, p_cur, out=traces[k])
     profile.count("forward.timedomain.matvecs", nt - 1)
     traces *= v.grid.quad_weight
-    return TraceRecord(t0, dt, traces)
+    return TraceRecord(tau, dt_factor, k0, traces)
 
 
 def symmetrize_and_sample(
-    rec: TraceRecord, arr: SensorArray, v: VelocityModel, tau: float, n: int
+    rec: TraceRecord, arr: SensorArray, v: VelocityModel, n: int
 ) -> DataSet:
-    """Build the sampled DataSet from recorded traces.
+    """Build the sampled DataSet of interval rec.tau from recorded traces.
 
     D(t) = [M(t) + M(-t)] / (c(x_r) c(x_s)) on the non-negative time grid,
-    with M(-t) taken as zero beyond the recorded pre-zero segment.  Each
-    Ddot_j is the central second difference
-    (D[i+1] - 2 D[i] + D[i-1]) / dt^2 at the sample index i = j tau / dt,
+    with M(-t) taken as zero beyond the k0 recorded steps before t = 0.
+    Sample j lies at step i = j dt_factor after t = 0, and each Ddot_j is
+    the central second difference (D[i+1] - 2 D[i] + D[i-1]) / dt^2 there,
     the difference the leapfrog itself satisfies; the source terms are odd
     in t and cancel in the fold, and at i = 0 the fold's evenness gives
     D[-1] = D[1].  The record must reach one step past the last sample,
-    j = 2n - 2.
+    j = 2n - 2, or InsufficientRecordLength is raised.
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
-    dt = rec.dt
-    i0 = -rec.t0 / dt
-    if abs(i0 - round(i0)) > 1e-8 or round(i0) < 0:
-        raise ValueError("t = 0 must lie on the trace time grid")
-    i0 = int(round(i0))
-    stride = tau / dt
-    if abs(stride - round(stride)) > 1e-6 * stride:
-        raise ConfigError("tau must be an integer multiple of the trace dt")
-    stride = int(round(stride))
+    dt, i0, stride = rec.dt, rec.k0, rec.dt_factor
     need = (2 * n - 2) * stride
     if need + 1 >= rec.nt - i0:
         raise InsufficientRecordLength(
@@ -730,4 +750,4 @@ def symmetrize_and_sample(
     idx = stride * np.arange(2 * n - 1)
     d = dpos[idx]
     ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / dt**2
-    return DataSet(_sym(d), _sym(ddot), tau, arr.m, n)
+    return DataSet(_sym(d), _sym(ddot), rec.tau, arr.m, n)

@@ -24,14 +24,16 @@ from .errors import DomainTooSmall, NonPositiveVelocity
 BC_KINDS = ("dirichlet", "neumann")
 
 
-def whole(value, name: str) -> int:
+def whole(value, name: str, least: int = None) -> int:
     """A count given in a config: `value` as an int, or ValueError when it
-    is not a whole number (a bool, a fraction, NaN or a string)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+    is not a whole number (a bool, a fraction, NaN or a string) or, given
+    `least`, is below it."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
+    return int(value)
 
 
 def _normalize_bc(bc) -> tuple[str, str, str, str]:
@@ -280,9 +282,7 @@ def make_bump_lattice(
     spacing, enough overlap to represent smooth fields without making the
     basis ill-conditioned.
     """
-    p, q = (whole(v, "lattice") for v in lattice)
-    if p < 1 or q < 1:
-        raise ValueError("lattice shape must be at least 1x1")
+    p, q = (whole(v, "lattice", 1) for v in lattice)
     g = background.grid
     lx, lz = g.extent
     dx, dz = lx / p, lz / q

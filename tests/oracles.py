@@ -23,10 +23,6 @@ class FlatPulse:
     def f_hat(omega):
         return np.ones_like(np.asarray(omega, dtype=float))
 
-    @staticmethod
-    def f_hat_sqrt(omega):
-        return np.ones_like(np.asarray(omega, dtype=float))
-
 
 def block(snapshots: np.ndarray, m: int, j: int) -> np.ndarray:
     """Block j, the m states at time j tau, of the (n_dof, count m) matrix

@@ -192,9 +192,8 @@ def test_criterion_5_cross_path_consistency(spectral_reference):
     s = spectral_reference
     t0 = time.time()
     tau, n = s["tau"], s["n"]
-    dt = tau / 50
-    rec = synthesize_measurements(s["model"], s["array"], s["pulse"], (2 * n - 2) * tau + dt, dt)
-    ds_time = symmetrize_and_sample(rec, s["array"], s["model"], tau, n)
+    rec = synthesize_measurements(s["model"], s["array"], s["pulse"], tau, n, 50)
+    ds_time = symmetrize_and_sample(rec, s["array"], s["model"], n)
     errs = {}
     for field in ("d", "ddot"):
         a = getattr(ds_time, field)

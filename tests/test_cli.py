@@ -128,6 +128,16 @@ class TestSynthesize:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_traces_without_timedomain_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "synthesize", "--config", str(write_config(tmp_path, base_config())),
+            "--out", str(out), "--traces",
+        ])
+        assert rc == 2
+        assert "--traces needs --path timedomain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_layout_matches_line_layout(self, tmp_path):
         line_path = write_config(tmp_path, base_config(), "line.json")
         cfg = load_config(line_path)
@@ -261,6 +271,8 @@ MALFORMED = [
     pytest.param(("acquisition", "pulse", "freq_hz"), 1e308, id="huge-freq"),
     pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e308, id="huge-bandwidth"),
     pytest.param(("sampling", "nyquist_factor"), 0, id="zero-nyquist-factor"),
+    # tau = 4.9e-323 s, so the leapfrog step tau / 50 underflows to 0
+    pytest.param(("sampling", "nyquist_factor"), 1e-321, id="nyquist-factor-step-underflows"),
     pytest.param(("sampling", "n"), 1e308, id="huge-n"),
     pytest.param(("gn",), {"fd_step": "x"}, id="string-fd-step"),
     pytest.param(("gn",), {"fd_step": 0}, id="zero-fd-step"),
@@ -293,9 +305,15 @@ MALFORMED = [
     pytest.param(("record",), {"dt_factor": -50}, id="negative-dt-factor"),
     pytest.param(("record",), {"dt_factor": 12.5}, id="fractional-dt-factor"),
     pytest.param(("record",), {"dt_factor": 10**400}, id="huge-integer-dt-factor"),
-    # tf = 9.7e305 s: the leapfrog's pre-zero segment has no finite step count
+    # records whose 3 x 3 traces would take 0.74 TiB and 0.73 PiB
+    pytest.param(("record",), {"dt_factor": 1e9}, id="dt-factor-record-beyond-memory"),
+    pytest.param(("record",), {"dt_factor": 1e12}, id="dt-factor-record-far-beyond-memory"),
+    # tf = 9.7e305 s; (2 pi B)^2 underflows to 0, so the pulse is refused
     pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e-306,
                  id="pulse-support-beyond-any-step-count"),
+    # (2 pi B)^2 = 3.9e-399 underflows to 0, and f_hat divides by it
+    pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e-200,
+                 id="pulse-bandwidth-square-underflows"),
     pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 2.5, "inset": 200.0},
                  id="fractional-ring-m"),
     pytest.param(("acquisition", "layout", "m"), 2.5, id="fractional-line-m"),
@@ -349,12 +367,25 @@ def test_record_ends_one_step_past_the_last_sample(n, dt_factor):
     ), ".")
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
-    dt, t_end = cfg.record_times(acq.tau)
-    rec = synthesize_measurements(truth, acq.array, acq.pulse, t_end, dt)
-    assert symmetrize_and_sample(rec, acq.array, truth, acq.tau, n).n == n
-    cut = TraceRecord(rec.t0, rec.dt, rec.data[:-1])
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n, cfg.dt_factor)
+    assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
+    cut = TraceRecord(rec.tau, rec.dt_factor, rec.k0, rec.data[:-1])
     with pytest.raises(InsufficientRecordLength):
-        symmetrize_and_sample(cut, acq.array, truth, acq.tau, n)
+        symmetrize_and_sample(cut, acq.array, truth, n)
+
+
+def test_record_counts_whole_steps():
+    # here ceil(((2n - 2) tau + dt) / dt - 1e-12) counts one step more than
+    # the (2n - 2) dt_factor + 1 the record needs after t = 0
+    cfg = config_from_dict(base_config(
+        model={"factory": "constant", "c0": 1000.0},
+        sampling={"n": 25, "nyquist_factor": 0.5},
+        record={"dt_factor": 122},
+    ), ".")
+    truth = cfg.build_model()
+    acq = cfg.build_acquisition(truth.grid)
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, 25, 122)
+    assert rec.nt == rec.k0 + (2 * 25 - 2) * 122 + 2
 
 
 @pytest.mark.parametrize("grid, reference", [

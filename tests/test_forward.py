@@ -630,18 +630,20 @@ def setup():
     arr = line_array(g, 3, depth=180.0)
     tau = pulse.default_tau()
     n = 5
-    dt = tau / 50
-    rec = synthesize_measurements(v, arr, pulse, 1.3 * (2 * n - 2) * tau, dt)
+    rec = synthesize_measurements(v, arr, pulse, tau, n, 50)
     return g, v, pulse, arr, tau, n, rec
 
 
-def allocating_leapfrog(v, arr, pulse, t_end, dt):
+def allocating_leapfrog(v, arr, pulse, tau, n, dt_factor):
     """The leapfrog loop that allocates every intermediate, one pulse.df call
-    per step; the in-place loop of `synthesize_measurements` must match it."""
+    per step, from the grid time at or before -tf through one step past
+    (2n - 2) tau; the in-place loop of `synthesize_measurements` must
+    match it."""
     theta = arr.theta_matrix(v.grid)
     c2 = v.c.ravel() ** 2
+    dt = tau / dt_factor
     k0 = int(math.ceil(pulse.tf / dt - 1e-12))
-    nt = k0 + int(math.ceil(t_end / dt - 1e-12)) + 1
+    nt = k0 + (2 * n - 2) * dt_factor + 2
     t0 = -k0 * dt
     lap = _laplacian_2d(v.grid, v.bc)
     traces = np.empty((nt, arr.m, arr.m))
@@ -660,12 +662,12 @@ class TestTimeDomain:
     def test_in_place_leapfrog_matches_allocating_loop_and_counts(self, grid, pulse, bc):
         v = random_velocity(grid, seed=8, bc=bc)
         arr = line_array(grid, 3, depth=300.0)
-        dt = pulse.default_tau() / 20
+        tau = pulse.default_tau()
         before = profile.counts()
-        rec = synthesize_measurements(v, arr, pulse, 0.4, dt)
+        rec = synthesize_measurements(v, arr, pulse, tau, 5, 20)
         after = profile.counts()
-        t0, expected = allocating_leapfrog(v, arr, pulse, 0.4, dt)
-        assert rec.t0 == t0 and rec.data.shape == expected.shape
+        t0, expected = allocating_leapfrog(v, arr, pulse, tau, 5, 20)
+        assert rec.times()[0] == t0 and rec.data.shape == expected.shape
         assert np.abs(rec.data - expected).max() <= 1e-12 * np.abs(expected).max()
         assert after.get("forward.timedomain", 0) - before.get("forward.timedomain", 0) == 1
         matvecs = "forward.timedomain.matvecs"
@@ -675,7 +677,7 @@ class TestTimeDomain:
     def test_cfl_violation(self, grid, pulse):
         v = make_constant_model(3000.0, grid)
         with pytest.raises(CflViolation):
-            synthesize_measurements(v, line_array(grid, 1, depth=300.0), pulse, 0.1, 1.0)
+            synthesize_measurements(v, line_array(grid, 1, depth=300.0), pulse, 1.0, 1, 1)
 
     def test_reciprocity(self, setup):
         _, _, _, _, _, _, rec = setup
@@ -700,7 +702,7 @@ class TestTimeDomain:
 
     def test_cross_path_consistency(self, setup):
         g, v, pulse, arr, tau, n, rec = setup
-        ds_time = symmetrize_and_sample(rec, arr, v, tau, n)
+        ds_time = symmetrize_and_sample(rec, arr, v, n)
         ds_spec = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
         for field in ("d", "ddot"):
             a = getattr(ds_time, field)
@@ -711,7 +713,7 @@ class TestTimeDomain:
     def test_insufficient_record(self, setup):
         g, v, pulse, arr, tau, n, rec = setup
         with pytest.raises(InsufficientRecordLength):
-            symmetrize_and_sample(rec, arr, v, tau, 4 * n)
+            symmetrize_and_sample(rec, arr, v, 4 * n)
 
 
 class TestSymmetrizeAndSample:
@@ -728,8 +730,8 @@ class TestSymmetrizeAndSample:
         k0, nt = 40, 121
         times = -k0 * self.DT + self.DT * np.arange(nt)
         trace = np.cos(self.OMEGA * times)
-        rec = TraceRecord(-k0 * self.DT, self.DT, trace.reshape(-1, 1, 1))
-        return symmetrize_and_sample(rec, arr, v, tau=5 * self.DT, n=3)
+        rec = TraceRecord(5 * self.DT, 5, k0, trace.reshape(-1, 1, 1))
+        return symmetrize_and_sample(rec, arr, v, n=3)
 
     def test_even_trace_fixed_point(self, even_cosine):
         # an even recorded trace comes back shape-unchanged, scaled by velocities
@@ -743,13 +745,11 @@ class TestSymmetrizeAndSample:
         expected = 2.0 * (math.cos(self.OMEGA * self.DT) - 1.0) / self.DT**2 * ds.d
         assert np.abs(ds.ddot - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("t0", [0.013, 0.05], ids=["off-grid", "after-zero"])
-    def test_record_must_hold_t_zero(self, t0):
-        g = Grid2D(10, 10, 100.0, 100.0)
-        arr = SensorArray(np.array([[500.0, 500.0]]), theta_width=100.0)
-        rec = TraceRecord(t0, self.DT, np.ones((121, 1, 1)))
+    # a record that starts at t = 0.05, after t = 0, has k0 = -5
+    @pytest.mark.parametrize("k0", [-5], ids=["after-zero"])
+    def test_record_must_hold_t_zero(self, k0):
         with pytest.raises(ValueError, match="t = 0"):
-            symmetrize_and_sample(rec, arr, make_constant_model(2000.0, g), 5 * self.DT, 3)
+            TraceRecord(5 * self.DT, 5, k0, np.ones((121, 1, 1)))
 
 
 def test_serialized_dataset_is_symmetric_invariant(grid, pulse):
