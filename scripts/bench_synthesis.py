@@ -11,12 +11,11 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
-Then times the two dense routes on the same reference operator, each on
-a fresh operator so that `eig` cannot answer from its cache: the full
-eigendecomposition `DiscreteOperator.eig` and the eigenvalues with the
-sensor coordinates `DiscreteOperator.eig_coordinates(th)`, which the
-spectral synthesis calls.  Prints the median ms of DENSE_REPEATS warmed
-calls and the `tracemalloc` peak in MB of one more call of each.
+Then times the dense route on the same reference operator: the
+eigenvalues with the sensor coordinates
+`DiscreteOperator.eig_coordinates(th)`, which the spectral synthesis
+calls.  Prints the median ms of DENSE_REPEATS warmed calls and the
+`tracemalloc` peak in MB of one more call.
 
 Then times the time-domain route on the same reference at the config's
 `record.dt_factor`: one record is `synthesize_measurements` followed by
@@ -66,8 +65,7 @@ from waverom.inversion import gn_step, qr_svd, tikhonov_mu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
-#: Warmed calls of each dense route and of the time-domain record: one
-#: `eig` of a 1911-dof operator takes about a second.
+#: Warmed calls of the dense route and of the time-domain record.
 DENSE_REPEATS = 3
 # (name, residual length M, parameters N) of the Jacobians the configs'
 # inversions build
@@ -104,11 +102,9 @@ def bench(path: Path, repeats: int) -> dict:
     th = acq.array.theta_matrix(v.grid) / acq.array.local_velocities(v)
     build_table = sample_coeffs.__wrapped__  # the build, not a cache hit
     k = build_table(acq.pulse, acq.tau, count, lam_max).shape[0]
-    # each dense call gets a fresh operator, so that `eig` misses its cache
-    dense = {
-        "eig": lambda: DiscreteOperator(v).eig(),
-        "eig_coordinates": lambda: DiscreteOperator(v).eig_coordinates(th),
-    }
+
+    def coordinates():
+        return op.eig_coordinates(th)
 
     def record():
         rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n, cfg.dt_factor)
@@ -123,7 +119,8 @@ def bench(path: Path, repeats: int) -> dict:
         "dataset": median_ms(lambda: acq.dataset(v), repeats),
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
-        **{name: (median_ms(fn, DENSE_REPEATS), traced_peak_mb(fn)) for name, fn in dense.items()},
+        "coords_ms": median_ms(coordinates, DENSE_REPEATS),
+        "coords_mb": traced_peak_mb(coordinates),
         "dt_factor": cfg.dt_factor,
         "nt": record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)[1],
         "record": median_ms(record, DENSE_REPEATS),
@@ -188,10 +185,9 @@ if __name__ == "__main__":
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
-    print(f"{'dense routes':<18}{'dof':>6}{'eig ms':>10}{'eig MB':>9}{'coords ms':>11}{'coords MB':>11}")
+    print(f"{'dense route':<18}{'dof':>6}{'coords ms':>11}{'coords MB':>11}")
     for r in results:
-        (eig_ms, eig_mb), (co_ms, co_mb) = r["eig"], r["eig_coordinates"]
-        print(f"{r['config']:<18}{r['dof']:>6}{eig_ms:>10.1f}{eig_mb:>9.1f}{co_ms:>11.1f}{co_mb:>11.1f}")
+        print(f"{r['config']:<18}{r['dof']:>6}{r['coords_ms']:>11.1f}{r['coords_mb']:>11.1f}")
     print(f"{'time domain':<18}{'dof':>6}{'dt_factor':>11}{'nt':>8}{'record ms':>11}")
     for r in results:
         print(f"{r['config']:<18}{r['dof']:>6}{r['dt_factor']:>11}{r['nt']:>8}{r['record']:>11.1f}")

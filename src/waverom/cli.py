@@ -186,7 +186,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     grid = truth.grid
     acq = cfg.build_acquisition(grid)
     ref_ds = acq.dataset(cfg.reference_model(truth))
-    param = cfg.build_search(grid)
+    param = cfg.build_search(truth)
     schedule = cfg.build_schedule()
     gn = cfg.build_gn()
 

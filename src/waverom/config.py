@@ -166,10 +166,17 @@ class ExperimentConfig:
             self.build_array(grid), pulse, pulse.default_tau(**rule), self.n, self.method
         )
 
-    def build_search(self, grid: Grid2D) -> Parametrization:
+    def build_search(self, truth: VelocityModel) -> Parametrization:
+        """The bump lattice over the search background, which must share
+        the true model's grid and boundary conditions."""
         params = dict(self.search)
         spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
-        background = self._velocity(spec, "kind", grid)
+        background = self._velocity(spec, "kind", truth.grid)
+        if (background.grid, background.bc) != (truth.grid, truth.bc):
+            raise ConfigError(
+                f"search background on {background.grid} with walls {background.bc} differs "
+                f"from the model on {truth.grid} with walls {truth.bc}"
+            )
         return make_bump_lattice(background, **params)
 
     def build_schedule(self) -> LayerSchedule:
@@ -193,7 +200,10 @@ class ExperimentConfig:
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
         if not {"p1", "p2"} <= set(self.sweep):
             raise ConfigError("sweep needs exactly two parameters p1 and p2")
-        return SweepAxis(**self.sweep["p1"]), SweepAxis(**self.sweep["p2"])
+        ax1, ax2 = SweepAxis(**self.sweep["p1"]), SweepAxis(**self.sweep["p2"])
+        if ax1.name == ax2.name:
+            raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
+        return ax1, ax2
 
     def sweep_band(self) -> tuple[int, int]:
         """(d, k) of the sweep's ROM objective, by default (n, n)."""
@@ -264,7 +274,7 @@ def _build_sections(cfg: ExperimentConfig):
         section = "acquisition"
         acq = cfg.build_acquisition(truth.grid)
         section = "search"
-        cfg.build_search(truth.grid)
+        cfg.build_search(truth)
         section = "gn"
         cfg.build_gn()
         if cfg.schedule:

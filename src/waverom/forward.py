@@ -260,7 +260,7 @@ def _laplacian_2d(grid: Grid2D, bc: tuple) -> sp.csr_matrix:
     """
     tx = _laplacian_1d(grid.nx, grid.hx, bc[0], bc[1])
     tz = _laplacian_1d(grid.nz, grid.hz, bc[2], bc[3])
-    lap = (sp.kron(tx, sp.identity(grid.nz)) + sp.kron(sp.identity(grid.nx), tz)).tocsr()
+    lap = sp.kronsum(tz, tx, format="csr")
     for part in (lap.data, lap.indices, lap.indptr):
         part.flags.writeable = False
     return lap
@@ -335,18 +335,16 @@ class DiscreteOperator:
         below the subdiagonal in `dgeqrf` layout and leave row 0 alone, so
         Q^T x is row 0 of x stacked on `dormqr` of the other rows.  The
         copy is dropped before divide and conquer on the tridiagonal
-        (`dstevd`) gives T = S diag(w) S^T, and the result is
+        (`scipy.linalg.eigh_tridiagonal`, which runs `dstevd`) gives
+        T = S diag(w) S^T, and the result is
         (w, S^T Q^T x).  `x` is only read and nothing is cached: unlike
         `eig`, this never holds an n x n eigenvector matrix of A beside
         its workspace.  Raises EigUnavailable above SPECTRAL_CAP and
         LinAlgError when LAPACK reports a failure.
         """
         self._check_cap()
-        n = self.dimension
-        if n == 1:
-            return self.matrix.toarray().ravel(), np.array(x, dtype=float)
         lapack = scipy.linalg.lapack
-        lwork, info = lapack.dsytrd_lwork(n, lower=1)
+        lwork, info = lapack.dsytrd_lwork(self.dimension, lower=1)
         _check_info("dsytrd_lwork", info)
         c, d, e, tau, info = lapack.dsytrd(
             self.matrix.toarray(order="F"), lower=1, lwork=int(lwork), overwrite_a=1
@@ -358,8 +356,7 @@ class DiscreteOperator:
         y[1:], _, info = lapack.dormqr("L", "T", c[1:, :-1], tau, y[1:], y.shape[1])
         _check_info("dormqr", info)
         del c
-        w, s, info = lapack.dstevd(d, e, overwrite_d=1, overwrite_e=1)
-        _check_info("dstevd", info)
+        w, s = scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)
         return w, s.T @ y
 
 
@@ -676,39 +673,38 @@ def synthesize_measurements(
     dt_factor.  Raises CflViolation when dt exceeds the stability limit of
     the discrete operator.
 
-    Each step p+ = (2 p - p-) + dt^2 (-c^2 L p + f'(t) theta) runs in
-    place on two field buffers and one work buffer, operation for
-    operation in that order, so the sparse product is its only allocation.
-    Counts one `forward.timedomain` per record and its nt - 1 products
-    as `forward.timedomain.matvecs` in `profile`.
+    Each step is p+ = S p + 2 p - p- + dt^2 f'(t) theta, with the step
+    operator S = -dt^2 C^2 L formed once on the Laplacian's pattern and
+    the kicks dt^2 f'(t) taken once per record.  Counts one
+    `forward.timedomain` per record and its nt - 1 products as
+    `forward.timedomain.matvecs` in `profile`.
     """
     k0, nt = record_layout(pulse, tau, n, dt_factor, arr.m)
     dt = tau / dt_factor
-    op = DiscreteOperator(v)
-    dt_max = 2.0 / math.sqrt(op.lambda_upper())
+    dt_max = 2.0 / math.sqrt(DiscreteOperator(v).lambda_upper())
     if dt > dt_max:
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
     profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
-    neg_c2 = -(v.c.reshape(-1, 1) ** 2)
-    source = pulse.df(-k0 * dt + dt * np.arange(nt - 1))
-
     lap = _laplacian_2d(v.grid, v.bc)
+    row_scale = -(dt**2) * v.c.ravel() ** 2
+    step = sp.csr_matrix(
+        (lap.data * row_scale[_laplacian_rows(v.grid, v.bc)], lap.indices, lap.indptr),
+        shape=lap.shape,
+    )
+    kick = dt**2 * pulse.df(-k0 * dt + dt * np.arange(nt - 1))
+
     traces = np.empty((nt, arr.m, arr.m))
     traces[0] = 0.0
     p_prev = np.zeros_like(theta)
     p_cur = np.zeros_like(theta)
-    buf = np.empty_like(theta)
     for k in range(1, nt):
-        accel = lap @ p_cur
-        accel *= neg_c2
-        np.multiply(theta, source[k - 1], out=buf)
-        accel += buf
-        accel *= dt**2
-        np.add(p_cur, p_cur, out=buf)
-        buf -= p_prev
-        np.add(buf, accel, out=p_prev)
-        p_prev, p_cur = p_cur, p_prev
+        p_next = step @ p_cur
+        p_next += p_cur
+        p_next += p_cur
+        p_next -= p_prev
+        p_next += kick[k - 1] * theta
+        p_prev, p_cur = p_cur, p_next
         np.matmul(theta.T, p_cur, out=traces[k])
     profile.count("forward.timedomain.matvecs", nt - 1)
     traces *= v.grid.quad_weight

@@ -1,13 +1,13 @@
 """Layer-stripping Gauss-Newton minimization of ROM or FWI misfit.
 
 The outer loop runs exactly L*q regularized Gauss-Newton updates.  Each
-update linearizes the residual by forward finite differences, one
-synthesis per column in index order, into a single M x N Jacobian.  It
-factors that Jacobian in place with one Householder QR and takes the SVD
-of the N x N triangle, which gives the adaptive Tikhonov weight, the rank
-check and the damped direction.  The update then line-searches the
-penalized functional with a rejection fallback so accepted steps never
-increase it.
+update linearizes the residual by forward finite differences (backward
+where the forward trial is infeasible), one synthesis per column in index
+order, into a single M x N Jacobian.  It factors that Jacobian in place
+with one Householder QR and takes the SVD of the N x N triangle, which
+gives the adaptive Tikhonov weight, the rank check and the damped
+direction.  The update then line-searches the penalized functional with
+a rejection fallback so accepted steps never increase it.
 """
 
 from __future__ import annotations
@@ -128,6 +128,11 @@ def jacobian(
     `base` is G(eta).  Columns are evaluated one after another in index
     order and written straight into `out`, a Fortran-ordered (M, N) array,
     the layout qr_svd factors in place.
+
+    A column whose forward trial is infeasible (MassNotSPD) becomes the
+    backward difference [G(eta) - G(eta - delta_l e_l)] / delta_l, and
+    adds one to `inversion.fd_backward` in `profile`; when the backward
+    trial is infeasible too, its MassNotSPD is raised.
     """
     eta = np.asarray(eta, dtype=float)
     n = eta.size
@@ -141,7 +146,12 @@ def jacobian(
         bumped = eta.copy()
         bumped[l] += delta
         column = out[:, l]
-        np.subtract(residual_fn(bumped), base, out=column)
+        try:
+            np.subtract(residual_fn(bumped), base, out=column)
+        except MassNotSPD:
+            bumped[l] = eta[l] - delta
+            np.subtract(base, residual_fn(bumped), out=column)
+            profile.count("inversion.fd_backward")
         column /= delta
     return out
 

@@ -3,7 +3,9 @@
 The program counts its syntheses (`forward.synth`), the sparse products
 of their Chebyshev moments (`forward.matvecs`), its ROM builds
 (`rom.build`), the Gauss-Newton trials whose ROM is infeasible
-(`inversion.infeasible`), its time-domain leapfrog records
+(`inversion.infeasible`), the Jacobian columns taken as a backward
+difference because their forward trial was infeasible
+(`inversion.fd_backward`), its time-domain leapfrog records
 (`forward.timedomain`) and their sparse products, one per time step
 (`forward.timedomain.matvecs`).  `cli.main` resets the counters, and every
 command that writes a `manifest.json` writes them beside it as

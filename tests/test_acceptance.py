@@ -83,7 +83,7 @@ def camembert_runs():
     acq = cfg.build_acquisition(truth.grid)
     ref_ds = acq.dataset(truth)
     ref_rom = build_rom(ref_ds)
-    param = cfg.build_search(truth.grid)
+    param = cfg.build_search(truth)
     schedule = cfg.build_schedule()
     gn = cfg.build_gn()
     est_rom, state_rom = run_inversion(ref_rom, param, schedule, gn, acq)

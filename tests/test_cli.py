@@ -9,6 +9,7 @@ from waverom.cli import local_minima_census, main
 from waverom.config import config_from_dict, load_config
 from waverom.errors import ConfigError, InsufficientRecordLength
 from waverom.forward import TraceRecord, symmetrize_and_sample, synthesize_measurements
+from waverom.model import Grid2D, make_constant_model
 
 
 def base_config(**overrides):
@@ -260,6 +261,8 @@ MALFORMED = [
     pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], cnt=3)), id="sweep-axis-key-typo"),
     pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], name="grid")),
                  id="sweep-axis-named-grid"),
+    pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], name="contrast")),
+                 id="sweep-axes-share-a-name"),
     pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], min=-1.0)),
                  id="sweep-candidate-negative-contrast"),
     pytest.param(("model",), dict(CAMEMBERT, c_inside=-1.0), id="negative-c_inside"),
@@ -342,6 +345,31 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("shape, bc", [((10, 12), "dirichlet"), ((12, 15), "neumann")],
+                         ids=["other-grid", "other-walls"])
+def test_search_background_off_the_model_exits_2(tmp_path, capsys, shape, bc):
+    background = make_constant_model(1500.0, Grid2D(*shape, 100.0, 100.0), bc)
+    io.save_velocity(tmp_path / "bg.json", background)
+    cfg = base_config(
+        search={"background": {"kind": "file", "path": "bg.json"}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "search background" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_search_background_file_on_the_model_grid_loads(tmp_path):
+    background = make_constant_model(1500.0, Grid2D(12, 15, 100.0, 100.0))
+    io.save_velocity(tmp_path / "bg.json", background)
+    cfg = config_from_dict(base_config(
+        search={"background": {"kind": "file", "path": "bg.json"}, "lattice": [2, 2]},
+    ), tmp_path)
+    truth = cfg.build_model()
+    assert cfg.build_search(truth).background.grid == truth.grid
 
 
 def test_whole_valued_float_counts_load():

@@ -24,7 +24,7 @@ def test_shipped_config_builds(path):
     acq = cfg.build_acquisition(truth.grid)
     assert acq.array.m == cfg.acquisition["layout"]["m"]
     assert acq.n == cfg.sampling["n"]
-    assert cfg.build_search(truth.grid).background.grid == truth.grid
+    assert cfg.build_search(truth).background.grid == truth.grid
     if cfg.schedule:
         assert cfg.build_schedule().k[-1] == acq.n
     else:

@@ -238,15 +238,6 @@ class TestEigCoordinates:
             assert np.sum(w**k * p[:, 0] ** 2) == pytest.approx(expected, rel=1e-12)
             ax = op.matrix @ ax
 
-    def test_one_dof(self, grid):
-        op = DiscreteOperator(random_velocity(grid))
-        op.matrix = sp.csr_matrix([[4.0]])
-        x = np.array([[3.0, -2.0]])
-        w, p = op.eig_coordinates(x)
-        np.testing.assert_array_equal(w, [4.0])
-        np.testing.assert_array_equal(p, x)
-        assert p is not x
-
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("cols", [1, 3])
     def test_only_reads_x_and_caches_nothing(self, grid, order, cols):

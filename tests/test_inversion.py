@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 from scipy.linalg import svdvals
 
-from waverom.errors import ResidualShorterThanN, SingularSystem
+from waverom import profile
+from waverom.errors import MassNotSPD, ResidualShorterThanN, SingularSystem
 from waverom.forward import Pulse, line_array
 from waverom.inversion import (
     GnConfig,
@@ -87,6 +88,29 @@ class TestJacobian:
         out = np.empty((9, 4), order="F")
         assert jacobian(fn, eta, fd_step=1e-2, base=base, out=out) is out
         np.testing.assert_array_equal(out, expected)
+
+    def test_infeasible_forward_column_falls_back_to_backward(self):
+        def walled(lo, hi):
+            """A smooth residual, infeasible outside [lo, hi] in eta[1]."""
+
+            def fn(eta):
+                if not lo <= eta[1] <= hi:
+                    raise MassNotSPD(0, "trial beyond the wall")
+                return np.array([eta[0] ** 2, np.exp(eta[1]), eta[0] * eta[1]])
+
+            return fn
+
+        fn = walled(-1.0, 0.5)
+        eta = np.array([0.3, 0.5])
+        before = profile.counts().get("inversion.fd_backward", 0)
+        jac = fd_jacobian(fn, eta, fd_step=1e-2)
+        assert profile.counts().get("inversion.fd_backward", 0) - before == 1
+        base = fn(eta)
+        forward = (fn(eta + [1e-2, 0.0]) - base) / 1e-2
+        backward = (base - fn(eta - [0.0, 1e-2])) / 1e-2
+        np.testing.assert_array_equal(jac, np.column_stack([forward, backward]))
+        with pytest.raises(MassNotSPD):
+            fd_jacobian(walled(0.5, 0.5), eta, fd_step=1e-2)
 
 
 class TestTikhonovMu:
