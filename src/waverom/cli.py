@@ -140,7 +140,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     truth = cfg.build_model()
     acq = cfg.build_acquisition(truth.grid)
     ref_ds = acq.dataset(cfg.reference_model(truth))
-    spec = RomResidualSpec(*cfg.sweep_band(), build_rom(ref_ds))
+    spec = RomResidualSpec(acq.n, acq.n, build_rom(ref_ds))
 
     def evaluate(candidate) -> tuple[float, float]:
         ds = acq.dataset(candidate)  # one synthesis shared by both objectives

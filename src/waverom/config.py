@@ -34,6 +34,7 @@ from .model import (
     Grid2D,
     Parametrization,
     VelocityModel,
+    _normalize_bc,
     make_bump_lattice,
     make_camembert_model,
     make_constant_model,
@@ -47,8 +48,15 @@ SCHEMA = "waverom-config-v1"
 
 
 def _file_model(path, g: Grid2D, bc) -> VelocityModel:
-    """A velocity artifact brings its own grid and boundary conditions."""
-    return load_velocity(path)
+    """A velocity artifact, which must lie on the stated grid `g` with the
+    stated boundary conditions `bc`."""
+    model = load_velocity(path)
+    if (model.grid, model.bc) != (g, _normalize_bc(bc)):
+        raise ConfigError(
+            f"{path} holds a model on {model.grid} with walls {model.bc}, "
+            f"not on the stated {g} with walls {bc}"
+        )
+    return model
 
 
 #: Velocity model constructors under the name a config gives them (the
@@ -68,10 +76,10 @@ LAYOUTS = {"line": line_array, "ring": ring_array, "explicit": sensor_array}
 
 SECTION_KEYS = {
     "grid": {"nx", "nz", "hx", "hz", "x0", "z0", "bc"},
-    "acquisition": {"layout", "pulse", "theta_width"},
+    "acquisition": {"layout", "pulse"},
     "sampling": {"n", "nyquist_factor"},
     "schedule": {"layers", "q", "k", "d"},
-    "sweep": {"p1", "p2", "d", "k"},
+    "sweep": {"p1", "p2"},
     "record": {"dt_factor"},
     "reference": {"refine"},
 }
@@ -144,7 +152,7 @@ class ExperimentConfig:
         kind = layout.pop("kind", "line")
         if kind not in LAYOUTS:
             raise ConfigError(f"unknown sensor layout {kind!r}")
-        array = LAYOUTS[kind](grid, theta_width=self.acquisition.get("theta_width"), **layout)
+        array = LAYOUTS[kind](grid, **layout)
         for x, z in array.positions:
             grid.nearest_node(x, z)  # DomainTooSmall off the node block
         return array
@@ -167,16 +175,14 @@ class ExperimentConfig:
         )
 
     def build_search(self, truth: VelocityModel) -> Parametrization:
-        """The bump lattice over the search background, which must share
-        the true model's grid and boundary conditions."""
+        """The bump lattice over the search background, built like the
+        true model on its grid with the grid section's boundary conditions."""
         params = dict(self.search)
         spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
-        background = self._velocity(spec, "kind", truth.grid)
-        if (background.grid, background.bc) != (truth.grid, truth.bc):
-            raise ConfigError(
-                f"search background on {background.grid} with walls {background.bc} differs "
-                f"from the model on {truth.grid} with walls {truth.bc}"
-            )
+        try:
+            background = self._velocity(spec, "kind", truth.grid)
+        except ConfigError as exc:
+            raise ConfigError(f"search background: {exc}") from exc
         return make_bump_lattice(background, **params)
 
     def build_schedule(self) -> LayerSchedule:
@@ -204,13 +210,6 @@ class ExperimentConfig:
         if ax1.name == ax2.name:
             raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
         return ax1, ax2
-
-    def sweep_band(self) -> tuple[int, int]:
-        """(d, k) of the sweep's ROM objective, by default (n, n)."""
-        d, k = (whole(self.sweep.get(key, self.n), f"sweep.{key}") for key in ("d", "k"))
-        if not 1 <= d <= k <= self.n:
-            raise ValueError(f"need 1 <= d={d} <= k={k} <= n={self.n}")
-        return d, k
 
     def sweep_candidates(self):
         """The model at each sweep node, p1 major."""
@@ -282,7 +281,6 @@ def _build_sections(cfg: ExperimentConfig):
             cfg.build_schedule()
         if cfg.sweep:
             section = "sweep"
-            cfg.sweep_band()
             for _ in cfg.sweep_candidates():
                 pass
         section = "record"

@@ -25,6 +25,11 @@ class EigUnavailable(WaveromError):
     """Spectral path requested above the eigendecomposition size cap."""
 
 
+class OperatorOverflow(WaveromError):
+    """A velocity model's wave operator has entries beyond the float range,
+    so its spectral bound is not finite."""
+
+
 class NyquistViolation(WaveromError, Warning):
     """Sampling interval exceeds the Nyquist limit for the pulse.
 

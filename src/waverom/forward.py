@@ -44,6 +44,7 @@ from .errors import (
     EigUnavailable,
     InsufficientRecordLength,
     NyquistViolation,
+    OperatorOverflow,
 )
 from .model import Grid2D, VelocityModel, whole
 
@@ -130,8 +131,9 @@ class Pulse:
 
 @dataclass(frozen=True)
 class SensorArray:
-    """Identical sensors at positions (m, 2); theta_width is the Gaussian
-    width of the shared sensor function, truncated at 4 widths."""
+    """Identical sensors at m distinct positions (m, 2); theta_width, positive
+    and finite, is the Gaussian width of the shared sensor function,
+    truncated at 4 widths."""
 
     positions: np.ndarray
     theta_width: float
@@ -140,8 +142,10 @@ class SensorArray:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float)).copy()
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError("positions must be (m, 2)")
-        if self.theta_width <= 0:
-            raise ValueError("theta_width must be positive")
+        if len(np.unique(pos, axis=0)) < len(pos):
+            raise ValueError("two sensors share a position")
+        if not 0 < self.theta_width < math.inf:
+            raise ValueError("theta_width must be positive and finite")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
@@ -194,24 +198,21 @@ def _nearest_nodes(grid: Grid2D, positions: bytes) -> np.ndarray:
     return index
 
 
-def sensor_array(grid: Grid2D, positions, theta_width: float = None) -> SensorArray:
-    """Sensors at the given (m, 2) positions; theta_width defaults to one
-    grid cell, hx."""
-    return SensorArray(positions, grid.hx if theta_width is None else theta_width)
+def sensor_array(grid: Grid2D, positions) -> SensorArray:
+    """Sensors at the given (m, 2) positions, each one grid cell, hx, wide."""
+    return SensorArray(positions, grid.hx)
 
 
-def line_array(
-    grid: Grid2D, m: int, depth: float, theta_width: float = None, margin: float = None
-) -> SensorArray:
-    """Uniform horizontal line of m sensors at the given depth."""
+def line_array(grid: Grid2D, m: int, depth: float) -> SensorArray:
+    """Uniform horizontal line of m sensors at the given depth, inset 5% of
+    the width from the side walls."""
     m = whole(m, "m", 1)
-    lx = grid.extent[0]
-    margin = 0.05 * lx if margin is None else margin
+    margin = 0.05 * grid.extent[0]
     xs = np.linspace(grid.x0 + margin, grid.x_max - margin, m)
-    return sensor_array(grid, np.column_stack([xs, np.full(m, grid.z0 + depth)]), theta_width)
+    return sensor_array(grid, np.column_stack([xs, np.full(m, grid.z0 + depth)]))
 
 
-def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) -> SensorArray:
+def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
     """m sensors spread along a rectangle inset from the domain boundary."""
     m = whole(m, "m", 1)
     lx, lz = grid.extent
@@ -229,7 +230,7 @@ def ring_array(grid: Grid2D, m: int, inset: float, theta_width: float = None) ->
         else:
             x, z = inset, lz - inset - (s - 2 * px - pz)
         pos.append((grid.x0 + x, grid.z0 + z))
-    return sensor_array(grid, np.array(pos), theta_width)
+    return sensor_array(grid, np.array(pos))
 
 
 # Discrete operator ----------------------------------------------------------
@@ -469,7 +470,10 @@ def chebyshev_interval(lam_upper: float) -> float:
     """lam_upper rounded up to the geometric grid CHEB_RATIO**e, e integer.
 
     Operators whose bounds share a grid point share one Chebyshev table.
+    A bound that is not finite raises OperatorOverflow.
     """
+    if not math.isfinite(lam_upper):
+        raise OperatorOverflow(f"the operator's spectral bound {lam_upper} is not finite")
     e = math.ceil(math.log(lam_upper) / math.log(CHEB_RATIO))
     if CHEB_RATIO**e < lam_upper:  # the log quotient rounded down onto e
         e += 1
@@ -577,7 +581,8 @@ def synthesize_dataset(
 
     A tau beyond the pulse's Nyquist interval issues NyquistViolation as a
     warning; `warnings.simplefilter("error", NyquistViolation)` makes it
-    an error.
+    an error.  Either method raises OperatorOverflow when the operator's
+    bound is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -590,10 +595,10 @@ def synthesize_dataset(
         )
     profile.count("forward.synth")
     op = DiscreteOperator(v)
+    lam_max = chebyshev_interval(op.lambda_upper())
     th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1
     if method == "chebyshev":
-        lam_max = chebyshev_interval(op.lambda_upper())
         c = sample_coeffs(pulse, tau, count, lam_max)
         mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
     else:

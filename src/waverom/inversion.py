@@ -23,6 +23,7 @@ from . import profile
 from .errors import (
     JacobianRankWarning,
     MassNotSPD,
+    OperatorOverflow,
     ResidualShorterThanN,
     SingularSystem,
 )
@@ -30,6 +31,11 @@ from .forward import DataSet
 from .model import Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
+
+
+#: What the residual of an infeasible trial velocity raises: its candidate
+#: ROM has a mass matrix that is not SPD, or its operator overflows.
+INFEASIBLE = (MassNotSPD, OperatorOverflow)
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,14 @@ class GnConfig:
     gamma is the Tikhonov quantile: mu_i is the squared floor(gamma N)-th
     largest singular value of the Jacobian (index clamped to 1 at the
     low end).  Setting regularization="off" forces mu_i = 0, the plain
-    Gauss-Newton limit.  alpha_max caps the line-search step, fd_step is
-    the finite-difference velocity step (both positive and finite), and
-    c_min the lower clamp on trial velocities in m/s (finite), which
-    keeps the wave operator well-posed during aggressive line-search
-    trials.
-    fwi_truncate, true or false, limits the FWI misfit of layer l to the
-    first 2k_l - 1 samples.
+    Gauss-Newton limit.  alpha_max caps the line-search step and fd_step
+    is the finite-difference velocity step (both positive and finite).
     """
 
     gamma: float = 0.3
     alpha_max: float = 3.0
     fd_step: float = 1e-2
     regularization: str = "adaptive"
-    c_min: float = 300.0
-    fwi_truncate: bool = False
 
     def __post_init__(self):
         if not 0.2 < self.gamma < 0.4:
@@ -84,10 +83,6 @@ class GnConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.regularization not in ("adaptive", "off"):
             raise ValueError("regularization must be 'adaptive' or 'off'")
-        if not math.isfinite(self.c_min):
-            raise ValueError("c_min must be finite")
-        if not isinstance(self.fwi_truncate, bool):
-            raise ValueError("fwi_truncate must be true or false")
 
 
 @dataclass
@@ -129,10 +124,10 @@ def jacobian(
     order and written straight into `out`, a Fortran-ordered (M, N) array,
     the layout qr_svd factors in place.
 
-    A column whose forward trial is infeasible (MassNotSPD) becomes the
+    A column whose forward trial is infeasible (INFEASIBLE) becomes the
     backward difference [G(eta) - G(eta - delta_l e_l)] / delta_l, and
     adds one to `inversion.fd_backward` in `profile`; when the backward
-    trial is infeasible too, its MassNotSPD is raised.
+    trial is infeasible too, its error is raised.
     """
     eta = np.asarray(eta, dtype=float)
     n = eta.size
@@ -148,7 +143,7 @@ def jacobian(
         column = out[:, l]
         try:
             np.subtract(residual_fn(bumped), base, out=column)
-        except MassNotSPD:
+        except INFEASIBLE:
             bumped[l] = eta[l] - delta
             np.subtract(base, residual_fn(bumped), out=column)
             profile.count("inversion.fd_backward")
@@ -267,22 +262,19 @@ def line_search(eta: np.ndarray, direction: np.ndarray, functional, alpha_max: f
     return best_alpha
 
 
-def make_residual_fn(
-    reference, param: Parametrization, acq: Acquisition, cfg: GnConfig, d: int, k: int
-):
+def make_residual_fn(reference, param: Parametrization, acq: Acquisition, d: int, k: int):
     """Residual map eta -> r(v(eta)) of the layer with restriction size k.
 
     An OperatorRom reference gives the banded ROM misfit O_{d,k}, a DataSet
-    the FWI data misfit (over its first 2k-1 samples if cfg.fwi_truncate).
+    the FWI data misfit over all its samples.
     """
     spec = RomResidualSpec(d, k, reference) if isinstance(reference, OperatorRom) else None
-    window = k if cfg.fwi_truncate else None
 
     def residual(eta: np.ndarray) -> np.ndarray:
-        v = evaluate_velocity(param, eta=eta, c_min=cfg.c_min)
+        v = evaluate_velocity(param, eta=eta)
         if spec is not None:
             return rom_objective(v, spec, acq)[1]
-        return fwi_objective(v, reference, acq, k=window)[1]
+        return fwi_objective(v, reference, acq)[1]
 
     return residual
 
@@ -302,7 +294,7 @@ def run_inversion(
     F_i(eta) = O_{d,k_l}(eta) + mu_i |eta - eta^(i-1)|^2 along the damped
     Gauss-Newton direction, the same quadratic model the direction solve
     minimizes; a rejected step (alpha = 0) advances i without changing
-    eta.  An infeasible trial (MassNotSPD) scores +inf in the line search.
+    eta.  An infeasible trial (INFEASIBLE) scores +inf in the line search.
     An update that starts from a zero objective records itself and takes
     no step.
     """
@@ -314,7 +306,7 @@ def run_inversion(
     state = InversionState(eta=np.zeros(param.n_params))
 
     for layer_k in schedule.k:
-        residual_fn = make_residual_fn(reference, param, acq, cfg, schedule.d, layer_k)
+        residual_fn = make_residual_fn(reference, param, acq, schedule.d, layer_k)
 
         # Residual cache, valid within one layer (the residual map changes
         # with k_l).  Line-search probes land here, so the accepted point's
@@ -329,7 +321,7 @@ def run_inversion(
             if key not in cache:
                 try:
                     cache[key] = residual_fn(eta)
-                except MassNotSPD:
+                except INFEASIBLE:
                     profile.count("inversion.infeasible")
                     cache[key] = None
             return cache[key]
@@ -373,5 +365,5 @@ def run_inversion(
             cache.clear()
             cache[key] = kept
 
-    estimate = evaluate_velocity(param, eta=state.eta, c_min=cfg.c_min)
+    estimate = evaluate_velocity(param, eta=state.eta)
     return estimate, state

@@ -23,6 +23,10 @@ from .errors import DomainTooSmall, NonPositiveVelocity
 
 BC_KINDS = ("dirichlet", "neumann")
 
+#: Lower clamp on trial velocities (m/s), which keeps the wave operator
+#: well-posed during aggressive line-search trials.
+C_MIN = 300.0
+
 
 def whole(value, name: str, least: int = None) -> int:
     """A count given in a config: `value` as an int, or ValueError when it
@@ -197,14 +201,11 @@ class Parametrization:
         return phi
 
 
-def evaluate_velocity(p: Parametrization, eta, c_min: float) -> VelocityModel:
-    """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid.
-
-    Node values are clamped below at `c_min`; with c_min <= 0 a
-    non-positive node raises NonPositiveVelocity.
-    """
+def evaluate_velocity(p: Parametrization, eta) -> VelocityModel:
+    """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid,
+    each node clamped below at C_MIN."""
     g = p.background.grid
-    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float), c_min)
+    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float), C_MIN)
     return VelocityModel(g, c.reshape(g.nx, g.nz), p.background.bc)
 
 
@@ -223,11 +224,13 @@ def make_two_layer_model(
     """Two regions separated by a slanted interface.
 
     The interface depth grows linearly from `depth_left` at the left edge
-    to `depth_left + slope_drop` at the right edge; velocity is `c_top`
-    above and `contrast * c_top` below.
+    to `depth_left + slope_drop` at the right edge (a finite drop); velocity
+    is `c_top` above and `contrast * c_top` below.
     """
     if not (0 < depth_left < g.extent[1]):
         raise ValueError("depth_left must lie inside the domain depth")
+    if not math.isfinite(slope_drop):
+        raise ValueError("slope_drop must be finite")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
     xx, zz = g.mesh()

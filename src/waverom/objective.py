@@ -82,14 +82,9 @@ def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
 
 
 def fwi_objective(
-    v: VelocityModel, reference: DataSet, acq: Acquisition, k: int | None
+    v: VelocityModel, reference: DataSet, acq: Acquisition
 ) -> tuple[float, np.ndarray]:
-    """Conventional FWI data misfit and its residual vector.
-
-    Sums squared upper-triangle differences over the samples
-    j = 0..2n-2, all of them when `k` is None.  A `k` truncates the range
-    to j <= 2k-2, the restriction-parity variant used for layer-stripping
-    comparisons.
-    """
-    r = fwi_residual(acq.dataset(v, k), reference)
+    """Conventional FWI data misfit and its residual vector: the squared
+    upper-triangle differences summed over the samples j = 0..2n-2."""
+    r = fwi_residual(acq.dataset(v), reference)
     return float(r @ r), r

@@ -268,7 +268,7 @@ def test_criterion_8_optimizer_contracts(camembert_runs):
     for i in (1, state.i // 2, state.i):
         eta_prev = np.zeros(n_params) if i == 1 else state.eta_trace[i - 2]
         residual_fn = make_residual_fn(
-            r["ref_rom"], param, acq, gn, r["schedule"].d, state.k_trace[i - 1]
+            r["ref_rom"], param, acq, r["schedule"].d, state.k_trace[i - 1]
         )
         base = residual_fn(eta_prev)
         jac = jacobian(
@@ -307,7 +307,7 @@ def test_criterion_9_identifiable_toy_recovery():
     )
     param = Parametrization(bg, bumps)
     eta_star = np.array([120.0, -80.0, 60.0, 150.0])
-    v_true = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
+    v_true = evaluate_velocity(param, eta=eta_star)
     ref_rom = build_rom(acq.dataset(v_true))
     schedule = LayerSchedule((acq.n,), q=10, d=acq.n)
     cfg = GnConfig(regularization="off")

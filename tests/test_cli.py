@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,10 @@ MALFORMED = [
     pytest.param(("acquisition", "pulse", "freq_hz"), 0, id="zero-freq"),
     pytest.param(("search", "lattice"), [0, 3], id="empty-lattice"),
     pytest.param(("model", "contrast"), -1, id="negative-contrast"),
+    pytest.param(("model", "slope_drop"), float("nan"), id="nan-slope-drop"),
+    pytest.param(("acquisition", "layout"),
+                 {"kind": "explicit", "positions": [[500.0, 500.0], [800.0, 500.0], [500.0, 500.0]]},
+                 id="repeated-sensor-position"),
     pytest.param(("sampling", "n"), 0, id="zero-samples"),
     pytest.param(("grid", "bc"), "periodic", id="periodic-bc"),
     pytest.param((), None, id="top-level-list"),
@@ -345,6 +350,75 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+#: Keys that once held a setting every run left at one value, now a constant
+#: in the code, each at that value.
+RETIRED = [
+    pytest.param(("gn", "c_min"), 300.0, id="gn-c_min"),
+    pytest.param(("gn", "fwi_truncate"), False, id="gn-fwi_truncate"),
+    pytest.param(("sweep", "d"), 4, id="sweep-d"),
+    pytest.param(("sweep", "k"), 4, id="sweep-k"),
+    pytest.param(("acquisition", "theta_width"), 100.0, id="acquisition-theta_width"),
+    pytest.param(("acquisition", "layout", "theta_width"), 100.0, id="layout-theta_width"),
+    pytest.param(("acquisition", "layout", "margin"), 65.0, id="layout-margin"),
+]
+
+
+@pytest.mark.parametrize("path, value", RETIRED)
+def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+        gn={},
+        sweep=dict(SWEEP),
+    )
+    *head, last = path
+    section = cfg
+    for key in head:
+        section = section[key]
+    section[last] = value
+    rc = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(last) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("shape, bc", [((10, 12), "dirichlet"), ((12, 15), "neumann")],
+                         ids=["other-grid", "other-walls"])
+def test_file_model_off_its_grid_section_exits_2(tmp_path, capsys, shape, bc):
+    model = make_constant_model(1500.0, Grid2D(*shape, 100.0, 100.0), bc)
+    io.save_velocity(tmp_path / "v.json", model)
+    cfg = base_config(model={"factory": "file", "path": "v.json"})
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "v.json holds a model on" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_line_search_trials_are_rejected(tmp_path):
+    # every probe alpha_max * 0.7^j puts c^2 / h^2 beyond the float range:
+    # each scores as infeasible and both steps are rejected
+    cfg = base_config(
+        model={"factory": "camembert", "center": [800.0, 800.0], "radius": 400.0,
+               "c_inside": 3600.0, "c_outside": 3000.0},
+        grid={"nx": 15, "nz": 15, "hx": 100.0, "hz": 100.0},
+        acquisition={
+            "layout": {"kind": "ring", "m": 6, "inset": 200.0},
+            "pulse": {"freq_hz": 6.0, "bandwidth_hz": 2.0},
+        },
+        search={"background": {"kind": "constant", "c0": 3000.0}, "lattice": [3, 3]},
+        schedule={"k": [4], "q": 2, "d": 4},
+        gn={"alpha_max": 1e300},
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert rc == 0
+    assert [row["alpha"] for row in io.load_state_csv(out / "state.csv")] == [0.0, 0.0]
+    assert json.loads((out / "profile.json").read_text())["inversion.infeasible"] > 0
 
 
 @pytest.mark.parametrize("shape, bc", [((10, 12), "dirichlet"), ((12, 15), "neumann")],

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from waverom import profile
 from waverom.config import load_config
-from waverom.errors import CflViolation, EigUnavailable, InsufficientRecordLength, NyquistViolation
+from waverom.errors import (
+    CflViolation,
+    EigUnavailable,
+    InsufficientRecordLength,
+    NyquistViolation,
+    OperatorOverflow,
+    WaveromError,
+)
 from waverom.forward import (
     CHEB_MAX_NODES,
     CHEB_RATIO,
@@ -391,6 +398,23 @@ class TestChebyshev:
         above = np.nextafter(on_grid, np.inf)
         assert chebyshev_interval(above) == CHEB_RATIO**12346 >= above
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_interval_of_a_bound_that_is_not_finite_raises(self, bound):
+        with pytest.raises(OperatorOverflow):
+            chebyshev_interval(bound)
+        assert issubclass(OperatorOverflow, WaveromError)
+
+    @pytest.mark.parametrize("method", ["chebyshev", "spectral"])
+    def test_overflowing_operator_raises_on_either_method(self, grid, pulse, method):
+        # c^2 / h^2 overflows the float range, so A has infinite entries
+        v = make_constant_model(1e300, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(OperatorOverflow):
+                synthesize_dataset(
+                    v, line_array(grid, 2, depth=300.0), pulse, pulse.default_tau(), 3, method
+                )
+
     def test_table_cached_read_only_and_halved(self, grid, pulse):
         tau, count = pulse.default_tau(), 7
         lam = chebyshev_interval(DiscreteOperator(random_velocity(grid, seed=3)).lambda_upper())
@@ -455,6 +479,16 @@ class TestSensorFunctions:
         same = SensorArray(positions.copy(), width)
         assert same.theta_matrix(Grid2D(20, 20, 100.0, 100.0)) is theta
         assert SensorArray(positions, 2 * width).theta_matrix(grid) is not theta
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    def test_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="theta_width"):
+            SensorArray(np.array([[500.0, 500.0]]), width)
+
+    def test_repeated_position_raises(self):
+        positions = np.array([[500.0, 500.0], [700.0, 500.0], [500.0, 500.0]])
+        with pytest.raises(ValueError, match="share a position"):
+            SensorArray(positions, 100.0)
 
     def test_out_of_domain_sensor_raises_on_every_call(self, grid):
         arr = SensorArray(np.array([[500.0, 500.0], [500.0, -50.0]]), theta_width=grid.hx)

@@ -281,7 +281,7 @@ def toy_problem():
     )
     param = Parametrization(bg, bumps)
     eta_star = np.array([90.0, -70.0, 120.0])
-    v_true = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
+    v_true = evaluate_velocity(param, eta=eta_star)
     ref_rom = build_rom(acq.dataset(v_true))
     return param, eta_star, v_true, ref_rom, acq
 
@@ -317,25 +317,12 @@ class TestRunInversion:
             if state.k_trace[i] == state.k_trace[i - 1]:
                 assert state.objective_trace[i] <= state.objective_trace[i - 1] * (1 + 1e-12)
 
-    def test_fwi_truncation_parity(self, toy_problem):
-        # fwi_truncate limits each layer to the 2k-1 samples its ROM
-        # counterpart would use; the full run uses all samples throughout
-        param, eta_star, v_true, ref_rom, acq = toy_problem
-        ref_ds = acq.dataset(v_true)
-        sched = LayerSchedule((2, acq.n), q=1, d=2)
-        _, full = run_inversion(ref_ds, param, sched, GnConfig(regularization="off"), acq)
-        _, trunc = run_inversion(
-            ref_ds, param, sched, GnConfig(regularization="off", fwi_truncate=True), acq
-        )
-        assert full.i == trunc.i == 2
-        assert not np.array_equal(full.eta, trunc.eta)  # different data windows
-
     def test_rejected_step_keeps_eta(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         # shift the background so eta=0 is already optimal: steps reject
         sched = LayerSchedule((acq.n,), q=2, d=acq.n)
         cfg = GnConfig(regularization="off")
-        bg_star = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
+        bg_star = evaluate_velocity(param, eta=eta_star)
         param0 = Parametrization(bg_star, param.basis)
         est, state = run_inversion(ref_rom, param0, sched, cfg, acq)
         np.testing.assert_array_equal(state.eta, np.zeros(3))
@@ -370,6 +357,6 @@ class TestRunInversion:
             param.background,
             tuple(GaussianBump(b.center, b.width, s * b.amplitude) for b in param.basis),
         )
-        v1 = evaluate_velocity(param, eta=eta_star, c_min=GnConfig.c_min)
-        v2 = evaluate_velocity(scaled, eta=eta_star / s, c_min=GnConfig.c_min)
+        v1 = evaluate_velocity(param, eta=eta_star)
+        v2 = evaluate_velocity(scaled, eta=eta_star / s)
         np.testing.assert_allclose(v1.c, v2.c, rtol=1e-13)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverom.errors import DomainTooSmall, NonPositiveVelocity
-from waverom.inversion import GnConfig
 from waverom.model import (
+    C_MIN,
     GaussianBump,
     Grid2D,
     Parametrization,
@@ -72,14 +72,14 @@ class TestVelocityModel:
 
 class TestEvaluateVelocity:
     def test_zero_eta_returns_background(self, small_param):
-        v = evaluate_velocity(small_param, small_param.eta, GnConfig.c_min)
+        v = evaluate_velocity(small_param, small_param.eta)
         np.testing.assert_array_equal(v.c, small_param.background.c)
 
     def test_single_bump_at_center(self, grid):
         bg = make_constant_model(2000.0, grid)
         center = (grid.xs()[6], grid.zs()[8])  # on a node
         p = Parametrization(bg, (GaussianBump(center, 150.0),), np.array([100.0]))
-        v = evaluate_velocity(p, p.eta, GnConfig.c_min)
+        v = evaluate_velocity(p, p.eta)
         assert velocity_at(v, *center) == pytest.approx(2000.0 + 100.0)
 
     def test_camembert_search_space_dimensions(self):
@@ -99,8 +99,8 @@ class TestEvaluateVelocity:
 
     def test_clamp_floor(self, small_param):
         p = small_param.with_eta([-5000.0, 0.0])
-        v = evaluate_velocity(p, p.eta, c_min=300.0)
-        assert v.c.min() == pytest.approx(300.0)
+        v = evaluate_velocity(p, p.eta)
+        assert v.c.min() == pytest.approx(C_MIN)
 
     @given(
         a=st.floats(-30.0, 30.0),
@@ -113,9 +113,9 @@ class TestEvaluateVelocity:
         g = Grid2D(8, 8, 100.0, 100.0)
         bg = make_constant_model(2000.0, g)
         p = Parametrization(bg, (GaussianBump((400.0, 400.0), 150.0),))
-        va = evaluate_velocity(p, eta=[a * e1 + b * e2], c_min=GnConfig.c_min)
-        v1 = evaluate_velocity(p, eta=[e1], c_min=GnConfig.c_min)
-        v2 = evaluate_velocity(p, eta=[e2], c_min=GnConfig.c_min)
+        va = evaluate_velocity(p, eta=[a * e1 + b * e2])
+        v1 = evaluate_velocity(p, eta=[e1])
+        v2 = evaluate_velocity(p, eta=[e2])
         lhs = va.c - bg.c
         rhs = a * (v1.c - bg.c) + b * (v2.c - bg.c)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)

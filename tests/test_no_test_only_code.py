@@ -15,13 +15,26 @@ through `*args` or `**kwargs`, or a function stored as a value (a
 factory table of `waverom.config`), passes and omits every parameter.  A
 function that no call names, such as a hook perfbench resolves from a
 string, has no call to judge.
+
+The same holds for config keys.  Each key the loader accepts must be set
+by a shipped config, by the config of a benchmark workload or by the
+config the Marmousi smoke script writes.
 """
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
+import json
 import math
 import re
+import sys
 from collections import defaultdict
 from pathlib import Path
+
+from waverom.config import LAYOUTS, SECTION_KEYS
+from waverom.inversion import GnConfig
+from waverom.model import make_bump_lattice
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "waverom"
@@ -30,6 +43,17 @@ PACKAGE = REPO / "src" / "waverom"
 ALLOWED = {
     "load_rom": "reads the rom.json that `waverom rom` writes",
     "load_parametrization": "reads the parametrization.json that `waverom invert` writes",
+}
+
+#: Config keys the loader accepts although no config outside the tests sets
+#: them, each with its reason.
+ALLOWED_KEYS = {
+    ("gn", "regularization"): "acceptance criterion 9 runs with `off`",
+    ("grid", "x0"): "the velocity artifact header carries the origin",
+    ("grid", "z0"): "the velocity artifact header carries the origin",
+    ("acquisition.layout", "positions"): "the format for a measured array",
+    ("record", "dt_factor"): "sets the accuracy of the time-domain reference",
+    ("reference", "refine"): "`scripts/artifact_digests.py` runs it at 2",
 }
 
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -157,3 +181,61 @@ def test_allowed_names_are_still_defined():
 def test_every_parameter_and_default_is_used_outside_the_tests():
     faults = parameter_faults()
     assert faults == [], "set only by tests or never:\n" + "\n".join(faults)
+
+
+def accepted_keys() -> set[tuple[str, str]]:
+    """(section, key) of every key the loader accepts: the keys of
+    SECTION_KEYS, the GnConfig fields, and the parameters of the layout
+    functions and of make_bump_lattice after their first, the grid or the
+    background."""
+    keys = {(section, key) for section, names in SECTION_KEYS.items() for key in names}
+    keys |= {("gn", f.name) for f in dataclasses.fields(GnConfig)}
+    for section, functions in (
+        ("acquisition.layout", LAYOUTS.values()),
+        ("search", [make_bump_lattice]),
+    ):
+        for fn in functions:
+            keys |= {(section, key) for key in list(inspect.signature(fn).parameters)[1:]}
+    return keys
+
+
+def set_keys(tmp_path) -> set[tuple[str, str]]:
+    """(section, key) of every key that a shipped config, a benchmark
+    workload's config (seed 0) or the Marmousi smoke config sets, with
+    nested sections named by their dotted path."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "make_marmousi_smoke", REPO / "scripts" / "make_marmousi_smoke.py"
+    )
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+
+    configs = [json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))]
+    configs += [workload(REPO, tmp_path, 0).config for workload in WORKLOADS.values()]
+    configs.append(json.loads(smoke.write_smoke_case(tmp_path / "smoke").read_text()))
+
+    found = set()
+
+    def walk(section: str, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                found.add((section, key))
+                walk(f"{section}.{key}" if section else key, item)
+
+    for config in configs:
+        walk("", config)
+    return found
+
+
+def test_every_config_key_is_set_outside_the_tests(tmp_path):
+    unset = sorted(accepted_keys() - set_keys(tmp_path) - set(ALLOWED_KEYS))
+    assert unset == [], f"accepted keys that no config outside the tests sets: {unset}"
+
+
+def test_allowed_keys_are_accepted_and_unset(tmp_path):
+    assert set(ALLOWED_KEYS) <= accepted_keys()
+    assert not set(ALLOWED_KEYS) & set_keys(tmp_path)
