@@ -11,6 +11,10 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
+Then times one ROM build on the reference model's dataset: `build_rom`
+(assembly, Cholesky and projection) and, apart, `block_cholesky` alone
+on the assembled mass matrix.  Prints the median us of the repeats.
+
 Then times the dense route on the same reference operator: the
 eigenvalues with the sensor coordinates
 `DiscreteOperator.eig_coordinates(th)`, which the spectral synthesis
@@ -62,6 +66,7 @@ from waverom.forward import (
     synthesize_measurements,
 )
 from waverom.inversion import gn_step, qr_svd, tikhonov_mu
+from waverom.rom import assemble_mass, block_cholesky, build_rom
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
@@ -102,6 +107,8 @@ def bench(path: Path, repeats: int) -> dict:
     th = acq.array.theta_matrix(v.grid) / acq.array.local_velocities(v)
     build_table = sample_coeffs.__wrapped__  # the build, not a cache hit
     k = build_table(acq.pulse, acq.tau, count, lam_max).shape[0]
+    data = acq.dataset(v)
+    mass = assemble_mass(data)
 
     def coordinates():
         return op.eig_coordinates(th)
@@ -115,10 +122,13 @@ def bench(path: Path, repeats: int) -> dict:
         "dof": v.grid.n_dof,
         "m": acq.array.m,
         "K": k,
+        "nm": data.n * data.m,
         "ratio": lam_max / lam_upper,
         "dataset": median_ms(lambda: acq.dataset(v), repeats),
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
+        "rom_us": 1e3 * median_ms(lambda: build_rom(data), repeats),
+        "cholesky_us": 1e3 * median_ms(lambda: block_cholesky(mass, data.m), repeats),
         "coords_ms": median_ms(coordinates, DENSE_REPEATS),
         "coords_mb": traced_peak_mb(coordinates),
         "dt_factor": cfg.dt_factor,
@@ -185,6 +195,9 @@ if __name__ == "__main__":
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
         )
+    print(f"{'ROM build':<18}{'nm':>6}{'build_rom us':>14}{'cholesky us':>13}")
+    for r in results:
+        print(f"{r['config']:<18}{r['nm']:>6}{r['rom_us']:>14.1f}{r['cholesky_us']:>13.1f}")
     print(f"{'dense route':<18}{'dof':>6}{'coords ms':>11}{'coords MB':>11}")
     for r in results:
         print(f"{r['config']:<18}{r['dof']:>6}{r['coords_ms']:>11.1f}{r['coords_mb']:>11.1f}")

@@ -18,11 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveVelocity
+from .errors import ConfigError, NonPositiveVelocity, OperatorOverflow
 from .forward import (
     SPECTRAL_CAP,
+    DiscreteOperator,
     Pulse,
     SensorArray,
+    chebyshev_interval,
     line_array,
     record_layout,
     ring_array,
@@ -31,10 +33,10 @@ from .forward import (
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
 from .model import (
+    C_MIN,
     Grid2D,
     Parametrization,
     VelocityModel,
-    _normalize_bc,
     make_bump_lattice,
     make_camembert_model,
     make_constant_model,
@@ -47,22 +49,18 @@ from .objective import Acquisition
 SCHEMA = "waverom-config-v1"
 
 
-def _file_model(path, g: Grid2D, bc) -> VelocityModel:
-    """A velocity artifact, which must lie on the stated grid `g` with the
-    stated boundary conditions `bc`."""
+def _file_model(path, g: Grid2D) -> VelocityModel:
+    """A velocity artifact, which must lie on the stated grid `g`."""
     model = load_velocity(path)
-    if (model.grid, model.bc) != (g, _normalize_bc(bc)):
-        raise ConfigError(
-            f"{path} holds a model on {model.grid} with walls {model.bc}, "
-            f"not on the stated {g} with walls {bc}"
-        )
+    if model.grid != g:
+        raise ConfigError(f"{path} holds a model on {model.grid}, not on the stated {g}")
     return model
 
 
 #: Velocity model constructors under the name a config gives them (the
 #: model's `factory`, the search background's `kind`).  Each is called
-#: with the grid `g`, the boundary conditions `bc` and the remaining keys
-#: of its spec as keyword arguments.
+#: with the grid `g` and the remaining keys of its spec as keyword
+#: arguments.
 MODEL_FACTORIES = {
     "constant": make_constant_model,
     "two_layer": make_two_layer_model,
@@ -127,7 +125,11 @@ class ExperimentConfig:
     # -- builders ----------------------------------------------------------
 
     def build_grid(self) -> Grid2D:
+        """The grid; its walls are always Dirichlet, so `bc`, if given, must
+        say so."""
         g = self.grid
+        if g.get("bc", "dirichlet") != "dirichlet":
+            raise ValueError(f"bc must be 'dirichlet', got {g['bc']!r}")
         return Grid2D(
             whole(g["nx"], "grid.nx"), whole(g["nz"], "grid.nz"),
             float(g["hx"]), float(g["hz"]), float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
@@ -140,7 +142,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {name_key} {name!r}")
         if name == "file":
             params["path"] = self.base_dir / params["path"]
-        return MODEL_FACTORIES[name](g=g, bc=self.grid.get("bc", "dirichlet"), **params)
+        return MODEL_FACTORIES[name](g=g, **params)
 
     def build_model(self, **overrides) -> VelocityModel:
         """The true model.  `overrides` replace parameters of the model
@@ -176,7 +178,7 @@ class ExperimentConfig:
 
     def build_search(self, truth: VelocityModel) -> Parametrization:
         """The bump lattice over the search background, built like the
-        true model on its grid with the grid section's boundary conditions."""
+        true model on its grid."""
         params = dict(self.search)
         spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
         try:
@@ -259,8 +261,16 @@ class ExperimentConfig:
         return out
 
 
+def _check_operator(v: VelocityModel):
+    """Raise OperatorOverflow, as every synthesis of `v` would, when the wave
+    operator of `v` has no finite spectral bound."""
+    chebyshev_interval(DiscreteOperator(v).lambda_upper())
+
+
 def _build_sections(cfg: ExperimentConfig):
-    """Build every section once, so that a malformed one fails at load time."""
+    """Build every section once, so that a malformed one fails at load time:
+    every model the config states must have a finite operator bound, and one
+    finite-difference column must move the velocity by less than C_MIN."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys
@@ -270,26 +280,34 @@ def _build_sections(cfg: ExperimentConfig):
         cfg.build_grid()
         section = "model"
         truth = cfg.build_model()
+        _check_operator(truth)
         section = "acquisition"
         acq = cfg.build_acquisition(truth.grid)
         section = "search"
-        cfg.build_search(truth)
+        search = cfg.build_search(truth)
+        _check_operator(search.background)
         section = "gn"
-        cfg.build_gn()
+        gn = cfg.build_gn()
+        step = gn.fd_step * abs(search.basis[0].amplitude)
+        if not step < C_MIN:
+            raise ValueError(
+                f"gn.fd_step times |search.amplitude| moves the velocity by {step:g} m/s "
+                f"per finite-difference column, not less than C_MIN = {C_MIN:g} m/s"
+            )
         if cfg.schedule:
             section = "schedule"
             cfg.build_schedule()
         if cfg.sweep:
             section = "sweep"
-            for _ in cfg.sweep_candidates():
-                pass
+            for candidate in cfg.sweep_candidates():
+                _check_operator(candidate)
         section = "record"
         record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)
         section = "reference"
-        cfg.reference_model(truth)
+        _check_operator(cfg.reference_model(truth))
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError, NonPositiveVelocity) as exc:
+    except (TypeError, ValueError, OverflowError, NonPositiveVelocity, OperatorOverflow) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 

@@ -236,31 +236,22 @@ def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
 # Discrete operator ----------------------------------------------------------
 
 
-def _laplacian_1d(n: int, h: float, lo: str, hi: str) -> sp.csr_matrix:
-    """Negated 1D second difference with the given end conditions.
-
-    Dirichlet keeps the full 2/h^2 diagonal at the edge (ghost node pinned
-    to zero one spacing outside); Neumann mirrors the ghost, leaving 1/h^2.
-    """
-    main = np.full(n, 2.0)
-    if lo == "neumann":
-        main[0] = 1.0
-    if hi == "neumann":
-        main[-1] = 1.0
+def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
+    """Negated 1D second difference with Dirichlet ends: the ghost nodes one
+    spacing outside are pinned to zero, so the diagonal is 2/h^2 throughout."""
     off = np.full(n - 1, -1.0)
-    t = sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-    return t
+    return sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1], format="csr") / h**2
 
 
 @lru_cache(maxsize=16)
-def _laplacian_2d(grid: Grid2D, bc: tuple) -> sp.csr_matrix:
-    """Negated 5-point Laplacian (positive semidefinite) on the grid.
+def _laplacian_2d(grid: Grid2D) -> sp.csr_matrix:
+    """Negated 5-point Laplacian (symmetric positive definite) on the grid.
 
     Its arrays are read-only: every `DiscreteOperator` on the grid shares
     the index arrays.
     """
-    tx = _laplacian_1d(grid.nx, grid.hx, bc[0], bc[1])
-    tz = _laplacian_1d(grid.nz, grid.hz, bc[2], bc[3])
+    tx = _laplacian_1d(grid.nx, grid.hx)
+    tz = _laplacian_1d(grid.nz, grid.hz)
     lap = sp.kronsum(tz, tx, format="csr")
     for part in (lap.data, lap.indices, lap.indptr):
         part.flags.writeable = False
@@ -268,9 +259,9 @@ def _laplacian_2d(grid: Grid2D, bc: tuple) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=16)
-def _laplacian_rows(grid: Grid2D, bc: tuple) -> np.ndarray:
+def _laplacian_rows(grid: Grid2D) -> np.ndarray:
     """Row of each stored entry of `_laplacian_2d` (read-only)."""
-    lap = _laplacian_2d(grid, bc)
+    lap = _laplacian_2d(grid)
     rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
     rows.flags.writeable = False
     return rows
@@ -280,16 +271,16 @@ class DiscreteOperator:
     """Symmetrized wave operator A = C L C on a grid.
 
     C is the diagonal of nodal velocities and L the negated 5-point
-    Laplacian with the model's homogeneous boundary conditions, so A is
-    symmetric positive (semi)definite and spd under Dirichlet walls.
+    Laplacian with homogeneous Dirichlet walls one spacing outside the
+    node block, so A is symmetric positive definite.
     """
 
     def __init__(self, velocity: VelocityModel):
         self.velocity = velocity
         self.grid = velocity.grid
         c = velocity.c.ravel()
-        lap = _laplacian_2d(self.grid, velocity.bc)
-        rows = _laplacian_rows(self.grid, velocity.bc)
+        lap = _laplacian_2d(self.grid)
+        rows = _laplacian_rows(self.grid)
         self.matrix = sp.csr_matrix(
             (lap.data * c[rows] * c[lap.indices], lap.indices, lap.indptr), shape=lap.shape
         )
@@ -691,10 +682,10 @@ def synthesize_measurements(
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
     profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
-    lap = _laplacian_2d(v.grid, v.bc)
+    lap = _laplacian_2d(v.grid)
     row_scale = -(dt**2) * v.c.ravel() ** 2
     step = sp.csr_matrix(
-        (lap.data * row_scale[_laplacian_rows(v.grid, v.bc)], lap.indices, lap.indptr),
+        (lap.data * row_scale[_laplacian_rows(v.grid)], lap.indices, lap.indptr),
         shape=lap.shape,
     )
     kick = dt**2 * pulse.df(-k0 * dt + dt * np.arange(nt - 1))

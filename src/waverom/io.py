@@ -8,7 +8,8 @@ Every binary artifact is a pair: a JSON header at `<stem>.json` and raw
 little-endian float64 payload at `<stem>.bin`.  Payload layouts:
 
 - velocity model: c values, row-major with z fastest (shape nx*nz);
-  header {schema, nx, nz, hx, hz, x0, z0, bc}.
+  header {schema, nx, nz, hx, hz, x0, z0, bc}, where bc is always
+  DIRICHLET_WALLS.
 - dataset: D blocks then Ddot blocks, each (2n-1, m, m) C-order;
   header {schema, m, n, tau}.
 - operator ROM: A_rom then R, each (nm, nm) C-order; header {schema, m, n}.
@@ -91,21 +92,27 @@ def _load(path, schema: str, build):
 
 # Velocity models -------------------------------------------------------------
 
+#: The velocity header's `bc`: homogeneous Dirichlet walls on the four sides
+#: (x low, x high, z low, z high), the only walls the wave operator has.
+DIRICHLET_WALLS = ["dirichlet"] * 4
+
 
 def save_velocity(path, v: VelocityModel):
     g = v.grid
     _save(path, {
         "schema": "waverom-velocity-v1",
         "nx": g.nx, "nz": g.nz, "hx": g.hx, "hz": g.hz,
-        "x0": g.x0, "z0": g.z0, "bc": list(v.bc),
+        "x0": g.x0, "z0": g.z0, "bc": DIRICHLET_WALLS,
     }, v.c)
 
 
 def load_velocity(path) -> VelocityModel:
     def build(h, payload):
+        if h["bc"] != DIRICHLET_WALLS:
+            raise ArtifactError(f"{path}: walls {h['bc']!r} are not {DIRICHLET_WALLS}")
         g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"], h["x0"], h["z0"])
         (c,) = payload((g.nx, g.nz))
-        return VelocityModel(g, c, tuple(h["bc"]))
+        return VelocityModel(g, c)
 
     return _load(path, "waverom-velocity-v1", build)
 

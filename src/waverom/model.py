@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DomainTooSmall, NonPositiveVelocity
 
-BC_KINDS = ("dirichlet", "neumann")
-
 #: Lower clamp on trial velocities (m/s), which keeps the wave operator
 #: well-posed during aggressive line-search trials.
 C_MIN = 300.0
@@ -40,16 +38,6 @@ def whole(value, name: str, least: int = None) -> int:
     return int(value)
 
 
-def _normalize_bc(bc) -> tuple[str, str, str, str]:
-    """Expand a bc spec into per-side tags (x_lo, x_hi, z_lo, z_hi)."""
-    if isinstance(bc, str):
-        bc = (bc,) * 4
-    bc = tuple(str(side).lower() for side in bc)
-    if len(bc) != 4 or any(side not in BC_KINDS for side in bc):
-        raise ValueError(f"bc must be 4 sides from {BC_KINDS}, got {bc!r}")
-    return bc
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform tensor grid of interior nodes."""
@@ -64,8 +52,10 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 3 or self.nz < 3:
             raise ValueError("grid needs nx, nz >= 3")
-        if self.hx <= 0 or self.hz <= 0:
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.hx < math.inf and 0 < self.hz < math.inf):
+            raise ValueError("grid spacings must be positive and finite")
+        if not (math.isfinite(self.x_max) and math.isfinite(self.z_max)):
+            raise ValueError("grid origin and extent must be finite")
 
     @property
     def n_dof(self) -> int:
@@ -112,14 +102,12 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class VelocityModel:
-    """Velocity field c(x) on a grid plus boundary-condition choice."""
+    """Velocity field c(x) on a grid."""
 
     grid: Grid2D
     c: np.ndarray
-    bc: tuple[str, str, str, str] = ("dirichlet",) * 4
 
     def __post_init__(self):
-        object.__setattr__(self, "bc", _normalize_bc(self.bc))
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.grid.nx, self.grid.nz):
             raise ValueError(f"c has shape {c.shape}, expected {(self.grid.nx, self.grid.nz)}")
@@ -206,11 +194,11 @@ def evaluate_velocity(p: Parametrization, eta) -> VelocityModel:
     each node clamped below at C_MIN."""
     g = p.background.grid
     c = np.maximum(p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float), C_MIN)
-    return VelocityModel(g, c.reshape(g.nx, g.nz), p.background.bc)
+    return VelocityModel(g, c.reshape(g.nx, g.nz))
 
 
-def make_constant_model(c0: float, g: Grid2D, bc="dirichlet") -> VelocityModel:
-    return VelocityModel(g, np.full((g.nx, g.nz), float(c0)), bc)
+def make_constant_model(c0: float, g: Grid2D) -> VelocityModel:
+    return VelocityModel(g, np.full((g.nx, g.nz), float(c0)))
 
 
 def make_two_layer_model(
@@ -219,7 +207,6 @@ def make_two_layer_model(
     g: Grid2D,
     slope_drop: float = 400.0,
     c_top: float = 1500.0,
-    bc="dirichlet",
 ) -> VelocityModel:
     """Two regions separated by a slanted interface.
 
@@ -236,7 +223,7 @@ def make_two_layer_model(
     xx, zz = g.mesh()
     iface = depth_left + slope_drop * (xx - g.x0) / g.extent[0]
     c = np.where(zz - g.z0 > iface, contrast * c_top, c_top)
-    return VelocityModel(g, c, bc)
+    return VelocityModel(g, c)
 
 
 def make_camembert_model(
@@ -245,7 +232,6 @@ def make_camembert_model(
     radius: float = 600.0,
     c_inside: float = 4000.0,
     c_outside: float = 3000.0,
-    bc="dirichlet",
 ) -> VelocityModel:
     """Circular inclusion in a constant background (closed-disk convention)."""
     cx, cz = center
@@ -261,16 +247,14 @@ def make_camembert_model(
     xx, zz = g.mesh()
     inside = (xx - cx) ** 2 + (zz - cz) ** 2 <= radius**2
     c = np.where(inside, c_inside, c_outside)
-    return VelocityModel(g, c, bc)
+    return VelocityModel(g, c)
 
 
-def make_gradient_model(
-    c_top: float, c_bottom: float, g: Grid2D, bc="dirichlet"
-) -> VelocityModel:
+def make_gradient_model(c_top: float, c_bottom: float, g: Grid2D) -> VelocityModel:
     """One-dimensional velocity gradient in depth."""
     zz = g.zs()
     prof = c_top + (c_bottom - c_top) * (zz - g.z0) / g.extent[1]
-    return VelocityModel(g, np.tile(prof, (g.nx, 1)), bc)
+    return VelocityModel(g, np.tile(prof, (g.nx, 1)))
 
 
 def make_bump_lattice(

@@ -240,6 +240,8 @@ MALFORMED = [
                  id="repeated-sensor-position"),
     pytest.param(("sampling", "n"), 0, id="zero-samples"),
     pytest.param(("grid", "bc"), "periodic", id="periodic-bc"),
+    pytest.param(("grid", "bc"), "neumann", id="neumann-bc"),
+    pytest.param(("grid", "bc"), ["dirichlet"] * 4, id="per-side-bc"),
     pytest.param((), None, id="top-level-list"),
     pytest.param(("search", "background"), {"kind": "constant"},
                  id="constant-background-without-c0"),
@@ -286,6 +288,15 @@ MALFORMED = [
     pytest.param(("gn",), {"fd_step": 0}, id="zero-fd-step"),
     pytest.param(("gn",), {"fd_step": -0.01}, id="negative-fd-step"),
     pytest.param(("gn",), {"alpha_max": float("nan")}, id="nan-alpha-max"),
+    # one finite-difference column moves the velocity by fd_step * |amplitude| m/s
+    pytest.param(("gn",), {"fd_step": 1e300}, id="fd-step-beyond-c-min"),
+    pytest.param(("gn",), {"fd_step": 300.0}, id="fd-step-at-c-min"),
+    pytest.param(("search", "amplitude"), 1e300, id="amplitude-step-beyond-c-min"),
+    # c^2 / h^2 beyond the float range: no synthesis of the model can run
+    pytest.param(("model",), dict(CAMEMBERT, c_inside=1e200), id="c_inside-operator-overflows"),
+    pytest.param(("search", "background", "c0"), 1e200, id="background-operator-overflows"),
+    pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], max=1e300)),
+                 id="sweep-candidate-operator-overflows"),
     pytest.param(("search", "amplitude"), "x", id="string-amplitude"),
     pytest.param(("search", "amplitude"), 0, id="zero-amplitude"),
     pytest.param(("search", "width_factor"), float("nan"), id="nan-width-factor"),
@@ -385,15 +396,62 @@ def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("shape, bc", [((10, 12), "dirichlet"), ((12, 15), "neumann")],
-                         ids=["other-grid", "other-walls"])
-def test_file_model_off_its_grid_section_exits_2(tmp_path, capsys, shape, bc):
-    model = make_constant_model(1500.0, Grid2D(*shape, 100.0, 100.0), bc)
-    io.save_velocity(tmp_path / "v.json", model)
+def save_velocity_with_walls(path, shape, walls):
+    """A constant velocity artifact on a `shape` grid, its header's `bc`
+    rewritten to four `walls` sides."""
+    io.save_velocity(path, make_constant_model(1500.0, Grid2D(*shape, 100.0, 100.0)))
+    header = json.loads(path.read_text())
+    header["bc"] = [walls] * 4
+    path.write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("shape, walls, message", [
+    ((10, 12), "dirichlet", "v.json holds a model on"),
+    ((12, 15), "neumann", "walls ['neumann', 'neumann', 'neumann', 'neumann'] are not"),
+], ids=["other-grid", "other-walls"])
+def test_file_model_off_its_grid_section_exits_2(tmp_path, capsys, shape, walls, message):
+    save_velocity_with_walls(tmp_path / "v.json", shape, walls)
     cfg = base_config(model={"factory": "file", "path": "v.json"})
     rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "v.json holds a model on" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fd_step_below_c_min_runs(tmp_path):
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+        gn={"fd_step": 299.0},
+    )
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
+def test_reference_operator_overflow_exits_2(tmp_path, capsys):
+    # c^2 / h^2 fits the float range on the stated grid, not on the one
+    # twice as fine that the reference model is built on
+    cfg = base_config(model=dict(CAMEMBERT, c_inside=3e155))
+    config_from_dict(cfg, tmp_path)
+    cfg["reference"] = {"refine": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "bad reference section" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hx", float("nan")), ("hx", float("inf")), ("hx", 1e308),
+    ("hz", float("nan")), ("x0", float("nan")), ("z0", float("inf")),
+], ids=["nan-hx", "infinite-hx", "hx-extent-overflows", "nan-hz", "nan-x0", "infinite-z0"])
+def test_non_finite_grid_geometry_names_the_grid_section(tmp_path, capsys, key, value):
+    cfg = base_config()
+    cfg["grid"][key] = value
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "bad grid section" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -421,11 +479,10 @@ def test_overflowing_line_search_trials_are_rejected(tmp_path):
     assert json.loads((out / "profile.json").read_text())["inversion.infeasible"] > 0
 
 
-@pytest.mark.parametrize("shape, bc", [((10, 12), "dirichlet"), ((12, 15), "neumann")],
+@pytest.mark.parametrize("shape, walls", [((10, 12), "dirichlet"), ((12, 15), "neumann")],
                          ids=["other-grid", "other-walls"])
-def test_search_background_off_the_model_exits_2(tmp_path, capsys, shape, bc):
-    background = make_constant_model(1500.0, Grid2D(*shape, 100.0, 100.0), bc)
-    io.save_velocity(tmp_path / "bg.json", background)
+def test_search_background_off_the_model_exits_2(tmp_path, capsys, shape, walls):
+    save_velocity_with_walls(tmp_path / "bg.json", shape, walls)
     cfg = base_config(
         search={"background": {"kind": "file", "path": "bg.json"}, "lattice": [2, 2]},
         schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},

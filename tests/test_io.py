@@ -28,7 +28,7 @@ def test_velocity_roundtrip(tmp_path, grid):
     io.save_velocity(tmp_path / "v.json", v)
     back = io.load_velocity(tmp_path / "v.json")
     assert back.grid == v.grid
-    assert back.bc == v.bc
+    assert json.loads((tmp_path / "v.json").read_text())["bc"] == ["dirichlet"] * 4
     np.testing.assert_array_equal(back.c, v.c)
 
 
@@ -36,7 +36,7 @@ def test_velocity_payload_layout(tmp_path, grid):
     v = make_constant_model(1500.0, grid)
     c = np.array(v.c)
     c[2, 7] = 1800.0
-    v = type(v)(grid, c, v.bc)
+    v = type(v)(grid, c)
     io.save_velocity(tmp_path / "v.json", v)
     raw = np.fromfile(tmp_path / "v.bin", dtype="<f8")
     # row-major with z fastest: node (i, j) at flat index i*nz + j
@@ -118,6 +118,7 @@ MALFORMED_HEADERS = [
     pytest.param("velocity", lambda h: h.pop("nx"), id="velocity-missing-field"),
     pytest.param("velocity", lambda h: h.update(hx="100"), id="velocity-wrong-type"),
     pytest.param("velocity", lambda h: h.update(nx=2), id="velocity-rejected-value"),
+    pytest.param("velocity", lambda h: h.pop("bc"), id="velocity-missing-walls"),
     pytest.param("dataset", lambda h: h.pop("n"), id="dataset-missing-field"),
     pytest.param("dataset", lambda h: h.update(n="3"), id="dataset-wrong-type"),
     pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),
@@ -158,6 +159,18 @@ def test_nonpositive_velocity_payload_rejected(artifacts, value):
     payload.tofile(artifacts / "velocity.bin")
     for kind in ("velocity", "parametrization"):
         with pytest.raises(ArtifactError, match="malformed artifact"):
+            LOADERS[kind](artifacts / f"{kind}.json")
+
+
+@pytest.mark.parametrize("walls", [["neumann"] * 4, ["dirichlet"] * 3 + ["neumann"], "dirichlet"],
+                         ids=["neumann", "one-neumann-side", "one-string"])
+def test_velocity_walls_other_than_four_dirichlet_rejected(artifacts, walls):
+    path = artifacts / "velocity.json"
+    header = json.loads(path.read_text())
+    header["bc"] = walls
+    path.write_text(json.dumps(header))
+    for kind in ("velocity", "parametrization"):
+        with pytest.raises(ArtifactError, match="walls .* are not"):
             LOADERS[kind](artifacts / f"{kind}.json")
 
 

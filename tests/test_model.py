@@ -65,10 +65,6 @@ class TestVelocityModel:
         with pytest.raises(ValueError):
             v.c[0, 0] = 99.0
 
-    def test_bc_normalization(self, grid):
-        v = VelocityModel(grid, np.full((grid.nx, grid.nz), 1.0), "neumann")
-        assert v.bc == ("neumann",) * 4
-
 
 class TestEvaluateVelocity:
     def test_zero_eta_returns_background(self, small_param):
