@@ -8,7 +8,10 @@ of TREE's `src` (in this process, on one BLAS thread), with their outputs
 under OUT.  Then, so that every writer is covered, it runs `rom` on
 desk_rom's dataset, `compare` of desk_rom against desk_fwi,
 `synthesize --path timedomain --traces` on the spectral_ref config and a
-`synthesize` of the desk config with `reference.refine` 2.  It writes
+`synthesize` of the desk config with `reference.refine` 2.  It also
+writes the Marmousi smoke case with TREE's `scripts/make_marmousi_smoke.py`
+and runs `invert` on it in both modes, whose schedule k = 2, 4, 6 rebuilds
+the residual map for each larger k.  It writes
 `OUT/digests.json`, the sha256 of every file under OUT by relative path.
 A manifest is hashed without its `timestamp` and `compare.json` without
 the two run paths, the fields that differ between identical runs in
@@ -21,6 +24,7 @@ different directories.  Two trees produce the same outputs when their
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -55,6 +59,15 @@ def main(tree: Path, out: Path) -> int:
     runs = []
     for name, workload in WORKLOADS.items():
         runs += [(name, argv) for argv in workload(tree, work, 0).commands(out / name)]
+    spec = importlib.util.spec_from_file_location("smoke", tree / "scripts/make_marmousi_smoke.py")
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+    smoke_config = smoke.write_smoke_case(work / "marmousi")
+    runs += [
+        (f"marmousi_{mode}", ["invert", "--config", smoke_config, "--out", out / f"marmousi_{mode}",
+                              "--mode", mode])
+        for mode in ("rom", "fwi")
+    ]
     refine = json.loads((work / "desk_rom.json").read_text())
     refine["reference"] = {"refine": 2}
     (work / "desk_refine.json").write_text(json.dumps(refine, indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
-from .objective import RomResidualSpec, fwi_residual, rom_residual
+from .objective import RomResidualSpec, fwi_residual, residual_length, rom_residual
 from .rom import assemble_mass, build_rom
 
 
@@ -183,13 +183,19 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     truth = cfg.build_model()
-    grid = truth.grid
-    acq = cfg.build_acquisition(grid)
-    ref_ds = acq.dataset(cfg.reference_model(truth))
+    acq = cfg.build_acquisition(truth.grid)
     param = cfg.build_search(truth)
     schedule = cfg.build_schedule()
     gn = cfg.build_gn()
+    # N may not exceed any layer's residual length; the first layer's is the shortest
+    length = residual_length(args.mode, acq.array.m, acq.n, schedule.d, schedule.k[0])
+    if param.n_params > length:
+        raise ConfigError(
+            f"search has {param.n_params} parameters, more than the {length} entries "
+            f"of the {args.mode} residual"
+        )
 
+    ref_ds = acq.dataset(cfg.reference_model(truth))
     reference = build_rom(ref_ds) if args.mode == "rom" else ref_ds
     estimate, state = run_inversion(reference, param, schedule, gn, acq)
 
@@ -198,7 +204,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
     io.save_velocity(out / "estimate.json", estimate)
     io.save_dataset(out / "dataset.json", ref_ds)
     io.save_state_csv(out / "state.csv", state)
-    io.save_parametrization(out / "parametrization.json", param.with_eta(state.eta), "initial.json")
+    io.save_parametrization(out / "parametrization.json", param, state.eta, "initial.json")
 
     initial_error = param.background.rel_l2_error(truth)
     final_error = estimate.rel_l2_error(truth)

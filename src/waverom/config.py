@@ -263,14 +263,15 @@ class ExperimentConfig:
 
 def _check_operator(v: VelocityModel):
     """Raise OperatorOverflow, as every synthesis of `v` would, when the wave
-    operator of `v` has no finite spectral bound."""
+    operator of `v` has no positive, finite spectral bound."""
     chebyshev_interval(DiscreteOperator(v).lambda_upper())
 
 
 def _build_sections(cfg: ExperimentConfig):
     """Build every section once, so that a malformed one fails at load time:
-    every model the config states must have a finite operator bound, and one
-    finite-difference column must move the velocity by less than C_MIN."""
+    every model the config states must have a positive, finite operator
+    bound, and one finite-difference column must move the velocity by less
+    than C_MIN."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys

@@ -26,8 +26,9 @@ class EigUnavailable(WaveromError):
 
 
 class OperatorOverflow(WaveromError):
-    """A velocity model's wave operator has entries beyond the float range,
-    so its spectral bound is not finite."""
+    """A velocity model's wave operator leaves the float range (entries
+    that overflow, or whose c^2 underflows to 0), so its spectral bound is
+    not positive and finite."""
 
 
 class NyquistViolation(WaveromError, Warning):

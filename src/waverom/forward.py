@@ -461,10 +461,12 @@ def chebyshev_interval(lam_upper: float) -> float:
     """lam_upper rounded up to the geometric grid CHEB_RATIO**e, e integer.
 
     Operators whose bounds share a grid point share one Chebyshev table.
-    A bound that is not finite raises OperatorOverflow.
+    A bound that is not positive and finite raises OperatorOverflow.
     """
-    if not math.isfinite(lam_upper):
-        raise OperatorOverflow(f"the operator's spectral bound {lam_upper} is not finite")
+    if not 0 < lam_upper < math.inf:
+        raise OperatorOverflow(
+            f"the operator's spectral bound {lam_upper} is not positive and finite"
+        )
     e = math.ceil(math.log(lam_upper) / math.log(CHEB_RATIO))
     if CHEB_RATIO**e < lam_upper:  # the log quotient rounded down onto e
         e += 1
@@ -573,7 +575,7 @@ def synthesize_dataset(
     A tau beyond the pulse's Nyquist interval issues NyquistViolation as a
     warning; `warnings.simplefilter("error", NyquistViolation)` makes it
     an error.  Either method raises OperatorOverflow when the operator's
-    bound is not finite.
+    bound is not positive and finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

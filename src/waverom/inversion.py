@@ -224,22 +224,20 @@ def line_search(eta: np.ndarray, direction: np.ndarray, functional, alpha_max: f
     Samples the geometric grid {alpha_max * LS_RHO^j, j < LS_GRID_SIZE}
     and refines around the best grid point with LS_GOLDEN_ITERS
     golden-section passes; the functional may return +inf for infeasible
-    trials.  Returns 0 when no sampled step improves on the current value
-    (step rejected).
+    trials.  Returns the first probed alpha of least value, or 0 when no
+    sampled step improves on the current value (step rejected).
     """
-    f0 = functional(eta)
-    best_alpha, best_val = 0.0, f0
-    evals = {}
+    best_alpha, best_val = 0.0, functional(eta)
 
     def probe(alpha: float) -> float:
-        if alpha not in evals:
-            evals[alpha] = functional(eta + alpha * direction)
-        return evals[alpha]
-
-    for alpha in (alpha_max * LS_RHO**j for j in range(LS_GRID_SIZE)):
-        val = probe(alpha)
+        nonlocal best_alpha, best_val
+        val = functional(eta + alpha * direction)
         if val < best_val:
             best_alpha, best_val = alpha, val
+        return val
+
+    for j in range(LS_GRID_SIZE):
+        probe(alpha_max * LS_RHO**j)
     if best_alpha == 0.0:
         return 0.0
 
@@ -256,9 +254,6 @@ def line_search(eta: np.ndarray, direction: np.ndarray, functional, alpha_max: f
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = probe(x2)
-    for alpha, val in evals.items():
-        if val < best_val:
-            best_alpha, best_val = alpha, val
     return best_alpha
 
 
@@ -268,15 +263,10 @@ def make_residual_fn(reference, param: Parametrization, acq: Acquisition, d: int
     An OperatorRom reference gives the banded ROM misfit O_{d,k}, a DataSet
     the FWI data misfit over all its samples.
     """
-    spec = RomResidualSpec(d, k, reference) if isinstance(reference, OperatorRom) else None
-
-    def residual(eta: np.ndarray) -> np.ndarray:
-        v = evaluate_velocity(param, eta=eta)
-        if spec is not None:
-            return rom_objective(v, spec, acq)[1]
-        return fwi_objective(v, reference, acq)[1]
-
-    return residual
+    if isinstance(reference, OperatorRom):
+        spec = RomResidualSpec(d, k, reference)
+        return lambda eta: rom_objective(evaluate_velocity(param, eta), spec, acq)[1]
+    return lambda eta: fwi_objective(evaluate_velocity(param, eta), reference, acq)[1]
 
 
 def run_inversion(
@@ -309,8 +299,9 @@ def run_inversion(
         residual_fn = make_residual_fn(reference, param, acq, schedule.d, layer_k)
 
         # Residual cache, valid within one layer (the residual map changes
-        # with k_l).  Line-search probes land here, so the accepted point's
-        # residual is free at the next iteration.
+        # with k_l).  Line-search probes land here, so a repeated probe is a
+        # lookup and the accepted point's residual is free at the next
+        # iteration.
         cache: dict[bytes, np.ndarray] = {}
         # One Jacobian array per layer: each update of the layer assembles
         # and factors J in it, so no update allocates another M x N array.
@@ -365,5 +356,5 @@ def run_inversion(
             cache.clear()
             cache[key] = kept
 
-    estimate = evaluate_velocity(param, eta=state.eta)
+    estimate = evaluate_velocity(param, state.eta)
     return estimate, state

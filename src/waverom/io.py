@@ -120,9 +120,9 @@ def load_velocity(path) -> VelocityModel:
 # Parametrizations -------------------------------------------------------------
 
 
-def save_parametrization(path, p: Parametrization, background_path: str):
-    """Store the basis and eta; the background velocity lives in its own
-    file referenced by (relative) path."""
+def save_parametrization(path, p: Parametrization, eta: np.ndarray, background_path: str):
+    """Store the basis and the coefficients eta; the background velocity
+    lives in its own file referenced by (relative) path."""
     _write_json(path, {
         "schema": "waverom-parametrization-v1",
         "background": background_path,
@@ -130,17 +130,22 @@ def save_parametrization(path, p: Parametrization, background_path: str):
             {"center": list(b.center), "width": b.width, "amplitude": b.amplitude}
             for b in p.basis
         ],
-        "eta": list(p.eta),
+        "eta": list(eta),
     })
 
 
-def load_parametrization(path) -> Parametrization:
+def load_parametrization(path) -> tuple[Parametrization, np.ndarray]:
+    """The parametrization and its coefficients eta, one per basis function."""
     def build(h, payload):
         background = load_velocity(Path(path).parent / h["background"])
         basis = tuple(
             GaussianBump(tuple(b["center"]), b["width"], b["amplitude"]) for b in h["basis"]
         )
-        return Parametrization(background, basis, np.asarray(h["eta"], dtype=float))
+        p = Parametrization(background, basis)
+        eta = np.asarray(h["eta"], dtype=float)
+        if eta.shape != (p.n_params,):
+            raise ValueError(f"eta must have length {p.n_params}, got shape {eta.shape}")
+        return p, eta
 
     return _load(path, "waverom-parametrization-v1", build)
 

@@ -13,7 +13,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import math
 
@@ -56,6 +56,9 @@ class Grid2D:
             raise ValueError("grid spacings must be positive and finite")
         if not (math.isfinite(self.x_max) and math.isfinite(self.z_max)):
             raise ValueError("grid origin and extent must be finite")
+        if not (np.all(np.diff(self.xs()) > 0) and np.all(np.diff(self.zs()) > 0)):
+            raise ValueError("grid node coordinates must increase strictly: the spacing is "
+                             "below the resolution of the origin")
 
     @property
     def n_dof(self) -> int:
@@ -134,8 +137,8 @@ class GaussianBump:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.width < math.inf:
-            raise ValueError("bump width must be positive and finite")
+        if not (0 < self.width < math.inf and self.width**2 > 0):
+            raise ValueError("bump width must be positive and finite, with a nonzero square")
         if not (math.isfinite(self.amplitude) and self.amplitude != 0):
             raise ValueError("bump amplitude must be finite and non-zero")
 
@@ -147,11 +150,14 @@ class GaussianBump:
 
 @dataclass(frozen=True)
 class Parametrization:
-    """Search space v(x; eta) = c_o(x) + sum_l eta_l phi_l(x)."""
+    """Search space v(x; eta) = c_o(x) + sum_l eta_l phi_l(x).
+
+    Each phi_l must be finite and, at eta_l = 1, change c_o at some node:
+    a phi_l that changes none gives a Jacobian column of zeros.
+    """
 
     background: VelocityModel
     basis: tuple[GaussianBump, ...]
-    eta: np.ndarray = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -161,20 +167,18 @@ class Parametrization:
         for b in self.basis:
             if not g.contains(*b.center):
                 raise ValueError(f"bump center {b.center} outside the domain")
-        eta = self.eta
-        eta = np.zeros(len(self.basis)) if eta is None else np.asarray(eta, dtype=float)
-        if eta.shape != (len(self.basis),):
-            raise ValueError(f"eta must have length {len(self.basis)}")
-        eta = eta.copy()
-        eta.flags.writeable = False
-        object.__setattr__(self, "eta", eta)
+        c, phi = self.background.c.ravel()[:, None], self.basis_matrix
+        moves = np.isfinite(phi).all(axis=0) & (c + phi != c).any(axis=0)
+        if not moves.all():
+            b = self.basis[int(np.argmin(moves))]
+            raise ValueError(
+                f"bump at {b.center} is not finite, or at unit coefficient moves the "
+                "background velocity at no node"
+            )
 
     @property
     def n_params(self) -> int:
         return len(self.basis)
-
-    def with_eta(self, eta) -> "Parametrization":
-        return Parametrization(self.background, self.basis, np.asarray(eta, dtype=float))
 
     @cached_property
     def basis_matrix(self) -> np.ndarray:

@@ -81,6 +81,16 @@ def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
     return diff[:, iu, ju].ravel()
 
 
+def residual_length(mode: str, m: int, n: int, d: int, k: int) -> int:
+    """Entries of the residual over m sensors: of rom_residual at band depth
+    d and restriction size k for mode "rom", of fwi_residual over the
+    2n - 1 samples for mode "fwi"."""
+    if mode == "rom":
+        band = d * m
+        return band * k * m - band * (band - 1) // 2
+    return (2 * n - 1) * m * (m + 1) // 2
+
+
 def fwi_objective(
     v: VelocityModel, reference: DataSet, acq: Acquisition
 ) -> tuple[float, np.ndarray]:

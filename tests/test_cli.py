@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from waverom import io
+from waverom import io, profile
 from waverom.cli import local_minima_census, main
 from waverom.config import config_from_dict, load_config
 from waverom.errors import ConfigError, InsufficientRecordLength
@@ -300,6 +300,12 @@ MALFORMED = [
     pytest.param(("search", "amplitude"), "x", id="string-amplitude"),
     pytest.param(("search", "amplitude"), 0, id="zero-amplitude"),
     pytest.param(("search", "width_factor"), float("nan"), id="nan-width-factor"),
+    # 2 width^2 underflows to 0
+    pytest.param(("search", "width_factor"), 1e-300, id="width-factor-square-underflows"),
+    # each bump peaks at 1e-261 m/s on the nodes, below the resolution of 1500 m/s
+    pytest.param(("search", "width_factor"), 1e-3, id="bumps-move-no-node"),
+    # 100 parameters for the 78 entries of the d = k = 4 ROM residual
+    pytest.param(("search", "lattice"), [10, 10], id="search-beyond-rom-residual"),
     pytest.param(("model",), dict(CAMEMBERT, radius=-5.0), id="negative-radius"),
     pytest.param(("model",), dict(CAMEMBERT, center=[float("nan"), 700.0]), id="nan-center"),
     pytest.param(("gn",), {"c_min": "x"}, id="string-c-min"),
@@ -426,6 +432,56 @@ def test_fd_step_below_c_min_runs(tmp_path):
     )
     rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_narrow_search_bumps_run(tmp_path):
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2],
+                "width_factor": 1e-2},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
+def test_search_beyond_fwi_residual_exits_2_before_synthesis(tmp_path, capsys):
+    # 49 parameters for the 42 entries of the FWI residual over 7 samples
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [7, 7]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o"),
+               "--mode", "fwi"])
+    assert rc == 2
+    assert "49 parameters, more than the 42 entries of the fwi residual" in capsys.readouterr().err
+    assert "forward.synth" not in profile.counts()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section", ["model", "background"])
+def test_operator_bound_of_zero_exits_2_saying_so(tmp_path, capsys, section):
+    # c^2 underflows to 0, and so does the operator's Gershgorin bound
+    cfg = base_config(search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]})
+    spec = {"factory": "constant", "c0": 1e-300}
+    if section == "model":
+        cfg["model"] = spec
+    else:
+        cfg["search"]["background"] = {"kind": "constant", "c0": 1e-300}
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "spectral bound 0.0 is not positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("x0", 1e308), ("z0", 1e300)])
+def test_coincident_grid_nodes_name_the_grid_section(tmp_path, capsys, key, value):
+    # x0 + i hx == x0 for every node
+    cfg = base_config()
+    cfg["grid"][key] = value
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "bad grid section" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_reference_operator_overflow_exits_2(tmp_path, capsys):

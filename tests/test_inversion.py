@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import svdvals
 
-from waverom import profile
+from waverom import inversion, profile
 from waverom.errors import MassNotSPD, ResidualShorterThanN, SingularSystem
 from waverom.forward import Pulse, line_array
 from waverom.inversion import (
@@ -248,6 +248,25 @@ class TestLineSearch:
         alpha = line_search(np.zeros(1), np.ones(1), f, 3.0)
         assert 0.0 < alpha <= 1.0
         assert alpha == pytest.approx(0.8, rel=0.1)
+
+    @pytest.mark.parametrize("golden", [inversion.GOLDEN, 0.5], ids=["golden", "midpoint"])
+    @pytest.mark.parametrize("level, expected", [
+        (lambda a: -1.0, 3.0),
+        (lambda a: -1.0 if a in (3.0 * 0.7**2, 3.0 * 0.7**5) else 0.0, 3.0 * 0.7**2),
+    ], ids=["plateau", "tied-grid-points"])
+    def test_first_alpha_probed_of_least_value_wins(self, monkeypatch, golden, level, expected):
+        # at a golden ratio of 0.5 both refinement points are the midpoint,
+        # so the first refinement probes one alpha twice
+        monkeypatch.setattr(inversion, "GOLDEN", golden)
+        probes = []
+
+        def f(e):
+            alpha = float(e[0])
+            probes.append(alpha)
+            return 0.0 if alpha == 0.0 else level(alpha)
+
+        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == expected
+        assert (len(set(probes)) < len(probes)) == (golden == 0.5)
 
 
 class TestSchedule:

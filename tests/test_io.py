@@ -48,15 +48,14 @@ def test_velocity_payload_layout(tmp_path, grid):
 def test_parametrization_roundtrip(tmp_path, grid):
     bg = make_constant_model(2500.0, grid)
     p = Parametrization(
-        bg,
-        (GaussianBump((400.0, 600.0), 150.0, 2.0), GaussianBump((900.0, 900.0), 150.0)),
-        np.array([3.0, -4.0]),
+        bg, (GaussianBump((400.0, 600.0), 150.0, 2.0), GaussianBump((900.0, 900.0), 150.0))
     )
+    eta = np.array([3.0, -4.0])
     io.save_velocity(tmp_path / "bg.json", bg)
-    io.save_parametrization(tmp_path / "p.json", p, "bg.json")
-    back = io.load_parametrization(tmp_path / "p.json")
+    io.save_parametrization(tmp_path / "p.json", p, eta, "bg.json")
+    back, back_eta = io.load_parametrization(tmp_path / "p.json")
     assert back.basis == p.basis
-    np.testing.assert_array_equal(back.eta, p.eta)
+    np.testing.assert_array_equal(back_eta, eta)
     np.testing.assert_array_equal(back.background.c, bg.c)
 
 
@@ -99,11 +98,11 @@ def artifacts(tmp_path, grid):
     pulse = Pulse.from_hz(6.0, 4.0)
     arr = line_array(grid, 2, depth=200.0)
     ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="spectral")
-    p = Parametrization(v, (GaussianBump((400.0, 600.0), 150.0),), np.array([1.0]))
+    p = Parametrization(v, (GaussianBump((400.0, 600.0), 150.0),))
     io.save_velocity(tmp_path / "velocity.json", v)
     io.save_dataset(tmp_path / "dataset.json", ds)
     io.save_rom(tmp_path / "rom.json", build_rom(ds))
-    io.save_parametrization(tmp_path / "parametrization.json", p, "velocity.json")
+    io.save_parametrization(tmp_path / "parametrization.json", p, np.array([1.0]), "velocity.json")
     return tmp_path
 
 
@@ -130,6 +129,10 @@ MALFORMED_HEADERS = [
     pytest.param("parametrization", lambda h: h.update(basis=5), id="parametrization-wrong-type"),
     pytest.param("parametrization", lambda h: h["basis"][0].update(width=-1.0),
                  id="parametrization-rejected-value"),
+    pytest.param("parametrization", lambda h: h["eta"].append(2.0),
+                 id="parametrization-eta-longer-than-basis"),
+    pytest.param("parametrization", lambda h: h.update(eta=[]),
+                 id="parametrization-eta-shorter-than-basis"),
 ]
 
 

@@ -8,7 +8,9 @@ from waverom.objective import (
     RomResidualSpec,
     fwi_objective,
     fwi_residual,
+    residual_length,
     rom_objective,
+    rom_residual,
 )
 from waverom.rom import build_rom, restrict
 
@@ -161,3 +163,16 @@ class TestRelabeling:
             np.testing.assert_allclose(
                 b.d[j], a.d[j][np.ix_(perm, perm)], rtol=1e-11, atol=1e-20
             )
+
+
+def test_residual_length_is_the_size_of_each_residual(bundle):
+    *_, acq, ref_ds, ref_rom = bundle
+    m, n = acq.array.m, acq.n
+    for k in range(1, n + 1):
+        for d in range(1, k + 1):
+            r = rom_residual(ref_rom, RomResidualSpec(d, k, ref_rom))
+            assert residual_length("rom", m, n, d, k) == r.size
+            assert residual_length("fwi", m, n, d, k) == fwi_residual(ref_ds, ref_ds).size
+    # the command-line tests' invert config: m = 3, n = 4, d = k = 4
+    assert residual_length("rom", 3, 4, 4, 4) == 78
+    assert residual_length("fwi", 3, 4, 4, 4) == 42
