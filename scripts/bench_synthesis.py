@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Single-synthesis microbenchmark.
 
-Times one Chebyshev data synthesis (`Acquisition.dataset`) of each
+First times loading each config under `configs/`, `topography_paper`
+included: the minimum ms of LOAD_REPEATS in-process `load_config` calls,
+which build and check every section.
+
+Then times one Chebyshev data synthesis (`Acquisition.dataset`) of each
 config's reference model, which repeats one model and so always finds
 its table in the cache, and, apart, its two largest stages: an uncached
 build of the Chebyshev table (`sample_coeffs`) and the block moments
@@ -72,6 +76,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json")
 #: Warmed calls of the dense route and of the time-domain record.
 DENSE_REPEATS = 3
+#: In-process loads of each config, of which the fastest is printed.
+LOAD_REPEATS = 7
 # (name, residual length M, parameters N) of the Jacobians the configs'
 # inversions build
 GN_SHAPES = (("camembert_desk", 3240, 100), ("camembert_paper", 12880, 400))
@@ -85,6 +91,16 @@ def median_ms(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
+
+
+def load_ms(path: Path) -> float:
+    """Minimum ms of LOAD_REPEATS in-process `load_config(path)` calls."""
+    times = []
+    for _ in range(LOAD_REPEATS):
+        start = time.perf_counter()
+        load_config(path)
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
 
 
 def traced_peak_mb(fn) -> float:
@@ -184,6 +200,9 @@ if __name__ == "__main__":
     ap.add_argument("configs", nargs="*", type=Path, default=[CONFIGS / name for name in DEFAULT])
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args()
+    print(f"{'load':<18}{'min ms':>8}")
+    for path in sorted(CONFIGS.glob("*.json")):
+        print(f"{path.stem:<18}{load_ms(path):>8.1f}")
     print(
         f"{'config':<18}{'dof':>6}{'m':>4}{'K':>5}{'lam/bound':>11}"
         f"{'dataset ms':>12}{'table ms':>10}{'moments ms':>12}{'us/step':>9}"

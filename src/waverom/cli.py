@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, profile
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, Run, load_run
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
@@ -49,22 +49,20 @@ def _save_manifest(out: Path, manifest: dict):
 # synthesize -------------------------------------------------------------------
 
 
-def cmd_synthesize(cfg: ExperimentConfig, out: Path, args) -> int:
+def cmd_synthesize(run: Run, out: Path, args) -> int:
     if args.traces and args.path != "timedomain":
         raise ConfigError("--traces needs --path timedomain, the route that records traces")
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
-    reference = cfg.reference_model(truth)
+    acq, ref, dt_factor = run.acquisition, run.reference, run.config.dt_factor
     if args.path == "spectral":
-        ds = acq.dataset(reference)
+        ds = acq.dataset(ref)
     else:
-        rec = synthesize_measurements(reference, acq.array, acq.pulse, acq.tau, acq.n, cfg.dt_factor)
+        rec = synthesize_measurements(ref, acq.array, acq.pulse, acq.tau, acq.n, dt_factor)
         if args.traces:
             io.save_traces_csv(out / "traces.csv", rec)
-        ds = symmetrize_and_sample(rec, acq.array, reference, acq.n)
+        ds = symmetrize_and_sample(rec, acq.array, ref, acq.n)
     io.save_dataset(out / "dataset.json", ds)
-    io.save_velocity(out / "truth.json", truth)
-    manifest = _manifest_base("synthesize", cfg, args)
+    io.save_velocity(out / "truth.json", run.truth)
+    manifest = _manifest_base("synthesize", run.config, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
     manifest["path"] = args.path
     _save_manifest(out, manifest)
@@ -110,10 +108,7 @@ def local_minima_census(surface: np.ndarray) -> list[dict]:
             plateau = [(i0, j0)]
             seen[i0, j0] = True
             is_min, on_border = True, False
-            head = 0
-            while head < len(plateau):
-                ci, cj = plateau[head]
-                head += 1
+            for ci, cj in plateau:  # visits the cells appended below too
                 if ci in (0, ni - 1) or cj in (0, nj - 1):
                     on_border = True
                 for di, dj in neighbors:
@@ -135,11 +130,9 @@ def local_minima_census(surface: np.ndarray) -> list[dict]:
     return sorted(minima, key=lambda rec: (rec["i"], rec["j"]))
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
-    ax1, ax2 = cfg.sweep_axes()
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
-    ref_ds = acq.dataset(cfg.reference_model(truth))
+def cmd_sweep(run: Run, out: Path, args) -> int:
+    (ax1, ax2), acq = run.sweep, run.acquisition
+    ref_ds = acq.dataset(run.reference)
     spec = RomResidualSpec(acq.n, acq.n, build_rom(ref_ds))
 
     def evaluate(candidate) -> tuple[float, float]:
@@ -148,7 +141,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
         r_fwi = fwi_residual(ds, ref_ds)
         return float(r_rom @ r_rom), float(r_fwi @ r_fwi)
 
-    results = np.array([evaluate(candidate) for candidate in cfg.sweep_candidates()])
+    results = np.array([evaluate(candidate) for candidate in run.candidates()])
     obj_rom, obj_fwi = results.T.reshape(2, ax1.count, ax2.count)
     v1, v2 = ax1.values(), ax2.values()
 
@@ -165,7 +158,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
             "minima": minima,
         }
     io.save_manifest(out / "census.json", census)
-    manifest = _manifest_base("sweep", cfg, args)
+    manifest = _manifest_base("sweep", run.config, args)
     manifest["artifacts"] = {"sweep": "sweep.csv", "census": "census.json"}
     _save_manifest(out, manifest)
     print(
@@ -181,12 +174,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
 # invert -----------------------------------------------------------------------
 
 
-def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
-    param = cfg.build_search(truth)
-    schedule = cfg.build_schedule()
-    gn = cfg.build_gn()
+def cmd_invert(run: Run, out: Path, args) -> int:
+    truth, acq, param, schedule = run.truth, run.acquisition, run.search, run.schedule
     # N may not exceed any layer's residual length; the first layer's is the shortest
     length = residual_length(args.mode, acq.array.m, acq.n, schedule.d, schedule.k[0])
     if param.n_params > length:
@@ -195,9 +184,9 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
             f"of the {args.mode} residual"
         )
 
-    ref_ds = acq.dataset(cfg.reference_model(truth))
+    ref_ds = acq.dataset(run.reference)
     reference = build_rom(ref_ds) if args.mode == "rom" else ref_ds
-    estimate, state = run_inversion(reference, param, schedule, gn, acq)
+    estimate, state = run_inversion(reference, param, schedule, run.gn, acq)
 
     io.save_velocity(out / "truth.json", truth)
     io.save_velocity(out / "initial.json", param.background)
@@ -208,7 +197,7 @@ def cmd_invert(cfg: ExperimentConfig, out: Path, args) -> int:
 
     initial_error = param.background.rel_l2_error(truth)
     final_error = estimate.rel_l2_error(truth)
-    manifest = _manifest_base("invert", cfg, args)
+    manifest = _manifest_base("invert", run.config, args)
     manifest["mode"] = args.mode
     manifest["artifacts"] = {
         "truth": "truth.json",
@@ -323,9 +312,8 @@ def main(argv=None) -> int:
             return cmd_compare(args.run_a, args.run_b, args.out)
         if args.command == "rom":
             return cmd_rom(args.dataset, args.out)
-        cfg = load_config(args.config)
         command = {"synthesize": cmd_synthesize, "sweep": cmd_sweep, "invert": cmd_invert}
-        return command[args.command](cfg, args.out, args)
+        return command[args.command](load_run(args.config, args.command), args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

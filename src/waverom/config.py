@@ -21,13 +21,12 @@ import numpy as np
 from .errors import ConfigError, NonPositiveVelocity, OperatorOverflow
 from .forward import (
     SPECTRAL_CAP,
-    DiscreteOperator,
     Pulse,
-    SensorArray,
     chebyshev_interval,
     line_array,
     record_layout,
     ring_array,
+    scaled_entries,
     sensor_array,
 )
 from .inversion import GnConfig, LayerSchedule
@@ -144,12 +143,16 @@ class ExperimentConfig:
             params["path"] = self.base_dir / params["path"]
         return MODEL_FACTORIES[name](g=g, **params)
 
-    def build_model(self, **overrides) -> VelocityModel:
-        """The true model.  `overrides` replace parameters of the model
-        factory; each sweep candidate is built this way."""
-        return self._velocity(self.model, "factory", self.build_grid(), **overrides)
+    def build_model(self) -> VelocityModel:
+        """The true model, as load builds it."""
+        return self._velocity(self.model, "factory", self.build_grid())
 
-    def build_array(self, grid: Grid2D) -> SensorArray:
+    def build_acquisition(self, grid: Grid2D) -> Acquisition:
+        """The sensor array on `grid`, the pulse, its interval tau (`Pulse.default_tau`
+        at sampling.nyquist_factor, if given) and the sample count sampling.n."""
+        if self.method not in ("spectral", "chebyshev"):
+            raise ConfigError(f"unknown method {self.method!r}")
+        pulse = Pulse.from_hz(**self.acquisition["pulse"])
         layout = dict(self.acquisition["layout"])
         kind = layout.pop("kind", "line")
         if kind not in LAYOUTS:
@@ -157,53 +160,11 @@ class ExperimentConfig:
         array = LAYOUTS[kind](grid, **layout)
         for x, z in array.positions:
             grid.nearest_node(x, z)  # DomainTooSmall off the node block
-        return array
-
-    @property
-    def n(self) -> int:
+        tau = pulse.default_tau(**{k: v for k, v in self.sampling.items() if k != "n"})
         n = whole(self.sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable
             raise ValueError(f"sampling.n must be in [1, {sys.maxsize // 2}], got {n}")
-        return n
-
-    def build_acquisition(self, grid: Grid2D) -> Acquisition:
-        if self.method not in ("spectral", "chebyshev"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        pulse = Pulse.from_hz(**self.acquisition["pulse"])
-        # tau is `Pulse.default_tau` at sampling.nyquist_factor, if given
-        rule = {k: v for k, v in self.sampling.items() if k != "n"}
-        return Acquisition(
-            self.build_array(grid), pulse, pulse.default_tau(**rule), self.n, self.method
-        )
-
-    def build_search(self, truth: VelocityModel) -> Parametrization:
-        """The bump lattice over the search background, built like the
-        true model on its grid."""
-        params = dict(self.search)
-        spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
-        try:
-            background = self._velocity(spec, "kind", truth.grid)
-        except ConfigError as exc:
-            raise ConfigError(f"search background: {exc}") from exc
-        return make_bump_lattice(background, **params)
-
-    def build_schedule(self) -> LayerSchedule:
-        """The schedule of `k`, `q` and `d`; an optional `layers` must
-        equal the number of entries of `k`."""
-        s = self.schedule
-        if not s:
-            raise ConfigError("config has no schedule section")
-        schedule = LayerSchedule(s["k"], s["q"], s["d"])
-        if s.get("layers", len(schedule.k)) != len(schedule.k):
-            raise ConfigError(
-                f"schedule.layers {s['layers']} disagrees with the {len(schedule.k)} entries of k"
-            )
-        if schedule.k[-1] > self.n:
-            raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {self.n}")
-        return schedule
-
-    def build_gn(self) -> GnConfig:
-        return GnConfig(**self.gn)
+        return Acquisition(array, pulse, tau, n, self.method)
 
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
         if not {"p1", "p2"} <= set(self.sweep):
@@ -212,42 +173,6 @@ class ExperimentConfig:
         if ax1.name == ax2.name:
             raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
         return ax1, ax2
-
-    def sweep_candidates(self):
-        """The model at each sweep node, p1 major."""
-        ax1, ax2 = self.sweep_axes()
-        for a in ax1.values():
-            for b in ax2.values():
-                yield self.build_model(**{ax1.name: a, ax2.name: b})
-
-    def reference_model(self, truth: VelocityModel) -> VelocityModel:
-        """The model that makes the reference data.
-
-        At reference.refine 1 (the default, the inverse-crime regime) that
-        is `truth`, so reference and candidate data share one
-        discretization.  A larger factor rebuilds the true model on a grid
-        that many times finer (same domain, same sensors), so the reference
-        carries discretization error no candidate can match.
-
-        With `method: spectral` the model's grid, the largest any synthesis
-        of the run sees, must not exceed SPECTRAL_CAP nodes.
-        """
-        factor = whole(self.reference.get("refine", 1), "reference.refine", 1)
-        model = truth
-        if factor > 1:
-            if self.model.get("factory") == "file":
-                raise ConfigError("file-backed models cannot be re-gridded")
-            g = truth.grid
-            model = self._velocity(self.model, "factory", Grid2D(
-                (g.nx + 1) * factor - 1, (g.nz + 1) * factor - 1,
-                g.hx / factor, g.hz / factor, g.x0, g.z0,
-            ))
-        if self.method == "spectral" and model.grid.n_dof > SPECTRAL_CAP:
-            raise ConfigError(
-                f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
-                f"the reference grid has {model.grid.n_dof}"
-            )
-        return model
 
     @property
     def dt_factor(self):
@@ -261,58 +186,124 @@ class ExperimentConfig:
         return out
 
 
+@dataclass(frozen=True)
+class Run:
+    """Everything load built and checked from a config, for one command.
+
+    `reference` makes the reference data: `truth` itself at reference.refine
+    1 (the inverse-crime regime), else the true model rebuilt on a grid
+    that many times finer over the same domain.  `schedule` and `sweep` are
+    None without their sections.  `search` is kept for `invert` alone.
+    """
+
+    config: ExperimentConfig
+    truth: VelocityModel
+    acquisition: Acquisition
+    reference: VelocityModel
+    search: Parametrization | None
+    schedule: LayerSchedule | None
+    gn: GnConfig
+    sweep: tuple[SweepAxis, SweepAxis] | None
+
+    def candidates(self):
+        """The model at each sweep node, p1 major, as load built and checked it, each
+        built when reached: topography_paper's 441 models would take 27.6 MB."""
+        cfg, (ax1, ax2) = self.config, self.sweep
+        for a in ax1.values():
+            for b in ax2.values():
+                yield cfg._velocity(cfg.model, "factory", self.truth.grid,
+                                    **{ax1.name: a, ax2.name: b})
+
+
 def _check_operator(v: VelocityModel):
-    """Raise OperatorOverflow, as every synthesis of `v` would, when the wave
-    operator of `v` has no positive, finite spectral bound."""
-    chebyshev_interval(DiscreteOperator(v).lambda_upper())
+    """OperatorOverflow, as in any synthesis of `v`, for a bound not positive and finite."""
+    chebyshev_interval(scaled_entries(v)[1])
 
 
-def _build_sections(cfg: ExperimentConfig):
-    """Build every section once, so that a malformed one fails at load time:
-    every model the config states must have a positive, finite operator
-    bound, and one finite-difference column must move the velocity by less
-    than C_MIN."""
+def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
+    """Build every section once, so that a malformed one fails at load time,
+    into the Run for `command`.  Every model the config states must have a
+    positive, finite operator bound, one finite-difference column must
+    move the velocity by less than C_MIN, and with `method: spectral` the
+    reference grid must not exceed SPECTRAL_CAP nodes.  `invert` needs a
+    schedule and `sweep` its two axes."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys
             if unknown:
                 raise ConfigError(f"{section} section has unknown keys {sorted(unknown)}")
         section = "grid"
-        cfg.build_grid()
+        grid = cfg.build_grid()
         section = "model"
-        truth = cfg.build_model()
+        truth = cfg._velocity(cfg.model, "factory", grid)
         _check_operator(truth)
         section = "acquisition"
-        acq = cfg.build_acquisition(truth.grid)
+        acq = cfg.build_acquisition(grid)
         section = "search"
-        search = cfg.build_search(truth)
-        _check_operator(search.background)
+        params = dict(cfg.search)
+        spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
+        try:
+            background = cfg._velocity(spec, "kind", grid)
+        except ConfigError as exc:
+            raise ConfigError(f"search background: {exc}") from exc
+        search = make_bump_lattice(background, **params)
+        _check_operator(background)
         section = "gn"
-        gn = cfg.build_gn()
+        gn = GnConfig(**cfg.gn)
         step = gn.fd_step * abs(search.basis[0].amplitude)
         if not step < C_MIN:
             raise ValueError(
                 f"gn.fd_step times |search.amplitude| moves the velocity by {step:g} m/s "
                 f"per finite-difference column, not less than C_MIN = {C_MIN:g} m/s"
             )
-        if cfg.schedule:
+        schedule = sweep = None
+        if cfg.schedule or command == "invert":
             section = "schedule"
-            cfg.build_schedule()
-        if cfg.sweep:
+            s = cfg.schedule
+            if not s:
+                raise ConfigError("config has no schedule section")
+            schedule = LayerSchedule(s["k"], s["q"], s["d"])
+            if s.get("layers", len(schedule.k)) != len(schedule.k):
+                raise ConfigError(f"schedule.layers {s['layers']} disagrees with the "
+                                  f"{len(schedule.k)} entries of k")
+            if schedule.k[-1] > acq.n:
+                raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {acq.n}")
+        if cfg.sweep or command == "sweep":
             section = "sweep"
-            for candidate in cfg.sweep_candidates():
-                _check_operator(candidate)
+            sweep = cfg.sweep_axes()
         section = "record"
         record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)
         section = "reference"
-        _check_operator(cfg.reference_model(truth))
+        factor = whole(cfg.reference.get("refine", 1), "reference.refine", 1)
+        reference = truth
+        if factor > 1:
+            if cfg.model.get("factory") == "file":
+                raise ConfigError("file-backed models cannot be re-gridded")
+            reference = cfg._velocity(cfg.model, "factory", Grid2D(
+                (grid.nx + 1) * factor - 1, (grid.nz + 1) * factor - 1,
+                grid.hx / factor, grid.hz / factor, grid.x0, grid.z0,
+            ))
+            _check_operator(reference)
+        if cfg.method == "spectral" and reference.grid.n_dof > SPECTRAL_CAP:
+            raise ConfigError(
+                f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
+                f"the reference grid has {reference.grid.n_dof}"
+            )
+        run = Run(cfg, truth, acq, reference, search if command == "invert" else None,
+                  schedule, gn, sweep)
+        if sweep:
+            section = "sweep"
+            for candidate in run.candidates():
+                _check_operator(candidate)
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
     except (TypeError, ValueError, OverflowError, NonPositiveVelocity, OperatorOverflow) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
+    return run
 
 
-def config_from_dict(raw: dict, base_dir) -> ExperimentConfig:
+def run_from_dict(raw: dict, base_dir, command: str | None) -> Run:
+    """The Run for `command` of the config `raw`, whose file paths start at `base_dir`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     raw = dict(raw)
@@ -323,11 +314,11 @@ def config_from_dict(raw: dict, base_dir) -> ExperimentConfig:
         cfg = ExperimentConfig(base_dir=Path(base_dir), **raw)
     except TypeError as exc:
         raise ConfigError(f"bad config sections: {exc}") from exc
-    _build_sections(cfg)
-    return cfg
+    return _build_sections(cfg, command)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_run(path, command: str | None = None) -> Run:
+    """The run for `command` that the config file at `path` describes."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -335,4 +326,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw, base_dir=path.parent)
+    return run_from_dict(raw, path.parent, command)
+
+
+def load_config(path) -> ExperimentConfig:
+    """The config at `path`, once load has built and checked every section."""
+    return load_run(path).config

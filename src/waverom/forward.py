@@ -267,6 +267,17 @@ def _laplacian_rows(grid: Grid2D) -> np.ndarray:
     return rows
 
 
+def scaled_entries(v: VelocityModel) -> tuple[np.ndarray, float]:
+    """The entries of A = C L C on the pattern of `_laplacian_2d` (each of L
+    times c at its row and column) and A's Gershgorin bound, their largest
+    absolute row sum.  `DiscreteOperator` stores these entries, so a bound
+    taken here without the operator is the operator's, bit for bit."""
+    c = v.c.ravel()
+    lap = _laplacian_2d(v.grid)
+    data = lap.data * c[_laplacian_rows(v.grid)] * c[lap.indices]
+    return data, float(np.max(np.add.reduceat(np.abs(data), lap.indptr[:-1])))
+
+
 class DiscreteOperator:
     """Symmetrized wave operator A = C L C on a grid.
 
@@ -278,12 +289,9 @@ class DiscreteOperator:
     def __init__(self, velocity: VelocityModel):
         self.velocity = velocity
         self.grid = velocity.grid
-        c = velocity.c.ravel()
         lap = _laplacian_2d(self.grid)
-        rows = _laplacian_rows(self.grid)
-        self.matrix = sp.csr_matrix(
-            (lap.data * c[rows] * c[lap.indices], lap.indices, lap.indptr), shape=lap.shape
-        )
+        data, self._bound = scaled_entries(velocity)
+        self.matrix = sp.csr_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
         self._eig = None
 
     @property
@@ -291,9 +299,8 @@ class DiscreteOperator:
         return self.matrix.shape[0]
 
     def lambda_upper(self) -> float:
-        """Gershgorin upper bound on the spectrum."""
-        a = self.matrix
-        return float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1])))
+        """Gershgorin upper bound on the spectrum (see `scaled_entries`)."""
+        return self._bound
 
     def _check_cap(self):
         """Refuse a dense eigenproblem above SPECTRAL_CAP."""
@@ -679,7 +686,7 @@ def synthesize_measurements(
     """
     k0, nt = record_layout(pulse, tau, n, dt_factor, arr.m)
     dt = tau / dt_factor
-    dt_max = 2.0 / math.sqrt(DiscreteOperator(v).lambda_upper())
+    dt_max = 2.0 / math.sqrt(scaled_entries(v)[1])
     if dt > dt_max:
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
     profile.count("forward.timedomain")

@@ -27,7 +27,7 @@ from .errors import (
     ResidualShorterThanN,
     SingularSystem,
 )
-from .forward import DataSet
+from .forward import DataSet, _check_info
 from .model import Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
@@ -168,8 +168,7 @@ def qr_svd(jac: np.ndarray, r: np.ndarray):
     rhs = r.reshape(-1, 1)
     lwork = int(dormqr("L", "T", reflectors, tau, rhs, -1)[1][0])
     qtr, _, info = dormqr("L", "T", reflectors, tau, rhs, lwork)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dormqr failed with info = {info}")
+    _check_info("dormqr", info)
     return scipy.linalg.svd(r_factor, overwrite_a=True, check_finite=False), qtr[:, 0]
 
 

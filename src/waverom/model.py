@@ -56,6 +56,9 @@ class Grid2D:
             raise ValueError("grid spacings must be positive and finite")
         if not (math.isfinite(self.x_max) and math.isfinite(self.z_max)):
             raise ValueError("grid origin and extent must be finite")
+        if not all(np.finfo(float).tiny <= h * h < math.inf for h in (self.hx, self.hz)):
+            raise ValueError("grid spacings must have squares that are normal doubles "
+                             "(the Laplacian divides by them)")
         if not (np.all(np.diff(self.xs()) > 0) and np.all(np.diff(self.zs()) > 0)):
             raise ValueError("grid node coordinates must increase strictly: the spacing is "
                              "below the resolution of the origin")
@@ -142,8 +145,8 @@ class GaussianBump:
         if not (math.isfinite(self.amplitude) and self.amplitude != 0):
             raise ValueError("bump amplitude must be finite and non-zero")
 
-    def evaluate(self, grid: Grid2D) -> np.ndarray:
-        xx, zz = grid.mesh()
+    def evaluate(self, xx: np.ndarray, zz: np.ndarray) -> np.ndarray:
+        """The bump at the node coordinates `xx`, `zz` of `Grid2D.mesh`."""
         r2 = (xx - self.center[0]) ** 2 + (zz - self.center[1]) ** 2
         return self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
 
@@ -185,10 +188,11 @@ class Parametrization:
         """All basis functions as a read-only (n_dof, N) matrix.
 
         Column l is phi_l evaluated on the background grid, flattened in C
-        order.  It is computed once per parametrization, so each trial
-        velocity is a single matrix-vector product.
+        order.  It is computed once per parametrization, on one mesh of
+        the grid, so each trial velocity is a single matrix-vector product.
         """
-        phi = np.column_stack([b.evaluate(self.background.grid).ravel() for b in self.basis])
+        xx, zz = self.background.grid.mesh()
+        phi = np.column_stack([b.evaluate(xx, zz).ravel() for b in self.basis])
         phi.flags.writeable = False
         return phi
 

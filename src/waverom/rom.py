@@ -17,7 +17,7 @@ import scipy.linalg
 
 from . import profile
 from .errors import BandExceedsMatrix, IndexOutOfRange, MassNotSPD
-from .forward import DataSet
+from .forward import DataSet, _check_info
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,13 @@ def build_rom(data: DataSet) -> OperatorRom:
     mass = assemble_mass(data)
     stiff = assemble_stiffness(data)
     r = block_cholesky(mass, data.m)
-    y = scipy.linalg.solve_triangular(r, stiff, lower=False, trans="T")
-    a = scipy.linalg.solve_triangular(r, y.T, lower=False, trans="T").T
+    # R^T Y = S, then R^T A^T = Y^T, each by LAPACK's dtrtrs: the call that
+    # solve_triangular makes for the F-ordered R, without its checks
+    a = stiff
+    for _ in range(2):
+        a, info = scipy.linalg.lapack.dtrtrs(r, a, lower=0, trans=1)
+        _check_info("dtrtrs", info)
+        a = a.T
     return OperatorRom(0.5 * (a + a.T), r, data.m, data.n)
 
 

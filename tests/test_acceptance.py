@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from waverom.cli import local_minima_census, main as cli_main
-from waverom.config import load_config
+from waverom.config import load_run
 from waverom.forward import (
     DataSet,
     DiscreteOperator,
@@ -78,14 +78,11 @@ def spectral_reference():
 def camembert_runs():
     """Criterion 7 runs from the shipped desk config: ROM twice (for the
     determinism check) and FWI once, identical starts."""
-    cfg = load_config(REPO / "configs" / "camembert_desk.json")
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
+    run = load_run(REPO / "configs" / "camembert_desk.json", "invert")
+    cfg, truth, acq = run.config, run.truth, run.acquisition
     ref_ds = acq.dataset(truth)
     ref_rom = build_rom(ref_ds)
-    param = cfg.build_search(truth)
-    schedule = cfg.build_schedule()
-    gn = cfg.build_gn()
+    param, schedule, gn = run.search, run.schedule, run.gn
     est_rom, state_rom = run_inversion(ref_rom, param, schedule, gn, acq)
     est_rom2, state_rom2 = run_inversion(ref_rom, param, schedule, gn, acq)
     est_fwi, state_fwi = run_inversion(ref_ds, param, schedule, gn, acq)

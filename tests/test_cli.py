@@ -1,3 +1,4 @@
+import functools
 import json
 import shutil
 import warnings
@@ -5,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from waverom import io, profile
+from waverom import config, forward, io, profile
 from waverom.cli import local_minima_census, main
-from waverom.config import config_from_dict, load_config
+from waverom.config import load_run, run_from_dict
 from waverom.errors import ConfigError, InsufficientRecordLength
 from waverom.forward import TraceRecord, symmetrize_and_sample, synthesize_measurements
-from waverom.model import Grid2D, make_constant_model
+from waverom.model import Grid2D, Parametrization, make_constant_model
 
 
 def base_config(**overrides):
@@ -142,8 +143,7 @@ class TestSynthesize:
 
     def test_explicit_layout_matches_line_layout(self, tmp_path):
         line_path = write_config(tmp_path, base_config(), "line.json")
-        cfg = load_config(line_path)
-        positions = cfg.build_array(cfg.build_grid()).positions.tolist()
+        positions = load_run(line_path).acquisition.array.positions.tolist()
         explicit = base_config()
         explicit["acquisition"]["layout"] = {"kind": "explicit", "positions": positions}
         explicit_path = write_config(tmp_path, explicit, "explicit.json")
@@ -488,7 +488,7 @@ def test_reference_operator_overflow_exits_2(tmp_path, capsys):
     # c^2 / h^2 fits the float range on the stated grid, not on the one
     # twice as fine that the reference model is built on
     cfg = base_config(model=dict(CAMEMBERT, c_inside=3e155))
-    config_from_dict(cfg, tmp_path)
+    run_from_dict(cfg, tmp_path, None)
     cfg["reference"] = {"refine": 2}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -501,7 +501,9 @@ def test_reference_operator_overflow_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("hx", float("nan")), ("hx", float("inf")), ("hx", 1e308),
     ("hz", float("nan")), ("x0", float("nan")), ("z0", float("inf")),
-], ids=["nan-hx", "infinite-hx", "hx-extent-overflows", "nan-hz", "nan-x0", "infinite-z0"])
+    ("hx", 1e-300), ("hz", 1e-300),
+], ids=["nan-hx", "infinite-hx", "hx-extent-overflows", "nan-hz", "nan-x0", "infinite-z0",
+        "hx-square-underflows", "hz-square-underflows"])
 def test_non_finite_grid_geometry_names_the_grid_section(tmp_path, capsys, key, value):
     cfg = base_config()
     cfg["grid"][key] = value
@@ -552,37 +554,35 @@ def test_search_background_off_the_model_exits_2(tmp_path, capsys, shape, walls)
 def test_search_background_file_on_the_model_grid_loads(tmp_path):
     background = make_constant_model(1500.0, Grid2D(12, 15, 100.0, 100.0))
     io.save_velocity(tmp_path / "bg.json", background)
-    cfg = config_from_dict(base_config(
+    run = run_from_dict(base_config(
         search={"background": {"kind": "file", "path": "bg.json"}, "lattice": [2, 2]},
-    ), tmp_path)
-    truth = cfg.build_model()
-    assert cfg.build_search(truth).background.grid == truth.grid
+        schedule={"k": [4], "q": 1, "d": 4},
+    ), tmp_path, "invert")
+    assert run.search.background.grid == run.truth.grid
 
 
 def test_whole_valued_float_counts_load():
     cfg = base_config(sweep=dict(SWEEP, p1=dict(SWEEP["p1"], count=2.0)))
     cfg["acquisition"]["layout"]["m"] = 3.0
-    loaded = config_from_dict(cfg, ".")
-    assert loaded.build_acquisition(loaded.build_grid()).array.m == 3
-    assert [ax.count for ax in loaded.sweep_axes()] == [2, 3]
-    assert len(list(loaded.sweep_candidates())) == 6
+    loaded = run_from_dict(cfg, ".", "sweep")
+    assert loaded.acquisition.array.m == 3
+    assert [ax.count for ax in loaded.sweep] == [2, 3]
+    assert len(list(loaded.candidates())) == 6
     cfg["acquisition"]["layout"] = {"kind": "ring", "m": 5.0, "inset": 200.0}
-    loaded = config_from_dict(cfg, ".")
-    assert loaded.build_acquisition(loaded.build_grid()).array.m == 5
+    assert run_from_dict(cfg, ".", None).acquisition.array.m == 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids="n{}".format)
 @pytest.mark.parametrize("dt_factor", [1, 3, 7, 50], ids="dt_factor{}".format)
 def test_record_ends_one_step_past_the_last_sample(n, dt_factor):
     # the constant 1000 m/s model keeps dt = tau under the stability limit
-    cfg = config_from_dict(base_config(
+    run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": n},
         record={"dt_factor": dt_factor},
-    ), ".")
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
-    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n, cfg.dt_factor)
+    ), ".", None)
+    truth, acq = run.truth, run.acquisition
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n, run.config.dt_factor)
     assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
     cut = TraceRecord(rec.tau, rec.dt_factor, rec.k0, rec.data[:-1])
     with pytest.raises(InsufficientRecordLength):
@@ -592,13 +592,12 @@ def test_record_ends_one_step_past_the_last_sample(n, dt_factor):
 def test_record_counts_whole_steps():
     # here ceil(((2n - 2) tau + dt) / dt - 1e-12) counts one step more than
     # the (2n - 2) dt_factor + 1 the record needs after t = 0
-    cfg = config_from_dict(base_config(
+    run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": 25, "nyquist_factor": 0.5},
         record={"dt_factor": 122},
-    ), ".")
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
+    ), ".", None)
+    truth, acq = run.truth, run.acquisition
     rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, 25, 122)
     assert rec.nt == rec.k0 + (2 * 25 - 2) * 122 + 2
 
@@ -807,6 +806,36 @@ class TestInvertCommand:
             assert counts["forward.matvecs"] >= counts["forward.synth"]
         assert rom["rom.build"] > 0
         assert "rom.build" not in fwi
+
+
+def test_invert_builds_the_run_once(tmp_path, monkeypatch):
+    # load builds the truth and the search basis once and bounds every
+    # model it checks without forming its operator; the command reads them
+    counts = {"basis": 0, "truth": 0, "operators": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    basis = functools.cached_property(counted("basis", Parametrization.basis_matrix.func))
+    basis.__set_name__(Parametrization, "basis_matrix")
+    monkeypatch.setattr(Parametrization, "basis_matrix", basis)
+    monkeypatch.setitem(config.MODEL_FACTORIES, "two_layer",
+                        counted("truth", config.MODEL_FACTORIES["two_layer"]))
+    monkeypatch.setattr(forward.DiscreteOperator, "__init__",
+                        counted("operators", forward.DiscreteOperator.__init__))
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    out = tmp_path / "o"
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+               "--mode", "rom"])
+    assert rc == 0
+    synth = json.loads((out / "profile.json").read_text())["forward.synth"]
+    assert counts == {"basis": 1, "truth": 1, "operators": synth}
 
 
 class TestHonestReference:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from waverom.config import load_config
+from waverom.config import _build_sections, load_config, load_run
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "configs").glob("*.json"))
@@ -20,25 +20,27 @@ def test_four_configs_shipped():
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_config_builds(path):
     cfg = load_config(path)
-    truth = cfg.build_model()
-    acq = cfg.build_acquisition(truth.grid)
+    command = "invert" if cfg.schedule else "sweep"
+    run = load_run(path, command)
+    truth, acq = run.truth, run.acquisition
     assert acq.array.m == cfg.acquisition["layout"]["m"]
     assert acq.n == cfg.sampling["n"]
-    assert cfg.build_search(truth).background.grid == truth.grid
-    if cfg.schedule:
-        assert cfg.build_schedule().k[-1] == acq.n
+    if command == "invert":
+        assert run.search.background.grid == truth.grid
+        assert run.schedule.k[-1] == acq.n
     else:
-        ax1, ax2 = cfg.sweep_axes()
-        candidates = list(cfg.sweep_candidates())
+        ax1, ax2 = run.sweep
+        candidates = list(run.candidates())
         assert len(candidates) == ax1.count * ax2.count
         assert all(c.grid == truth.grid for c in candidates)
+        assert run.search is None
 
 
 def test_reference_model_refines_the_true_grid():
-    cfg = load_config(REPO / "configs" / "camembert_desk.json")
-    truth = cfg.build_model()
-    assert cfg.reference_model(truth) is truth
-    fine = replace(cfg, reference={"refine": 2}).reference_model(truth)
+    run = load_run(REPO / "configs" / "camembert_desk.json")
+    truth = run.truth
+    assert run.reference is truth
+    fine = _build_sections(replace(run.config, reference={"refine": 2}), None).reference
     g, f = truth.grid, fine.grid
     assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
     assert (f.x0, f.z0, f.x_max, f.z_max) == pytest.approx((g.x0, g.z0, g.x_max, g.z_max))

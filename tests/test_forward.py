@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverom import profile
-from waverom.config import load_config
+from waverom.config import load_config, load_run
 from waverom.errors import (
     CflViolation,
     EigUnavailable,
@@ -40,6 +40,7 @@ from waverom.forward import (
     propagate_snapshots,
     sample_coeffs,
     sample_functions,
+    scaled_entries,
     symmetrize_and_sample,
     synthesize_dataset,
     synthesize_measurements,
@@ -176,6 +177,13 @@ class TestOperator:
         m = DiscreteOperator(v).matrix
         for part in ("data", "indices", "indptr"):
             assert getattr(m, part).tobytes() == getattr(a, part).tobytes(), part
+
+    def test_bound_without_the_operator_is_the_operators(self, grid):
+        v = random_velocity(grid, seed=5)
+        data, bound = scaled_entries(v)
+        op = DiscreteOperator(v)
+        assert data.tobytes() == op.matrix.data.tobytes()
+        assert bound == op.lambda_upper()
 
     def test_spectral_cap(self, grid, monkeypatch):
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
@@ -318,11 +326,9 @@ class TestChebyshev:
 
     @pytest.mark.parametrize("name", ["camembert_desk", "topography_sweep", "camembert_paper"])
     def test_reference_table_length_matches_scipy_dct(self, name):
-        cfg = load_config(REPO / "configs" / f"{name}.json")
-        truth = cfg.build_model()
-        acq = cfg.build_acquisition(truth.grid)
-        ref = cfg.reference_model(truth)
-        lam = chebyshev_interval(DiscreteOperator(ref).lambda_upper())
+        run = load_run(REPO / "configs" / f"{name}.json")
+        acq = run.acquisition
+        lam = chebyshev_interval(DiscreteOperator(run.reference).lambda_upper())
         count = 2 * acq.n - 1
         expected, _ = scipy_dct_coeffs(lambda x: sample_functions(acq.pulse, acq.tau, count, x), lam)
         assert sample_coeffs(acq.pulse, acq.tau, count, lam).shape == expected.shape

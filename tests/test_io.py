@@ -118,6 +118,7 @@ MALFORMED_HEADERS = [
     pytest.param("velocity", lambda h: h.update(hx="100"), id="velocity-wrong-type"),
     pytest.param("velocity", lambda h: h.update(nx=2), id="velocity-rejected-value"),
     pytest.param("velocity", lambda h: h.pop("bc"), id="velocity-missing-walls"),
+    pytest.param("velocity", lambda h: h.update(hz=1e-300), id="velocity-spacing-square-underflows"),
     pytest.param("dataset", lambda h: h.pop("n"), id="dataset-missing-field"),
     pytest.param("dataset", lambda h: h.update(n="3"), id="dataset-wrong-type"),
     pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),

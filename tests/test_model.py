@@ -88,7 +88,8 @@ class TestEvaluateVelocity:
 
     def test_basis_matrix_stacks_bumps_once(self, small_param, grid):
         phi = small_param.basis_matrix
-        stacked = np.stack([b.evaluate(grid).ravel() for b in small_param.basis], axis=1)
+        xx, zz = grid.mesh()
+        stacked = np.stack([b.evaluate(xx, zz).ravel() for b in small_param.basis], axis=1)
         np.testing.assert_array_equal(phi, stacked)
         assert not phi.flags.writeable
         assert small_param.basis_matrix is phi
@@ -117,8 +118,8 @@ class TestEvaluateVelocity:
 
     def test_bump_decays_within_six_widths(self, grid):
         bump = GaussianBump((1000.0, 1200.0), 100.0)
-        phi = bump.evaluate(grid)
         xx, zz = grid.mesh()
+        phi = bump.evaluate(xx, zz)
         r = np.hypot(xx - 1000.0, zz - 1200.0)
         outside = phi[r >= 6 * 100.0]
         if outside.size:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,6 +239,13 @@ class TestBuildRom:
         rom = build_rom(ds)
         w_rom = np.sort(np.linalg.eigvalsh(rom.a_rom))
         assert np.max(np.abs(w_rom - w_true) / w_true) < 1e-8
+
+    def test_projection_bitwise_equal_to_solve_triangular(self, wave_setup):
+        _, _, _, ds, _ = wave_setup
+        rom = build_rom(ds)
+        y = scipy.linalg.solve_triangular(rom.r, assemble_stiffness(ds), lower=False, trans="T")
+        a = scipy.linalg.solve_triangular(rom.r, y.T, lower=False, trans="T").T
+        assert (0.5 * (a + a.T)).tobytes() == np.ascontiguousarray(rom.a_rom).tobytes()
 
     def test_rt_r_reproduces_mass(self, wave_setup):
         _, _, _, ds, _ = wave_setup
