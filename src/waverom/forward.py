@@ -377,48 +377,6 @@ CHEB_MAX_NODES = 4096
 CHEB_RATIO = 1.001
 
 
-def chebyshev_coeffs(fn, lam_max: float) -> np.ndarray:
-    """Chebyshev expansions of functions on [0, lam_max], cut to one length K.
-
-    `fn` maps eigenvalues, a 1D array of N nodes, to values of shape
-    (N, F, R) for F families of R functions.  Returns the coefficients c,
-    shape (K, F, R), such that fn(lam) ~ c[0]/2 + sum_k c[k] T_k(x) with
-    x = 2 lam / lam_max - 1.
-
-    Each family is scaled by its largest coefficient, and the table is cut
-    where the largest scaled coefficient of what follows drops below
-    CHEB_TOL.  The node count doubles from 64 until that cut lies in the
-    first half of the coefficients, which keeps the DCT's round-off
-    plateau from setting K.
-
-    The DCT-II of the samples runs on `numpy.fft` as one real FFT
-    (Makhoul, IEEE TASSP 28(1), 1980): the nodes are sampled with the even
-    indices ascending and then the odd ones descending, and the FFT of
-    that sequence, turned by exp(-i pi k / 2n), gives coefficient k as its
-    real part and coefficient n - k as minus its imaginary part.
-    """
-    n = 64
-    while True:
-        k = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
-        x = np.cos(math.pi * (k + 0.5) / n)
-        y = np.asarray(fn(0.5 * lam_max * (x + 1.0)), dtype=float)
-        h = n // 2 + 1
-        turn = (2.0 / n) * np.exp(-0.5j * math.pi * np.arange(h) / n)
-        u = np.fft.rfft(y, axis=0)
-        u *= turn[:, None, None]
-        c = np.empty(y.shape)
-        c[:h] = u.real
-        np.negative(u.imag[n - h : 0 : -1], out=c[h:])
-        mag = np.abs(c).max(axis=2)
-        peak = mag.max(axis=0)
-        env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
-        above = np.nonzero(env >= CHEB_TOL)[0]
-        size = above[-1] + 1 if above.size else 1
-        if 2 * size <= n or n >= CHEB_MAX_NODES:
-            return c[:size]
-        n *= 2
-
-
 def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarray:
     """Block moments mu_k = x^T T_k(2 a / lam_max - I) x for k < count.
 
@@ -482,15 +440,48 @@ def chebyshev_interval(lam_upper: float) -> float:
 
 @lru_cache(maxsize=32)
 def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
-    """Chebyshev table of `sample_functions` on [0, lam_max], shape (K, 2, count).
+    """Chebyshev table of `sample_functions` on [0, lam_max], cut to one length K.
 
-    The table is ready to contract: c[0] is already halved, so
-    fn(lam) ~ sum_k c[k] T_k(x).  Cached and read-only; a compact copy,
-    so that it does not keep the DCT buffer alive.  The 32 entries hold
-    every bucket a sweep cycles through (21 on the shipped 21x21 sweep,
-    one per value of its inner axis).
+    Returns the coefficients c, shape (K, 2, count), such that
+    `sample_functions(pulse, tau, count, lam)` ~ sum_k c[k] T_k(x) with
+    x = 2 lam / lam_max - 1: c[0] is already halved, ready to contract.
+    Cached and read-only; a compact copy, so that it does not keep the DCT
+    buffer alive.  The 32 entries hold every bucket a sweep cycles through
+    (21 on the shipped 21x21 sweep, one per value of its inner axis).
+
+    Each family is scaled by its largest coefficient, and the table is cut
+    where the largest scaled coefficient of what follows drops below
+    CHEB_TOL.  The node count doubles from 64 until that cut lies in the
+    first half of the coefficients, which keeps the DCT's round-off
+    plateau from setting K.
+
+    The DCT-II of the samples runs on `numpy.fft` as one real FFT
+    (Makhoul, IEEE TASSP 28(1), 1980): the nodes are sampled with the even
+    indices ascending and then the odd ones descending, and the FFT of
+    that sequence, turned by exp(-i pi k / 2n), gives coefficient k as its
+    real part and coefficient n - k as minus its imaginary part.
     """
-    c = chebyshev_coeffs(lambda lam: sample_functions(pulse, tau, count, lam), lam_max).copy()
+    n = 64
+    while True:
+        k = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+        x = np.cos(math.pi * (k + 0.5) / n)
+        y = sample_functions(pulse, tau, count, 0.5 * lam_max * (x + 1.0))
+        h = n // 2 + 1
+        turn = (2.0 / n) * np.exp(-0.5j * math.pi * np.arange(h) / n)
+        u = np.fft.rfft(y, axis=0)
+        u *= turn[:, None, None]
+        c = np.empty(y.shape)
+        c[:h] = u.real
+        np.negative(u.imag[n - h : 0 : -1], out=c[h:])
+        mag = np.abs(c).max(axis=2)
+        peak = mag.max(axis=0)
+        env = (mag[:, peak > 0] / peak[peak > 0]).max(axis=1, initial=0.0)
+        above = np.nonzero(env >= CHEB_TOL)[0]
+        size = above[-1] + 1 if above.size else 1
+        if 2 * size <= n or n >= CHEB_MAX_NODES:
+            break
+        n *= 2
+    c = c[:size].copy()
     c[0] *= 0.5
     c.flags.writeable = False
     return c

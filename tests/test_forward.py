@@ -32,7 +32,6 @@ from waverom.forward import (
     SensorArray,
     TraceRecord,
     _laplacian_2d,
-    chebyshev_coeffs,
     chebyshev_interval,
     chebyshev_moments,
     initial_states,
@@ -274,8 +273,9 @@ class TestEigCoordinates:
 
 
 def scipy_dct_coeffs(fn, lam_max: float):
-    """`chebyshev_coeffs`' node loop with the nodes in natural order and the
-    DCT-II from `scipy.fft`; returns the table and its node count."""
+    """`sample_coeffs`' node loop on `fn` with the nodes in natural order and
+    the DCT-II from `scipy.fft`; returns the table, c[0] not halved, and its
+    node count."""
     n = 64
     while True:
         x = np.cos(math.pi * (np.arange(n) + 0.5) / n)
@@ -304,21 +304,13 @@ def test_cli_import_loads_no_scipy_fft_or_special():
 
 
 class TestChebyshev:
-    @pytest.mark.parametrize("omega, nodes", [(20, 64), (50, 128), (100, 256), (200, 512), (600, 1024)])
-    def test_dct_matches_scipy_on_one_function(self, omega, nodes):
-        fn = lambda lam: np.cos(omega * np.sqrt(lam))[:, None, None]
-        expected, n = scipy_dct_coeffs(fn, 1.0)
-        assert n == nodes
-        c = chebyshev_coeffs(fn, 1.0)
-        assert c.shape == expected.shape
-        assert np.abs(c - expected).max() <= 1e-15 * np.abs(expected).max()
-
     @pytest.mark.parametrize("lam_max, nodes", [(1e3, 64), (1e4, 128), (3e4, 256), (1e5, 512), (3e5, 1024)])
     def test_dct_matches_scipy_on_sample_families(self, pulse, lam_max, nodes):
-        fn = lambda lam: sample_functions(pulse, pulse.default_tau(), 15, lam)
-        expected, n = scipy_dct_coeffs(fn, lam_max)
+        tau = pulse.default_tau()
+        expected, n = scipy_dct_coeffs(lambda lam: sample_functions(pulse, tau, 15, lam), lam_max)
         assert n == nodes
-        c = chebyshev_coeffs(fn, lam_max)
+        expected[0] *= 0.5
+        c = sample_coeffs.__wrapped__(pulse, tau, 15, lam_max)
         assert c.shape == expected.shape
         for f in range(expected.shape[1]):  # each family against its own peak
             peak = np.abs(expected[:, f]).max()
@@ -334,13 +326,20 @@ class TestChebyshev:
         assert sample_coeffs(acq.pulse, acq.tau, count, lam).shape == expected.shape
 
     def test_coefficients_reproduce_function(self):
-        lam_max = 500.0
-        fn = lambda lam: np.cos(0.05 * np.sqrt(lam))[:, None, None]
-        c = chebyshev_coeffs(fn, lam_max)[:, 0, 0]
-        lam = np.linspace(0.0, lam_max, 777)
-        x = 2 * lam / lam_max - 1.0
-        vals = np.polynomial.chebyshev.chebval(x, np.r_[c[0] / 2, c[1:]])
-        np.testing.assert_allclose(vals, fn(lam)[:, 0, 0], atol=1e-13)
+        for name in ("camembert_desk", "topography_sweep", "camembert_paper"):
+            run = load_run(REPO / "configs" / f"{name}.json")
+            acq = run.acquisition
+            lam_max = chebyshev_interval(DiscreteOperator(run.reference).lambda_upper())
+            count = 2 * acq.n - 1
+            c = sample_coeffs(acq.pulse, acq.tau, count, lam_max)
+            lam = np.linspace(0.0, lam_max, 777)
+            x = 2 * lam / lam_max - 1.0
+            vals = np.polynomial.chebyshev.chebval(x, c)  # c[0] is already halved
+            expected = sample_functions(acq.pulse, acq.tau, count, lam)
+            for f in range(2):  # each family against its own peak
+                peak = np.abs(expected[:, f]).max()
+                err = np.abs(vals[f].T - expected[:, f]).max() / peak
+                assert err <= 1e-12, (name, f, err)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 24, 25])
     @given(size=st.integers(1, 12), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -427,8 +426,8 @@ class TestChebyshev:
         assert not c.flags.writeable
         assert c.base is None  # a compact copy, not a view of the DCT buffer
         assert sample_coeffs(Pulse.from_hz(6.0, 4.0), tau, count, lam) is c
-        direct = chebyshev_coeffs(lambda x: sample_functions(pulse, tau, count, x), lam)
-        direct[0] *= 0.5
+        direct = sample_coeffs.__wrapped__(pulse, tau, count, lam)
+        assert direct is not c
         assert c.shape == direct.shape
         assert c.tobytes() == direct.tobytes()
 
