@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, dscal
 
 from . import profile
 from .errors import (
@@ -380,34 +381,46 @@ CHEB_RATIO = 1.001
 def chebyshev_moments(a, x: np.ndarray, count: int, lam_max: float) -> np.ndarray:
     """Block moments mu_k = x^T T_k(2 a / lam_max - I) x for k < count.
 
-    Uses count // 2 products with `a` through the kernel polynomial
-    doubling mu_2k = 2 t_k^T t_k - mu_0, mu_2k+1 = 2 t_k+1^T t_k - mu_1,
-    where t_k = T_k(2 a / lam_max - I) x, and adds them to
-    `forward.matvecs` in `profile` once per call.  The recurrence
-    t_k+1 = 2 (2 a t_k / lam_max - t_k) - t_k-1 runs in place on the array
-    each product returns, so `x` is only read; the grams t^T t go straight
-    into the result and the doubling is applied to all of them at the end.
+    With t_k = T_k(2 a / lam_max - I) x, the doubling 2 t_j^T t_k =
+    mu_j+k + mu_|j-k| gives them from count // 2 products with `a`, which
+    it adds to `forward.matvecs` (and their columns to
+    `forward.matvec_cols`) in `profile`: mu_2k+1 from t_k+1^T t_k, mu_2
+    and the last even moment from t_k^T t_k, the others from the gemm
+    t_j+1^T t_j-1 (faster here than the syrk t_j^T t_j).  The recurrence
+    t_k+1 = 2 (2 a t_k / lam_max - t_k) - t_k-1 runs in place on each
+    product, as one BLAS scaling and two axpys whose power-of-two factors
+    keep the values of the subtractions written out, so `x` is only read.
     """
     scale = 2.0 / lam_max
+    half = count // 2
     mu = np.empty((count, x.shape[1], x.shape[1]))
     np.matmul(x.T, x, out=mu[0])
     prev, cur = None, x
-    for k in range(1, count // 2 + 1):
-        nxt = a @ cur
-        nxt *= scale
-        nxt -= cur
-        if k > 1:
-            nxt *= 2.0
-            nxt -= prev
+    for k in range(1, half + 1):
+        # scipy's BLAS updates the flat product in place and returns it
+        nxt = (a @ cur).reshape(-1)
+        if k == 1:
+            nxt = daxpy(cur.reshape(-1), dscal(scale, nxt), a=-1.0)
+        else:
+            nxt = dscal(2.0 * scale, nxt)
+            nxt = daxpy(cur.reshape(-1), nxt, a=-2.0)
+            nxt = daxpy(prev.reshape(-1), nxt, a=-1.0)
+        nxt = nxt.reshape(cur.shape)
         np.matmul(nxt.T, cur, out=mu[2 * k - 1])
-        if 2 * k < count:
+        if k > 2:
+            np.matmul(nxt.T, prev, out=mu[2 * k - 2])
+        if 2 * k < count and (k == 1 or k == half):
             np.matmul(nxt.T, nxt, out=mu[2 * k])
         prev, cur = cur, nxt
-    profile.count("forward.matvecs", count // 2)
+    profile.count("forward.matvecs", half)
+    profile.count("forward.matvec_cols", half * x.shape[1])
     mu[2:] *= 2.0
-    mu[2::2] -= mu[0]
-    if count > 3:
+    if count > 2:
+        mu[2] -= mu[0]
         mu[3::2] -= mu[1]
+        mu[4 : 2 * half : 2] -= mu[2]
+        if count % 2 and half > 1:
+            mu[2 * half] -= mu[0]
     return mu
 
 
@@ -504,8 +517,8 @@ class DataSet:
         shape = (2 * self.n - 1, self.m, self.m)
         if self.d.shape != shape or self.ddot.shape != shape:
             raise ValueError(f"data blocks must have shape {shape}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         for name in ("d", "ddot"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
@@ -669,9 +682,10 @@ def synthesize_measurements(
     dt_factor.  Raises CflViolation when dt exceeds the stability limit of
     the discrete operator.
 
-    Each step is p+ = S p + 2 p - p- + dt^2 f'(t) theta, with the step
-    operator S = -dt^2 C^2 L formed once on the Laplacian's pattern and
-    the kicks dt^2 f'(t) taken once per record.  Counts one
+    Each step is p+ = S p - p- + dt^2 f'(t) theta, one product and two
+    updates, with the step operator S = 2 I - dt^2 C^2 L formed once on
+    the Laplacian's pattern (which holds every diagonal entry) and the
+    kicks dt^2 f'(t) taken once per record.  Counts one
     `forward.timedomain` per record and its nt - 1 products as
     `forward.timedomain.matvecs` in `profile`.
     """
@@ -683,11 +697,10 @@ def synthesize_measurements(
     profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
     lap = _laplacian_2d(v.grid)
-    row_scale = -(dt**2) * v.c.ravel() ** 2
-    step = sp.csr_matrix(
-        (lap.data * row_scale[_laplacian_rows(v.grid)], lap.indices, lap.indptr),
-        shape=lap.shape,
-    )
+    rows = _laplacian_rows(v.grid)
+    data = lap.data * (-(dt**2) * v.c.ravel() ** 2)[rows]
+    data[rows == lap.indices] += 2.0
+    step = sp.csr_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
     kick = dt**2 * pulse.df(-k0 * dt + dt * np.arange(nt - 1))
 
     traces = np.empty((nt, arr.m, arr.m))
@@ -696,8 +709,6 @@ def synthesize_measurements(
     p_cur = np.zeros_like(theta)
     for k in range(1, nt):
         p_next = step @ p_cur
-        p_next += p_cur
-        p_next += p_cur
         p_next -= p_prev
         p_next += kick[k - 1] * theta
         p_prev, p_cur = p_cur, p_next

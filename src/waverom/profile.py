@@ -1,7 +1,8 @@
 """Process-local counters of the work a run does.
 
 The program counts its syntheses (`forward.synth`), the sparse products
-of their Chebyshev moments (`forward.matvecs`), its ROM builds
+of their Chebyshev moments (`forward.matvecs`) and the columns those
+products take (`forward.matvec_cols`), its ROM builds
 (`rom.build`), the Gauss-Newton trials whose ROM is infeasible
 (`inversion.infeasible`), the Jacobian columns taken as a backward
 difference because their forward trial was infeasible

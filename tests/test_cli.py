@@ -1,7 +1,9 @@
 import functools
+import importlib.util
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,6 +838,43 @@ def test_invert_builds_the_run_once(tmp_path, monkeypatch):
     assert rc == 0
     synth = json.loads((out / "profile.json").read_text())["forward.synth"]
     assert counts == {"basis": 1, "truth": 1, "operators": synth}
+
+
+#: profile.json counter -> the benchmark tracer's metric of the same work
+TRACED_COUNTS = {
+    "forward.synth": "forward.synth.calls",
+    "forward.matvecs": "forward.matvecs",
+    "forward.matvec_cols": "forward.matvec_cols",
+    "rom.build": "rom.build.calls",
+}
+
+
+@pytest.mark.parametrize("command", [["invert", "--mode", "rom"], ["invert", "--mode", "fwi"],
+                                     ["sweep"]], ids=["rom", "fwi", "sweep"])
+def test_profile_counts_what_the_tracer_counts(tmp_path, command):
+    # perfbench's tracer, loaded from its file and used as it stands
+    tracer_file = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_file)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    if command[0] == "sweep":
+        cfg = base_config(sweep=SWEEP)
+    else:
+        cfg = base_config(
+            search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+            schedule={"layers": 1, "q": 2, "d": 4, "k": [4]},
+        )
+    out = tmp_path / "o"
+    argv = [command[0], "--config", str(write_config(tmp_path, cfg)), "--out", str(out), *command[1:]]
+    with tracer_module.Tracer() as tracer:
+        assert main(argv) == 0
+    traced = tracer.metrics()
+    counts = json.loads((out / "profile.json").read_text())
+    assert traced["trace.hooks_missing"] == 0
+    assert traced["forward.matvecs"] > 0
+    assert {name: counts.get(name, 0) for name in TRACED_COUNTS} == {
+        name: traced[metric] for name, metric in TRACED_COUNTS.items()
+    }
 
 
 class TestHonestReference:

@@ -341,7 +341,7 @@ class TestChebyshev:
                 err = np.abs(vals[f].T - expected[:, f]).max() / peak
                 assert err <= 1e-12, (name, f, err)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 24, 25])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 24, 25])
     @given(size=st.integers(1, 12), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_doubled_moments_match_recurrence(self, count, size, cols, seed):
@@ -374,11 +374,13 @@ class TestChebyshev:
         a.log = []
         x = line_array(grid, 3, depth=300.0).theta_matrix(grid)
         lam_max = op.lambda_upper()
-        before = profile.counts().get("forward.matvecs", 0)
+        before = profile.counts()
         mu = chebyshev_moments(a, x, count, lam_max)
         assert len(a.log) == count // 2
         assert all(m is a for m in a.log)
-        assert profile.counts().get("forward.matvecs", 0) - before == count // 2
+        after = profile.counts()
+        for name, added in (("forward.matvecs", count // 2), ("forward.matvec_cols", count // 2 * 3)):
+            assert after.get(name, 0) - before.get(name, 0) == added
         np.testing.assert_array_equal(mu, chebyshev_moments(op.matrix, x, count, lam_max))
 
     def test_moments_only_read_x(self, grid):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,8 @@ MALFORMED_HEADERS = [
     pytest.param("dataset", lambda h: h.pop("n"), id="dataset-missing-field"),
     pytest.param("dataset", lambda h: h.update(n="3"), id="dataset-wrong-type"),
     pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),
+    pytest.param("dataset", lambda h: h.update(tau=math.nan), id="dataset-nan-tau"),
+    pytest.param("dataset", lambda h: h.update(tau=math.inf), id="dataset-infinite-tau"),
     pytest.param("rom", lambda h: h.pop("m"), id="rom-missing-field"),
     pytest.param("rom", lambda h: h.update(n="3"), id="rom-wrong-type"),
     # -m keeps the payload size (nm squared) but no array has a negative shape
