@@ -23,10 +23,8 @@ from waverom.model import Grid2D, VelocityModel
 def make_section(g: Grid2D) -> VelocityModel:
     xx, zz = g.mesh()
     lx, lz = g.extent
-    depth = (zz - g.z0) / lz
-    fold = 0.08 * np.sin(2 * math.pi * (xx - g.x0) / lx) + 0.05 * np.sin(
-        5.0 * math.pi * (xx - g.x0) / lx + 1.0
-    )
+    depth = zz / lz
+    fold = 0.08 * np.sin(2 * math.pi * xx / lx) + 0.05 * np.sin(5.0 * math.pi * xx / lx + 1.0)
     horizon = depth + fold
     layers = np.floor(horizon * 6.0)
     c = 1800.0 + 1400.0 * depth + 180.0 * np.sin(2.1 * layers)

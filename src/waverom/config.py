@@ -32,7 +32,6 @@ from .forward import (
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
 from .model import (
-    C_MIN,
     Grid2D,
     Parametrization,
     VelocityModel,
@@ -72,7 +71,7 @@ MODEL_FACTORIES = {
 LAYOUTS = {"line": line_array, "ring": ring_array, "explicit": sensor_array}
 
 SECTION_KEYS = {
-    "grid": {"nx", "nz", "hx", "hz", "x0", "z0", "bc"},
+    "grid": {"nx", "nz", "hx", "hz", "bc"},
     "acquisition": {"layout", "pulse"},
     "sampling": {"n", "nyquist_factor"},
     "schedule": {"layers", "q", "k", "d"},
@@ -129,10 +128,8 @@ class ExperimentConfig:
         g = self.grid
         if g.get("bc", "dirichlet") != "dirichlet":
             raise ValueError(f"bc must be 'dirichlet', got {g['bc']!r}")
-        return Grid2D(
-            whole(g["nx"], "grid.nx"), whole(g["nz"], "grid.nz"),
-            float(g["hx"]), float(g["hz"]), float(g.get("x0", 0.0)), float(g.get("z0", 0.0)),
-        )
+        return Grid2D(whole(g["nx"], "grid.nx"), whole(g["nz"], "grid.nz"),
+                      float(g["hx"]), float(g["hz"]))
 
     def _velocity(self, spec: dict, name_key: str, g: Grid2D, **overrides) -> VelocityModel:
         params = dict(spec, **overrides)
@@ -192,8 +189,9 @@ class Run:
 
     `reference` makes the reference data: `truth` itself at reference.refine
     1 (the inverse-crime regime), else the true model rebuilt on a grid
-    that many times finer over the same domain.  `schedule` and `sweep` are
-    None without their sections.  `search` is kept for `invert` alone.
+    that many times finer over the same domain.  `search`, `schedule` and
+    `sweep` are None unless the config states them or the command needs
+    them; `search` is kept for `invert` alone.
     """
 
     config: ExperimentConfig
@@ -223,10 +221,11 @@ def _check_operator(v: VelocityModel):
 def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
     """Build every section once, so that a malformed one fails at load time,
     into the Run for `command`.  Every model the config states must have a
-    positive, finite operator bound, one finite-difference column must
-    move the velocity by less than C_MIN, and with `method: spectral` the
-    reference grid must not exceed SPECTRAL_CAP nodes.  `invert` needs a
-    schedule and `sweep` its two axes."""
+    positive, finite operator bound, and with `method: spectral` the
+    reference grid must not exceed SPECTRAL_CAP nodes.  The search,
+    schedule and sweep are built when the config states them or the
+    command needs them: `invert` its search and schedule, `sweep` its two
+    axes."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys
@@ -239,24 +238,19 @@ def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
         _check_operator(truth)
         section = "acquisition"
         acq = cfg.build_acquisition(grid)
-        section = "search"
-        params = dict(cfg.search)
-        spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
-        try:
-            background = cfg._velocity(spec, "kind", grid)
-        except ConfigError as exc:
-            raise ConfigError(f"search background: {exc}") from exc
-        search = make_bump_lattice(background, **params)
-        _check_operator(background)
+        search = schedule = sweep = None
+        if cfg.search or command == "invert":
+            section = "search"
+            params = dict(cfg.search)
+            spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
+            try:
+                background = cfg._velocity(spec, "kind", grid)
+            except ConfigError as exc:
+                raise ConfigError(f"search background: {exc}") from exc
+            search = make_bump_lattice(background, **params)
+            _check_operator(background)
         section = "gn"
         gn = GnConfig(**cfg.gn)
-        step = gn.fd_step * abs(search.basis[0].amplitude)
-        if not step < C_MIN:
-            raise ValueError(
-                f"gn.fd_step times |search.amplitude| moves the velocity by {step:g} m/s "
-                f"per finite-difference column, not less than C_MIN = {C_MIN:g} m/s"
-            )
-        schedule = sweep = None
         if cfg.schedule or command == "invert":
             section = "schedule"
             s = cfg.schedule
@@ -281,7 +275,7 @@ def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
                 raise ConfigError("file-backed models cannot be re-gridded")
             reference = cfg._velocity(cfg.model, "factory", Grid2D(
                 (grid.nx + 1) * factor - 1, (grid.nz + 1) * factor - 1,
-                grid.hx / factor, grid.hz / factor, grid.x0, grid.z0,
+                grid.hx / factor, grid.hz / factor,
             ))
             _check_operator(reference)
         if cfg.method == "spectral" and reference.grid.n_dof > SPECTRAL_CAP:

@@ -209,15 +209,18 @@ def line_array(grid: Grid2D, m: int, depth: float) -> SensorArray:
     the width from the side walls."""
     m = whole(m, "m", 1)
     margin = 0.05 * grid.extent[0]
-    xs = np.linspace(grid.x0 + margin, grid.x_max - margin, m)
-    return sensor_array(grid, np.column_stack([xs, np.full(m, grid.z0 + depth)]))
+    xs = np.linspace(margin, grid.extent[0] - margin, m)
+    return sensor_array(grid, np.column_stack([xs, np.full(m, depth)]))
 
 
 def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
-    """m sensors spread along a rectangle inset from the domain boundary."""
+    """m sensors spread along a rectangle inset from the domain boundary,
+    which must leave the rectangle a positive width and depth."""
     m = whole(m, "m", 1)
     lx, lz = grid.extent
     px, pz = lx - 2 * inset, lz - 2 * inset
+    if not (px > 0 and pz > 0):
+        raise ValueError(f"inset {inset} leaves no rectangle inside the {lx} x {lz} domain")
     perimeter = 2 * (px + pz)
     ds = np.arange(m) * perimeter / m
     pos = []
@@ -230,7 +233,7 @@ def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
             x, z = lx - inset - (s - px - pz), lz - inset
         else:
             x, z = inset, lz - inset - (s - 2 * px - pz)
-        pos.append((grid.x0 + x, grid.z0 + z))
+        pos.append((x, z))
     return sensor_array(grid, np.array(pos))
 
 

@@ -28,7 +28,7 @@ from .errors import (
     SingularSystem,
 )
 from .forward import DataSet, _check_info
-from .model import Parametrization, VelocityModel, evaluate_velocity, whole
+from .model import C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
 from .rom import OperatorRom
 
@@ -66,8 +66,9 @@ class GnConfig:
     gamma is the Tikhonov quantile: mu_i is the squared floor(gamma N)-th
     largest singular value of the Jacobian (index clamped to 1 at the
     low end).  Setting regularization="off" forces mu_i = 0, the plain
-    Gauss-Newton limit.  alpha_max caps the line-search step and fd_step
-    is the finite-difference velocity step (both positive and finite).
+    Gauss-Newton limit.  alpha_max caps the line-search step (positive and
+    finite) and fd_step is the finite-difference velocity step in m/s
+    (positive and below C_MIN, the clamp on trial velocities).
     """
 
     gamma: float = 0.3
@@ -78,9 +79,10 @@ class GnConfig:
     def __post_init__(self):
         if not 0.2 < self.gamma < 0.4:
             raise ValueError("gamma must lie in the open interval (0.2, 0.4)")
-        for name in ("alpha_max", "fd_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.alpha_max < math.inf:
+            raise ValueError("alpha_max must be positive and finite")
+        if not 0 < self.fd_step < C_MIN:
+            raise ValueError(f"fd_step must be positive and below C_MIN = {C_MIN:g} m/s")
         if self.regularization not in ("adaptive", "off"):
             raise ValueError("regularization must be 'adaptive' or 'off'")
 
@@ -118,8 +120,8 @@ def jacobian(
     """Forward finite-difference Jacobian of a residual function.
 
     Column l is [G(eta + delta_l e_l) - G(eta)] / delta_l with
-    delta_l = fd_step * max(1, |eta_l|); with unit-amplitude bumps one
-    eta unit is one m/s of velocity, so fd_step is a velocity step.
+    delta_l = fd_step * max(1, |eta_l|); the bumps have unit amplitude, so
+    one eta unit is one m/s of velocity and fd_step is a velocity step.
     `base` is G(eta).  Columns are evaluated one after another in index
     order and written straight into `out`, a Fortran-ordered (M, N) array,
     the layout qr_svd factors in place.

@@ -8,14 +8,14 @@ Every binary artifact is a pair: a JSON header at `<stem>.json` and raw
 little-endian float64 payload at `<stem>.bin`.  Payload layouts:
 
 - velocity model: c values, row-major with z fastest (shape nx*nz);
-  header {schema, nx, nz, hx, hz, x0, z0, bc}, where bc is always
-  DIRICHLET_WALLS.
+  header {schema, nx, nz, hx, hz, x0, z0, bc}, where the origin x0, z0
+  is always 0.0 and bc is always DIRICHLET_WALLS.
 - dataset: D blocks then Ddot blocks, each (2n-1, m, m) C-order;
   header {schema, m, n, tau}.
 - operator ROM: A_rom then R, each (nm, nm) C-order; header {schema, m, n}.
 
 Parametrizations, experiment configs, run manifests and run profiles are
-plain JSON.
+plain JSON; each bump of a parametrization has amplitude 1.0.
 CSV exports write floats as repr(float(x)), the shortest decimal that
 plain float() parses back to the same double, so round-trips are
 bit-exact.
@@ -102,7 +102,7 @@ def save_velocity(path, v: VelocityModel):
     _save(path, {
         "schema": "waverom-velocity-v1",
         "nx": g.nx, "nz": g.nz, "hx": g.hx, "hz": g.hz,
-        "x0": g.x0, "z0": g.z0, "bc": DIRICHLET_WALLS,
+        "x0": 0.0, "z0": 0.0, "bc": DIRICHLET_WALLS,
     }, v.c)
 
 
@@ -110,7 +110,9 @@ def load_velocity(path) -> VelocityModel:
     def build(h, payload):
         if h["bc"] != DIRICHLET_WALLS:
             raise ArtifactError(f"{path}: walls {h['bc']!r} are not {DIRICHLET_WALLS}")
-        g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"], h["x0"], h["z0"])
+        if (h["x0"], h["z0"]) != (0.0, 0.0):
+            raise ValueError(f"origin ({h['x0']!r}, {h['z0']!r}) is not (0.0, 0.0)")
+        g = Grid2D(h["nx"], h["nz"], h["hx"], h["hz"])
         (c,) = payload((g.nx, g.nz))
         return VelocityModel(g, c)
 
@@ -127,7 +129,7 @@ def save_parametrization(path, p: Parametrization, eta: np.ndarray, background_p
         "schema": "waverom-parametrization-v1",
         "background": background_path,
         "basis": [
-            {"center": list(b.center), "width": b.width, "amplitude": b.amplitude}
+            {"center": list(b.center), "width": b.width, "amplitude": 1.0}
             for b in p.basis
         ],
         "eta": list(eta),
@@ -138,9 +140,10 @@ def load_parametrization(path) -> tuple[Parametrization, np.ndarray]:
     """The parametrization and its coefficients eta, one per basis function."""
     def build(h, payload):
         background = load_velocity(Path(path).parent / h["background"])
-        basis = tuple(
-            GaussianBump(tuple(b["center"]), b["width"], b["amplitude"]) for b in h["basis"]
-        )
+        for b in h["basis"]:
+            if b["amplitude"] != 1.0:
+                raise ValueError(f"bump amplitude {b['amplitude']!r} is not 1.0")
+        basis = tuple(GaussianBump(tuple(b["center"]), b["width"]) for b in h["basis"])
         p = Parametrization(background, basis)
         eta = np.asarray(h["eta"], dtype=float)
         if eta.shape != (p.n_params,):

@@ -2,10 +2,12 @@
 
 Conventions
 -----------
-- The 2D domain is [x0, x0+(nx+1)hx] x [z0, z0+(nz+1)hz] with z measured
-  as depth (increasing downward).  The nx*nz stored nodes are strictly
-  interior: node (i, j) sits at (x0+(i+1)hx, z0+(j+1)hz), so homogeneous
+- The 2D domain is [0, (nx+1)hx] x [0, (nz+1)hz] with z measured as
+  depth (increasing downward).  The nx*nz stored nodes are strictly
+  interior: node (i, j) sits at ((i+1)hx, (j+1)hz), so homogeneous
   Dirichlet walls live one spacing outside the node block.
+- Search bumps have unit amplitude, so one unit of a coefficient moves
+  the velocity by at most one m/s.
 - Velocity arrays have shape (nx, nz), C order, which makes z the
   fastest-varying index when flattened (the on-disk layout).
 - Units are meters, seconds, m/s throughout.
@@ -46,22 +48,17 @@ class Grid2D:
     nz: int
     hx: float
     hz: float
-    x0: float = 0.0
-    z0: float = 0.0
 
     def __post_init__(self):
         if self.nx < 3 or self.nz < 3:
             raise ValueError("grid needs nx, nz >= 3")
         if not (0 < self.hx < math.inf and 0 < self.hz < math.inf):
             raise ValueError("grid spacings must be positive and finite")
-        if not (math.isfinite(self.x_max) and math.isfinite(self.z_max)):
-            raise ValueError("grid origin and extent must be finite")
+        if not all(map(math.isfinite, self.extent)):
+            raise ValueError("grid extent must be finite")
         if not all(np.finfo(float).tiny <= h * h < math.inf for h in (self.hx, self.hz)):
             raise ValueError("grid spacings must have squares that are normal doubles "
                              "(the Laplacian divides by them)")
-        if not (np.all(np.diff(self.xs()) > 0) and np.all(np.diff(self.zs()) > 0)):
-            raise ValueError("grid node coordinates must increase strictly: the spacing is "
-                             "below the resolution of the origin")
 
     @property
     def n_dof(self) -> int:
@@ -77,33 +74,26 @@ class Grid2D:
         """Domain size (Lx, Lz) including the boundary offset."""
         return (self.nx + 1) * self.hx, (self.nz + 1) * self.hz
 
-    @property
-    def x_max(self) -> float:
-        return self.x0 + self.extent[0]
-
-    @property
-    def z_max(self) -> float:
-        return self.z0 + self.extent[1]
-
     def xs(self) -> np.ndarray:
-        return self.x0 + self.hx * np.arange(1, self.nx + 1)
+        return self.hx * np.arange(1, self.nx + 1)
 
     def zs(self) -> np.ndarray:
-        return self.z0 + self.hz * np.arange(1, self.nz + 1)
+        return self.hz * np.arange(1, self.nz + 1)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinates as (nx, nz) arrays."""
         return np.meshgrid(self.xs(), self.zs(), indexing="ij")
 
     def nearest_node(self, x: float, z: float) -> tuple[int, int]:
-        i = int(round((x - self.x0) / self.hx)) - 1
-        j = int(round((z - self.z0) / self.hz)) - 1
+        i = int(round(x / self.hx)) - 1
+        j = int(round(z / self.hz)) - 1
         if not (0 <= i < self.nx and 0 <= j < self.nz):
             raise DomainTooSmall(f"point ({x}, {z}) outside node block")
         return i, j
 
     def contains(self, x: float, z: float) -> bool:
-        return (self.x0 <= x <= self.x_max) and (self.z0 <= z <= self.z_max)
+        lx, lz = self.extent
+        return 0 <= x <= lx and 0 <= z <= lz
 
 
 @dataclass(frozen=True)
@@ -133,22 +123,19 @@ class VelocityModel:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """One search-space basis function: amp * exp(-|x-center|^2 / (2 w^2))."""
+    """One search-space basis function: exp(-|x-center|^2 / (2 w^2))."""
 
     center: tuple[float, float]
     width: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.width < math.inf and self.width**2 > 0):
             raise ValueError("bump width must be positive and finite, with a nonzero square")
-        if not (math.isfinite(self.amplitude) and self.amplitude != 0):
-            raise ValueError("bump amplitude must be finite and non-zero")
 
     def evaluate(self, xx: np.ndarray, zz: np.ndarray) -> np.ndarray:
         """The bump at the node coordinates `xx`, `zz` of `Grid2D.mesh`."""
         r2 = (xx - self.center[0]) ** 2 + (zz - self.center[1]) ** 2
-        return self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
+        return np.exp(-r2 / (2.0 * self.width**2))
 
 
 @dataclass(frozen=True)
@@ -229,8 +216,8 @@ def make_two_layer_model(
     if contrast <= 0:
         raise ValueError("contrast must be positive")
     xx, zz = g.mesh()
-    iface = depth_left + slope_drop * (xx - g.x0) / g.extent[0]
-    c = np.where(zz - g.z0 > iface, contrast * c_top, c_top)
+    iface = depth_left + slope_drop * xx / g.extent[0]
+    c = np.where(zz > iface, contrast * c_top, c_top)
     return VelocityModel(g, c)
 
 
@@ -245,12 +232,8 @@ def make_camembert_model(
     cx, cz = center
     if not (math.isfinite(cx) and math.isfinite(cz) and 0 < radius < math.inf):
         raise ValueError("camembert needs a finite center and a positive, finite radius")
-    if (
-        cx - radius < g.x0
-        or cx + radius > g.x_max
-        or cz - radius < g.z0
-        or cz + radius > g.z_max
-    ):
+    lx, lz = g.extent
+    if cx - radius < 0 or cx + radius > lx or cz - radius < 0 or cz + radius > lz:
         raise DomainTooSmall("inclusion disk does not fit inside the domain")
     xx, zz = g.mesh()
     inside = (xx - cx) ** 2 + (zz - cz) ** 2 <= radius**2
@@ -261,7 +244,7 @@ def make_camembert_model(
 def make_gradient_model(c_top: float, c_bottom: float, g: Grid2D) -> VelocityModel:
     """One-dimensional velocity gradient in depth."""
     zz = g.zs()
-    prof = c_top + (c_bottom - c_top) * (zz - g.z0) / g.extent[1]
+    prof = c_top + (c_bottom - c_top) * zz / g.extent[1]
     return VelocityModel(g, np.tile(prof, (g.nx, 1)))
 
 
@@ -269,7 +252,6 @@ def make_bump_lattice(
     background: VelocityModel,
     lattice: tuple[int, int] = (10, 10),
     width_factor: float = 1.5,
-    amplitude: float = 1.0,
 ) -> Parametrization:
     """Gaussian bumps centered on a uniform p x q `lattice` over the domain.
 
@@ -282,11 +264,7 @@ def make_bump_lattice(
     lx, lz = g.extent
     dx, dz = lx / p, lz / q
     width = width_factor * math.sqrt(dx * dz)
-    centers_x = g.x0 + dx * (np.arange(p) + 0.5)
-    centers_z = g.z0 + dz * (np.arange(q) + 0.5)
-    basis = [
-        GaussianBump((float(cx), float(cz)), width, amplitude)
-        for cx in centers_x
-        for cz in centers_z
-    ]
+    centers_x = dx * (np.arange(p) + 0.5)
+    centers_z = dz * (np.arange(q) + 0.5)
+    basis = [GaussianBump((float(cx), float(cz)), width) for cx in centers_x for cz in centers_z]
     return Parametrization(background, tuple(basis))

@@ -290,7 +290,7 @@ MALFORMED = [
     pytest.param(("gn",), {"fd_step": 0}, id="zero-fd-step"),
     pytest.param(("gn",), {"fd_step": -0.01}, id="negative-fd-step"),
     pytest.param(("gn",), {"alpha_max": float("nan")}, id="nan-alpha-max"),
-    # one finite-difference column moves the velocity by fd_step * |amplitude| m/s
+    # one finite-difference column moves the velocity by up to fd_step m/s
     pytest.param(("gn",), {"fd_step": 1e300}, id="fd-step-beyond-c-min"),
     pytest.param(("gn",), {"fd_step": 300.0}, id="fd-step-at-c-min"),
     pytest.param(("search", "amplitude"), 1e300, id="amplitude-step-beyond-c-min"),
@@ -343,6 +343,9 @@ MALFORMED = [
                  id="pulse-bandwidth-square-underflows"),
     pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 2.5, "inset": 200.0},
                  id="fractional-ring-m"),
+    # 2 x 700 m exceeds the 1300 m width of the domain
+    pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 4, "inset": 700.0},
+                 id="ring-inset-leaves-no-rectangle"),
     pytest.param(("acquisition", "layout", "m"), 2.5, id="fractional-line-m"),
     pytest.param(("acquisition", "layout", "m"), 0, id="zero-line-m"),
     pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=0)), id="zero-sweep-count"),
@@ -381,6 +384,9 @@ RETIRED = [
     pytest.param(("acquisition", "theta_width"), 100.0, id="acquisition-theta_width"),
     pytest.param(("acquisition", "layout", "theta_width"), 100.0, id="layout-theta_width"),
     pytest.param(("acquisition", "layout", "margin"), 65.0, id="layout-margin"),
+    pytest.param(("grid", "x0"), 0.0, id="grid-x0"),
+    pytest.param(("grid", "z0"), 0.0, id="grid-z0"),
+    pytest.param(("search", "amplitude"), 1.0, id="search-amplitude"),
 ]
 
 
@@ -475,17 +481,6 @@ def test_operator_bound_of_zero_exits_2_saying_so(tmp_path, capsys, section):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key, value", [("x0", 1e308), ("z0", 1e300)])
-def test_coincident_grid_nodes_name_the_grid_section(tmp_path, capsys, key, value):
-    # x0 + i hx == x0 for every node
-    cfg = base_config()
-    cfg["grid"][key] = value
-    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "bad grid section" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 def test_reference_operator_overflow_exits_2(tmp_path, capsys):
     # c^2 / h^2 fits the float range on the stated grid, not on the one
     # twice as fine that the reference model is built on
@@ -502,9 +497,8 @@ def test_reference_operator_overflow_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("hx", float("nan")), ("hx", float("inf")), ("hx", 1e308),
-    ("hz", float("nan")), ("x0", float("nan")), ("z0", float("inf")),
-    ("hx", 1e-300), ("hz", 1e-300),
-], ids=["nan-hx", "infinite-hx", "hx-extent-overflows", "nan-hz", "nan-x0", "infinite-z0",
+    ("hz", float("nan")), ("hx", 1e-300), ("hz", 1e-300),
+], ids=["nan-hx", "infinite-hx", "hx-extent-overflows", "nan-hz",
         "hx-square-underflows", "hz-square-underflows"])
 def test_non_finite_grid_geometry_names_the_grid_section(tmp_path, capsys, key, value):
     cfg = base_config()
@@ -838,6 +832,24 @@ def test_invert_builds_the_run_once(tmp_path, monkeypatch):
     assert rc == 0
     synth = json.loads((out / "profile.json").read_text())["forward.synth"]
     assert counts == {"basis": 1, "truth": 1, "operators": synth}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("sweep", base_config(sweep=SWEEP)),
+    ("synthesize", base_config()),
+], ids=["sweep", "synthesize"])
+def test_load_builds_no_search_that_the_command_drops(tmp_path, monkeypatch, command, cfg):
+    # neither command reads a search, and this config states none
+    calls, lattice = [], config.make_bump_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lattice(*args, **kwargs)
+
+    monkeypatch.setattr(config, "make_bump_lattice", counted)
+    run = run_from_dict(cfg, tmp_path, command)
+    assert calls == []
+    assert run.search is None
 
 
 #: profile.json counter -> the benchmark tracer's metric of the same work

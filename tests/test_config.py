@@ -43,4 +43,4 @@ def test_reference_model_refines_the_true_grid():
     fine = _build_sections(replace(run.config, reference={"refine": 2}), None).reference
     g, f = truth.grid, fine.grid
     assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
-    assert (f.x0, f.z0, f.x_max, f.z_max) == pytest.approx((g.x0, g.z0, g.x_max, g.z_max))
+    assert f.extent == pytest.approx(g.extent)

@@ -367,15 +367,3 @@ class TestRunInversion:
         for reference in (ref_rom, ref_ds):
             with pytest.raises(ValueError):
                 run_inversion(reference, param, beyond, GnConfig(), acq)
-
-    def test_amplitude_scale_invariance_at_mu_zero(self, toy_problem):
-        # phi_l -> s phi_l with eta -> eta/s leaves v(x; eta) unchanged
-        param, eta_star, *_ = toy_problem
-        s = 40.0
-        scaled = Parametrization(
-            param.background,
-            tuple(GaussianBump(b.center, b.width, s * b.amplitude) for b in param.basis),
-        )
-        v1 = evaluate_velocity(param, eta=eta_star)
-        v2 = evaluate_velocity(scaled, eta=eta_star / s)
-        np.testing.assert_allclose(v1.c, v2.c, rtol=1e-13)

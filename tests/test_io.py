@@ -49,7 +49,7 @@ def test_velocity_payload_layout(tmp_path, grid):
 def test_parametrization_roundtrip(tmp_path, grid):
     bg = make_constant_model(2500.0, grid)
     p = Parametrization(
-        bg, (GaussianBump((400.0, 600.0), 150.0, 2.0), GaussianBump((900.0, 900.0), 150.0))
+        bg, (GaussianBump((400.0, 600.0), 120.0), GaussianBump((900.0, 900.0), 150.0))
     )
     eta = np.array([3.0, -4.0])
     io.save_velocity(tmp_path / "bg.json", bg)
@@ -120,6 +120,7 @@ MALFORMED_HEADERS = [
     pytest.param("velocity", lambda h: h.update(nx=2), id="velocity-rejected-value"),
     pytest.param("velocity", lambda h: h.pop("bc"), id="velocity-missing-walls"),
     pytest.param("velocity", lambda h: h.update(hz=1e-300), id="velocity-spacing-square-underflows"),
+    pytest.param("velocity", lambda h: h.update(x0=100.0), id="velocity-nonzero-origin"),
     pytest.param("dataset", lambda h: h.pop("n"), id="dataset-missing-field"),
     pytest.param("dataset", lambda h: h.update(n="3"), id="dataset-wrong-type"),
     pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),
@@ -133,6 +134,8 @@ MALFORMED_HEADERS = [
     pytest.param("parametrization", lambda h: h.update(basis=5), id="parametrization-wrong-type"),
     pytest.param("parametrization", lambda h: h["basis"][0].update(width=-1.0),
                  id="parametrization-rejected-value"),
+    pytest.param("parametrization", lambda h: h["basis"][0].update(amplitude=2.0),
+                 id="parametrization-amplitude-two"),
     pytest.param("parametrization", lambda h: h["eta"].append(2.0),
                  id="parametrization-eta-longer-than-basis"),
     pytest.param("parametrization", lambda h: h.update(eta=[]),

@@ -44,7 +44,7 @@ class TestGrid:
 
     def test_nodes_strictly_interior(self, grid):
         assert grid.xs()[0] == pytest.approx(grid.hx)
-        assert grid.xs()[-1] == pytest.approx(grid.x_max - grid.hx)
+        assert grid.xs()[-1] == pytest.approx(grid.extent[0] - grid.hx)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
@@ -143,8 +143,8 @@ class TestTwoLayer:
         xs, zs = grid.xs(), grid.zs()
         for i in range(grid.nx):
             for j in range(grid.nz):
-                iface = depth + drop * (xs[i] - grid.x0) / grid.extent[0]
-                expected = contrast * 1500.0 if zs[j] - grid.z0 > iface else 1500.0
+                iface = depth + drop * xs[i] / grid.extent[0]
+                expected = contrast * 1500.0 if zs[j] > iface else 1500.0
                 assert v.c[i, j] == expected
 
     def test_bad_depth_rejected(self, grid):
@@ -188,5 +188,6 @@ class TestParametrization:
         assert p.n_params == 20
         xs = [b.center[0] for b in p.basis]
         zs = [b.center[1] for b in p.basis]
-        assert min(xs) > grid.x0 and max(xs) < grid.x_max
-        assert min(zs) > grid.z0 and max(zs) < grid.z_max
+        lx, lz = grid.extent
+        assert min(xs) > 0 and max(xs) < lx
+        assert min(zs) > 0 and max(zs) < lz

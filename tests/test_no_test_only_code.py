@@ -18,7 +18,8 @@ string, has no call to judge.
 
 The same holds for config keys.  Each key the loader accepts must be set
 by a shipped config, by the config of a benchmark workload or by the
-config the Marmousi smoke script writes.
+config the Marmousi smoke script writes, and so must each parameter of
+a model factory, under `model` or `search.background`.
 """
 
 import ast
@@ -32,7 +33,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from waverom.config import LAYOUTS, SECTION_KEYS
+from waverom.config import LAYOUTS, MODEL_FACTORIES, SECTION_KEYS
 from waverom.inversion import GnConfig
 from waverom.model import make_bump_lattice
 
@@ -49,8 +50,6 @@ ALLOWED = {
 #: them, each with its reason.
 ALLOWED_KEYS = {
     ("gn", "regularization"): "acceptance criterion 9 runs with `off`",
-    ("grid", "x0"): "the velocity artifact header carries the origin",
-    ("grid", "z0"): "the velocity artifact header carries the origin",
     ("acquisition.layout", "positions"): "the format for a measured array",
     ("record", "dt_factor"): "sets the accuracy of the time-domain reference",
     ("reference", "refine"): "`scripts/artifact_digests.py` runs it at 2",
@@ -239,3 +238,15 @@ def test_every_config_key_is_set_outside_the_tests(tmp_path):
 def test_allowed_keys_are_accepted_and_unset(tmp_path):
     assert set(ALLOWED_KEYS) <= accepted_keys()
     assert not set(ALLOWED_KEYS) & set_keys(tmp_path)
+
+
+def test_every_model_factory_parameter_is_set_outside_the_tests(tmp_path):
+    set_model_keys = {key for section, key in set_keys(tmp_path)
+                      if section in ("model", "search.background")}
+    unset = sorted(
+        f"{name}({param})"
+        for name, factory in MODEL_FACTORIES.items()
+        for param in inspect.signature(factory).parameters
+        if param != "g" and param not in set_model_keys
+    )
+    assert unset == [], f"model factory parameters that no config outside the tests sets: {unset}"
