@@ -25,10 +25,11 @@ eigenvalues with the sensor coordinates
 calls.  Prints the median ms of DENSE_REPEATS warmed calls and the
 `tracemalloc` peak in MB of one more call.
 
-Then times the time-domain route on the same reference at the config's
-`record.dt_factor`: one record is `synthesize_measurements` followed by
-`symmetrize_and_sample`.  Prints the record's length nt in leapfrog
-steps and the median ms of DENSE_REPEATS warmed records.
+Then times the time-domain route on the same reference, DT_FACTOR
+leapfrog steps per sample interval: one record is
+`synthesize_measurements` followed by `symmetrize_and_sample`.  Prints
+the record's length nt in leapfrog steps and the median ms of
+DENSE_REPEATS warmed records.
 
 Then times one Gauss-Newton step's linear algebra (`qr_svd`, `tikhonov_mu`
 and `gn_step`) on a random Jacobian of the desk (3240 x 100) and the
@@ -61,6 +62,7 @@ import numpy as np
 
 from waverom.config import load_config
 from waverom.forward import (
+    DT_FACTOR,
     DiscreteOperator,
     chebyshev_interval,
     chebyshev_moments,
@@ -130,7 +132,7 @@ def bench(path: Path, repeats: int) -> dict:
         return op.eig_coordinates(th)
 
     def record():
-        rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n, cfg.dt_factor)
+        rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n)
         return symmetrize_and_sample(rec, acq.array, v, acq.n)
 
     return {
@@ -147,8 +149,7 @@ def bench(path: Path, repeats: int) -> dict:
         "cholesky_us": 1e3 * median_ms(lambda: block_cholesky(mass, data.m), repeats),
         "coords_ms": median_ms(coordinates, DENSE_REPEATS),
         "coords_mb": traced_peak_mb(coordinates),
-        "dt_factor": cfg.dt_factor,
-        "nt": record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)[1],
+        "nt": record_layout(acq.pulse, acq.tau, acq.n, acq.array.m)[1],
         "record": median_ms(record, DENSE_REPEATS),
     }
 
@@ -220,9 +221,9 @@ if __name__ == "__main__":
     print(f"{'dense route':<18}{'dof':>6}{'coords ms':>11}{'coords MB':>11}")
     for r in results:
         print(f"{r['config']:<18}{r['dof']:>6}{r['coords_ms']:>11.1f}{r['coords_mb']:>11.1f}")
-    print(f"{'time domain':<18}{'dof':>6}{'dt_factor':>11}{'nt':>8}{'record ms':>11}")
+    print(f"{'time domain':<18}{'dof':>6}{'nt':>8}{'record ms':>11}   DT_FACTOR = {DT_FACTOR}")
     for r in results:
-        print(f"{r['config']:<18}{r['dof']:>6}{r['dt_factor']:>11}{r['nt']:>8}{r['record']:>11.1f}")
+        print(f"{r['config']:<18}{r['dof']:>6}{r['nt']:>8}{r['record']:>11.1f}")
     print(f"{'GN step':<18}{'M':>7}{'N':>5}{'J MB':>8}{'ms':>9}{'peak MB':>9}")
     for name, m, n in GN_SHAPES:
         g = bench_gn_step(m, n, args.repeats)

@@ -52,11 +52,11 @@ def _save_manifest(out: Path, manifest: dict):
 def cmd_synthesize(run: Run, out: Path, args) -> int:
     if args.traces and args.path != "timedomain":
         raise ConfigError("--traces needs --path timedomain, the route that records traces")
-    acq, ref, dt_factor = run.acquisition, run.reference, run.config.dt_factor
+    acq, ref = run.acquisition, run.reference
     if args.path == "spectral":
         ds = acq.dataset(ref)
     else:
-        rec = synthesize_measurements(ref, acq.array, acq.pulse, acq.tau, acq.n, dt_factor)
+        rec = synthesize_measurements(ref, acq.array, acq.pulse, acq.tau, acq.n)
         if args.traces:
             io.save_traces_csv(out / "traces.csv", rec)
         ds = symmetrize_and_sample(rec, acq.array, ref, acq.n)

@@ -27,7 +27,6 @@ from .forward import (
     record_layout,
     ring_array,
     scaled_entries,
-    sensor_array,
 )
 from .inversion import GnConfig, LayerSchedule
 from .io import load_velocity
@@ -68,7 +67,7 @@ MODEL_FACTORIES = {
 }
 
 #: Sensor layout constructors under `acquisition.layout.kind`.
-LAYOUTS = {"line": line_array, "ring": ring_array, "explicit": sensor_array}
+LAYOUTS = {"line": line_array, "ring": ring_array}
 
 SECTION_KEYS = {
     "grid": {"nx", "nz", "hx", "hz", "bc"},
@@ -76,7 +75,6 @@ SECTION_KEYS = {
     "sampling": {"n", "nyquist_factor"},
     "schedule": {"layers", "q", "k", "d"},
     "sweep": {"p1", "p2"},
-    "record": {"dt_factor"},
     "reference": {"refine"},
 }
 
@@ -110,7 +108,6 @@ class ExperimentConfig:
     schedule: dict = field(default_factory=dict)
     gn: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    record: dict = field(default_factory=dict)
     reference: dict = field(default_factory=dict)
     base_dir: Path = Path(".")
 
@@ -146,14 +143,16 @@ class ExperimentConfig:
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
         """The sensor array on `grid`, the pulse, its interval tau (`Pulse.default_tau`
-        at sampling.nyquist_factor, if given) and the sample count sampling.n."""
+        at sampling.nyquist_factor, if given) and the sample count sampling.n,
+        whose time-domain record (`record_layout`) must have a finite length
+        that fits in memory."""
         if self.method not in ("spectral", "chebyshev"):
             raise ConfigError(f"unknown method {self.method!r}")
         pulse = Pulse.from_hz(**self.acquisition["pulse"])
         layout = dict(self.acquisition["layout"])
         kind = layout.pop("kind", "line")
         if kind not in LAYOUTS:
-            raise ConfigError(f"unknown sensor layout {kind!r}")
+            raise ConfigError(f"layout 'kind' must be one of {sorted(LAYOUTS)}, got {kind!r}")
         array = LAYOUTS[kind](grid, **layout)
         for x, z in array.positions:
             grid.nearest_node(x, z)  # DomainTooSmall off the node block
@@ -161,7 +160,9 @@ class ExperimentConfig:
         n = whole(self.sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable
             raise ValueError(f"sampling.n must be in [1, {sys.maxsize // 2}], got {n}")
-        return Acquisition(array, pulse, tau, n, self.method)
+        acq = Acquisition(array, pulse, tau, n, self.method)
+        record_layout(pulse, tau, n, array.m)
+        return acq
 
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
         if not {"p1", "p2"} <= set(self.sweep):
@@ -170,11 +171,6 @@ class ExperimentConfig:
         if ax1.name == ax2.name:
             raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
         return ax1, ax2
-
-    @property
-    def dt_factor(self):
-        """record.dt_factor, the leapfrog steps per sample interval (default 50)."""
-        return self.record.get("dt_factor", 50)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -265,8 +261,6 @@ def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
         if cfg.sweep or command == "sweep":
             section = "sweep"
             sweep = cfg.sweep_axes()
-        section = "record"
-        record_layout(acq.pulse, acq.tau, acq.n, cfg.dt_factor, acq.array.m)
         section = "reference"
         factor = whole(cfg.reference.get("refine", 1), "reference.refine", 1)
         reference = truth

@@ -19,7 +19,8 @@ Two independent routes produce the sampled data matrices:
   (`sample_coeffs`).
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
-  `symmetrize_and_sample`), laid out in whole steps by `record_layout`.
+  `symmetrize_and_sample`), in DT_FACTOR leapfrog steps per sample
+  interval and laid out in whole steps by `record_layout`.
 
 Both share the same discrete operator, so their disagreement measures
 only time-discretization error.
@@ -54,6 +55,9 @@ SPECTRAL_CAP = 20_000
 
 #: |f(t)| / peak below which the pulse is treated as switched off.
 PULSE_SUPPORT_CUT = 1e-8
+
+#: Leapfrog steps per sample interval tau of the time-domain route.
+DT_FACTOR = 50
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -199,23 +203,19 @@ def _nearest_nodes(grid: Grid2D, positions: bytes) -> np.ndarray:
     return index
 
 
-def sensor_array(grid: Grid2D, positions) -> SensorArray:
-    """Sensors at the given (m, 2) positions, each one grid cell, hx, wide."""
-    return SensorArray(positions, grid.hx)
-
-
 def line_array(grid: Grid2D, m: int, depth: float) -> SensorArray:
     """Uniform horizontal line of m sensors at the given depth, inset 5% of
-    the width from the side walls."""
+    the width from the side walls, each one grid cell, hx, wide."""
     m = whole(m, "m", 1)
     margin = 0.05 * grid.extent[0]
     xs = np.linspace(margin, grid.extent[0] - margin, m)
-    return sensor_array(grid, np.column_stack([xs, np.full(m, depth)]))
+    return SensorArray(np.column_stack([xs, np.full(m, depth)]), grid.hx)
 
 
 def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
     """m sensors spread along a rectangle inset from the domain boundary,
-    which must leave the rectangle a positive width and depth."""
+    which must leave the rectangle a positive width and depth, each one
+    grid cell, hx, wide."""
     m = whole(m, "m", 1)
     lx, lz = grid.extent
     px, pz = lx - 2 * inset, lz - 2 * inset
@@ -234,7 +234,7 @@ def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
         else:
             x, z = inset, lz - inset - (s - 2 * px - pz)
         pos.append((x, z))
-    return sensor_array(grid, np.array(pos))
+    return SensorArray(np.array(pos), grid.hx)
 
 
 # Discrete operator ----------------------------------------------------------
@@ -508,7 +508,8 @@ def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Sampled array data {D_j, Ddot_j}, j = 0..2n-2, each m x m."""
+    """Sampled array data {D_j, Ddot_j}, j = 0..2n-2, each m x m, with m
+    and n whole numbers >= 1."""
 
     d: np.ndarray
     ddot: np.ndarray
@@ -517,6 +518,8 @@ class DataSet:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            object.__setattr__(self, name, whole(getattr(self, name), name, 1))
         shape = (2 * self.n - 1, self.m, self.m)
         if self.d.shape != shape or self.ddot.shape != shape:
             raise ValueError(f"data blocks must have shape {shape}")
@@ -619,22 +622,21 @@ def synthesize_dataset(
 # Time-domain measurement path -----------------------------------------------
 
 
-def record_layout(pulse: Pulse, tau: float, n: int, dt_factor, m: int) -> tuple[int, int]:
-    """(k0, nt) of the record of n sample pairs in steps of dt = tau / dt_factor.
+def record_layout(pulse: Pulse, tau: float, n: int, m: int) -> tuple[int, int]:
+    """(k0, nt) of the record of n sample pairs in steps of dt = tau / DT_FACTOR.
 
     The leapfrog starts k0 = ceil(tf / dt - 1e-12) steps before t = 0, at
     or before -tf where the field is quiescent, and records nt = k0 +
-    (2n - 2) dt_factor + 2 times, through one step past the last sample.
-    ValueError for a dt_factor that is not a whole number >= 1, a step dt
-    that is not positive, or m x m traces (8 nt m^2 bytes) beyond the
-    physical memory; OverflowError when tf / dt is not finite.
+    (2n - 2) DT_FACTOR + 2 times, through one step past the last sample.
+    ValueError for a tau so small that dt underflows to 0, or m x m traces
+    (8 nt m^2 bytes) beyond the physical memory; OverflowError when tf /
+    dt is not finite.
     """
-    dt_factor = whole(dt_factor, "dt_factor", 1)
-    dt = tau / dt_factor
+    dt = tau / DT_FACTOR
     if not dt > 0:
-        raise ValueError(f"the step tau / dt_factor = {tau:g} / {dt_factor} is not positive")
+        raise ValueError(f"the step tau / {DT_FACTOR} underflows to 0 at tau = {tau:g}")
     k0 = math.ceil(pulse.tf / dt - 1e-12)
-    nt = k0 + (2 * n - 2) * dt_factor + 2
+    nt = k0 + (2 * n - 2) * DT_FACTOR + 2
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * nt * m * m > memory:
         raise ValueError(f"a record of {nt} steps of {dt:g} s needs {8 * nt * m * m:.3g} "
@@ -645,15 +647,13 @@ def record_layout(pulse: Pulse, tau: float, n: int, dt_factor, m: int) -> tuple[
 @dataclass(frozen=True)
 class TraceRecord:
     """Receiver traces M^(r,s)(t) at t = (k - k0) dt, k = 0..nt-1, with
-    dt = tau / dt_factor: sample j of interval tau is step k0 + j dt_factor."""
+    dt = tau / DT_FACTOR: sample j of interval tau is step k0 + j DT_FACTOR."""
 
     tau: float
-    dt_factor: int
     k0: int
     data: np.ndarray  # (nt, m, m), [k, r, s]
 
     def __post_init__(self):
-        object.__setattr__(self, "dt_factor", whole(self.dt_factor, "dt_factor", 1))
         object.__setattr__(self, "k0", whole(self.k0, "k0"))
         if self.k0 < 0:
             raise ValueError(f"the record must hold t = 0, but starts {-self.k0} steps after it")
@@ -662,7 +662,7 @@ class TraceRecord:
 
     @property
     def dt(self) -> float:
-        return self.tau / self.dt_factor
+        return self.tau / DT_FACTOR
 
     @property
     def nt(self) -> int:
@@ -677,12 +677,12 @@ class TraceRecord:
 
 
 def synthesize_measurements(
-    v: VelocityModel, arr: SensorArray, pulse: Pulse, tau: float, n: int, dt_factor: int
+    v: VelocityModel, arr: SensorArray, pulse: Pulse, tau: float, n: int
 ) -> TraceRecord:
     """Leapfrog the pressure equation and record all m^2 sensor traces.
 
     The record is laid out by `record_layout`, in steps of dt = tau /
-    dt_factor.  Raises CflViolation when dt exceeds the stability limit of
+    DT_FACTOR.  Raises CflViolation when dt exceeds the stability limit of
     the discrete operator.
 
     Each step is p+ = S p - p- + dt^2 f'(t) theta, one product and two
@@ -692,8 +692,8 @@ def synthesize_measurements(
     `forward.timedomain` per record and its nt - 1 products as
     `forward.timedomain.matvecs` in `profile`.
     """
-    k0, nt = record_layout(pulse, tau, n, dt_factor, arr.m)
-    dt = tau / dt_factor
+    k0, nt = record_layout(pulse, tau, n, arr.m)
+    dt = tau / DT_FACTOR
     dt_max = 2.0 / math.sqrt(scaled_entries(v)[1])
     if dt > dt_max:
         raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
@@ -718,7 +718,7 @@ def synthesize_measurements(
         np.matmul(theta.T, p_cur, out=traces[k])
     profile.count("forward.timedomain.matvecs", nt - 1)
     traces *= v.grid.quad_weight
-    return TraceRecord(tau, dt_factor, k0, traces)
+    return TraceRecord(tau, k0, traces)
 
 
 def symmetrize_and_sample(
@@ -728,7 +728,7 @@ def symmetrize_and_sample(
 
     D(t) = [M(t) + M(-t)] / (c(x_r) c(x_s)) on the non-negative time grid,
     with M(-t) taken as zero beyond the k0 recorded steps before t = 0.
-    Sample j lies at step i = j dt_factor after t = 0, and each Ddot_j is
+    Sample j lies at step i = j DT_FACTOR after t = 0, and each Ddot_j is
     the central second difference (D[i+1] - 2 D[i] + D[i-1]) / dt^2 there,
     the difference the leapfrog itself satisfies; the source terms are odd
     in t and cancel in the fold, and at i = 0 the fold's evenness gives
@@ -737,8 +737,8 @@ def symmetrize_and_sample(
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
-    dt, i0, stride = rec.dt, rec.k0, rec.dt_factor
-    need = (2 * n - 2) * stride
+    dt, i0 = rec.dt, rec.k0
+    need = (2 * n - 2) * DT_FACTOR
     if need + 1 >= rec.nt - i0:
         raise InsufficientRecordLength(
             f"need the record through t={(need + 1) * dt:g}s but it ends at "
@@ -753,7 +753,7 @@ def symmetrize_and_sample(
     dpos[0] *= 2.0
     dpos /= norm
 
-    idx = stride * np.arange(2 * n - 1)
+    idx = DT_FACTOR * np.arange(2 * n - 1)
     d = dpos[idx]
     ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / dt**2
     return DataSet(_sym(d), _sym(ddot), rec.tau, arr.m, n)

@@ -27,6 +27,9 @@ from .errors import DomainTooSmall, NonPositiveVelocity
 #: well-posed during aggressive line-search trials.
 C_MIN = 300.0
 
+#: Search bump width in geometric-mean lattice spacings (`make_bump_lattice`).
+BUMP_WIDTH = 1.5
+
 
 def whole(value, name: str, least: int = None) -> int:
     """A count given in a config: `value` as an int, or ValueError when it
@@ -249,21 +252,19 @@ def make_gradient_model(c_top: float, c_bottom: float, g: Grid2D) -> VelocityMod
 
 
 def make_bump_lattice(
-    background: VelocityModel,
-    lattice: tuple[int, int] = (10, 10),
-    width_factor: float = 1.5,
+    background: VelocityModel, lattice: tuple[int, int] = (10, 10)
 ) -> Parametrization:
     """Gaussian bumps centered on a uniform p x q `lattice` over the domain.
 
-    Bump width defaults to `width_factor` times the geometric-mean lattice
-    spacing, enough overlap to represent smooth fields without making the
-    basis ill-conditioned.
+    Each bump is BUMP_WIDTH times the geometric-mean lattice spacing wide,
+    enough overlap to represent smooth fields without making the basis
+    ill-conditioned.
     """
     p, q = (whole(v, "lattice", 1) for v in lattice)
     g = background.grid
     lx, lz = g.extent
     dx, dz = lx / p, lz / q
-    width = width_factor * math.sqrt(dx * dz)
+    width = BUMP_WIDTH * math.sqrt(dx * dz)
     centers_x = dx * (np.arange(p) + 0.5)
     centers_z = dz * (np.arange(q) + 0.5)
     basis = [GaussianBump((float(cx), float(cz)), width) for cx in centers_x for cz in centers_z]

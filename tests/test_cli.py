@@ -10,9 +10,9 @@ import pytest
 
 from waverom import config, forward, io, profile
 from waverom.cli import local_minima_census, main
-from waverom.config import load_run, run_from_dict
+from waverom.config import run_from_dict
 from waverom.errors import ConfigError, InsufficientRecordLength
-from waverom.forward import TraceRecord, symmetrize_and_sample, synthesize_measurements
+from waverom.forward import DT_FACTOR, TraceRecord, symmetrize_and_sample, synthesize_measurements
 from waverom.model import Grid2D, Parametrization, make_constant_model
 
 
@@ -99,9 +99,7 @@ class TestSynthesize:
         assert man_a == man_b
 
     def test_timedomain_path_with_traces(self, tmp_path):
-        cfg = base_config()
-        cfg["record"] = {"dt_factor": 12}
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = write_config(tmp_path, base_config())
         rc = main([
             "synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
             "--path", "timedomain", "--traces",
@@ -120,10 +118,11 @@ class TestSynthesize:
         # n = 1 samples only t = 0: D_0 and its second derivative there
         assert_paths_agree(tmp_path, base_config(sampling={"n": 1}), n=1)
 
-    def test_huge_dt_factor_at_one_sample_pair_exits_2(self, tmp_path, capsys):
-        # at n = 1 the record after t = 0 is one step; the steps through the
-        # pulse's support before t = 0 are what overflow
-        cfg = base_config(sampling={"n": 1}, record={"dt_factor": 1e308})
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys):
+        # tf = 9.7e152 s of pulse support before t = 0 in steps of tau / 50 =
+        # 9e-303 s: the step count tf / dt overflows
+        cfg = base_config(sampling={"n": 1})
+        cfg["acquisition"]["pulse"] = {"freq_hz": 1e300, "bandwidth_hz": 1e-153}
         out = tmp_path / "out"
         rc = main([
             "synthesize", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
@@ -142,17 +141,6 @@ class TestSynthesize:
         assert rc == 2
         assert "--traces needs --path timedomain" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_explicit_layout_matches_line_layout(self, tmp_path):
-        line_path = write_config(tmp_path, base_config(), "line.json")
-        positions = load_run(line_path).acquisition.array.positions.tolist()
-        explicit = base_config()
-        explicit["acquisition"]["layout"] = {"kind": "explicit", "positions": positions}
-        explicit_path = write_config(tmp_path, explicit, "explicit.json")
-        for path, out in ((line_path, "line"), (explicit_path, "explicit")):
-            assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / out)]) == 0
-        line_bin = (tmp_path / "line/dataset.bin").read_bytes()
-        assert (tmp_path / "explicit/dataset.bin").read_bytes() == line_bin
 
     def test_manifest_reruns_identically(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -196,6 +184,22 @@ class TestRomCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    # each payload holds the 2 (2n - 1) m^2 values its header implies
+    @pytest.mark.parametrize("key, value, size", [("m", 0, 0), ("n", True, 18)],
+                             ids=["zero-m", "bool-n"])
+    def test_header_count_below_one_exits_2(self, tmp_path, capsys, key, value, size):
+        cfg_path = write_config(tmp_path, base_config())
+        main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        header = json.loads((tmp_path / "d/dataset.json").read_text())
+        header[key] = value
+        (tmp_path / "d/dataset.json").write_text(json.dumps(header))
+        payload = tmp_path / "d/dataset.bin"
+        payload.write_bytes(payload.read_bytes()[:8 * size])
+        rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "malformed artifact" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_dataset_io_error(self, tmp_path):
         rc = main(["rom", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
         assert rc == 4
@@ -237,6 +241,7 @@ MALFORMED = [
     pytest.param(("search", "lattice"), [0, 3], id="empty-lattice"),
     pytest.param(("model", "contrast"), -1, id="negative-contrast"),
     pytest.param(("model", "slope_drop"), float("nan"), id="nan-slope-drop"),
+    # the explicit layout is retired
     pytest.param(("acquisition", "layout"),
                  {"kind": "explicit", "positions": [[500.0, 500.0], [800.0, 500.0], [500.0, 500.0]]},
                  id="repeated-sensor-position"),
@@ -301,10 +306,9 @@ MALFORMED = [
                  id="sweep-candidate-operator-overflows"),
     pytest.param(("search", "amplitude"), "x", id="string-amplitude"),
     pytest.param(("search", "amplitude"), 0, id="zero-amplitude"),
+    # search.width_factor is retired: each exits 2 naming the key
     pytest.param(("search", "width_factor"), float("nan"), id="nan-width-factor"),
-    # 2 width^2 underflows to 0
     pytest.param(("search", "width_factor"), 1e-300, id="width-factor-square-underflows"),
-    # each bump peaks at 1e-261 m/s on the nodes, below the resolution of 1500 m/s
     pytest.param(("search", "width_factor"), 1e-3, id="bumps-move-no-node"),
     # 100 parameters for the 78 entries of the d = k = 4 ROM residual
     pytest.param(("search", "lattice"), [10, 10], id="search-beyond-rom-residual"),
@@ -320,9 +324,10 @@ MALFORMED = [
     pytest.param(("grid", "nx"), 12.5, id="fractional-nx"),
     pytest.param(("sweep",), dict(SWEEP, d=2.5), id="fractional-sweep-band"),
     pytest.param(("sampling",), {"n": 4, "tau": 0.05}, id="sampling-tau"),
+    pytest.param(("schedule",), {"layers": 1, "q": 1, "d": 4}, id="schedule-without-k"),
+    # the record section is retired: each exits 2 naming it
     pytest.param(("record",), {"dt": 0.001}, id="record-dt"),
     pytest.param(("record",), {"t_end": 1.0}, id="record-t_end"),
-    pytest.param(("schedule",), {"layers": 1, "q": 1, "d": 4}, id="schedule-without-k"),
     pytest.param(("record",), {"t_factor": float("nan")}, id="nan-t-factor"),
     pytest.param(("record",), {"t_factor": float("inf")}, id="infinite-t-factor"),
     pytest.param(("record",), {"t_factor": 1.05}, id="t-factor-into-the-taper"),
@@ -332,9 +337,11 @@ MALFORMED = [
     pytest.param(("record",), {"dt_factor": -50}, id="negative-dt-factor"),
     pytest.param(("record",), {"dt_factor": 12.5}, id="fractional-dt-factor"),
     pytest.param(("record",), {"dt_factor": 10**400}, id="huge-integer-dt-factor"),
-    # records whose 3 x 3 traces would take 0.74 TiB and 0.73 PiB
     pytest.param(("record",), {"dt_factor": 1e9}, id="dt-factor-record-beyond-memory"),
     pytest.param(("record",), {"dt_factor": 1e12}, id="dt-factor-record-far-beyond-memory"),
+    # records whose 3 x 3 traces would take 6.5 TiB and 6.4 PiB
+    pytest.param(("sampling", "n"), 10**9, id="record-beyond-memory"),
+    pytest.param(("sampling", "n"), 10**12, id="record-far-beyond-memory"),
     # tf = 9.7e305 s; (2 pi B)^2 underflows to 0, so the pulse is refused
     pytest.param(("acquisition", "pulse", "bandwidth_hz"), 1e-306,
                  id="pulse-support-beyond-any-step-count"),
@@ -375,7 +382,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
 
 
 #: Keys that once held a setting every run left at one value, now a constant
-#: in the code, each at that value.
+#: in the code, each at that value, and the explicit layout, which no run used.
 RETIRED = [
     pytest.param(("gn", "c_min"), 300.0, id="gn-c_min"),
     pytest.param(("gn", "fwi_truncate"), False, id="gn-fwi_truncate"),
@@ -387,6 +394,9 @@ RETIRED = [
     pytest.param(("grid", "x0"), 0.0, id="grid-x0"),
     pytest.param(("grid", "z0"), 0.0, id="grid-z0"),
     pytest.param(("search", "amplitude"), 1.0, id="search-amplitude"),
+    pytest.param(("record",), {"dt_factor": 50}, id="record"),
+    pytest.param(("acquisition", "layout", "kind"), "explicit", id="layout-explicit"),
+    pytest.param(("search", "width_factor"), 1.5, id="search-width_factor"),
 ]
 
 
@@ -437,16 +447,6 @@ def test_fd_step_below_c_min_runs(tmp_path):
         search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
         schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
         gn={"fd_step": 299.0},
-    )
-    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
-    assert rc == 0
-
-
-def test_narrow_search_bumps_run(tmp_path):
-    cfg = base_config(
-        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2],
-                "width_factor": 1e-2},
-        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
     )
     rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -569,33 +569,28 @@ def test_whole_valued_float_counts_load():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids="n{}".format)
-@pytest.mark.parametrize("dt_factor", [1, 3, 7, 50], ids="dt_factor{}".format)
-def test_record_ends_one_step_past_the_last_sample(n, dt_factor):
-    # the constant 1000 m/s model keeps dt = tau under the stability limit
+def test_record_ends_one_step_past_the_last_sample(n):
     run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": n},
-        record={"dt_factor": dt_factor},
     ), ".", None)
     truth, acq = run.truth, run.acquisition
-    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n, run.config.dt_factor)
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n)
     assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
-    cut = TraceRecord(rec.tau, rec.dt_factor, rec.k0, rec.data[:-1])
+    cut = TraceRecord(rec.tau, rec.k0, rec.data[:-1])
     with pytest.raises(InsufficientRecordLength):
         symmetrize_and_sample(cut, acq.array, truth, n)
 
 
 def test_record_counts_whole_steps():
-    # here ceil(((2n - 2) tau + dt) / dt - 1e-12) counts one step more than
-    # the (2n - 2) dt_factor + 1 the record needs after t = 0
+    # k0 steps before t = 0, t = 0 itself, and (2n - 2) DT_FACTOR + 1 after it
     run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": 25, "nyquist_factor": 0.5},
-        record={"dt_factor": 122},
     ), ".", None)
     truth, acq = run.truth, run.acquisition
-    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, 25, 122)
-    assert rec.nt == rec.k0 + (2 * 25 - 2) * 122 + 2
+    rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, 25)
+    assert rec.nt == rec.k0 + (2 * 25 - 2) * DT_FACTOR + 2
 
 
 @pytest.mark.parametrize("grid, reference", [

@@ -26,6 +26,7 @@ from waverom.forward import (
     CHEB_MAX_NODES,
     CHEB_RATIO,
     CHEB_TOL,
+    DT_FACTOR,
     DataSet,
     DiscreteOperator,
     Pulse,
@@ -662,20 +663,20 @@ def setup():
     arr = line_array(g, 3, depth=180.0)
     tau = pulse.default_tau()
     n = 5
-    rec = synthesize_measurements(v, arr, pulse, tau, n, 50)
+    rec = synthesize_measurements(v, arr, pulse, tau, n)
     return g, v, pulse, arr, tau, n, rec
 
 
-def allocating_leapfrog(v, arr, pulse, tau, n, dt_factor):
+def allocating_leapfrog(v, arr, pulse, tau, n):
     """The leapfrog loop that allocates every intermediate, one pulse.df call
     per step, from the grid time at or before -tf through one step past
     (2n - 2) tau; the in-place loop of `synthesize_measurements` must
     match it."""
     theta = arr.theta_matrix(v.grid)
     c2 = v.c.ravel() ** 2
-    dt = tau / dt_factor
+    dt = tau / DT_FACTOR
     k0 = int(math.ceil(pulse.tf / dt - 1e-12))
-    nt = k0 + (2 * n - 2) * dt_factor + 2
+    nt = k0 + (2 * n - 2) * DT_FACTOR + 2
     t0 = -k0 * dt
     lap = _laplacian_2d(v.grid)
     traces = np.empty((nt, arr.m, arr.m))
@@ -695,9 +696,9 @@ class TestTimeDomain:
         v, arr = spectral_case(case)
         tau = pulse.default_tau()
         before = profile.counts()
-        rec = synthesize_measurements(v, arr, pulse, tau, 5, 20)
+        rec = synthesize_measurements(v, arr, pulse, tau, 5)
         after = profile.counts()
-        t0, expected = allocating_leapfrog(v, arr, pulse, tau, 5, 20)
+        t0, expected = allocating_leapfrog(v, arr, pulse, tau, 5)
         assert rec.times()[0] == t0 and rec.data.shape == expected.shape
         assert np.abs(rec.data - expected).max() <= 1e-12 * np.abs(expected).max()
         assert after.get("forward.timedomain", 0) - before.get("forward.timedomain", 0) == 1
@@ -706,9 +707,10 @@ class TestTimeDomain:
         assert after.get("forward.matvecs") == before.get("forward.matvecs")
 
     def test_cfl_violation(self, grid, pulse):
+        # tau = 50 s gives the leapfrog a step of 1 s
         v = make_constant_model(3000.0, grid)
         with pytest.raises(CflViolation):
-            synthesize_measurements(v, line_array(grid, 1, depth=300.0), pulse, 1.0, 1, 1)
+            synthesize_measurements(v, line_array(grid, 1, depth=300.0), pulse, 50.0, 1)
 
     def test_reciprocity(self, setup):
         _, _, _, _, _, _, rec = setup
@@ -748,7 +750,7 @@ class TestTimeDomain:
 
 
 class TestSymmetrizeAndSample:
-    DT = 0.01
+    DT = 0.001
     OMEGA = 2 * math.pi * 5.0
 
     @pytest.fixture
@@ -758,15 +760,15 @@ class TestSymmetrizeAndSample:
         g = Grid2D(10, 10, 100.0, 100.0)
         v = make_constant_model(2000.0, g)
         arr = SensorArray(np.array([[500.0, 500.0]]), theta_width=100.0)
-        k0, nt = 40, 121
+        k0, nt = 400, 1201
         times = -k0 * self.DT + self.DT * np.arange(nt)
         trace = np.cos(self.OMEGA * times)
-        rec = TraceRecord(5 * self.DT, 5, k0, trace.reshape(-1, 1, 1))
+        rec = TraceRecord(DT_FACTOR * self.DT, k0, trace.reshape(-1, 1, 1))
         return symmetrize_and_sample(rec, arr, v, n=3)
 
     def test_even_trace_fixed_point(self, even_cosine):
         # an even recorded trace comes back shape-unchanged, scaled by velocities
-        expected = 2.0 * np.cos(self.OMEGA * 5 * self.DT * np.arange(5)) / 2000.0**2
+        expected = 2.0 * np.cos(self.OMEGA * DT_FACTOR * self.DT * np.arange(5)) / 2000.0**2
         np.testing.assert_allclose(even_cosine.d[:, 0, 0], expected, atol=1e-12)
 
     def test_central_difference_of_cosine(self, even_cosine):
@@ -776,11 +778,11 @@ class TestSymmetrizeAndSample:
         expected = 2.0 * (math.cos(self.OMEGA * self.DT) - 1.0) / self.DT**2 * ds.d
         assert np.abs(ds.ddot - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    # a record that starts at t = 0.05, after t = 0, has k0 = -5
-    @pytest.mark.parametrize("k0", [-5], ids=["after-zero"])
+    # a record that starts at t = 0.05, after t = 0, has k0 = -50
+    @pytest.mark.parametrize("k0", [-50], ids=["after-zero"])
     def test_record_must_hold_t_zero(self, k0):
         with pytest.raises(ValueError, match="t = 0"):
-            TraceRecord(5 * self.DT, 5, k0, np.ones((121, 1, 1)))
+            TraceRecord(DT_FACTOR * self.DT, k0, np.ones((1201, 1, 1)))
 
 
 def test_serialized_dataset_is_symmetric_invariant(grid, pulse):

@@ -205,7 +205,7 @@ def test_state_csv_missing_column_rejected(tmp_path):
 
 
 def test_traces_csv_header(tmp_path):
-    rec = TraceRecord(0.05, 1, 2, np.arange(8.0).reshape(2, 2, 2))
+    rec = TraceRecord(0.05, 2, np.arange(8.0).reshape(2, 2, 2))
     io.save_traces_csv(tmp_path / "t.csv", rec)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[0] == "t,r,s,value"
@@ -243,7 +243,7 @@ def test_sweep_csv_floats_roundtrip_bitwise(tmp_path):
 
 def test_traces_csv_floats_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(8)
-    rec = TraceRecord(0.1, 3, 3, rng.standard_normal((5, 2, 2)))
+    rec = TraceRecord(0.1, 3, rng.standard_normal((5, 2, 2)))
     io.save_traces_csv(tmp_path / "t.csv", rec)
     cols = _csv_columns(tmp_path / "t.csv")
     np.testing.assert_array_equal(cols["t"], np.repeat(rec.times(), 4))

@@ -50,8 +50,6 @@ ALLOWED = {
 #: them, each with its reason.
 ALLOWED_KEYS = {
     ("gn", "regularization"): "acceptance criterion 9 runs with `off`",
-    ("acquisition.layout", "positions"): "the format for a measured array",
-    ("record", "dt_factor"): "sets the accuracy of the time-domain reference",
     ("reference", "refine"): "`scripts/artifact_digests.py` runs it at 2",
 }
 
