@@ -15,6 +15,14 @@ the table length K, the ratio of the rounded interval to the Gershgorin
 bound; and the moment time per step of the recurrence, moments / (K // 2)
 in us.
 
+Then splits one step of the moment recurrence on the same operator and
+sensor block four ways: the sparse product `a @ block`; scipy's CSR
+kernel `_sparsetools.csr_matvecs` alone on the same arrays, into a block
+allocated once (the share of the product a direct kernel call would
+keep); the in-place update, one `dscal` and two `daxpy`; and the two
+grams of the step.  Prints the minimum us of STEP_REPEATS timeit repeats
+of STEP_NUMBER calls each, beside the whole step, moments / (K // 2).
+
 Then times one ROM build on the reference model's dataset: `build_rom`
 (assembly, Cholesky and projection) and, apart, `block_cholesky` alone
 on the assembled mass matrix.  Prints the median us of the repeats.
@@ -55,10 +63,13 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dscal
+from scipy.sparse import _sparsetools
 
 from waverom.config import load_config
 from waverom.forward import (
@@ -80,6 +91,8 @@ DEFAULT = ("camembert_desk.json", "topography_sweep.json", "camembert_paper.json
 DENSE_REPEATS = 3
 #: In-process loads of each config, of which the fastest is printed.
 LOAD_REPEATS = 7
+#: timeit repeats, and calls in each, of each part of one moment step.
+STEP_REPEATS, STEP_NUMBER = 5, 200
 # (name, residual length M, parameters N) of the Jacobians the configs'
 # inversions build
 GN_SHAPES = (("camembert_desk", 3240, 100), ("camembert_paper", 12880, 400))
@@ -114,6 +127,44 @@ def traced_peak_mb(fn) -> float:
     return peak / 1e6
 
 
+def step_us(fn) -> float:
+    """Minimum us per call of fn over STEP_REPEATS timeit repeats."""
+    return 1e6 * min(timeit.repeat(fn, number=STEP_NUMBER, repeat=STEP_REPEATS)) / STEP_NUMBER
+
+
+def bench_moment_step(a, th: np.ndarray, lam_max: float) -> dict:
+    """The parts of one step k > 2 of `chebyshev_moments` on the operator
+    matrix `a` and the sensor block `th`, in us (see step_us).  Each runs
+    in place on C-ordered blocks of th's shape, as the recurrence does; the
+    kernel adds into its output, so repeats leave the timing unchanged."""
+    n, m = th.shape
+    prev = np.ascontiguousarray(th)
+    cur = a @ prev
+    nxt = a @ cur
+    gram = np.empty((m, m))
+    scale = 2.0 / lam_max
+
+    def update():
+        flat = dscal(2.0 * scale, nxt.reshape(-1))
+        flat = daxpy(cur.reshape(-1), flat, a=-2.0)
+        daxpy(prev.reshape(-1), flat, a=-1.0)
+
+    def grams():
+        np.matmul(nxt.T, cur, out=gram)
+        np.matmul(nxt.T, prev, out=gram)
+
+    def kernel():
+        _sparsetools.csr_matvecs(n, n, m, a.indptr, a.indices, a.data,
+                                 cur.reshape(-1), nxt.reshape(-1))
+
+    return {
+        "product": step_us(lambda: a @ cur),
+        "kernel": step_us(kernel),
+        "update": step_us(update),
+        "grams": step_us(grams),
+    }
+
+
 def bench(path: Path, repeats: int) -> dict:
     cfg = load_config(path)
     v = cfg.build_model()
@@ -145,6 +196,7 @@ def bench(path: Path, repeats: int) -> dict:
         "dataset": median_ms(lambda: acq.dataset(v), repeats),
         "table": median_ms(lambda: build_table(acq.pulse, acq.tau, count, lam_max), repeats),
         "moments": median_ms(lambda: chebyshev_moments(op.matrix, th, k, lam_max), repeats),
+        "step": bench_moment_step(op.matrix, th, lam_max),
         "rom_us": 1e3 * median_ms(lambda: build_rom(data), repeats),
         "cholesky_us": 1e3 * median_ms(lambda: block_cholesky(mass, data.m), repeats),
         "coords_ms": median_ms(coordinates, DENSE_REPEATS),
@@ -214,6 +266,16 @@ if __name__ == "__main__":
             f"{r['config']:<18}{r['dof']:>6}{r['m']:>4}{r['K']:>5}{r['ratio']:>11.6f}"
             f"{r['dataset']:>12.2f}{r['table']:>10.2f}{r['moments']:>12.2f}"
             f"{1e3 * r['moments'] / (r['K'] // 2):>9.1f}"
+        )
+    print(
+        f"{'moment step us':<18}{'dof':>6}{'m':>4}{'a @ block':>11}{'csr_matvecs':>13}"
+        f"{'scal+axpy':>11}{'grams':>8}{'step':>8}"
+    )
+    for r in results:
+        p = r["step"]
+        print(
+            f"{r['config']:<18}{r['dof']:>6}{r['m']:>4}{p['product']:>11.1f}{p['kernel']:>13.1f}"
+            f"{p['update']:>11.1f}{p['grams']:>8.1f}{1e3 * r['moments'] / (r['K'] // 2):>8.1f}"
         )
     print(f"{'ROM build':<18}{'nm':>6}{'build_rom us':>14}{'cholesky us':>13}")
     for r in results:

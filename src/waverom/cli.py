@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, profile
-from .config import ExperimentConfig, Run, load_run
+from .config import Run, load_run
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
@@ -23,13 +23,13 @@ from .objective import RomResidualSpec, fwi_residual, residual_length, rom_resid
 from .rom import assemble_mass, build_rom
 
 
-def _manifest_base(command: str, cfg: ExperimentConfig, args) -> dict:
+def _manifest_base(command: str, run: Run, args) -> dict:
     import scipy
 
     return {
         "schema": "waverom-manifest-v1",
         "command": command,
-        "config": cfg.to_dict(),
+        "config": run.stated,
         "seed": args.seed,
         "versions": {
             "waverom": __version__,
@@ -62,7 +62,7 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
         ds = symmetrize_and_sample(rec, acq.array, ref, acq.n)
     io.save_dataset(out / "dataset.json", ds)
     io.save_velocity(out / "truth.json", run.truth)
-    manifest = _manifest_base("synthesize", run.config, args)
+    manifest = _manifest_base("synthesize", run, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
     manifest["path"] = args.path
     _save_manifest(out, manifest)
@@ -158,7 +158,7 @@ def cmd_sweep(run: Run, out: Path, args) -> int:
             "minima": minima,
         }
     io.save_manifest(out / "census.json", census)
-    manifest = _manifest_base("sweep", run.config, args)
+    manifest = _manifest_base("sweep", run, args)
     manifest["artifacts"] = {"sweep": "sweep.csv", "census": "census.json"}
     _save_manifest(out, manifest)
     print(
@@ -197,7 +197,7 @@ def cmd_invert(run: Run, out: Path, args) -> int:
 
     initial_error = param.background.rel_l2_error(truth)
     final_error = estimate.rel_l2_error(truth)
-    manifest = _manifest_base("invert", run.config, args)
+    manifest = _manifest_base("invert", run, args)
     manifest["mode"] = args.mode
     manifest["artifacts"] = {
         "truth": "truth.json",

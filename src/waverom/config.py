@@ -1,8 +1,8 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-A config fully determines an experiment; the CLI stores the resolved
-config in every run manifest so artifacts can be reproduced from the
-manifest alone.
+A config fully determines an experiment; the CLI stores the config as
+given, with its schema, in every run manifest so artifacts can be
+reproduced from the manifest alone.
 
 A section is passed as keyword arguments to the constructor that holds
 its defaults, which rejects unknown keys; the sections read field by
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,8 @@ class SweepAxis:
 
     def __post_init__(self):
         object.__setattr__(self, "count", whole(self.count, f"sweep axis {self.name} count", 1))
+        if not np.isfinite([self.min, self.max]).all():
+            raise ValueError(f"sweep axis {self.name} needs a finite min and max")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
@@ -172,12 +174,6 @@ class ExperimentConfig:
             raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
         return ax1, ax2
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out.pop("base_dir")
-        out["schema"] = SCHEMA
-        return out
-
 
 @dataclass(frozen=True)
 class Run:
@@ -187,10 +183,12 @@ class Run:
     1 (the inverse-crime regime), else the true model rebuilt on a grid
     that many times finer over the same domain.  `search`, `schedule` and
     `sweep` are None unless the config states them or the command needs
-    them; `search` is kept for `invert` alone.
+    them; `search` is kept for `invert` alone.  `stated` is the config as
+    given, with its schema, which every manifest records.
     """
 
     config: ExperimentConfig
+    stated: dict
     truth: VelocityModel
     acquisition: Acquisition
     reference: VelocityModel
@@ -214,14 +212,14 @@ def _check_operator(v: VelocityModel):
     chebyshev_interval(scaled_entries(v)[1])
 
 
-def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
+def _build_sections(cfg: ExperimentConfig, command: str | None, stated: dict) -> Run:
     """Build every section once, so that a malformed one fails at load time,
-    into the Run for `command`.  Every model the config states must have a
-    positive, finite operator bound, and with `method: spectral` the
-    reference grid must not exceed SPECTRAL_CAP nodes.  The search,
-    schedule and sweep are built when the config states them or the
-    command needs them: `invert` its search and schedule, `sweep` its two
-    axes."""
+    into the Run for `command` of the `stated` config.  Every model the
+    config states must have a positive, finite operator bound, and with
+    `method: spectral` the reference grid must not exceed SPECTRAL_CAP
+    nodes.  The search, schedule and sweep are built when the config
+    states them or the command needs them: `invert` its search and
+    schedule, `sweep` its two axes."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys
@@ -277,7 +275,7 @@ def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
                 f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
                 f"the reference grid has {reference.grid.n_dof}"
             )
-        run = Run(cfg, truth, acq, reference, search if command == "invert" else None,
+        run = Run(cfg, stated, truth, acq, reference, search if command == "invert" else None,
                   schedule, gn, sweep)
         if sweep:
             section = "sweep"
@@ -285,7 +283,8 @@ def _build_sections(cfg: ExperimentConfig, command: str | None) -> Run:
                 _check_operator(candidate)
     except KeyError as exc:
         raise ConfigError(f"{section} section missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError, NonPositiveVelocity, OperatorOverflow) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError, NonPositiveVelocity,
+            OperatorOverflow) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
     return run
 
@@ -294,15 +293,15 @@ def run_from_dict(raw: dict, base_dir, command: str | None) -> Run:
     """The Run for `command` of the config `raw`, whose file paths start at `base_dir`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    raw = dict(raw)
-    schema = raw.pop("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise ConfigError(f"unsupported config schema {schema!r}")
+    stated = {"schema": SCHEMA, **raw}
+    sections = dict(stated)
+    if sections.pop("schema") != SCHEMA:
+        raise ConfigError(f"unsupported config schema {stated['schema']!r}")
     try:
-        cfg = ExperimentConfig(base_dir=Path(base_dir), **raw)
+        cfg = ExperimentConfig(base_dir=Path(base_dir), **sections)
     except TypeError as exc:
         raise ConfigError(f"bad config sections: {exc}") from exc
-    return _build_sections(cfg, command)
+    return _build_sections(cfg, command, stated)
 
 
 def load_run(path, command: str | None = None) -> Run:

@@ -275,10 +275,11 @@ def scaled_entries(v: VelocityModel) -> tuple[np.ndarray, float]:
     """The entries of A = C L C on the pattern of `_laplacian_2d` (each of L
     times c at its row and column) and A's Gershgorin bound, their largest
     absolute row sum.  `DiscreteOperator` stores these entries, so a bound
-    taken here without the operator is the operator's, bit for bit."""
+    taken here without the operator is the operator's, bit for bit, inf on overflow."""
     c = v.c.ravel()
     lap = _laplacian_2d(v.grid)
-    data = lap.data * c[_laplacian_rows(v.grid)] * c[lap.indices]
+    with np.errstate(over="ignore"):
+        data = lap.data * c[_laplacian_rows(v.grid)] * c[lap.indices]
     return data, float(np.max(np.add.reduceat(np.abs(data), lap.indptr[:-1])))
 
 

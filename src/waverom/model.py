@@ -30,6 +30,11 @@ C_MIN = 300.0
 #: Search bump width in geometric-mean lattice spacings (`make_bump_lattice`).
 BUMP_WIDTH = 1.5
 
+#: The two-layer model's interface drop across the domain width (m) and its
+#: velocity above the interface (m/s) (`make_two_layer_model`).
+SLOPE_DROP = 400.0
+C_TOP = 1500.0
+
 
 def whole(value, name: str, least: int = None) -> int:
     """A count given in a config: `value` as an int, or ValueError when it
@@ -199,28 +204,20 @@ def make_constant_model(c0: float, g: Grid2D) -> VelocityModel:
     return VelocityModel(g, np.full((g.nx, g.nz), float(c0)))
 
 
-def make_two_layer_model(
-    depth_left: float,
-    contrast: float,
-    g: Grid2D,
-    slope_drop: float = 400.0,
-    c_top: float = 1500.0,
-) -> VelocityModel:
+def make_two_layer_model(depth_left: float, contrast: float, g: Grid2D) -> VelocityModel:
     """Two regions separated by a slanted interface.
 
     The interface depth grows linearly from `depth_left` at the left edge
-    to `depth_left + slope_drop` at the right edge (a finite drop); velocity
-    is `c_top` above and `contrast * c_top` below.
+    to `depth_left + SLOPE_DROP` at the right edge; velocity is C_TOP
+    above and `contrast * C_TOP` below.
     """
     if not (0 < depth_left < g.extent[1]):
         raise ValueError("depth_left must lie inside the domain depth")
-    if not math.isfinite(slope_drop):
-        raise ValueError("slope_drop must be finite")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
     xx, zz = g.mesh()
-    iface = depth_left + slope_drop * xx / g.extent[0]
-    c = np.where(zz > iface, contrast * c_top, c_top)
+    iface = depth_left + SLOPE_DROP * xx / g.extent[0]
+    c = np.where(zz > iface, contrast * C_TOP, C_TOP)
     return VelocityModel(g, c)
 
 

@@ -32,6 +32,15 @@ def base_config(**overrides):
     return cfg
 
 
+def set_key(cfg, path, value):
+    """Set the key at `path`, a tuple of keys, in cfg to `value`."""
+    *head, last = path
+    section = cfg
+    for key in head:
+        section = section[key]
+    section[last] = value
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -240,6 +249,7 @@ MALFORMED = [
     pytest.param(("acquisition", "pulse", "freq_hz"), 0, id="zero-freq"),
     pytest.param(("search", "lattice"), [0, 3], id="empty-lattice"),
     pytest.param(("model", "contrast"), -1, id="negative-contrast"),
+    # the two-layer slope is retired: it exits 2 naming the key
     pytest.param(("model", "slope_drop"), float("nan"), id="nan-slope-drop"),
     # the explicit layout is retired
     pytest.param(("acquisition", "layout"),
@@ -358,6 +368,13 @@ MALFORMED = [
     pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=0)), id="zero-sweep-count"),
     pytest.param(("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], count=2.5)),
                  id="fractional-sweep-count"),
+    # 10**12 entries of 8 bytes: numpy refuses to allocate the 7.28 TiB
+    pytest.param(("acquisition", "layout", "m"), 10**12, id="line-m-beyond-memory"),
+    pytest.param(("acquisition", "layout"), {"kind": "ring", "m": 10**12, "inset": 200.0},
+                 id="ring-m-beyond-memory"),
+    pytest.param(("search", "lattice"), [10**12, 1], id="lattice-beyond-memory"),
+    pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=10**12)),
+                 id="sweep-count-beyond-memory"),
 ]
 
 
@@ -368,14 +385,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
         schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
     )
     if path:
-        *head, last = path
-        section = cfg
-        for key in head:
-            section = section[key]
-        section[last] = value
+        set_key(cfg, path, value)
     else:
         cfg = [cfg]
-    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refused config prints its config error alone
+        rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -397,6 +412,8 @@ RETIRED = [
     pytest.param(("record",), {"dt_factor": 50}, id="record"),
     pytest.param(("acquisition", "layout", "kind"), "explicit", id="layout-explicit"),
     pytest.param(("search", "width_factor"), 1.5, id="search-width_factor"),
+    pytest.param(("model", "slope_drop"), 400.0, id="model-slope_drop"),
+    pytest.param(("model", "c_top"), 1500.0, id="model-c_top"),
 ]
 
 
@@ -408,16 +425,50 @@ def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
         gn={},
         sweep=dict(SWEEP),
     )
-    *head, last = path
-    section = cfg
-    for key in head:
-        section = section[key]
-    section[last] = value
+    set_key(cfg, path, value)
     rc = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error" in err and repr(last) in err
+    assert "config error" in err and repr(path[-1]) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("sweep", ("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], min=float("nan"))),
+     "bad sweep section: sweep axis depth_left needs a finite min and max"),
+    ("sweep", ("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], max=float("inf"))),
+     "bad sweep section: sweep axis contrast needs a finite min and max"),
+    ("synthesize", ("model",), dict(CAMEMBERT, c_inside=1e200),
+     "bad model section: the operator's spectral bound inf is not positive and finite"),
+    ("sweep", ("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], max=1e300)),
+     "bad sweep section: the operator's spectral bound inf is not positive and finite"),
+], ids=["nan-sweep-min", "infinite-sweep-max", "c_inside-operator-overflows",
+        "sweep-candidate-operator-overflows"])
+def test_refused_config_prints_only_its_error(tmp_path, capsys, command, path, value, message):
+    cfg = base_config()
+    set_key(cfg, path, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, stated", [
+    ("synthesize", {k: v for k, v in base_config().items() if k not in ("schema", "method")}),
+    ("sweep", base_config(sweep=SWEEP)),
+    ("invert", base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )),
+], ids=["synthesize", "sweep", "invert"])
+def test_manifest_records_the_stated_config(tmp_path, command, stated):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, stated)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"schema": config.SCHEMA, **stated}
 
 
 def save_velocity_with_walls(path, shape, walls):

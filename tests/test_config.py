@@ -40,7 +40,7 @@ def test_reference_model_refines_the_true_grid():
     run = load_run(REPO / "configs" / "camembert_desk.json")
     truth = run.truth
     assert run.reference is truth
-    fine = _build_sections(replace(run.config, reference={"refine": 2}), None).reference
+    fine = _build_sections(replace(run.config, reference={"refine": 2}), None, run.stated).reference
     g, f = truth.grid, fine.grid
     assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
     assert f.extent == pytest.approx(g.extent)

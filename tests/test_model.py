@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from waverom.errors import DomainTooSmall, NonPositiveVelocity
 from waverom.model import (
     C_MIN,
+    C_TOP,
+    SLOPE_DROP,
     GaussianBump,
     Grid2D,
     Parametrization,
@@ -138,13 +140,13 @@ class TestTwoLayer:
 
     def test_node_by_node_membership(self, grid):
         # per-node oracle re-evaluating the interface inequality
-        depth, contrast, drop = 1000.0, 1.5, 400.0
-        v = make_two_layer_model(depth, contrast, grid, slope_drop=drop)
+        depth, contrast = 1000.0, 1.5
+        v = make_two_layer_model(depth, contrast, grid)
         xs, zs = grid.xs(), grid.zs()
         for i in range(grid.nx):
             for j in range(grid.nz):
-                iface = depth + drop * xs[i] / grid.extent[0]
-                expected = contrast * 1500.0 if zs[j] > iface else 1500.0
+                iface = depth + SLOPE_DROP * xs[i] / grid.extent[0]
+                expected = contrast * C_TOP if zs[j] > iface else C_TOP
                 assert v.c[i, j] == expected
 
     def test_bad_depth_rejected(self, grid):
