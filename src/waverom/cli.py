@@ -131,6 +131,8 @@ def local_minima_census(surface: np.ndarray) -> list[dict]:
 
 
 def cmd_sweep(run: Run, out: Path, args) -> int:
+    if run.sweep is None:
+        raise ConfigError("sweep needs a sweep section")
     (ax1, ax2), acq = run.sweep, run.acquisition
     ref_ds = acq.dataset(run.reference)
     spec = RomResidualSpec(acq.n, acq.n, build_rom(ref_ds))
@@ -175,6 +177,9 @@ def cmd_sweep(run: Run, out: Path, args) -> int:
 
 
 def cmd_invert(run: Run, out: Path, args) -> int:
+    for section in ("search", "schedule"):
+        if getattr(run, section) is None:
+            raise ConfigError(f"invert needs a {section} section")
     truth, acq, param, schedule = run.truth, run.acquisition, run.search, run.schedule
     # N may not exceed any layer's residual length; the first layer's is the shortest
     length = residual_length(args.mode, acq.array.m, acq.n, schedule.d, schedule.k[0])
@@ -224,7 +229,7 @@ def cmd_invert(run: Run, out: Path, args) -> int:
 # compare ----------------------------------------------------------------------
 
 
-def _load_run(manifest_path: Path):
+def _invert_outputs(manifest_path: Path):
     """(mode, truth, estimate, state rows) of an invert run, else a config error."""
     manifest = io.load_manifest(manifest_path)
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
@@ -241,8 +246,8 @@ def _load_run(manifest_path: Path):
 
 
 def cmd_compare(path_a: Path, path_b: Path, out: Path) -> int:
-    mode_a, ta, est_a, curve_a = _load_run(path_a)
-    mode_b, tb, est_b, curve_b = _load_run(path_b)
+    mode_a, ta, est_a, curve_a = _invert_outputs(path_a)
+    mode_b, tb, est_b, curve_b = _invert_outputs(path_b)
     if ta.grid != tb.grid:
         raise ConfigError("compare: runs use different grids")
     if not np.array_equal(ta.c, tb.c):
@@ -313,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "rom":
             return cmd_rom(args.dataset, args.out)
         command = {"synthesize": cmd_synthesize, "sweep": cmd_sweep, "invert": cmd_invert}
-        return command[args.command](load_run(args.config, args.command), args.out, args)
+        return command[args.command](load_run(args.config), args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 A config fully determines an experiment; the CLI stores the config as
 given, with its schema, in every run manifest so artifacts can be
-reproduced from the manifest alone.
+reproduced from the manifest alone.  Load builds what the config states
+and nothing else; the CLI checks that a job's config states the sections
+the job reads.
 
 A section is passed as keyword arguments to the constructor that holds
 its defaults, which rejects unknown keys; the sections read field by
@@ -44,6 +46,10 @@ from .model import (
 from .objective import Acquisition
 
 SCHEMA = "waverom-config-v1"
+
+#: Most sweep candidates load checks: at 55-84 us a candidate on a 12 x 15
+#: grid, about a minute of operator checks.
+MAX_SWEEP_CANDIDATES = 10**6
 
 
 def _file_model(path, g: Grid2D) -> VelocityModel:
@@ -177,14 +183,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Run:
-    """Everything load built and checked from a config, for one command.
+    """Everything load built and checked from a config.
 
     `reference` makes the reference data: `truth` itself at reference.refine
     1 (the inverse-crime regime), else the true model rebuilt on a grid
     that many times finer over the same domain.  `search`, `schedule` and
-    `sweep` are None unless the config states them or the command needs
-    them; `search` is kept for `invert` alone.  `stated` is the config as
-    given, with its schema, which every manifest records.
+    `sweep` are built when the config states them and are None otherwise.
+    `stated` is the config as given, with its schema, which every manifest
+    records.
     """
 
     config: ExperimentConfig
@@ -212,14 +218,13 @@ def _check_operator(v: VelocityModel):
     chebyshev_interval(scaled_entries(v)[1])
 
 
-def _build_sections(cfg: ExperimentConfig, command: str | None, stated: dict) -> Run:
-    """Build every section once, so that a malformed one fails at load time,
-    into the Run for `command` of the `stated` config.  Every model the
-    config states must have a positive, finite operator bound, and with
+def _build_sections(cfg: ExperimentConfig, stated: dict) -> Run:
+    """Build every section the `stated` config states once, so that a
+    malformed one fails at load time, into its Run.  Every model the config
+    states must have a positive, finite operator bound, and with
     `method: spectral` the reference grid must not exceed SPECTRAL_CAP
-    nodes.  The search, schedule and sweep are built when the config
-    states them or the command needs them: `invert` its search and
-    schedule, `sweep` its two axes."""
+    nodes.  A search names its background and lattice; a sweep has at most
+    MAX_SWEEP_CANDIDATES nodes."""
     try:
         for section, keys in SECTION_KEYS.items():
             unknown = set(getattr(cfg, section)) - keys
@@ -233,32 +238,36 @@ def _build_sections(cfg: ExperimentConfig, command: str | None, stated: dict) ->
         section = "acquisition"
         acq = cfg.build_acquisition(grid)
         search = schedule = sweep = None
-        if cfg.search or command == "invert":
+        if cfg.search:
             section = "search"
             params = dict(cfg.search)
-            spec = params.pop("background", {"kind": "constant", "c0": 3000.0})
+            spec, lattice = params.pop("background"), params.pop("lattice")
             try:
                 background = cfg._velocity(spec, "kind", grid)
             except ConfigError as exc:
                 raise ConfigError(f"search background: {exc}") from exc
-            search = make_bump_lattice(background, **params)
+            search = make_bump_lattice(background, lattice, **params)
             _check_operator(background)
         section = "gn"
         gn = GnConfig(**cfg.gn)
-        if cfg.schedule or command == "invert":
+        if cfg.schedule:
             section = "schedule"
             s = cfg.schedule
-            if not s:
-                raise ConfigError("config has no schedule section")
             schedule = LayerSchedule(s["k"], s["q"], s["d"])
             if s.get("layers", len(schedule.k)) != len(schedule.k):
                 raise ConfigError(f"schedule.layers {s['layers']} disagrees with the "
                                   f"{len(schedule.k)} entries of k")
             if schedule.k[-1] > acq.n:
                 raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {acq.n}")
-        if cfg.sweep or command == "sweep":
+        if cfg.sweep:
             section = "sweep"
             sweep = cfg.sweep_axes()
+            if sweep[0].count * sweep[1].count > MAX_SWEEP_CANDIDATES:
+                raise ConfigError(
+                    f"sweep.p1.count x sweep.p2.count = {sweep[0].count} x {sweep[1].count} "
+                    f"candidates on the {grid.nx} x {grid.nz} grid, more than the "
+                    f"{MAX_SWEEP_CANDIDATES} that load checks"
+                )
         section = "reference"
         factor = whole(cfg.reference.get("refine", 1), "reference.refine", 1)
         reference = truth
@@ -275,8 +284,7 @@ def _build_sections(cfg: ExperimentConfig, command: str | None, stated: dict) ->
                 f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
                 f"the reference grid has {reference.grid.n_dof}"
             )
-        run = Run(cfg, stated, truth, acq, reference, search if command == "invert" else None,
-                  schedule, gn, sweep)
+        run = Run(cfg, stated, truth, acq, reference, search, schedule, gn, sweep)
         if sweep:
             section = "sweep"
             for candidate in run.candidates():
@@ -289,8 +297,8 @@ def _build_sections(cfg: ExperimentConfig, command: str | None, stated: dict) ->
     return run
 
 
-def run_from_dict(raw: dict, base_dir, command: str | None) -> Run:
-    """The Run for `command` of the config `raw`, whose file paths start at `base_dir`."""
+def run_from_dict(raw: dict, base_dir) -> Run:
+    """The Run of the config `raw`, whose file paths start at `base_dir`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     stated = {"schema": SCHEMA, **raw}
@@ -301,11 +309,11 @@ def run_from_dict(raw: dict, base_dir, command: str | None) -> Run:
         cfg = ExperimentConfig(base_dir=Path(base_dir), **sections)
     except TypeError as exc:
         raise ConfigError(f"bad config sections: {exc}") from exc
-    return _build_sections(cfg, command, stated)
+    return _build_sections(cfg, stated)
 
 
-def load_run(path, command: str | None = None) -> Run:
-    """The run for `command` that the config file at `path` describes."""
+def load_run(path) -> Run:
+    """The Run that the config file at `path` describes."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -313,7 +321,7 @@ def load_run(path, command: str | None = None) -> Run:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return run_from_dict(raw, path.parent, command)
+    return run_from_dict(raw, path.parent)
 
 
 def load_config(path) -> ExperimentConfig:

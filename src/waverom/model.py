@@ -248,9 +248,7 @@ def make_gradient_model(c_top: float, c_bottom: float, g: Grid2D) -> VelocityMod
     return VelocityModel(g, np.tile(prof, (g.nx, 1)))
 
 
-def make_bump_lattice(
-    background: VelocityModel, lattice: tuple[int, int] = (10, 10)
-) -> Parametrization:
+def make_bump_lattice(background: VelocityModel, lattice: tuple[int, int]) -> Parametrization:
     """Gaussian bumps centered on a uniform p x q `lattice` over the domain.
 
     Each bump is BUMP_WIDTH times the geometric-mean lattice spacing wide,

@@ -375,6 +375,10 @@ MALFORMED = [
     pytest.param(("search", "lattice"), [10**12, 1], id="lattice-beyond-memory"),
     pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=10**12)),
                  id="sweep-count-beyond-memory"),
+    # 10**8 candidates: load would check operators for hours before a refusal
+    pytest.param(("sweep",), dict(SWEEP, p1=dict(SWEEP["p1"], count=10**4),
+                                  p2=dict(SWEEP["p2"], count=10**4)),
+                 id="sweep-beyond-budget"),
 ]
 
 
@@ -393,6 +397,33 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
         rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, path, message", [
+    ("invert", ("search",), "invert needs a search section"),
+    ("invert", ("schedule",), "invert needs a schedule section"),
+    ("sweep", (), "sweep needs a sweep section"),  # the config states no sweep
+    ("invert", ("search", "background"), "search section missing 'background'"),
+    ("invert", ("search", "lattice"), "search section missing 'lattice'"),
+], ids=["invert-without-search", "invert-without-schedule", "sweep-without-sweep",
+        "search-without-background", "search-without-lattice"])
+def test_unstated_section_exits_2_naming_it(tmp_path, capsys, command, path, message):
+    # load builds only what a config states and invents no default
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1500.0}, "lattice": [2, 2]},
+        schedule={"layers": 1, "q": 1, "d": 4, "k": [4]},
+    )
+    if path:
+        *head, last = path
+        section = cfg
+        for key in head:
+            section = section[key]
+        del section[last]
+    rc = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert "forward.synth" not in profile.counts()
     assert not (tmp_path / "o").exists()
 
 
@@ -536,7 +567,7 @@ def test_reference_operator_overflow_exits_2(tmp_path, capsys):
     # c^2 / h^2 fits the float range on the stated grid, not on the one
     # twice as fine that the reference model is built on
     cfg = base_config(model=dict(CAMEMBERT, c_inside=3e155))
-    run_from_dict(cfg, tmp_path, None)
+    run_from_dict(cfg, tmp_path)
     cfg["reference"] = {"refine": 2}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -604,19 +635,19 @@ def test_search_background_file_on_the_model_grid_loads(tmp_path):
     run = run_from_dict(base_config(
         search={"background": {"kind": "file", "path": "bg.json"}, "lattice": [2, 2]},
         schedule={"k": [4], "q": 1, "d": 4},
-    ), tmp_path, "invert")
+    ), tmp_path)
     assert run.search.background.grid == run.truth.grid
 
 
 def test_whole_valued_float_counts_load():
     cfg = base_config(sweep=dict(SWEEP, p1=dict(SWEEP["p1"], count=2.0)))
     cfg["acquisition"]["layout"]["m"] = 3.0
-    loaded = run_from_dict(cfg, ".", "sweep")
+    loaded = run_from_dict(cfg, ".")
     assert loaded.acquisition.array.m == 3
     assert [ax.count for ax in loaded.sweep] == [2, 3]
     assert len(list(loaded.candidates())) == 6
     cfg["acquisition"]["layout"] = {"kind": "ring", "m": 5.0, "inset": 200.0}
-    assert run_from_dict(cfg, ".", None).acquisition.array.m == 5
+    assert run_from_dict(cfg, ".").acquisition.array.m == 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 4], ids="n{}".format)
@@ -624,7 +655,7 @@ def test_record_ends_one_step_past_the_last_sample(n):
     run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": n},
-    ), ".", None)
+    ), ".")
     truth, acq = run.truth, run.acquisition
     rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n)
     assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
@@ -638,7 +669,7 @@ def test_record_counts_whole_steps():
     run = run_from_dict(base_config(
         model={"factory": "constant", "c0": 1000.0},
         sampling={"n": 25, "nyquist_factor": 0.5},
-    ), ".", None)
+    ), ".")
     truth, acq = run.truth, run.acquisition
     rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, 25)
     assert rec.nt == rec.k0 + (2 * 25 - 2) * DT_FACTOR + 2
@@ -880,11 +911,9 @@ def test_invert_builds_the_run_once(tmp_path, monkeypatch):
     assert counts == {"basis": 1, "truth": 1, "operators": synth}
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("sweep", base_config(sweep=SWEEP)),
-    ("synthesize", base_config()),
-], ids=["sweep", "synthesize"])
-def test_load_builds_no_search_that_the_command_drops(tmp_path, monkeypatch, command, cfg):
+@pytest.mark.parametrize("cfg", [base_config(sweep=SWEEP), base_config()],
+                         ids=["sweep", "synthesize"])
+def test_load_builds_no_search_that_the_command_drops(tmp_path, monkeypatch, cfg):
     # neither command reads a search, and this config states none
     calls, lattice = [], config.make_bump_lattice
 
@@ -893,7 +922,7 @@ def test_load_builds_no_search_that_the_command_drops(tmp_path, monkeypatch, com
         return lattice(*args, **kwargs)
 
     monkeypatch.setattr(config, "make_bump_lattice", counted)
-    run = run_from_dict(cfg, tmp_path, command)
+    run = run_from_dict(cfg, tmp_path)
     assert calls == []
     assert run.search is None
 

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.linalg import svdvals
 
 from waverom import inversion, profile
-from waverom.errors import MassNotSPD, ResidualShorterThanN, SingularSystem
+from waverom.errors import JacobianRankWarning, MassNotSPD, ResidualShorterThanN, SingularSystem
 from waverom.forward import Pulse, line_array
 from waverom.inversion import (
     GnConfig,
@@ -60,8 +60,6 @@ class TestJacobian:
             fd_jacobian(fn, np.zeros(3), fd_step=1e-6)
 
     def test_rank_deficiency_warns(self):
-        from waverom.errors import JacobianRankWarning
-
         a = np.ones((6, 3))  # all columns identical
         fn = lambda eta: a @ eta
         jac = fd_jacobian(fn, np.zeros(3), fd_step=1e-6)
@@ -161,7 +159,7 @@ class TestGnStep:
     def test_singular_at_zero_mu(self):
         jac = np.zeros((4, 2))
         jac[:, 0] = 1.0  # rank 1
-        with pytest.raises(SingularSystem):
+        with pytest.warns(JacobianRankWarning), pytest.raises(SingularSystem):
             gn_step(*factor(jac, np.ones(4)), 0.0)
 
     def test_rank_cutoff_counts_residual_rows(self):
