@@ -6,15 +6,19 @@ reproduced from the manifest alone.  Load builds what the config states
 and nothing else; the CLI checks that a job's config states the sections
 the job reads.
 
-A section is passed as keyword arguments to the constructor that holds
-its defaults, which rejects unknown keys; the sections read field by
-field list their keys in SECTION_KEYS.
+Load reads the sections in SECTION_KEYS field by field and refuses a key
+outside their list; the `gn` fields then go to GnConfig.  Each spec that
+names a constructor (the model, the search background, the sensor
+layout, the pulse and each sweep axis) is passed to it as keyword
+arguments, and the constructor holds the defaults and rejects unknown
+keys.  No config value is a boolean.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -82,6 +86,7 @@ SECTION_KEYS = {
     "schedule": {"layers", "q", "k", "d"},
     "sweep": {"p1", "p2"},
     "reference": {"refine"},
+    "gn": {"gamma", "alpha_max", "fd_step"},
 }
 
 
@@ -297,10 +302,28 @@ def _build_sections(cfg: ExperimentConfig, stated: dict) -> Run:
     return run
 
 
+def _refuse_booleans(raw: dict):
+    """ConfigError naming a boolean leaf of `raw`, the shallowest first,
+    through objects and lists: no config value is a boolean, and Python
+    would read true as the number 1."""
+    pending = deque((str(key), key, value) for key, value in raw.items())
+    while pending:
+        path, key, value = pending.popleft()
+        if isinstance(value, bool):
+            raise ConfigError(f"key {key!r} at {path} is {json.dumps(value)}, "
+                              f"and no config value is a boolean")
+        if isinstance(value, dict):
+            pending.extend((f"{path}.{k}", k, v) for k, v in value.items())
+        elif isinstance(value, list):
+            pending.extend((f"{path}[{i}]", key, v) for i, v in enumerate(value))
+
+
 def run_from_dict(raw: dict, base_dir) -> Run:
-    """The Run of the config `raw`, whose file paths start at `base_dir`."""
+    """The Run of the config `raw`, whose file paths start at `base_dir`;
+    a boolean anywhere in it is refused before any section is read."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    _refuse_booleans(raw)
     stated = {"schema": SCHEMA, **raw}
     sections = dict(stated)
     if sections.pop("schema") != SCHEMA:

@@ -49,11 +49,15 @@ class InsufficientRecordLength(WaveromError):
 
 
 class MassNotSPD(WaveromError):
-    """Block Cholesky hit a non-positive-definite diagonal block."""
+    """Block Cholesky hit a non-positive-definite diagonal block.
 
-    def __init__(self, block_index, message=None):
+    `block_index` is the 0-based index of that block, which the message
+    names: "mass matrix not SPD at block <block_index>".
+    """
+
+    def __init__(self, block_index):
         self.block_index = block_index
-        super().__init__(message or f"mass matrix not SPD at block {block_index}")
+        super().__init__(f"mass matrix not SPD at block {block_index}")
 
 
 class BandExceedsMatrix(WaveromError):

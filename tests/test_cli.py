@@ -331,6 +331,8 @@ MALFORMED = [
     pytest.param(("reference",), {"refine": 1.7}, id="fractional-refine"),
     pytest.param(("search", "lattice"), [2.5, 2], id="fractional-lattice"),
     pytest.param(("sampling", "n"), 4.5, id="fractional-n"),
+    # true is no number, although Python reads it as 1
+    pytest.param(("acquisition", "pulse", "freq_hz"), True, id="bool-freq-hz"),
     pytest.param(("grid", "nx"), 12.5, id="fractional-nx"),
     pytest.param(("sweep",), dict(SWEEP, d=2.5), id="fractional-sweep-band"),
     pytest.param(("sampling",), {"n": 4, "tau": 0.05}, id="sampling-tau"),
@@ -432,6 +434,7 @@ def test_unstated_section_exits_2_naming_it(tmp_path, capsys, command, path, mes
 RETIRED = [
     pytest.param(("gn", "c_min"), 300.0, id="gn-c_min"),
     pytest.param(("gn", "fwi_truncate"), False, id="gn-fwi_truncate"),
+    pytest.param(("gn", "regularization"), "adaptive", id="gn-regularization"),
     pytest.param(("sweep", "d"), 4, id="sweep-d"),
     pytest.param(("sweep", "k"), 4, id="sweep-k"),
     pytest.param(("acquisition", "theta_width"), 100.0, id="acquisition-theta_width"),
@@ -589,6 +592,19 @@ def test_non_finite_grid_geometry_names_the_grid_section(tmp_path, capsys, key, 
     assert rc == 2
     assert "bad grid section" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_infeasible_anchor_exits_3_with_the_error_it_raised(tmp_path, capsys):
+    # at 1e5 m/s the background's ROM mass matrix is not SPD, first at k = 2
+    cfg = base_config(
+        search={"background": {"kind": "constant", "c0": 1e5}, "lattice": [2, 2]},
+        schedule={"layers": 2, "q": 2, "d": 2, "k": [2, 4]},
+    )
+    out = tmp_path / "o"
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: mass matrix not SPD at block 0\n"
+    assert not out.exists()
 
 
 def test_overflowing_line_search_trials_are_rejected(tmp_path):

@@ -1,11 +1,14 @@
-"""Every shipped config loads and builds the objects it states."""
+"""Every shipped config loads and builds the objects it states, and a
+boolean at any of its leaves is refused."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from waverom.config import _build_sections, load_run
+from waverom.config import _build_sections, load_run, run_from_dict
+from waverom.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((REPO / "configs").glob("*.json"))
@@ -44,3 +47,36 @@ def test_reference_model_refines_the_true_grid():
     g, f = truth.grid, fine.grid
     assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
     assert f.extent == pytest.approx(g.extent)
+
+
+def leaf_paths(value, path=()):
+    """The path, a tuple of keys and list indices, of every leaf of `value`."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else None)
+    if items is None:
+        yield path
+        return
+    for key, item in items:
+        yield from leaf_paths(item, path + (key,))
+
+
+SHIPPED_LEAVES = [
+    pytest.param(p, leaf, id=f"{p.stem}:{'.'.join(map(str, leaf))}")
+    for p in SHIPPED
+    for leaf in leaf_paths(json.loads(p.read_text()))
+]
+
+
+@pytest.mark.parametrize("path, leaf", SHIPPED_LEAVES)
+def test_a_boolean_leaf_is_refused(path, leaf):
+    raw = json.loads(path.read_text())
+    *head, last = leaf
+    section = raw
+    for key in head:
+        section = section[key]
+    section[last] = True
+    dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf)[1:]
+    key = next(k for k in reversed(leaf) if isinstance(k, str))
+    with pytest.raises(ConfigError) as err:
+        run_from_dict(raw, path.parent)
+    assert str(err.value) == f"key {key!r} at {dotted} is true, and no config value is a boolean"

@@ -93,7 +93,7 @@ class TestJacobian:
 
             def fn(eta):
                 if not lo <= eta[1] <= hi:
-                    raise MassNotSPD(0, "trial beyond the wall")
+                    raise MassNotSPD(0)
                 return np.array([eta[0] ** 2, np.exp(eta[1]), eta[0] * eta[1]])
 
             return fn
@@ -230,12 +230,13 @@ class TestLineSearch:
         eta = np.zeros(1)
         d = np.ones(1)
         f = lambda e: float((e[0] - 1.0) ** 2)
-        alpha = line_search(eta, d, f, alpha_max=3.0)
+        alpha, value = line_search(eta, d, f, alpha_max=3.0)
         assert alpha == pytest.approx(1.0, rel=0.05)
+        assert value == f(eta + alpha * d)
 
     def test_increasing_rejected(self):
-        f = lambda e: float(e[0])
-        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == 0.0
+        f = lambda e: float(e[0]) + 2.0
+        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == (0.0, 2.0)
 
     def test_infeasible_prefix_masked(self):
         def f(e):
@@ -243,9 +244,10 @@ class TestLineSearch:
                 return float("inf")
             return float((e[0] - 0.8) ** 2)
 
-        alpha = line_search(np.zeros(1), np.ones(1), f, 3.0)
+        alpha, value = line_search(np.zeros(1), np.ones(1), f, 3.0)
         assert 0.0 < alpha <= 1.0
         assert alpha == pytest.approx(0.8, rel=0.1)
+        assert value == f([alpha])
 
     @pytest.mark.parametrize("golden", [inversion.GOLDEN, 0.5], ids=["golden", "midpoint"])
     @pytest.mark.parametrize("level, expected", [
@@ -263,7 +265,7 @@ class TestLineSearch:
             probes.append(alpha)
             return 0.0 if alpha == 0.0 else level(alpha)
 
-        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == expected
+        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == (expected, level(expected))
         assert (len(set(probes)) < len(probes)) == (golden == 0.5)
 
 
@@ -333,6 +335,19 @@ class TestRunInversion:
         for i in range(1, state.i):
             if state.k_trace[i] == state.k_trace[i - 1]:
                 assert state.objective_trace[i] <= state.objective_trace[i - 1] * (1 + 1e-12)
+
+    def test_recorded_pair_is_the_accepted_value_and_ordered_exactly(self, toy_problem):
+        param, eta_star, v_true, ref_rom, acq = toy_problem
+        sched = LayerSchedule((2, acq.n), q=3, d=2)
+        _, state = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        previous = np.zeros(param.n_params)
+        for i in range(state.i):
+            f_new, f_old = state.penalized_trace[i]
+            eta, mu = state.eta_trace[i], state.mu_trace[i]
+            step = eta - previous
+            assert f_new == state.objective_trace[i] + mu * float(step @ step)
+            assert f_new < f_old if state.alpha_trace[i] > 0 else f_new == f_old
+            previous = eta
 
     def test_rejected_step_keeps_eta(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem

@@ -9,12 +9,15 @@ neither do the tests, so code that only tests reach fails here: it
 belongs in the tests (`tests/oracles.py`) or nowhere.
 
 The same holds for parameters.  Each parameter of those functions and
-methods must be passed by some call in that code, and each default must
+methods, and of each explicit `__init__` (judged by the calls of its
+class), must be passed by some call in that code, and each default must
 be left out by some call.  Calls are matched by bare name.  A call
 through `*args` or `**kwargs`, or a function stored as a value (a
-factory table of `waverom.config`), passes and omits every parameter.  A
-function that no call names, such as a hook perfbench resolves from a
-string, has no call to judge.
+factory table of `waverom.config`), passes and omits every parameter; a
+class named as a value (an `except` clause, an `isinstance` check) is
+not called there, so it stands for no call.  A function that no call
+names, such as a hook perfbench resolves from a string, has no call to
+judge.
 
 The same holds for config keys.  Each key the loader accepts must be set
 by a shipped config, by the config of a benchmark workload or by the
@@ -23,7 +26,6 @@ a model factory, under `model` or `search.background`.
 """
 
 import ast
-import dataclasses
 import importlib.util
 import inspect
 import json
@@ -34,7 +36,6 @@ from collections import defaultdict
 from pathlib import Path
 
 from waverom.config import LAYOUTS, MODEL_FACTORIES, SECTION_KEYS
-from waverom.inversion import GnConfig
 from waverom.model import make_bump_lattice
 
 REPO = Path(__file__).resolve().parent.parent
@@ -49,7 +50,6 @@ ALLOWED = {
 #: Config keys the loader accepts although no config outside the tests sets
 #: them, each with its reason.
 ALLOWED_KEYS = {
-    ("gn", "regularization"): "acceptance criterion 9 runs with `off`",
     ("reference", "refine"): "`scripts/artifact_digests.py` runs it at 2",
 }
 
@@ -58,19 +58,25 @@ DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 #: A call that passes and omits every parameter.
 ANY = None
 
+#: A name used as a value: ANY for a function, no call for a class.
+VALUE = "value"
+
 
 def checked_functions():
     """(qualified name, bare name, def node, is a method) of every checked
-    function and method in src."""
+    function and method in src; an explicit `__init__` goes by its class's
+    name, the name its calls use."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 yield node.name, node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        yield f"{node.name}.__init__", node.name, item, True
+                    elif not (item.name.startswith("__") and item.name.endswith("__")):
                         yield f"{node.name}.{item.name}", item.name, item, True
 
 
@@ -110,7 +116,7 @@ def references() -> set[str]:
 
 def calls() -> dict[str, list]:
     """Bare name -> each call outside the tests, as (positional count,
-    keyword names), or ANY."""
+    keyword names) or ANY, and each use of the name as a value, VALUE."""
     found = defaultdict(list)
     for tree in program_trees():
         callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
@@ -129,7 +135,7 @@ def calls() -> dict[str, list]:
                 and isinstance(node.ctx, ast.Load)
                 and id(node) not in callees
             ):
-                found[node.id].append(ANY)
+                found[node.id].append(VALUE)
     return found
 
 
@@ -139,7 +145,9 @@ def parameter_faults() -> list[str]:
     program = calls()
     faults = []
     for qualified, name, node, method in checked_functions():
-        sites = program.get(name)
+        constructor = node.name == "__init__"
+        sites = [ANY if site is VALUE else site for site in program.get(name, [])
+                 if not (constructor and site is VALUE)]
         if not sites:
             continue
         args = node.args
@@ -182,11 +190,9 @@ def test_every_parameter_and_default_is_used_outside_the_tests():
 
 def accepted_keys() -> set[tuple[str, str]]:
     """(section, key) of every key the loader accepts: the keys of
-    SECTION_KEYS, the GnConfig fields, and the parameters of the layout
-    functions and of make_bump_lattice after their first, the grid or the
-    background."""
+    SECTION_KEYS, and the parameters of the layout functions and of
+    make_bump_lattice after their first, the grid or the background."""
     keys = {(section, key) for section, names in SECTION_KEYS.items() for key in names}
-    keys |= {("gn", f.name) for f in dataclasses.fields(GnConfig)}
     for section, functions in (
         ("acquisition.layout", LAYOUTS.values()),
         ("search", [make_bump_lattice]),

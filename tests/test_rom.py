@@ -28,12 +28,13 @@ from waverom.rom import (
 from oracles import FlatPulse, truncate
 
 
-def synthetic_dataset(seed=0, m=2, n=4, tau=0.08):
-    """Exact data from a synthetic spectral measure (no PDE involved)."""
+def synthetic_dataset(seed=0, m=2, n=4, tau=0.08, modes=60):
+    """Exact data from a synthetic spectral measure of `modes` modes (no
+    PDE involved).  Its mass matrix is the Gram matrix of the snapshots, so
+    with fewer modes than n m it is singular."""
     rng = np.random.default_rng(seed)
-    k = 60
-    lam = np.sort(rng.uniform(1.0, 900.0, k))
-    weights = rng.standard_normal((k, m))
+    lam = np.sort(rng.uniform(1.0, 900.0, modes))
+    weights = rng.standard_normal((modes, m))
     d = np.empty((2 * n - 1, m, m))
     ddot = np.empty_like(d)
     for j in range(2 * n - 1):
@@ -291,6 +292,22 @@ class TestBuildRom:
             assert np.linalg.norm(dj - ds.d[j]) / np.linalg.norm(ds.d[j]) < 1e-8
 
 
+    @given(m=st.integers(1, 4), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_near_singular_mass_fails_cleanly_or_builds(self, m, n, seed, data):
+        # fewer modes than n m: rank-deficient block-Hankel mass matrices,
+        # SPD only up to round-off
+        modes = data.draw(st.integers(1, max(n * m - 1, 1)))
+        try:
+            rom = build_rom(synthetic_dataset(seed, m, n, modes=modes))
+        except MassNotSPD as err:
+            assert 0 <= err.block_index < n
+        else:
+            assert np.isfinite(rom.a_rom).all()
+            np.testing.assert_array_equal(rom.a_rom, rom.a_rom.T)
+
+
 class TestRestrict:
     def test_full_and_leading(self):
         ds = synthetic_dataset(seed=2)
@@ -328,6 +345,30 @@ class TestRestrict:
         rom2 = build_rom(DataSet(d, ddot, ds.tau, ds.m, ds.n))
         a, b = restrict(rom, k), restrict(rom2, k)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+
+
+    @given(m=st.integers(1, 4), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_causality_as_a_property(self, m, n, seed, data):
+        k = data.draw(st.integers(1, n))
+        ds = synthetic_dataset(seed, m, n)
+        a = restrict(build_rom(ds), k)
+        small = build_rom(truncate(ds, k)).a_rom
+        assert np.linalg.norm(small - a) <= 1e-10 * np.linalg.norm(a)
+        scale = data.draw(st.floats(0.5, 2.0))
+        d, ddot = np.array(ds.d), np.array(ds.ddot)
+        d[2 * k - 1 :] *= scale
+        ddot[2 * k - 1 :] *= scale
+        try:
+            scaled = build_rom(DataSet(d, ddot, ds.tau, m, n))
+        except MassNotSPD as err:
+            # the first k blocks of the mass matrix did not move, so the
+            # scaled tail can break only the blocks beyond them
+            assert err.block_index >= k
+        else:
+            b = restrict(scaled, k)
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
 
 
 class TestBandExtraction:
