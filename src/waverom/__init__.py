@@ -11,7 +11,7 @@ from .forward import (
     synthesize_measurements,
     symmetrize_and_sample,
 )
-from .inversion import GnConfig, InversionState, LayerSchedule, run_inversion
+from .inversion import GnConfig, GnUpdate, LayerSchedule, run_inversion
 from .model import (
     Grid2D,
     Parametrization,
@@ -29,8 +29,8 @@ __all__ = [
     "DataSet",
     "DiscreteOperator",
     "GnConfig",
+    "GnUpdate",
     "Grid2D",
-    "InversionState",
     "LayerSchedule",
     "OperatorRom",
     "Parametrization",

@@ -191,14 +191,14 @@ def cmd_invert(run: Run, out: Path, args) -> int:
 
     ref_ds = acq.dataset(run.reference)
     reference = build_rom(ref_ds) if args.mode == "rom" else ref_ds
-    estimate, state = run_inversion(reference, param, schedule, run.gn, acq)
+    estimate, updates = run_inversion(reference, param, schedule, run.gn, acq)
 
     io.save_velocity(out / "truth.json", truth)
     io.save_velocity(out / "initial.json", param.background)
     io.save_velocity(out / "estimate.json", estimate)
     io.save_dataset(out / "dataset.json", ref_ds)
-    io.save_state_csv(out / "state.csv", state)
-    io.save_parametrization(out / "parametrization.json", param, state.eta, "initial.json")
+    io.save_state_csv(out / "state.csv", updates)
+    io.save_parametrization(out / "parametrization.json", param, updates[-1].eta, "initial.json")
 
     initial_error = param.background.rel_l2_error(truth)
     final_error = estimate.rel_l2_error(truth)
@@ -215,13 +215,13 @@ def cmd_invert(run: Run, out: Path, args) -> int:
     manifest["metrics"] = {
         "initial_error": initial_error,
         "final_error": final_error,
-        "final_objective": state.objective_trace[-1] if state.objective_trace else None,
-        "iterations": state.i,
+        "final_objective": updates[-1].objective,
+        "iterations": len(updates),
     }
     _save_manifest(out, manifest)
     print(
         f"{args.mode} inversion: initial error {initial_error:.4f} -> "
-        f"final error {final_error:.4f} after {state.i} iterations"
+        f"final error {final_error:.4f} after {len(updates)} iterations"
     )
     return 0
 

@@ -212,8 +212,8 @@ class Run:
         """The model at each sweep node, p1 major, as load built and checked it, each
         built when reached: topography_paper's 441 models would take 27.6 MB."""
         cfg, (ax1, ax2) = self.config, self.sweep
-        for a in ax1.values():
-            for b in ax2.values():
+        for a in ax1.values().tolist():
+            for b in ax2.values().tolist():
                 yield cfg._velocity(cfg.model, "factory", self.truth.grid,
                                     **{ax1.name: a, ax2.name: b})
 
@@ -342,7 +342,7 @@ def load_run(path) -> Run:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return run_from_dict(raw, path.parent)
 

@@ -280,7 +280,7 @@ def scaled_entries(v: VelocityModel) -> tuple[np.ndarray, float]:
     lap = _laplacian_2d(v.grid)
     with np.errstate(over="ignore"):
         data = lap.data * c[_laplacian_rows(v.grid)] * c[lap.indices]
-    return data, float(np.max(np.add.reduceat(np.abs(data), lap.indptr[:-1])))
+        return data, float(np.max(np.add.reduceat(np.abs(data), lap.indptr[:-1])))
 
 
 class DiscreteOperator:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -89,31 +90,18 @@ class GnConfig:
             raise ValueError("regularization must be 'adaptive' or 'off'")
 
 
-@dataclass
-class InversionState:
-    """Iteration index, coefficients, and per-iteration traces.
+class GnUpdate(NamedTuple):
+    """One Gauss-Newton update: its restriction size k_l, the objective at
+    its iterate, mu, the accepted step alpha, the pair
+    (F_i(eta^(i)), F_i(eta^(i-1))) whose ordering the accepted-step
+    monotonicity contract promises, and the iterate eta^(i), read-only."""
 
-    penalized_trace holds F_i evaluated at eta^(i) and at eta^(i-1), the
-    pair whose ordering the accepted-step monotonicity contract promises.
-    """
-
+    k: int
+    objective: float
+    mu: float
+    alpha: float
+    penalized: tuple[float, float]
     eta: np.ndarray
-    i: int = 0
-    k_trace: list = field(default_factory=list)
-    objective_trace: list = field(default_factory=list)
-    mu_trace: list = field(default_factory=list)
-    alpha_trace: list = field(default_factory=list)
-    penalized_trace: list = field(default_factory=list)
-    eta_trace: list = field(default_factory=list)
-
-    def record(self, k: int, objective: float, mu: float, alpha: float, penalized):
-        self.i += 1
-        self.k_trace.append(k)
-        self.objective_trace.append(objective)
-        self.mu_trace.append(mu)
-        self.alpha_trace.append(alpha)
-        self.penalized_trace.append(penalized)
-        self.eta_trace.append(np.array(self.eta))
 
 
 def jacobian(
@@ -283,7 +271,7 @@ def run_inversion(
     schedule: LayerSchedule,
     cfg: GnConfig,
     acq: Acquisition,
-) -> tuple[VelocityModel, InversionState]:
+) -> tuple[VelocityModel, list[GnUpdate]]:
     """Run L*q Gauss-Newton updates minimizing the layered misfit.
 
     The type of `reference`, an OperatorRom or a DataSet with n >= k_L,
@@ -292,19 +280,21 @@ def run_inversion(
     F_i(eta) = O_{d,k_l}(eta) + mu_i |eta - eta^(i-1)|^2 along the damped
     Gauss-Newton direction, the same quadratic model the direction solve
     minimizes; a rejected step (alpha = 0) advances i without changing
-    eta.  Each update records the objective at its new iterate and the
-    pair (F_i(eta^(i)), F_i(eta^(i-1))), the first being the value the
-    line search accepted.  An infeasible trial (INFEASIBLE) scores +inf
-    in the line search; an update whose anchor eta^(i-1) is infeasible
-    raises the error that its residual raised.  An update that starts
-    from a zero objective records itself and takes no step.
+    eta.  Returns the estimate v(eta^(Lq)) and one GnUpdate per update,
+    whose penalized pair leads with the value the line search accepted.
+    An infeasible trial (INFEASIBLE) scores +inf in the line search; an
+    update whose anchor eta^(i-1) is infeasible raises the error that its
+    residual raised.  An update that starts from a zero objective records
+    itself and takes no step.
     """
     if not isinstance(reference, (OperatorRom, DataSet)):
         raise TypeError(f"reference is a {type(reference).__name__}, not an OperatorRom or DataSet")
     if schedule.k[-1] > reference.n:
         raise ValueError(f"schedule k_L = {schedule.k[-1]} exceeds reference n = {reference.n}")
 
-    state = InversionState(eta=np.zeros(param.n_params))
+    eta = np.zeros(param.n_params)
+    eta.flags.writeable = False
+    updates: list[GnUpdate] = []
 
     for layer_k in schedule.k:
         residual_fn = make_residual_fn(reference, param, acq, schedule.d, layer_k)
@@ -336,13 +326,13 @@ def run_inversion(
             return math.inf if isinstance(r, Exception) else float(r @ r)
 
         for _ in range(schedule.q):
-            anchor = state.eta
+            anchor = eta
             base = cached_residual(anchor)
             if isinstance(base, Exception):
                 raise base
             obj0 = float(base @ base)
             if obj0 == 0.0:
-                state.record(layer_k, obj0, 0.0, 0.0, (obj0, obj0))
+                updates.append(GnUpdate(layer_k, obj0, 0.0, 0.0, (obj0, obj0), eta))
                 continue
             if jac is None:
                 jac = np.empty((base.size, param.n_params), order="F")
@@ -359,12 +349,12 @@ def run_inversion(
             alpha, f_new = line_search(anchor, direction, penalized, cfg.alpha_max)
             # A rejected step (alpha = 0) leaves eta bit for bit; the next
             # update reads only the new iterate's residual.
-            state.eta = anchor + alpha * direction
-            key = state.eta.tobytes()
+            eta = anchor + alpha * direction
+            eta.flags.writeable = False
+            key = eta.tobytes()
             r = cache[key]
             cache.clear()
             cache[key] = r
-            state.record(layer_k, float(r @ r), mu, alpha, (f_new, obj0))
+            updates.append(GnUpdate(layer_k, float(r @ r), mu, alpha, (f_new, obj0), eta))
 
-    estimate = evaluate_velocity(param, state.eta)
-    return estimate, state
+    return evaluate_velocity(param, eta), updates

@@ -54,7 +54,7 @@ def _save(path, header: dict, *arrays: np.ndarray):
 def _read_json(path: Path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -65,7 +65,7 @@ def _parsing(path):
         yield
     except ArtifactError:
         raise
-    except (KeyError, TypeError, ValueError, NonPositiveVelocity) as exc:
+    except (KeyError, TypeError, ValueError, csv.Error, NonPositiveVelocity) as exc:
         raise ArtifactError(f"{path}: malformed artifact: {exc!r}") from exc
 
 
@@ -214,11 +214,11 @@ def save_traces_csv(path, rec: TraceRecord):
 _STATE_COLUMNS = {"iteration": int, "k_l": int, "objective": float, "mu": float, "alpha": float}
 
 
-def save_state_csv(path, state):
-    floats = (state.objective_trace, state.mu_trace, state.alpha_trace)
+def save_state_csv(path, updates):
+    """One row per Gauss-Newton update (see inversion.GnUpdate), numbered from 1."""
     _write_csv(path, list(_STATE_COLUMNS), (
-        [i + 1, state.k_trace[i], *(_csv_float(trace[i]) for trace in floats)]
-        for i in range(state.i)
+        [i, u.k, *map(_csv_float, (u.objective, u.mu, u.alpha))]
+        for i, u in enumerate(updates, 1)
     ))
 
 

@@ -83,14 +83,14 @@ def camembert_runs():
     ref_ds = acq.dataset(truth)
     ref_rom = build_rom(ref_ds)
     param, schedule, gn = run.search, run.schedule, run.gn
-    est_rom, state_rom = run_inversion(ref_rom, param, schedule, gn, acq)
-    est_rom2, state_rom2 = run_inversion(ref_rom, param, schedule, gn, acq)
-    est_fwi, state_fwi = run_inversion(ref_ds, param, schedule, gn, acq)
+    est_rom, updates_rom = run_inversion(ref_rom, param, schedule, gn, acq)
+    est_rom2, updates_rom2 = run_inversion(ref_rom, param, schedule, gn, acq)
+    est_fwi, updates_fwi = run_inversion(ref_ds, param, schedule, gn, acq)
     return {
         "config": cfg, "truth": truth, "acq": acq, "param": param,
         "schedule": schedule, "gn": gn, "ref_rom": ref_rom, "ref_ds": ref_ds,
-        "rom": (est_rom, state_rom), "rom2": (est_rom2, state_rom2),
-        "fwi": (est_fwi, state_fwi),
+        "rom": (est_rom, updates_rom), "rom2": (est_rom2, updates_rom2),
+        "fwi": (est_fwi, updates_fwi),
     }
 
 
@@ -251,21 +251,21 @@ def test_criterion_7_camembert_paired_dominance(camembert_runs):
 
 def test_criterion_8_optimizer_contracts(camembert_runs):
     r = camembert_runs
-    est, state = r["rom"]
-    est2, state2 = r["rom2"]
+    est, updates = r["rom"]
+    est2, updates2 = r["rom2"]
 
     # (a) accepted-step monotonicity of the penalized functional
-    mono = all(f_new <= f_old * (1 + 1e-12) for f_new, f_old in state.penalized_trace)
+    mono = all(f_new <= f_old * (1 + 1e-12) for f_new, f_old in (u.penalized for u in updates))
 
     # (b) mu_i = (sigma_{floor(gamma N)})^2, recomputed via an independent SVD
     cfg, acq, param, gn = r["config"], r["acq"], r["param"], r["gn"]
     n_params = param.n_params
     idx = max(int(np.floor(gn.gamma * n_params)), 1)
     mu_ok = True
-    for i in (1, state.i // 2, state.i):
-        eta_prev = np.zeros(n_params) if i == 1 else state.eta_trace[i - 2]
+    for i in (1, len(updates) // 2, len(updates)):
+        eta_prev = np.zeros(n_params) if i == 1 else updates[i - 2].eta
         residual_fn = make_residual_fn(
-            r["ref_rom"], param, acq, r["schedule"].d, state.k_trace[i - 1]
+            r["ref_rom"], param, acq, r["schedule"].d, updates[i - 1].k
         )
         base = residual_fn(eta_prev)
         jac = jacobian(
@@ -273,16 +273,15 @@ def test_criterion_8_optimizer_contracts(camembert_runs):
         )
         sigma = scipy.linalg.svdvals(jac)
         mu_indep = float(sigma[idx - 1] ** 2)
-        if not np.isclose(mu_indep, state.mu_trace[i - 1], rtol=1e-9):
+        if not np.isclose(mu_indep, updates[i - 1].mu, rtol=1e-9):
             mu_ok = False
 
     # (c) bitwise determinism across two executions
     det = (
-        np.array_equal(state.eta, state2.eta)
+        np.array_equal(updates[-1].eta, updates2[-1].eta)
         and np.array_equal(est.c, est2.c)
-        and state.objective_trace == state2.objective_trace
-        and state.mu_trace == state2.mu_trace
-        and state.alpha_trace == state2.alpha_trace
+        and [(u.objective, u.mu, u.alpha) for u in updates]
+        == [(u.objective, u.mu, u.alpha) for u in updates2]
     )
     report(
         8,
@@ -329,13 +328,13 @@ def test_criterion_9_identifiable_toy_recovery():
     ref_rom = build_rom(acq.dataset(v_true))
     schedule = LayerSchedule((acq.n,), q=10, d=acq.n)
     cfg = GnConfig(regularization="off")
-    est, state = run_inversion(ref_rom, param, schedule, cfg, acq)
-    err = np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star)
+    est, updates = run_inversion(ref_rom, param, schedule, cfg, acq)
+    err = np.linalg.norm(updates[-1].eta - eta_star) / np.linalg.norm(eta_star)
     elapsed = time.time() - t0
     report(
         9,
-        err < 1e-4 and state.i <= 10 and elapsed < 120.0,
-        f"|eta - eta*|/|eta*| = {err:.2e} (tol 1e-4) after {state.i} iterations "
+        err < 1e-4 and len(updates) <= 10 and elapsed < 120.0,
+        f"|eta - eta*|/|eta*| = {err:.2e} (tol 1e-4) after {len(updates)} iterations "
         f"(<= 10), {elapsed:.0f}s (< 120s)",
     )
 

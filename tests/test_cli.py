@@ -1,3 +1,4 @@
+import csv
 import functools
 import importlib.util
 import json
@@ -230,6 +231,21 @@ class TestConfigErrors:
         cfg = base_config(sweep={"p1": {"name": "contrast", "min": 1.0, "max": 2.0, "count": 3}})
         rc = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+#: JSON nested deeper than the decoder's recursion limit.
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, flag", [("synthesize", "--config"), ("rom", "--dataset")])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, flag):
+    path = tmp_path / "input.json"
+    path.write_text(DEEPLY_NESTED)
+    rc = main([command, flag, str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 SWEEP = {
@@ -835,6 +851,20 @@ class TestInvertCommand:
         ])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_state_field_beyond_csv_limit_exits_2(self, invert_runs, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(invert_runs / "rom", run)
+        header = (run / "state.csv").read_text().splitlines()[0]
+        (run / "state.csv").write_text(f"{header}\n{'1' * (csv.field_size_limit() + 1)}\n")
+        rc = main([
+            "compare", "--run-a", str(run / "manifest.json"),
+            "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [

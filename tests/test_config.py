@@ -1,13 +1,16 @@
-"""Every shipped config loads and builds the objects it states, and a
-boolean at any of its leaves is refused."""
+"""Every shipped config loads and builds the objects it states, a
+boolean at any of its leaves is refused, and any other value at one leaf
+either loads or is refused without a warning."""
 
 import json
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from waverom.config import _build_sections, load_run, run_from_dict
+from waverom.config import Run, _build_sections, load_run, run_from_dict
 from waverom.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,16 +70,44 @@ SHIPPED_LEAVES = [
 ]
 
 
-@pytest.mark.parametrize("path, leaf", SHIPPED_LEAVES)
-def test_a_boolean_leaf_is_refused(path, leaf):
+def with_leaf(path, leaf, value) -> dict:
+    """The config at `path` with its leaf at `leaf` set to `value`."""
     raw = json.loads(path.read_text())
     *head, last = leaf
     section = raw
     for key in head:
         section = section[key]
-    section[last] = True
+    section[last] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, leaf", SHIPPED_LEAVES)
+def test_a_boolean_leaf_is_refused(path, leaf):
     dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf)[1:]
     key = next(k for k in reversed(leaf) if isinstance(k, str))
     with pytest.raises(ConfigError) as err:
-        run_from_dict(raw, path.parent)
+        run_from_dict(with_leaf(path, leaf, True), path.parent)
     assert str(err.value) == f"key {key!r} at {dotted} is true, and no config value is a boolean"
+
+
+BAD_VALUES = [
+    pytest.param(value, id=name)
+    for name, value in [
+        ("null", None), ("x", "x"), ("list", []), ("object", {}), ("-1", -1), ("0", 0),
+        ("1e-300", 1e-300), ("1e308", 1e308), ("nan", math.nan),
+    ]
+]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("path, leaf", SHIPPED_LEAVES)
+def test_any_leaf_value_loads_or_is_refused(path, leaf, value):
+    """Load returns a Run or raises ConfigError, silently, whatever one leaf holds."""
+    raw = with_leaf(path, leaf, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run = run_from_dict(raw, path.parent)
+        except ConfigError:
+            return
+    assert isinstance(run, Run)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import svdvals
 
-from waverom import inversion, profile
+from waverom import inversion, io, profile
 from waverom.errors import JacobianRankWarning, MassNotSPD, ResidualShorterThanN, SingularSystem
 from waverom.forward import Pulse, line_array
 from waverom.inversion import (
@@ -310,44 +310,59 @@ class TestRunInversion:
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
         cfg = GnConfig(regularization="off")
-        est, state = run_inversion(ref_rom, param, sched, cfg, acq)
-        assert np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star) < 1e-4
-        assert state.i == 8
+        est, updates = run_inversion(ref_rom, param, sched, cfg, acq)
+        assert np.linalg.norm(updates[-1].eta - eta_star) / np.linalg.norm(eta_star) < 1e-4
+        assert len(updates) == 8
 
     def test_deterministic(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((2, acq.n), q=2, d=2)
         cfg = GnConfig(gamma=0.3)
-        _, s1 = run_inversion(ref_rom, param, sched, cfg, acq)
-        _, s2 = run_inversion(ref_rom, param, sched, cfg, acq)
-        np.testing.assert_array_equal(s1.eta, s2.eta)
-        assert s1.objective_trace == s2.objective_trace
-        assert s1.mu_trace == s2.mu_trace
-        assert s1.alpha_trace == s2.alpha_trace
+        _, u1 = run_inversion(ref_rom, param, sched, cfg, acq)
+        _, u2 = run_inversion(ref_rom, param, sched, cfg, acq)
+        np.testing.assert_array_equal(u1[-1].eta, u2[-1].eta)
+        assert [(u.objective, u.mu, u.alpha) for u in u1] == [
+            (u.objective, u.mu, u.alpha) for u in u2
+        ]
 
     def test_accepted_step_monotonicity(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((2, acq.n), q=3, d=2)
-        _, state = run_inversion(ref_rom, param, sched, GnConfig(), acq)
-        for f_new, f_old in state.penalized_trace:
+        _, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        for f_new, f_old in (u.penalized for u in updates):
             assert f_new <= f_old * (1 + 1e-12)
         # the plain objective is also non-increasing within each layer
-        for i in range(1, state.i):
-            if state.k_trace[i] == state.k_trace[i - 1]:
-                assert state.objective_trace[i] <= state.objective_trace[i - 1] * (1 + 1e-12)
+        for before, after in zip(updates, updates[1:]):
+            if after.k == before.k:
+                assert after.objective <= before.objective * (1 + 1e-12)
 
     def test_recorded_pair_is_the_accepted_value_and_ordered_exactly(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((2, acq.n), q=3, d=2)
-        _, state = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        _, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
         previous = np.zeros(param.n_params)
-        for i in range(state.i):
-            f_new, f_old = state.penalized_trace[i]
-            eta, mu = state.eta_trace[i], state.mu_trace[i]
-            step = eta - previous
-            assert f_new == state.objective_trace[i] + mu * float(step @ step)
-            assert f_new < f_old if state.alpha_trace[i] > 0 else f_new == f_old
-            previous = eta
+        for u in updates:
+            f_new, f_old = u.penalized
+            step = u.eta - previous
+            assert f_new == u.objective + u.mu * float(step @ step)
+            assert f_new < f_old if u.alpha > 0 else f_new == f_old
+            previous = u.eta
+
+    def test_one_record_per_update_matches_state_csv(self, toy_problem, tmp_path):
+        param, eta_star, v_true, ref_rom, acq = toy_problem
+        sched = LayerSchedule((2, acq.n), q=2, d=2)
+        est, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        assert len(updates) == len(sched.k) * sched.q
+        io.save_state_csv(tmp_path / "state.csv", updates)
+        rows = io.load_state_csv(tmp_path / "state.csv")
+        assert [(row["k_l"], row["objective"], row["mu"], row["alpha"]) for row in rows] == [
+            (u.k, u.objective, u.mu, u.alpha) for u in updates
+        ]
+        assert [row["iteration"] for row in rows] == list(range(1, len(updates) + 1))
+        np.testing.assert_array_equal(est.c, evaluate_velocity(param, updates[-1].eta).c)
+        for u in updates:
+            with pytest.raises(ValueError):
+                u.eta[0] = 1.0
 
     def test_rejected_step_keeps_eta(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
@@ -356,17 +371,17 @@ class TestRunInversion:
         cfg = GnConfig(regularization="off")
         bg_star = evaluate_velocity(param, eta=eta_star)
         param0 = Parametrization(bg_star, param.basis)
-        est, state = run_inversion(ref_rom, param0, sched, cfg, acq)
-        np.testing.assert_array_equal(state.eta, np.zeros(3))
-        assert all(a == 0.0 for a in state.alpha_trace)
+        est, updates = run_inversion(ref_rom, param0, sched, cfg, acq)
+        np.testing.assert_array_equal(updates[-1].eta, np.zeros(3))
+        assert all(u.alpha == 0.0 for u in updates)
 
     def test_fwi_mode_runs_and_recovers(self, toy_problem):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         ref_ds = acq.dataset(v_true)
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
         cfg = GnConfig(regularization="off")
-        est, state = run_inversion(ref_ds, param, sched, cfg, acq)
-        assert np.linalg.norm(state.eta - eta_star) / np.linalg.norm(eta_star) < 1e-3
+        est, updates = run_inversion(ref_ds, param, sched, cfg, acq)
+        assert np.linalg.norm(updates[-1].eta - eta_star) / np.linalg.norm(eta_star) < 1e-3
 
     def test_mode_reference_type_checked(self, toy_problem):
         # only an OperatorRom or a DataSet reference picks a misfit, and

@@ -8,7 +8,7 @@ import pytest
 from waverom import io
 from waverom.errors import ArtifactError
 from waverom.forward import Pulse, TraceRecord, line_array, synthesize_dataset
-from waverom.inversion import InversionState
+from waverom.inversion import GnUpdate
 from waverom.model import (
     GaussianBump,
     Grid2D,
@@ -185,19 +185,18 @@ def test_velocity_walls_other_than_four_dirichlet_rejected(artifacts, walls):
 
 
 def test_state_csv_roundtrip(tmp_path):
-    state = InversionState(eta=np.zeros(2))
-    state.record(2, 1.5, 0.25, 1.0, (1.0, 1.5))
-    state.record(4, 0.75, 0.125, 0.5, (0.7, 1.0))
-    io.save_state_csv(tmp_path / "s.csv", state)
+    updates = [
+        GnUpdate(2, 1.5, 0.25, 1.0, (1.0, 1.5), np.zeros(2)),
+        GnUpdate(4, 0.75, 0.125, 0.5, (0.7, 1.0), np.zeros(2)),
+    ]
+    io.save_state_csv(tmp_path / "s.csv", updates)
     rows = io.load_state_csv(tmp_path / "s.csv")
     assert rows[0] == {"iteration": 1, "k_l": 2, "objective": 1.5, "mu": 0.25, "alpha": 1.0}
     assert rows[1]["objective"] == 0.75
 
 
 def test_state_csv_missing_column_rejected(tmp_path):
-    state = InversionState(eta=np.zeros(2))
-    state.record(2, 1.5, 0.25, 1.0, None)
-    io.save_state_csv(tmp_path / "s.csv", state)
+    io.save_state_csv(tmp_path / "s.csv", [GnUpdate(2, 1.5, 0.25, 1.0, (1.0, 1.5), np.zeros(2))])
     lines = (tmp_path / "s.csv").read_text().splitlines()
     (tmp_path / "s.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
     with pytest.raises(ArtifactError, match="'alpha'"):
