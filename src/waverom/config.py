@@ -155,8 +155,10 @@ class ExperimentConfig:
         return self._velocity(self.model, "factory", self.build_grid())
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
-        """The sensor array on `grid`, the pulse, its interval tau (`Pulse.default_tau`
-        at sampling.nyquist_factor, if given) and the sample count sampling.n,
+        """The sensor array on `grid`, whose sensors must each have their
+        nearest node in the node block and a sensor function with support
+        on the grid, the pulse, its interval tau (`Pulse.default_tau` at
+        sampling.nyquist_factor, if given) and the sample count sampling.n,
         whose time-domain record (`record_layout`) must have a finite length
         that fits in memory."""
         if self.method not in ("spectral", "chebyshev"):
@@ -167,8 +169,7 @@ class ExperimentConfig:
         if kind not in LAYOUTS:
             raise ConfigError(f"layout 'kind' must be one of {sorted(LAYOUTS)}, got {kind!r}")
         array = LAYOUTS[kind](grid, **layout)
-        for x, z in array.positions:
-            grid.nearest_node(x, z)  # DomainTooSmall off the node block
+        array.theta_matrix(grid)  # places each sensor, for every synthesis on `grid`
         tau = pulse.default_tau(**{k: v for k, v in self.sampling.items() if k != "n"})
         n = whole(self.sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable

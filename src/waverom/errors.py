@@ -1,4 +1,12 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A refused argument (a value out of range, a sensor off the node block, a
+record too short for the samples asked of it) raises the built-in
+ValueError.  A WaveromError is either a numerical failure of a valid
+input, which the CLI reports with exit 3, or, as a ConfigError, a refused
+config or artifact, exit 2; load re-raises a section's ValueError as a
+ConfigError that names the section.
+"""
 
 
 class WaveromError(Exception):
@@ -15,14 +23,6 @@ class NonPositiveVelocity(WaveromError):
 
 class ArtifactError(ConfigError, ValueError):
     """A file is not the artifact its reader expects (JSON, schema, size)."""
-
-
-class DomainTooSmall(ConfigError):
-    """A model feature or a sensor does not fit inside the grid's domain."""
-
-
-class EigUnavailable(WaveromError):
-    """Spectral path requested above the eigendecomposition size cap."""
 
 
 class OperatorOverflow(WaveromError):
@@ -44,10 +44,6 @@ class CflViolation(WaveromError):
     """Time step too large for stable leapfrog propagation."""
 
 
-class InsufficientRecordLength(WaveromError):
-    """Recorded traces do not cover the requested sample range."""
-
-
 class MassNotSPD(WaveromError):
     """Block Cholesky hit a non-positive-definite diagonal block.
 
@@ -58,18 +54,6 @@ class MassNotSPD(WaveromError):
     def __init__(self, block_index):
         self.block_index = block_index
         super().__init__(f"mass matrix not SPD at block {block_index}")
-
-
-class BandExceedsMatrix(WaveromError):
-    """Requested band depth is larger than the matrix allows."""
-
-
-class IndexOutOfRange(WaveromError):
-    """Restriction index outside 1..n."""
-
-
-class ResidualShorterThanN(WaveromError):
-    """Residual vector has fewer entries than there are parameters."""
 
 
 class SingularSystem(WaveromError):

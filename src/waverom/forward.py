@@ -41,13 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, dscal
 
 from . import profile
-from .errors import (
-    CflViolation,
-    EigUnavailable,
-    InsufficientRecordLength,
-    NyquistViolation,
-    OperatorOverflow,
-)
+from .errors import CflViolation, NyquistViolation, OperatorOverflow
 from .model import Grid2D, VelocityModel, whole
 
 #: Largest n_dof for which the dense eigendecomposition path is allowed.
@@ -147,6 +141,8 @@ class SensorArray:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float)).copy()
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError("positions must be (m, 2)")
+        if not np.isfinite(pos).all():
+            raise ValueError("sensor positions must be finite")
         if len(np.unique(pos, axis=0)) < len(pos):
             raise ValueError("two sensors share a position")
         if not 0 < self.theta_width < math.inf:
@@ -163,25 +159,28 @@ class SensorArray:
 
         Each column is a Gaussian of width `theta_width` centered at the
         sensor, truncated at 4 widths and normalized to unit discrete mass
-        (sum * hx * hz = 1).  Computed once per grid; a sensor outside the
-        domain raises ValueError on every call.
+        (sum * hx * hz = 1).  Computed once per grid; a sensor whose
+        nearest node is outside the node block raises ValueError on every
+        call.
         """
-        return _theta_matrix(grid, self.positions.tobytes(), self.theta_width)
+        return _sensors(grid, self.positions.tobytes(), self.theta_width)[1]
 
     def local_velocities(self, v: VelocityModel) -> np.ndarray:
         """c(x_s) at the node nearest each sensor."""
-        return v.c.ravel()[_nearest_nodes(v.grid, self.positions.tobytes())]
+        return v.c.ravel()[_sensors(v.grid, self.positions.tobytes(), self.theta_width)[0]]
 
 
 @lru_cache(maxsize=16)
-def _theta_matrix(grid: Grid2D, positions: bytes, theta_width: float) -> np.ndarray:
-    """`SensorArray.theta_matrix` for positions given as float64 bytes."""
+def _sensors(grid: Grid2D, positions: bytes, theta_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index of the node nearest each sensor (`Grid2D.nearest_node`,
+    which refuses a sensor off the node block) and `SensorArray.theta_matrix`,
+    both read-only, for positions given as float64 bytes."""
     xx, zz = grid.mesh()
     w2 = theta_width**2
-    cols = []
+    nodes, cols = [], []
     for x, z in np.frombuffer(positions).reshape(-1, 2):
-        if not grid.contains(x, z):
-            raise ValueError(f"sensor at ({x}, {z}) outside the domain")
+        i, j = grid.nearest_node(x, z)
+        nodes.append(i * grid.nz + j)
         r2 = (xx - x) ** 2 + (zz - z) ** 2
         th = np.exp(-r2 / (2.0 * w2))
         th[r2 > (4.0 * theta_width) ** 2] = 0.0
@@ -189,18 +188,9 @@ def _theta_matrix(grid: Grid2D, positions: bytes, theta_width: float) -> np.ndar
         if total <= 0:
             raise ValueError("sensor function has no support on the grid")
         cols.append((th / total).ravel())
-    theta = np.column_stack(cols)
-    theta.flags.writeable = False
-    return theta
-
-
-@lru_cache(maxsize=16)
-def _nearest_nodes(grid: Grid2D, positions: bytes) -> np.ndarray:
-    """Flat index of the node nearest each sensor, rounded as `Grid2D.nearest_node`."""
-    nodes = [grid.nearest_node(x, z) for x, z in np.frombuffer(positions).reshape(-1, 2)]
-    index = np.array([i * grid.nz + j for i, j in nodes], dtype=np.intp)
-    index.flags.writeable = False
-    return index
+    index, theta = np.array(nodes, dtype=np.intp), np.column_stack(cols)
+    index.flags.writeable = theta.flags.writeable = False
+    return index, theta
 
 
 def line_array(grid: Grid2D, m: int, depth: float) -> SensorArray:
@@ -213,10 +203,12 @@ def line_array(grid: Grid2D, m: int, depth: float) -> SensorArray:
 
 
 def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
-    """m sensors spread along a rectangle inset from the domain boundary,
-    which must leave the rectangle a positive width and depth, each one
-    grid cell, hx, wide."""
+    """m sensors spread along a rectangle inset from the domain boundary by a
+    positive, finite `inset` that leaves the rectangle a positive width and
+    depth, each one grid cell, hx, wide."""
     m = whole(m, "m", 1)
+    if not 0 < inset < math.inf:
+        raise ValueError(f"inset must be positive and finite, got {inset!r}")
     lx, lz = grid.extent
     px, pz = lx - 2 * inset, lz - 2 * inset
     if not (px > 0 and pz > 0):
@@ -310,7 +302,7 @@ class DiscreteOperator:
     def _check_cap(self):
         """Refuse a dense eigenproblem above SPECTRAL_CAP."""
         if self.dimension > SPECTRAL_CAP:
-            raise EigUnavailable(
+            raise ValueError(
                 f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
                 "use the Chebyshev path"
             )
@@ -343,7 +335,7 @@ class DiscreteOperator:
         T = S diag(w) S^T, and the result is
         (w, S^T Q^T x).  `x` is only read and nothing is cached: unlike
         `eig`, this never holds an n x n eigenvector matrix of A beside
-        its workspace.  Raises EigUnavailable above SPECTRAL_CAP and
+        its workspace.  Raises ValueError above SPECTRAL_CAP and
         LinAlgError when LAPACK reports a failure.
         """
         self._check_cap()
@@ -734,14 +726,14 @@ def symmetrize_and_sample(
     the difference the leapfrog itself satisfies; the source terms are odd
     in t and cancel in the fold, and at i = 0 the fold's evenness gives
     D[-1] = D[1].  The record must reach one step past the last sample,
-    j = 2n - 2, or InsufficientRecordLength is raised.
+    j = 2n - 2, or ValueError is raised.
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
     dt, i0 = rec.dt, rec.k0
     need = (2 * n - 2) * DT_FACTOR
     if need + 1 >= rec.nt - i0:
-        raise InsufficientRecordLength(
+        raise ValueError(
             f"need the record through t={(need + 1) * dt:g}s but it ends at "
             f"t={(rec.nt - i0 - 1) * dt:g}s"
         )

@@ -21,13 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import profile
-from .errors import (
-    JacobianRankWarning,
-    MassNotSPD,
-    OperatorOverflow,
-    ResidualShorterThanN,
-    SingularSystem,
-)
+from .errors import JacobianRankWarning, MassNotSPD, OperatorOverflow, SingularSystem
 from .forward import DataSet, _check_info
 from .model import C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
@@ -124,9 +118,7 @@ def jacobian(
     eta = np.asarray(eta, dtype=float)
     n = eta.size
     if base.size < n:
-        raise ResidualShorterThanN(
-            f"residual has {base.size} entries for {n} parameters"
-        )
+        raise ValueError(f"residual has {base.size} entries for {n} parameters")
 
     for l in range(n):
         delta = fd_step * max(1.0, abs(eta[l]))

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainTooSmall, NonPositiveVelocity
+from .errors import NonPositiveVelocity
 
 #: Lower clamp on trial velocities (m/s), which keeps the wave operator
 #: well-posed during aggressive line-search trials.
@@ -96,7 +96,7 @@ class Grid2D:
         i = int(round(x / self.hx)) - 1
         j = int(round(z / self.hz)) - 1
         if not (0 <= i < self.nx and 0 <= j < self.nz):
-            raise DomainTooSmall(f"point ({x}, {z}) outside node block")
+            raise ValueError(f"point ({x}, {z}) outside node block")
         return i, j
 
     def contains(self, x: float, z: float) -> bool:
@@ -234,7 +234,7 @@ def make_camembert_model(
         raise ValueError("camembert needs a finite center and a positive, finite radius")
     lx, lz = g.extent
     if cx - radius < 0 or cx + radius > lx or cz - radius < 0 or cz + radius > lz:
-        raise DomainTooSmall("inclusion disk does not fit inside the domain")
+        raise ValueError("inclusion disk does not fit inside the domain")
     xx, zz = g.mesh()
     inside = (xx - cx) ** 2 + (zz - cz) ** 2 <= radius**2
     c = np.where(inside, c_inside, c_outside)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import profile
-from .errors import BandExceedsMatrix, IndexOutOfRange, MassNotSPD
+from .errors import MassNotSPD
 from .forward import DataSet, _check_info
 
 
@@ -98,7 +98,7 @@ def build_rom(data: DataSet) -> OperatorRom:
 def restrict(rom: OperatorRom, k: int) -> np.ndarray:
     """Upper-left km x km submatrix of A_rom."""
     if not 1 <= k <= rom.n:
-        raise IndexOutOfRange(f"restriction k={k} outside 1..{rom.n}")
+        raise ValueError(f"restriction k={k} outside 1..{rom.n}")
     km = k * rom.m
     return rom.a_rom[:km, :km]
 
@@ -125,6 +125,6 @@ def rest_dk(x: np.ndarray, d: int, m: int) -> np.ndarray:
         raise ValueError("input must be square with block size dividing its dimension")
     band = d * m
     if not 1 <= band <= dim:
-        raise BandExceedsMatrix(f"band {band} outside 1..{dim}")
+        raise ValueError(f"band {band} outside 1..{dim}")
     return x[_band_mask(dim, band)]
 

@@ -12,7 +12,7 @@ import pytest
 from waverom import config, forward, io, profile
 from waverom.cli import local_minima_census, main
 from waverom.config import run_from_dict
-from waverom.errors import ConfigError, InsufficientRecordLength
+from waverom.errors import ConfigError
 from waverom.forward import DT_FACTOR, TraceRecord, symmetrize_and_sample, synthesize_measurements
 from waverom.model import Grid2D, Parametrization, make_constant_model
 
@@ -492,8 +492,19 @@ def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
      "bad model section: the operator's spectral bound inf is not positive and finite"),
     ("sweep", ("sweep",), dict(SWEEP, p2=dict(SWEEP["p2"], max=1e300)),
      "bad sweep section: the operator's spectral bound inf is not positive and finite"),
+    ("synthesize", ("model",), {"factory": "camembert"},
+     "bad model section: inclusion disk does not fit inside the domain"),
+    ("synthesize", ("acquisition", "layout", "depth"), 20.0,
+     "bad acquisition section: point (65.0, 20.0) outside node block"),
+    ("synthesize", ("acquisition", "layout"), {"kind": "ring", "m": 4, "inset": -50.0},
+     "bad acquisition section: inset must be positive and finite, got -50.0"),
+    # the sensors at depth 150 m lie 50 m from their nearest node row, beyond
+    # the 4 hx = 40 m at which their sensor function is cut
+    ("synthesize", ("grid",), {"nx": 60, "nz": 8, "hx": 10.0, "hz": 100.0},
+     "bad acquisition section: sensor function has no support on the grid"),
 ], ids=["nan-sweep-min", "infinite-sweep-max", "c_inside-operator-overflows",
-        "sweep-candidate-operator-overflows"])
+        "sweep-candidate-operator-overflows", "camembert-disk-outside-domain",
+        "sensor-above-first-node-row", "negative-ring-inset", "sensor-function-without-support"])
 def test_refused_config_prints_only_its_error(tmp_path, capsys, command, path, value, message):
     cfg = base_config()
     set_key(cfg, path, value)
@@ -692,7 +703,7 @@ def test_record_ends_one_step_past_the_last_sample(n):
     rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n)
     assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
     cut = TraceRecord(rec.tau, rec.k0, rec.data[:-1])
-    with pytest.raises(InsufficientRecordLength):
+    with pytest.raises(ValueError, match="need the record through"):
         symmetrize_and_sample(cut, acq.array, truth, n)
 
 

@@ -1,6 +1,6 @@
 """Every shipped config loads and builds the objects it states, a
-boolean at any of its leaves is refused, and any other value at one leaf
-either loads or is refused without a warning."""
+boolean at any of its leaves is refused, and any other value at one leaf,
+or its deletion, either loads or is refused without a warning."""
 
 import json
 import math
@@ -70,14 +70,22 @@ SHIPPED_LEAVES = [
 ]
 
 
+#: Stands for a leaf that `with_leaf` deletes instead of setting.
+DELETED = object()
+
+
 def with_leaf(path, leaf, value) -> dict:
-    """The config at `path` with its leaf at `leaf` set to `value`."""
+    """The config at `path` with its leaf at `leaf` set to `value`, or
+    deleted when `value` is DELETED (a list leaf leaves its list shorter)."""
     raw = json.loads(path.read_text())
     *head, last = leaf
     section = raw
     for key in head:
         section = section[key]
-    section[last] = value
+    if value is DELETED:
+        del section[last]
+    else:
+        section[last] = value
     return raw
 
 
@@ -94,7 +102,8 @@ BAD_VALUES = [
     pytest.param(value, id=name)
     for name, value in [
         ("null", None), ("x", "x"), ("list", []), ("object", {}), ("-1", -1), ("0", 0),
-        ("1e-300", 1e-300), ("1e308", 1e308), ("nan", math.nan),
+        ("1e-300", 1e-300), ("1e308", 1e308), ("-1e308", -1e308), ("nan", math.nan),
+        ("inf", math.inf), ("-inf", -math.inf), ("deleted", DELETED),
     ]
 ]
 
@@ -102,7 +111,8 @@ BAD_VALUES = [
 @pytest.mark.parametrize("value", BAD_VALUES)
 @pytest.mark.parametrize("path, leaf", SHIPPED_LEAVES)
 def test_any_leaf_value_loads_or_is_refused(path, leaf, value):
-    """Load returns a Run or raises ConfigError, silently, whatever one leaf holds."""
+    """Load returns a Run or raises ConfigError, silently, whatever one leaf
+    holds, and when it is deleted."""
     raw = with_leaf(path, leaf, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

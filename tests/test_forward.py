@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 
 from waverom import profile
 from waverom.config import load_config, load_run
-from waverom.errors import (
-    CflViolation,
-    EigUnavailable,
-    InsufficientRecordLength,
-    NyquistViolation,
-    OperatorOverflow,
-    WaveromError,
-)
+from waverom.errors import CflViolation, NyquistViolation, OperatorOverflow, WaveromError
 from waverom.forward import (
     CHEB_MAX_NODES,
     CHEB_RATIO,
@@ -38,6 +31,7 @@ from waverom.forward import (
     initial_states,
     line_array,
     propagate_snapshots,
+    ring_array,
     sample_coeffs,
     sample_functions,
     scaled_entries,
@@ -188,7 +182,7 @@ class TestOperator:
     def test_spectral_cap(self, grid, monkeypatch):
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
         op = DiscreteOperator(random_velocity(grid))
-        with pytest.raises(EigUnavailable):
+        with pytest.raises(ValueError, match="exceeds spectral cap"):
             op.eig()
 
 
@@ -269,7 +263,7 @@ class TestEigCoordinates:
     def test_spectral_cap_through_the_synthesis(self, grid, pulse, monkeypatch):
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
         arr = line_array(grid, 2, depth=300.0)
-        with pytest.raises(EigUnavailable):
+        with pytest.raises(ValueError, match="exceeds spectral cap"):
             synthesize_dataset(random_velocity(grid), arr, pulse, pulse.default_tau(), 2, "spectral")
 
 
@@ -493,6 +487,17 @@ class TestSensorFunctions:
         with pytest.raises(ValueError, match="theta_width"):
             SensorArray(np.array([[500.0, 500.0]]), width)
 
+    @pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+    def test_position_must_be_finite(self, coord):
+        with pytest.raises(ValueError, match="sensor positions must be finite"):
+            SensorArray(np.array([[500.0, 500.0], [coord, 500.0]]), 100.0)
+
+    @pytest.mark.parametrize("inset", [0.0, -50.0, -1e308, -math.inf, math.inf, math.nan])
+    def test_ring_inset_must_be_positive_and_finite(self, grid, inset):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="inset must be positive and finite"):
+                ring_array(grid, 4, inset)
+
     def test_repeated_position_raises(self):
         positions = np.array([[500.0, 500.0], [700.0, 500.0], [500.0, 500.0]])
         with pytest.raises(ValueError, match="share a position"):
@@ -501,7 +506,7 @@ class TestSensorFunctions:
     def test_out_of_domain_sensor_raises_on_every_call(self, grid):
         arr = SensorArray(np.array([[500.0, 500.0], [500.0, -50.0]]), theta_width=grid.hx)
         for _ in range(3):
-            with pytest.raises(ValueError, match="outside the domain"):
+            with pytest.raises(ValueError, match="outside node block"):
                 arr.theta_matrix(grid)
 
     def test_local_velocities_match_nearest_node(self, grid):
@@ -745,7 +750,7 @@ class TestTimeDomain:
 
     def test_insufficient_record(self, setup):
         g, v, pulse, arr, tau, n, rec = setup
-        with pytest.raises(InsufficientRecordLength):
+        with pytest.raises(ValueError, match="need the record through"):
             symmetrize_and_sample(rec, arr, v, 4 * n)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverom.errors import DomainTooSmall, NonPositiveVelocity
+from waverom.errors import NonPositiveVelocity
 from waverom.model import (
     C_MIN,
     C_TOP,
@@ -169,7 +169,7 @@ class TestCamembert:
 
     def test_domain_too_small(self):
         g = Grid2D(10, 10, 50.0, 50.0)
-        with pytest.raises(DomainTooSmall):
+        with pytest.raises(ValueError, match="inclusion disk does not fit"):
             make_camembert_model(g)
 
     def test_factories_reproducible(self, grid):
