@@ -15,7 +15,9 @@ the residual map for each larger k.  It writes
 `OUT/digests.json`, the sha256 of every file under OUT by relative path.
 A manifest is hashed without its `timestamp` and `compare.json` without
 the two run paths, the fields that differ between identical runs in
-different directories.  Two trees produce the same outputs when their
+different directories.  Every `.json` file must be strict JSON: a `NaN`,
+`Infinity` or `-Infinity` token makes the script name the file and exit 1.
+Two trees produce the same outputs when their
 `digests.json` files are identical:
 
     python3 scripts/artifact_digests.py . out/new
@@ -34,18 +36,26 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 
+def strict_json(path: Path):
+    """The JSON at `path`, or ValueError naming the file on a NaN or an
+    infinity, which no JSON parser outside Python reads."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def file_digest(path: Path) -> str:
-    if path.name == "manifest.json":
-        manifest = json.loads(path.read_text())
-        manifest.pop("timestamp", None)
-        data = json.dumps(manifest, sort_keys=True).encode()
-    elif path.name == "compare.json":
-        report = json.loads(path.read_text())
-        for run in ("run_a", "run_b"):
-            report[run].pop("path")
-        data = json.dumps(report, sort_keys=True).encode()
-    else:
-        data = path.read_bytes()
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        parsed = strict_json(path)
+        if path.name == "manifest.json":
+            parsed.pop("timestamp", None)
+            data = json.dumps(parsed, sort_keys=True).encode()
+        elif path.name == "compare.json":
+            for run in ("run_a", "run_b"):
+                parsed[run].pop("path")
+            data = json.dumps(parsed, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -89,11 +99,15 @@ def main(tree: Path, out: Path) -> int:
         if rc != 0:
             print(f"{name}: waverom {' '.join(argv)} exited {rc}", file=sys.stderr)
             return rc
-    digests = {
-        str(path.relative_to(out)): file_digest(path)
-        for path in sorted(out.rglob("*"))
-        if path.is_file() and path.name != "digests.json"
-    }
+    try:
+        digests = {
+            str(path.relative_to(out)): file_digest(path)
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "digests.json"
+        }
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     (out / "digests.json").write_text(json.dumps(digests, indent=2) + "\n")
     print(f"{len(digests)} files digested into {out / 'digests.json'}")
     return 0

@@ -21,7 +21,7 @@ from .model import (
     make_camembert_model,
     make_two_layer_model,
 )
-from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
+from .objective import Acquisition, fwi_objective, rom_objective
 from .rom import OperatorRom, build_rom, rest_dk, restrict
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "OperatorRom",
     "Parametrization",
     "Pulse",
-    "RomResidualSpec",
     "SensorArray",
     "VelocityModel",
     "build_rom",

@@ -19,7 +19,7 @@ from .config import Run, load_run
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
-from .objective import RomResidualSpec, fwi_residual, residual_length, rom_residual
+from .objective import fwi_residual, residual_length, rom_residual
 from .rom import assemble_mass, build_rom
 
 
@@ -135,11 +135,11 @@ def cmd_sweep(run: Run, out: Path, args) -> int:
         raise ConfigError("sweep needs a sweep section")
     (ax1, ax2), acq = run.sweep, run.acquisition
     ref_ds = acq.dataset(run.reference)
-    spec = RomResidualSpec(acq.n, acq.n, build_rom(ref_ds))
+    ref_rom = build_rom(ref_ds)
 
     def evaluate(candidate) -> tuple[float, float]:
         ds = acq.dataset(candidate)  # one synthesis shared by both objectives
-        r_rom = rom_residual(build_rom(ds), spec)
+        r_rom = rom_residual(build_rom(ds), ref_rom, acq.n, acq.n)
         r_fwi = fwi_residual(ds, ref_ds)
         return float(r_rom @ r_rom), float(r_fwi @ r_fwi)
 

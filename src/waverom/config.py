@@ -343,7 +343,7 @@ def load_run(path) -> Run:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or a huge int
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return run_from_dict(raw, path.parent)
 

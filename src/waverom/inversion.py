@@ -24,7 +24,7 @@ from . import profile
 from .errors import JacobianRankWarning, MassNotSPD, OperatorOverflow, SingularSystem
 from .forward import DataSet, _check_info
 from .model import C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
-from .objective import Acquisition, RomResidualSpec, fwi_objective, rom_objective
+from .objective import Acquisition, fwi_objective, rom_objective
 from .rom import OperatorRom
 
 
@@ -252,9 +252,8 @@ def make_residual_fn(reference, param: Parametrization, acq: Acquisition, d: int
     the FWI data misfit over all its samples.
     """
     if isinstance(reference, OperatorRom):
-        spec = RomResidualSpec(d, k, reference)
-        return lambda eta: rom_objective(evaluate_velocity(param, eta), spec, acq)[1]
-    return lambda eta: fwi_objective(evaluate_velocity(param, eta), reference, acq)[1]
+        return lambda eta: rom_objective(evaluate_velocity(param, eta), reference, d, k, acq)
+    return lambda eta: fwi_objective(evaluate_velocity(param, eta), reference, acq)
 
 
 def run_inversion(

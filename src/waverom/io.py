@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ArtifactError, NonPositiveVelocity
 from .forward import DataSet, TraceRecord
-from .model import GaussianBump, Grid2D, Parametrization, VelocityModel
+from .model import GaussianBump, Grid2D, Parametrization, VelocityModel, whole
 from .rom import OperatorRom
 
 
@@ -54,7 +56,7 @@ def _save(path, header: dict, *arrays: np.ndarray):
 def _read_json(path: Path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or a huge int
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -80,7 +82,7 @@ def _load(path, schema: str, build):
     def payload(*shapes) -> list[np.ndarray]:
         bin_path = path.with_suffix(".bin")
         raw = np.fromfile(bin_path, dtype="<f8")
-        sizes = [int(np.prod(shape)) for shape in shapes]
+        sizes = [math.prod(shape) for shape in shapes]
         if raw.size != sum(sizes):
             raise ArtifactError(f"{bin_path}: payload has {raw.size} values, expected {sum(sizes)}")
         parts = np.split(raw, np.cumsum(sizes)[:-1])
@@ -161,10 +163,18 @@ def save_dataset(path, ds: DataSet):
     _save(path, header, ds.d, ds.ddot)
 
 
+#: Largest sample magnitude a dataset may hold: each block of the ROM's mass
+#: and stiffness matrices sums two samples, a sum that is finite up to this.
+SAMPLE_LIMIT = sys.float_info.max / 2
+
+
 def load_dataset(path) -> DataSet:
     def build(h, payload):
-        shape = (2 * h["n"] - 1, h["m"], h["m"])
-        return DataSet(*payload(shape, shape), h["tau"], h["m"], h["n"])
+        m, n = whole(h["m"], "m", 1), whole(h["n"], "n", 1)
+        blocks = payload(*[(2 * n - 1, m, m)] * 2)
+        if not all((abs(block) <= SAMPLE_LIMIT).all() for block in blocks):
+            raise ValueError(f"a sample is NaN, infinite or above {SAMPLE_LIMIT:.4g} in magnitude")
+        return DataSet(*blocks, h["tau"], m, n)
 
     return _load(path, "waverom-dataset-v1", build)
 
@@ -178,8 +188,8 @@ def save_rom(path, rom: OperatorRom):
 
 def load_rom(path) -> OperatorRom:
     def build(h, payload):
-        nm = h["m"] * h["n"]
-        return OperatorRom(*payload((nm, nm), (nm, nm)), h["m"], h["n"])
+        m, n = whole(h["m"], "m", 1), whole(h["n"], "n", 1)
+        return OperatorRom(*payload((m * n, m * n), (m * n, m * n)), m, n)
 
     return _load(path, "waverom-rom-v1", build)
 
@@ -210,8 +220,16 @@ def save_traces_csv(path, rec: TraceRecord):
     ))
 
 
+def _finite(text: str) -> float:
+    """A state.csv float, which a run writes only finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
+
+
 #: state.csv columns and the type each is read back as.
-_STATE_COLUMNS = {"iteration": int, "k_l": int, "objective": float, "mu": float, "alpha": float}
+_STATE_COLUMNS = dict(iteration=int, k_l=int, objective=_finite, mu=_finite, alpha=_finite)
 
 
 def save_state_csv(path, updates):

@@ -36,31 +36,18 @@ class Acquisition:
         return synthesize_dataset(v, self.array, self.pulse, self.tau, n, method=self.method)
 
 
-@dataclass(frozen=True)
-class RomResidualSpec:
-    """Band depth d, restriction size k, and the reference ROM."""
-
-    d: int
-    k: int
-    reference_rom: OperatorRom
-
-    def __post_init__(self):
-        if not 1 <= self.d <= self.k <= self.reference_rom.n:
-            raise ValueError(
-                f"need 1 <= d={self.d} <= k={self.k} <= n={self.reference_rom.n}"
-            )
-
-
-def rom_residual(candidate: OperatorRom, spec: RomResidualSpec) -> np.ndarray:
-    """rest_dk of the restricted ROM difference."""
-    diff = restrict(candidate, spec.k) - restrict(spec.reference_rom, spec.k)
-    return rest_dk(diff, spec.d, candidate.m)
+def rom_residual(candidate: OperatorRom, reference_rom: OperatorRom, d: int, k: int) -> np.ndarray:
+    """rest_dk at band depth d of the difference of the two ROMs restricted
+    to size k; `restrict` refuses a k outside 1..n, `rest_dk` a d outside
+    1..k."""
+    diff = restrict(candidate, k) - restrict(reference_rom, k)
+    return rest_dk(diff, d, candidate.m)
 
 
 def rom_objective(
-    v: VelocityModel, spec: RomResidualSpec, acq: Acquisition
-) -> tuple[float, np.ndarray]:
-    """ROM misfit O_{d,k}(v) and its residual vector.
+    v: VelocityModel, reference_rom: OperatorRom, d: int, k: int, acq: Acquisition
+) -> np.ndarray:
+    """Residual of the ROM misfit O_{d,k}(v) = r @ r.
 
     Synthesizes candidate data for v under the acquisition bundle, builds
     its ROM, and measures the banded restricted difference against the
@@ -69,9 +56,7 @@ def rom_objective(
     MassNotSPD from the candidate propagates to the caller, which signals
     an infeasible trial velocity.
     """
-    candidate = build_rom(acq.dataset(v, spec.k))
-    r = rom_residual(candidate, spec)
-    return float(r @ r), r
+    return rom_residual(build_rom(acq.dataset(v, k)), reference_rom, d, k)
 
 
 def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
@@ -91,10 +76,7 @@ def residual_length(mode: str, m: int, n: int, d: int, k: int) -> int:
     return (2 * n - 1) * m * (m + 1) // 2
 
 
-def fwi_objective(
-    v: VelocityModel, reference: DataSet, acq: Acquisition
-) -> tuple[float, np.ndarray]:
-    """Conventional FWI data misfit and its residual vector: the squared
-    upper-triangle differences summed over the samples j = 0..2n-2."""
-    r = fwi_residual(acq.dataset(v), reference)
-    return float(r @ r), r
+def fwi_objective(v: VelocityModel, reference: DataSet, acq: Acquisition) -> np.ndarray:
+    """Residual of the conventional FWI data misfit r @ r: the upper-triangle
+    differences over the samples j = 0..2n-2."""
+    return fwi_residual(acq.dataset(v), reference)

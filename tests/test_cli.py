@@ -2,6 +2,7 @@ import csv
 import functools
 import importlib.util
 import json
+import math
 import shutil
 import warnings
 from pathlib import Path
@@ -161,6 +162,10 @@ class TestSynthesize:
         assert (tmp_path / "a/dataset.bin").read_bytes() == (tmp_path / "c/dataset.bin").read_bytes()
 
 
+#: The reason `waverom rom` gives for a dataset sample it refuses.
+SAMPLE = "a sample is NaN, infinite or above 8.988e+307 in magnitude"
+
+
 class TestRomCommand:
     def test_builds_and_reports(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -210,6 +215,35 @@ class TestRomCommand:
         assert "malformed artifact" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(lambda h, p: h.update(n=1e308), "payload has", id="header-n-1e308"),
+        pytest.param(lambda h, p: h.update(m=1e308), "payload has", id="header-m-1e308"),
+        pytest.param(lambda h, p: h.update(n=-1), "n must be at least 1", id="header-n-negative"),
+        pytest.param(lambda h, p: p.__setitem__(5, math.nan), SAMPLE, id="nan-in-d"),
+        pytest.param(lambda h, p: p.__setitem__(5, math.inf), SAMPLE, id="inf-in-d"),
+        pytest.param(lambda h, p: p.__setitem__(-5, -math.inf), SAMPLE, id="minus-inf-in-ddot"),
+        pytest.param(lambda h, p: p.__setitem__(5, 1e308), SAMPLE, id="1e308-in-d"),
+        pytest.param(lambda h, p: p.__setitem__(-5, 1e308), SAMPLE, id="1e308-in-ddot"),
+    ])
+    def test_refused_dataset_exits_2_saying_only_why(self, tmp_path, capsys, edit, reason):
+        cfg_path = write_config(tmp_path, base_config())
+        main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        header = json.loads((tmp_path / "d/dataset.json").read_text())
+        payload = np.fromfile(tmp_path / "d/dataset.bin", dtype="<f8")
+        edit(header, payload)
+        (tmp_path / "d/dataset.json").write_text(json.dumps(header))
+        payload.tofile(tmp_path / "d/dataset.bin")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"),
+                       "--out", str(tmp_path / "r")])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: ") and out.err.count("\n") == 1
+        assert reason in out.err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_dataset_io_error(self, tmp_path):
         rc = main(["rom", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
         assert rc == 4
@@ -237,10 +271,15 @@ class TestConfigErrors:
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(DEEPLY_NESTED.encode(), id="deeply-nested"),
+    pytest.param(b'{"m": 1' + b"0" * 5000 + b"}", id="int-past-the-digit-limit"),
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+])
 @pytest.mark.parametrize("command, flag", [("synthesize", "--config"), ("rom", "--dataset")])
-def test_deeply_nested_json_exits_2(tmp_path, capsys, command, flag):
+def test_json_that_does_not_parse_exits_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"
-    path.write_text(DEEPLY_NESTED)
+    path.write_bytes(text)
     rc = main([command, flag, str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -876,6 +915,28 @@ class TestInvertCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", [2, 3, 4], ids=["objective", "mu", "alpha"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_compare_state_value_not_finite_exits_2(self, invert_runs, tmp_path, capsys,
+                                                     column, cell):
+        run = tmp_path / "run"
+        shutil.copytree(invert_runs / "rom", run)
+        header, *rows = (run / "state.csv").read_text().splitlines()
+        cells = rows[-1].split(",")
+        cells[column] = cell
+        rows[-1] = ",".join(cells)
+        (run / "state.csv").write_text("".join(f"{line}\n" for line in (header, *rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "compare", "--run-a", str(run / "manifest.json"),
+                "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(tmp_path / "o"),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "is not finite" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [

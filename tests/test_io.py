@@ -126,10 +126,14 @@ MALFORMED_HEADERS = [
     pytest.param("dataset", lambda h: h.update(tau=-1), id="dataset-rejected-value"),
     pytest.param("dataset", lambda h: h.update(tau=math.nan), id="dataset-nan-tau"),
     pytest.param("dataset", lambda h: h.update(tau=math.inf), id="dataset-infinite-tau"),
+    pytest.param("dataset", lambda h: h.update(n=-1), id="dataset-negative-n"),
+    pytest.param("dataset", lambda h: h.update(m=-1), id="dataset-negative-m"),
     pytest.param("rom", lambda h: h.pop("m"), id="rom-missing-field"),
     pytest.param("rom", lambda h: h.update(n="3"), id="rom-wrong-type"),
     # -m keeps the payload size (nm squared) but no array has a negative shape
     pytest.param("rom", lambda h: h.update(m=-h["m"]), id="rom-rejected-value"),
+    pytest.param("rom", lambda h: h.update(n=-1), id="rom-negative-n"),
+    pytest.param("rom", lambda h: h.update(n=2.5), id="rom-fractional-n"),
     pytest.param("parametrization", lambda h: h.pop("eta"), id="parametrization-missing-field"),
     pytest.param("parametrization", lambda h: h.update(basis=5), id="parametrization-wrong-type"),
     pytest.param("parametrization", lambda h: h["basis"][0].update(width=-1.0),
@@ -160,6 +164,36 @@ def test_short_payload_rejected(artifacts, kind):
     payload.write_bytes(payload.read_bytes()[:-8])
     with pytest.raises(ArtifactError, match="payload has"):
         LOADERS[kind](artifacts / f"{kind}.json")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "rom"])
+@pytest.mark.parametrize("key", ["m", "n"])
+def test_header_count_past_the_float_range_rejected(artifacts, kind, key):
+    # 1e308 is a whole number, so the header states a payload far larger
+    # than the file's
+    path = artifacts / f"{kind}.json"
+    header = json.loads(path.read_text())
+    header[key] = 1e308
+    path.write_text(json.dumps(header))
+    with pytest.raises(ArtifactError, match="payload has"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+@pytest.mark.parametrize("index", [0, -1], ids=["in-D", "in-Ddot"])
+def test_dataset_sample_not_finite_or_past_the_limit_rejected(artifacts, value, index):
+    payload = np.fromfile(artifacts / "dataset.bin", dtype="<f8")
+    payload[index] = value
+    payload.tofile(artifacts / "dataset.bin")
+    with pytest.raises(ArtifactError, match="malformed artifact.*a sample is NaN, infinite or above"):
+        io.load_dataset(artifacts / "dataset.json")
+
+
+def test_dataset_sample_at_the_limit_loads(artifacts):
+    payload = np.fromfile(artifacts / "dataset.bin", dtype="<f8")
+    payload[0] = io.SAMPLE_LIMIT
+    payload.tofile(artifacts / "dataset.bin")
+    assert io.load_dataset(artifacts / "dataset.json").d[0, 0, 0] == io.SAMPLE_LIMIT
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan")])
@@ -200,6 +234,18 @@ def test_state_csv_missing_column_rejected(tmp_path):
     lines = (tmp_path / "s.csv").read_text().splitlines()
     (tmp_path / "s.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
     with pytest.raises(ArtifactError, match="'alpha'"):
+        io.load_state_csv(tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("column", [2, 3, 4], ids=["objective", "mu", "alpha"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_state_csv_value_not_finite_rejected(tmp_path, column, cell):
+    io.save_state_csv(tmp_path / "s.csv", [GnUpdate(2, 1.5, 0.25, 1.0, (1.0, 1.5), np.zeros(2))])
+    header, row = (tmp_path / "s.csv").read_text().splitlines()
+    cells = row.split(",")
+    cells[column] = cell
+    (tmp_path / "s.csv").write_text(f"{header}\n{','.join(cells)}\n")
+    with pytest.raises(ArtifactError, match="is not finite"):
         io.load_state_csv(tmp_path / "s.csv")
 
 
