@@ -166,9 +166,8 @@ def bench_moment_step(a, th: np.ndarray, lam_max: float) -> dict:
 
 
 def bench(path: Path, repeats: int) -> dict:
-    cfg = load_config(path)
-    v = cfg.build_model()
-    acq = cfg.build_acquisition(v.grid)
+    run = load_config(path)
+    v, acq = run.truth, run.acquisition
     op = DiscreteOperator(v)
     lam_upper = op.lambda_upper()
     lam_max = chebyshev_interval(lam_upper)

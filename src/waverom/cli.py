@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, profile
-from .config import Run, load_run
+from .config import Run, load_config
 from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
@@ -78,8 +78,8 @@ def cmd_rom(dataset_path: Path, out: Path) -> int:
     mass = assemble_mass(ds)
     rom = build_rom(ds)
     io.save_rom(out / "rom.json", rom)
-    cond = float(np.linalg.cond(mass))
-    report = {"m": ds.m, "n": ds.n, "mass_condition_number": cond}
+    cond = float(np.linalg.cond(mass))  # inf when the singular values' ratio overflows
+    report = {"m": ds.m, "n": ds.n, "mass_condition_number": cond if np.isfinite(cond) else None}
     io.save_manifest(out / "rom_report.json", report)
     print(f"wrote ROM (nm={rom.dimension}) to {out}; cond(M) = {cond:.3e}")
     return 0
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "rom":
             return cmd_rom(args.dataset, args.out)
         command = {"synthesize": cmd_synthesize, "sweep": cmd_sweep, "invert": cmd_invert}
-        return command[args.command](load_run(args.config), args.out, args)
+        return command[args.command](load_config(args.config), args.out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

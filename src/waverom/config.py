@@ -1,17 +1,18 @@
-"""Experiment configuration: JSON in, validated dataclasses out.
+"""Experiment configuration: JSON in, one checked Run out.
 
 A config fully determines an experiment; the CLI stores the config as
 given, with its schema, in every run manifest so artifacts can be
 reproduced from the manifest alone.  Load builds what the config states
 and nothing else; the CLI checks that a job's config states the sections
-the job reads.
+the job reads.  The Run holds the config as stated and what load built
+from it through the Run's own builders.
 
-Load reads the sections in SECTION_KEYS field by field and refuses a key
-outside their list; the `gn` fields then go to GnConfig.  Each spec that
-names a constructor (the model, the search background, the sensor
-layout, the pulse and each sweep axis) is passed to it as keyword
-arguments, and the constructor holds the defaults and rejects unknown
-keys.  No config value is a boolean.
+Load refuses a top-level key outside SECTIONS, then reads the sections in
+SECTION_KEYS field by field and refuses a key outside their list; the
+`gn` fields then go to GnConfig.  Each spec that names a constructor
+(the model, the search background, the sensor layout, the pulse and each
+sweep axis) is passed to it as keyword arguments, and the constructor
+holds the defaults and rejects unknown keys.  No config value is a boolean.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,13 @@ SECTION_KEYS = {
     "gn": {"gamma", "alpha_max", "fd_step"},
 }
 
+#: The sections every config states.
+REQUIRED = ("model", "grid", "acquisition", "sampling")
+
+#: The top-level keys a config may hold.  Each but `schema` and `method`,
+#: both strings, is an object.
+SECTIONS = {"schema", "method", "search", *REQUIRED, *SECTION_KEYS}
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -109,33 +117,132 @@ class SweepAxis:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed experiment description (see load_config for the JSON shape)."""
+class Run:
+    """The config `stated`, whose file paths start at `base_dir`, and
+    everything load built and checked from it.
 
-    model: dict
-    grid: dict
-    acquisition: dict
-    sampling: dict
-    method: str = "chebyshev"
-    search: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    gn: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    reference: dict = field(default_factory=dict)
-    base_dir: Path = Path(".")
+    `stated` is the config as given, with its schema, which every manifest
+    records.  `reference` makes the reference data: `truth` itself at
+    reference.refine 1 (the inverse-crime regime), else the true model
+    rebuilt on a grid that many times finer over the same domain.
+    `search`, `schedule` and `sweep` are built when the config states them
+    and are None otherwise.
+    """
+
+    stated: dict
+    base_dir: Path
+    truth: VelocityModel = field(init=False)
+    acquisition: Acquisition = field(init=False)
+    reference: VelocityModel = field(init=False)
+    search: Parametrization | None = field(init=False)
+    schedule: LayerSchedule | None = field(init=False)
+    gn: GnConfig = field(init=False)
+    sweep: tuple[SweepAxis, SweepAxis] | None = field(init=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if f.type == "dict" and not isinstance(section, dict):
-                raise TypeError(f"section {f.name} must be an object, not {type(section).__name__}")
+        """Build every section the config states once, so that a malformed
+        one fails at load time.  Every model the config states must have a
+        positive, finite operator bound, and with `method: spectral` the
+        reference grid must not exceed SPECTRAL_CAP nodes.  A search names
+        its background and lattice; a sweep has at most
+        MAX_SWEEP_CANDIDATES nodes.
 
-    # -- builders ----------------------------------------------------------
+        Before any section is read, `stated` must hold no boolean, then the
+        schema SCHEMA, only SECTIONS, each REQUIRED one, and objects where
+        SECTIONS says so."""
+        cfg = self.stated
+        _refuse_booleans(cfg)
+        if cfg.get("schema") != SCHEMA:
+            raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
+        unknown = set(cfg) - SECTIONS
+        if unknown:
+            raise ConfigError(f"config has unknown sections {sorted(unknown)}")
+        missing = set(REQUIRED) - set(cfg)
+        if missing:
+            raise ConfigError(f"config missing sections {sorted(missing)}")
+        for name, section in cfg.items():
+            if name not in ("schema", "method") and not isinstance(section, dict):
+                raise ConfigError(f"section {name} must be an object, "
+                                  f"not {type(section).__name__}")
+        try:
+            for section, keys in SECTION_KEYS.items():
+                unknown = set(cfg.get(section, {})) - keys
+                if unknown:
+                    raise ConfigError(f"{section} section has unknown keys {sorted(unknown)}")
+            section = "grid"
+            grid = self.build_grid()
+            section = "model"
+            truth = self.build_model()
+            _check_operator(truth)
+            section = "acquisition"
+            acq = self.build_acquisition(grid)
+            search = schedule = sweep = None
+            if cfg.get("search"):
+                section = "search"
+                params = dict(cfg["search"])
+                spec, lattice = params.pop("background"), params.pop("lattice")
+                try:
+                    background = self._velocity(spec, "kind", grid)
+                except ConfigError as exc:
+                    raise ConfigError(f"search background: {exc}") from exc
+                search = make_bump_lattice(background, lattice, **params)
+                _check_operator(background)
+            section = "gn"
+            gn = GnConfig(**cfg.get("gn", {}))
+            if cfg.get("schedule"):
+                section = "schedule"
+                s = cfg["schedule"]
+                schedule = LayerSchedule(s["k"], s["q"], s["d"])
+                if s.get("layers", len(schedule.k)) != len(schedule.k):
+                    raise ConfigError(f"schedule.layers {s['layers']} disagrees with the "
+                                      f"{len(schedule.k)} entries of k")
+                if schedule.k[-1] > acq.n:
+                    raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {acq.n}")
+            if cfg.get("sweep"):
+                section = "sweep"
+                sweep = self.sweep_axes()
+                if sweep[0].count * sweep[1].count > MAX_SWEEP_CANDIDATES:
+                    raise ConfigError(
+                        f"sweep.p1.count x sweep.p2.count = {sweep[0].count} x {sweep[1].count} "
+                        f"candidates on the {grid.nx} x {grid.nz} grid, more than the "
+                        f"{MAX_SWEEP_CANDIDATES} that load checks"
+                    )
+            section = "reference"
+            factor = whole(cfg.get("reference", {}).get("refine", 1), "reference.refine", 1)
+            reference = truth
+            if factor > 1:
+                if cfg["model"].get("factory") == "file":
+                    raise ConfigError("file-backed models cannot be re-gridded")
+                reference = self._velocity(cfg["model"], "factory", Grid2D(
+                    (grid.nx + 1) * factor - 1, (grid.nz + 1) * factor - 1,
+                    grid.hx / factor, grid.hz / factor,
+                ))
+                _check_operator(reference)
+            if acq.method == "spectral" and reference.grid.n_dof > SPECTRAL_CAP:
+                raise ConfigError(
+                    f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
+                    f"the reference grid has {reference.grid.n_dof}"
+                )
+            built = dict(truth=truth, acquisition=acq, reference=reference, search=search,
+                         schedule=schedule, gn=gn, sweep=sweep)
+            for name, value in built.items():
+                object.__setattr__(self, name, value)
+            if sweep:
+                section = "sweep"
+                for candidate in self.candidates():
+                    _check_operator(candidate)
+        except KeyError as exc:
+            raise ConfigError(f"{section} section missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError, MemoryError, NonPositiveVelocity,
+                OperatorOverflow) as exc:
+            raise ConfigError(f"bad {section} section: {exc}") from exc
+
+    # -- builders: each reads the stated sections --------------------------
 
     def build_grid(self) -> Grid2D:
         """The grid; its walls are always Dirichlet, so `bc`, if given, must
         say so."""
-        g = self.grid
+        g = self.stated["grid"]
         if g.get("bc", "dirichlet") != "dirichlet":
             raise ValueError(f"bc must be 'dirichlet', got {g['bc']!r}")
         return Grid2D(whole(g["nx"], "grid.nx"), whole(g["nz"], "grid.nz"),
@@ -152,7 +259,7 @@ class ExperimentConfig:
 
     def build_model(self) -> VelocityModel:
         """The true model, as load builds it."""
-        return self._velocity(self.model, "factory", self.build_grid())
+        return self._velocity(self.stated["model"], "factory", self.build_grid())
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
         """The sensor array on `grid`, whose sensors must each have their
@@ -161,146 +268,47 @@ class ExperimentConfig:
         sampling.nyquist_factor, if given) and the sample count sampling.n,
         whose time-domain record (`record_layout`) must have a finite length
         that fits in memory."""
-        if self.method not in ("spectral", "chebyshev"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        pulse = Pulse.from_hz(**self.acquisition["pulse"])
-        layout = dict(self.acquisition["layout"])
+        method = self.stated.get("method", "chebyshev")
+        if method not in ("spectral", "chebyshev"):
+            raise ConfigError(f"unknown method {method!r}")
+        acquisition, sampling = self.stated["acquisition"], self.stated["sampling"]
+        pulse = Pulse.from_hz(**acquisition["pulse"])
+        layout = dict(acquisition["layout"])
         kind = layout.pop("kind", "line")
         if kind not in LAYOUTS:
             raise ConfigError(f"layout 'kind' must be one of {sorted(LAYOUTS)}, got {kind!r}")
         array = LAYOUTS[kind](grid, **layout)
         array.theta_matrix(grid)  # places each sensor, for every synthesis on `grid`
-        tau = pulse.default_tau(**{k: v for k, v in self.sampling.items() if k != "n"})
-        n = whole(self.sampling["n"], "sampling.n")
+        tau = pulse.default_tau(**{k: v for k, v in sampling.items() if k != "n"})
+        n = whole(sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable
             raise ValueError(f"sampling.n must be in [1, {sys.maxsize // 2}], got {n}")
-        acq = Acquisition(array, pulse, tau, n, self.method)
+        acq = Acquisition(array, pulse, tau, n, method)
         record_layout(pulse, tau, n, array.m)
         return acq
 
     def sweep_axes(self) -> tuple[SweepAxis, SweepAxis]:
-        if not {"p1", "p2"} <= set(self.sweep):
+        sweep = self.stated.get("sweep", {})
+        if not {"p1", "p2"} <= set(sweep):
             raise ConfigError("sweep needs exactly two parameters p1 and p2")
-        ax1, ax2 = SweepAxis(**self.sweep["p1"]), SweepAxis(**self.sweep["p2"])
+        ax1, ax2 = SweepAxis(**sweep["p1"]), SweepAxis(**sweep["p2"])
         if ax1.name == ax2.name:
             raise ConfigError(f"sweep axes p1 and p2 both vary {ax1.name!r}")
         return ax1, ax2
 
-
-@dataclass(frozen=True)
-class Run:
-    """Everything load built and checked from a config.
-
-    `reference` makes the reference data: `truth` itself at reference.refine
-    1 (the inverse-crime regime), else the true model rebuilt on a grid
-    that many times finer over the same domain.  `search`, `schedule` and
-    `sweep` are built when the config states them and are None otherwise.
-    `stated` is the config as given, with its schema, which every manifest
-    records.
-    """
-
-    config: ExperimentConfig
-    stated: dict
-    truth: VelocityModel
-    acquisition: Acquisition
-    reference: VelocityModel
-    search: Parametrization | None
-    schedule: LayerSchedule | None
-    gn: GnConfig
-    sweep: tuple[SweepAxis, SweepAxis] | None
-
     def candidates(self):
         """The model at each sweep node, p1 major, as load built and checked it, each
         built when reached: topography_paper's 441 models would take 27.6 MB."""
-        cfg, (ax1, ax2) = self.config, self.sweep
+        ax1, ax2 = self.sweep
         for a in ax1.values().tolist():
             for b in ax2.values().tolist():
-                yield cfg._velocity(cfg.model, "factory", self.truth.grid,
-                                    **{ax1.name: a, ax2.name: b})
+                yield self._velocity(self.stated["model"], "factory", self.truth.grid,
+                                     **{ax1.name: a, ax2.name: b})
 
 
 def _check_operator(v: VelocityModel):
     """OperatorOverflow, as in any synthesis of `v`, for a bound not positive and finite."""
     chebyshev_interval(scaled_entries(v)[1])
-
-
-def _build_sections(cfg: ExperimentConfig, stated: dict) -> Run:
-    """Build every section the `stated` config states once, so that a
-    malformed one fails at load time, into its Run.  Every model the config
-    states must have a positive, finite operator bound, and with
-    `method: spectral` the reference grid must not exceed SPECTRAL_CAP
-    nodes.  A search names its background and lattice; a sweep has at most
-    MAX_SWEEP_CANDIDATES nodes."""
-    try:
-        for section, keys in SECTION_KEYS.items():
-            unknown = set(getattr(cfg, section)) - keys
-            if unknown:
-                raise ConfigError(f"{section} section has unknown keys {sorted(unknown)}")
-        section = "grid"
-        grid = cfg.build_grid()
-        section = "model"
-        truth = cfg._velocity(cfg.model, "factory", grid)
-        _check_operator(truth)
-        section = "acquisition"
-        acq = cfg.build_acquisition(grid)
-        search = schedule = sweep = None
-        if cfg.search:
-            section = "search"
-            params = dict(cfg.search)
-            spec, lattice = params.pop("background"), params.pop("lattice")
-            try:
-                background = cfg._velocity(spec, "kind", grid)
-            except ConfigError as exc:
-                raise ConfigError(f"search background: {exc}") from exc
-            search = make_bump_lattice(background, lattice, **params)
-            _check_operator(background)
-        section = "gn"
-        gn = GnConfig(**cfg.gn)
-        if cfg.schedule:
-            section = "schedule"
-            s = cfg.schedule
-            schedule = LayerSchedule(s["k"], s["q"], s["d"])
-            if s.get("layers", len(schedule.k)) != len(schedule.k):
-                raise ConfigError(f"schedule.layers {s['layers']} disagrees with the "
-                                  f"{len(schedule.k)} entries of k")
-            if schedule.k[-1] > acq.n:
-                raise ConfigError(f"schedule.k {list(schedule.k)} exceeds sampling.n {acq.n}")
-        if cfg.sweep:
-            section = "sweep"
-            sweep = cfg.sweep_axes()
-            if sweep[0].count * sweep[1].count > MAX_SWEEP_CANDIDATES:
-                raise ConfigError(
-                    f"sweep.p1.count x sweep.p2.count = {sweep[0].count} x {sweep[1].count} "
-                    f"candidates on the {grid.nx} x {grid.nz} grid, more than the "
-                    f"{MAX_SWEEP_CANDIDATES} that load checks"
-                )
-        section = "reference"
-        factor = whole(cfg.reference.get("refine", 1), "reference.refine", 1)
-        reference = truth
-        if factor > 1:
-            if cfg.model.get("factory") == "file":
-                raise ConfigError("file-backed models cannot be re-gridded")
-            reference = cfg._velocity(cfg.model, "factory", Grid2D(
-                (grid.nx + 1) * factor - 1, (grid.nz + 1) * factor - 1,
-                grid.hx / factor, grid.hz / factor,
-            ))
-            _check_operator(reference)
-        if cfg.method == "spectral" and reference.grid.n_dof > SPECTRAL_CAP:
-            raise ConfigError(
-                f"method spectral needs a grid of at most {SPECTRAL_CAP} nodes; "
-                f"the reference grid has {reference.grid.n_dof}"
-            )
-        run = Run(cfg, stated, truth, acq, reference, search, schedule, gn, sweep)
-        if sweep:
-            section = "sweep"
-            for candidate in run.candidates():
-                _check_operator(candidate)
-    except KeyError as exc:
-        raise ConfigError(f"{section} section missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError, MemoryError, NonPositiveVelocity,
-            OperatorOverflow) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
-    return run
 
 
 def _refuse_booleans(raw: dict):
@@ -320,23 +328,13 @@ def _refuse_booleans(raw: dict):
 
 
 def run_from_dict(raw: dict, base_dir) -> Run:
-    """The Run of the config `raw`, whose file paths start at `base_dir`;
-    a boolean anywhere in it is refused before any section is read."""
+    """The Run of the config `raw`, whose file paths start at `base_dir`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    _refuse_booleans(raw)
-    stated = {"schema": SCHEMA, **raw}
-    sections = dict(stated)
-    if sections.pop("schema") != SCHEMA:
-        raise ConfigError(f"unsupported config schema {stated['schema']!r}")
-    try:
-        cfg = ExperimentConfig(base_dir=Path(base_dir), **sections)
-    except TypeError as exc:
-        raise ConfigError(f"bad config sections: {exc}") from exc
-    return _build_sections(cfg, stated)
+    return Run({"schema": SCHEMA, **raw}, Path(base_dir))
 
 
-def load_run(path) -> Run:
+def load_config(path) -> Run:
     """The Run that the config file at `path` describes."""
     path = Path(path)
     try:
@@ -346,8 +344,3 @@ def load_run(path) -> Run:
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or a huge int
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return run_from_dict(raw, path.parent)
-
-
-def load_config(path) -> ExperimentConfig:
-    """The config at `path`, once load has built and checked every section."""
-    return load_run(path).config

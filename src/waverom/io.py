@@ -32,16 +32,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, NonPositiveVelocity
+from .errors import ArtifactError, NonPositiveVelocity, WaveromError
 from .forward import DataSet, TraceRecord
 from .model import GaussianBump, Grid2D, Parametrization, VelocityModel, whole
 from .rom import OperatorRom
 
 
 def _write_json(path, header: dict):
+    """`header` as strict JSON at `path`: a NaN or infinite value raises
+    WaveromError naming the file, and nothing is written."""
     path = Path(path)
+    try:
+        text = json.dumps(header, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise WaveromError(f"{path}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
+    path.write_text(text + "\n")
 
 
 def _save(path, header: dict, *arrays: np.ndarray):

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from waverom.cli import local_minima_census, main as cli_main
-from waverom.config import load_run, run_from_dict
+from waverom.config import load_config, run_from_dict
 from waverom.forward import (
     DataSet,
     DiscreteOperator,
@@ -78,8 +78,8 @@ def spectral_reference():
 def camembert_runs():
     """Criterion 7 runs from the shipped desk config: ROM twice (for the
     determinism check) and FWI once, identical starts."""
-    run = load_run(REPO / "configs" / "camembert_desk.json")
-    cfg, truth, acq = run.config, run.truth, run.acquisition
+    run = load_config(REPO / "configs" / "camembert_desk.json")
+    truth, acq = run.truth, run.acquisition
     ref_ds = acq.dataset(truth)
     ref_rom = build_rom(ref_ds)
     param, schedule, gn = run.search, run.schedule, run.gn
@@ -87,7 +87,7 @@ def camembert_runs():
     est_rom2, updates_rom2 = run_inversion(ref_rom, param, schedule, gn, acq)
     est_fwi, updates_fwi = run_inversion(ref_ds, param, schedule, gn, acq)
     return {
-        "config": cfg, "truth": truth, "acq": acq, "param": param,
+        "truth": truth, "acq": acq, "param": param,
         "schedule": schedule, "gn": gn, "ref_rom": ref_rom, "ref_ds": ref_ds,
         "rom": (est_rom, updates_rom), "rom2": (est_rom2, updates_rom2),
         "fwi": (est_fwi, updates_fwi),
@@ -258,7 +258,7 @@ def test_criterion_8_optimizer_contracts(camembert_runs):
     mono = all(f_new <= f_old * (1 + 1e-12) for f_new, f_old in (u.penalized for u in updates))
 
     # (b) mu_i = (sigma_{floor(gamma N)})^2, recomputed via an independent SVD
-    cfg, acq, param, gn = r["config"], r["acq"], r["param"], r["gn"]
+    acq, param, gn = r["acq"], r["param"], r["gn"]
     n_params = param.n_params
     idx = max(int(np.floor(gn.gamma * n_params)), 1)
     mu_ok = True

@@ -34,13 +34,21 @@ def base_config(**overrides):
     return cfg
 
 
+#: Stands for a key that `set_key` deletes instead of setting.
+DELETED = object()
+
+
 def set_key(cfg, path, value):
-    """Set the key at `path`, a tuple of keys, in cfg to `value`."""
+    """Set the key at `path`, a tuple of keys, in cfg to `value`, or delete
+    it when `value` is DELETED."""
     *head, last = path
     section = cfg
     for key in head:
         section = section[key]
-    section[last] = value
+    if value is DELETED:
+        del section[last]
+    else:
+        section[last] = value
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -95,6 +103,29 @@ class TestCensus:
 
     def test_degenerate_single_cell(self):
         assert len(local_minima_census(np.array([[3.0]]))) == 1
+
+    inf, nan = math.inf, math.nan
+
+    @pytest.mark.parametrize("surface, expected", [
+        # the 1s meet corner to corner: one plateau, reported at its first cell
+        ([[1, 1, 2], [2, 3, 1], [2, 2, 1]], [(0, 0, 1.0, False)]),
+        # a tie beside a lower cell is no minimum
+        ([[2, 2, 2], [2, 2, 2], [2, 2, 0]], [(2, 2, 0.0, False)]),
+        ([[4, 4, 4, 4], [4, 3, 3, 4], [4, 3, 3, 4], [4, 4, 4, 4]], [(1, 1, 3.0, True)]),
+        # equal infinities merge; -inf is below every finite value
+        ([[inf, inf], [inf, 0]], [(1, 1, 0.0, False)]),
+        ([[inf, inf], [inf, inf]], [(0, 0, inf, False)]),
+        ([[5, -inf, 5], [5, 5, 5], [-inf, 5, 5]], [(0, 1, -inf, False), (2, 0, -inf, False)]),
+        # NaN equals nothing and is below nothing: each NaN cell is its own
+        # minimum and blocks no neighbor
+        ([[1, 2, 3], [4, nan, 5], [6, 7, 8]], [(0, 0, 1.0, False), (1, 1, nan, True)]),
+        ([[nan, nan], [3, 2]], [(0, 0, nan, False), (0, 1, nan, False), (1, 1, 2.0, False)]),
+    ], ids=["diagonal-plateau", "tie-beside-lower", "interior-plateau", "inf-plateau-blocked",
+            "all-inf", "two-minus-inf", "nan-centre", "nan-row"])
+    def test_ties_infinities_and_nan(self, surface, expected):
+        minima = local_minima_census(np.array(surface, dtype=float))
+        got = [(rec["i"], rec["j"], rec["value"], rec["interior"]) for rec in minima]
+        assert repr(got) == repr(expected)
 
 
 class TestSynthesize:
@@ -244,6 +275,34 @@ class TestRomCommand:
         assert reason in out.err
         assert not (tmp_path / "r").exists()
 
+    def test_overflowing_condition_number_reported_as_null(self, tmp_path):
+        # 5e307 is below io.SAMPLE_LIMIT, so the dataset loads, but the ratio
+        # of the mass matrix's extreme singular values overflows
+        config = Path(__file__).resolve().parent.parent / "configs" / "camembert_desk.json"
+        main(["synthesize", "--config", str(config), "--out", str(tmp_path / "d")])
+        payload = np.fromfile(tmp_path / "d/dataset.bin", dtype="<f8")
+        payload[0] = 5e307
+        payload.tofile(tmp_path / "d/dataset.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"),
+                       "--out", str(tmp_path / "r")])
+        assert rc == 0
+        for path in (tmp_path / "r").glob("*.json"):  # strict JSON: no NaN or Infinity token
+            json.loads(path.read_text(), parse_constant=pytest.fail)
+        report = json.loads((tmp_path / "r/rom_report.json").read_text())
+        assert report["mass_condition_number"] is None
+
+    def test_non_finite_json_value_exits_3_naming_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(profile, "counts", lambda: {"forward.synth": math.inf})
+        cfg_path = write_config(tmp_path, base_config())
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {tmp_path / 'd/profile.json'}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d/profile.json").exists()
+
     def test_missing_dataset_io_error(self, tmp_path):
         rc = main(["rom", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
         assert rc == 4
@@ -294,7 +353,17 @@ SWEEP = {
 
 CAMEMBERT = {"factory": "camembert", "center": [550.0, 700.0], "radius": 300.0}
 
+#: A top-level key that names no section, a missing required section and a
+#: section that is not an object.
+TOP_LEVEL = [
+    pytest.param(("foo",), {}, id="unknown-top-level-key"),
+    pytest.param(("base_dir",), ".", id="top-level-base_dir"),
+    pytest.param(("grid",), DELETED, id="missing-grid"),
+    pytest.param(("search",), [], id="search-list"),
+]
+
 MALFORMED = [
+    *TOP_LEVEL,
     pytest.param(("search", "background"), {"kind": "gradient", "c_bottom": 2000.0},
                  id="gradient-background-without-c_top"),
     pytest.param(("search", "background"), {"kind": "file"}, id="file-background-without-path"),
@@ -454,6 +523,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, path, value):
         rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path, value", TOP_LEVEL)
+def test_top_level_key_refused_by_name(tmp_path, capsys, path, value):
+    cfg = base_config()
+    set_key(cfg, path, value)
+    rc = main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and path[0] in err
     assert not (tmp_path / "o").exists()
 
 

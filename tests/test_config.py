@@ -5,12 +5,13 @@ or its deletion, either loads or is refused without a warning."""
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from waverom.config import Run, _build_sections, load_run, run_from_dict
+from waverom.config import Run, load_config, run_from_dict
 from waverom.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,12 +26,12 @@ def test_four_configs_shipped():
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_config_builds(path):
-    run = load_run(path)
-    cfg, truth, acq = run.config, run.truth, run.acquisition
-    assert acq.array.m == cfg.acquisition["layout"]["m"]
-    assert acq.n == cfg.sampling["n"]
+    run = load_config(path)
+    stated, truth, acq = run.stated, run.truth, run.acquisition
+    assert acq.array.m == stated["acquisition"]["layout"]["m"]
+    assert acq.n == stated["sampling"]["n"]
     # each shipped config states the sections of one job, invert or sweep
-    if cfg.schedule:
+    if "schedule" in stated:
         assert run.search.background.grid == truth.grid
         assert run.schedule.k[-1] == acq.n
         assert run.sweep is None
@@ -42,14 +43,51 @@ def test_shipped_config_builds(path):
         assert run.search is None and run.schedule is None
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_builders_give_back_what_load_built(path):
+    """The Run's builders, which load builds through, rebuild its objects."""
+    run = load_config(path)
+    model = run.build_model()
+    assert model.grid == run.truth.grid
+    assert np.array_equal(model.c, run.truth.c)
+    acq = run.build_acquisition(run.truth.grid)
+    for f in fields(acq):
+        if f.name == "array":
+            assert np.array_equal(acq.array.positions, run.acquisition.array.positions)
+            assert acq.array.theta_width == run.acquisition.array.theta_width
+        else:
+            assert getattr(acq, f.name) == getattr(run.acquisition, f.name), f.name
+    if run.sweep is not None:
+        assert run.sweep_axes() == run.sweep
+
+
 def test_reference_model_refines_the_true_grid():
-    run = load_run(REPO / "configs" / "camembert_desk.json")
+    run = load_config(REPO / "configs" / "camembert_desk.json")
     truth = run.truth
     assert run.reference is truth
-    fine = _build_sections(replace(run.config, reference={"refine": 2}), run.stated).reference
+    fine = Run({**run.stated, "reference": {"refine": 2}}, run.base_dir).reference
     g, f = truth.grid, fine.grid
     assert (f.nx, f.nz) == (2 * g.nx + 1, 2 * g.nz + 1)
     assert f.extent == pytest.approx(g.extent)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"foo": {}}, r"config has unknown sections \['foo'\]"),
+    ({"grid": None}, "section grid must be an object, not NoneType"),
+    ({"method": True}, "key 'method' at method is true"),
+    ({"schema": "waverom-config-v0"}, "unsupported config schema 'waverom-config-v0'"),
+], ids=["unknown-section", "section-not-an-object", "boolean", "schema"])
+def test_run_built_directly_is_checked_like_a_load(change, message):
+    run = load_config(REPO / "configs" / "camembert_desk.json")
+    with pytest.raises(ConfigError, match=message):
+        Run({**run.stated, **change}, run.base_dir)
+
+
+def test_run_built_directly_refuses_a_missing_section():
+    run = load_config(REPO / "configs" / "camembert_desk.json")
+    stated = {k: v for k, v in run.stated.items() if k != "sampling"}
+    with pytest.raises(ConfigError, match=r"config missing sections \['sampling'\]"):
+        Run(stated, run.base_dir)
 
 
 def leaf_paths(value, path=()):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverom import profile
-from waverom.config import load_config, load_run
+from waverom.config import load_config
 from waverom.errors import CflViolation, NyquistViolation, OperatorOverflow, WaveromError
 from waverom.forward import (
     CHEB_MAX_NODES,
@@ -314,7 +314,7 @@ class TestChebyshev:
 
     @pytest.mark.parametrize("name", ["camembert_desk", "topography_sweep", "camembert_paper"])
     def test_reference_table_length_matches_scipy_dct(self, name):
-        run = load_run(REPO / "configs" / f"{name}.json")
+        run = load_config(REPO / "configs" / f"{name}.json")
         acq = run.acquisition
         lam = chebyshev_interval(DiscreteOperator(run.reference).lambda_upper())
         count = 2 * acq.n - 1
@@ -323,7 +323,7 @@ class TestChebyshev:
 
     def test_coefficients_reproduce_function(self):
         for name in ("camembert_desk", "topography_sweep", "camembert_paper"):
-            run = load_run(REPO / "configs" / f"{name}.json")
+            run = load_config(REPO / "configs" / f"{name}.json")
             acq = run.acquisition
             lam_max = chebyshev_interval(DiscreteOperator(run.reference).lambda_upper())
             count = 2 * acq.n - 1

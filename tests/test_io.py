@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from waverom import io
-from waverom.errors import ArtifactError
+from waverom.errors import ArtifactError, WaveromError
 from waverom.forward import Pulse, TraceRecord, line_array, synthesize_dataset
 from waverom.inversion import GnUpdate
 from waverom.model import (
@@ -247,6 +247,15 @@ def test_state_csv_value_not_finite_rejected(tmp_path, column, cell):
     (tmp_path / "s.csv").write_text(f"{header}\n{','.join(cells)}\n")
     with pytest.raises(ArtifactError, match="is not finite"):
         io.load_state_csv(tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_json_writer_refuses_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "manifest.json"
+    with pytest.raises(WaveromError) as err:
+        io.save_manifest(path, {"metrics": {"final_error": value}})
+    assert str(err.value).startswith(f"{path}: ")
+    assert not path.exists()
 
 
 def test_traces_csv_header(tmp_path):
