@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveVelocity, OperatorOverflow
+from .errors import ConfigError, OperatorOverflow
 from .forward import (
     SPECTRAL_CAP,
     Pulse,
@@ -144,7 +144,8 @@ class Run:
         one fails at load time.  Every model the config states must have a
         positive, finite operator bound, and with `method: spectral` the
         reference grid must not exceed SPECTRAL_CAP nodes.  A search names
-        its background and lattice; a sweep has at most
+        its background and lattice, and gn.fd_step times each of its bumps
+        moves its background at some node; a sweep has at most
         MAX_SWEEP_CANDIDATES nodes.
 
         Before any section is read, `stated` must hold no boolean, then the
@@ -189,6 +190,10 @@ class Run:
                 _check_operator(background)
             section = "gn"
             gn = GnConfig(**cfg.get("gn", {}))
+            if search:
+                c = search.background.c.ravel()[:, None]
+                if not (c + gn.fd_step * search.basis_matrix != c).any(axis=0).all():
+                    raise ValueError(f"fd_step {gn.fd_step:g} moves no node under some search bump")
             if cfg.get("schedule"):
                 section = "schedule"
                 s = cfg["schedule"]
@@ -233,8 +238,7 @@ class Run:
                     _check_operator(candidate)
         except KeyError as exc:
             raise ConfigError(f"{section} section missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError, MemoryError, NonPositiveVelocity,
-                OperatorOverflow) as exc:
+        except (TypeError, ValueError, OverflowError, MemoryError, OperatorOverflow) as exc:
             raise ConfigError(f"bad {section} section: {exc}") from exc
 
     # -- builders: each reads the stated sections --------------------------

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, dscal
 
 from . import profile
-from .errors import CflViolation, NyquistViolation, OperatorOverflow
+from .errors import NyquistViolation, OperatorOverflow, WaveromError
 from .model import Grid2D, VelocityModel, whole
 
 #: Largest n_dof for which the dense eigendecomposition path is allowed.
@@ -675,7 +675,7 @@ def synthesize_measurements(
     """Leapfrog the pressure equation and record all m^2 sensor traces.
 
     The record is laid out by `record_layout`, in steps of dt = tau /
-    DT_FACTOR.  Raises CflViolation when dt exceeds the stability limit of
+    DT_FACTOR.  Raises WaveromError when dt exceeds the stability limit of
     the discrete operator.
 
     Each step is p+ = S p - p- + dt^2 f'(t) theta, one product and two
@@ -689,7 +689,7 @@ def synthesize_measurements(
     dt = tau / DT_FACTOR
     dt_max = 2.0 / math.sqrt(scaled_entries(v)[1])
     if dt > dt_max:
-        raise CflViolation(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
+        raise WaveromError(f"dt={dt:g} exceeds the leapfrog stability limit {dt_max:g}")
     profile.count("forward.timedomain")
     theta = arr.theta_matrix(v.grid)
     lap = _laplacian_2d(v.grid)

@@ -21,15 +21,15 @@ import numpy as np
 import scipy.linalg
 
 from . import profile
-from .errors import JacobianRankWarning, MassNotSPD, OperatorOverflow, SingularSystem
+from .errors import JacobianRankWarning, MassNotSPD, OperatorOverflow, WaveromError
 from .forward import DataSet, _check_info
 from .model import C_MIN, Parametrization, VelocityModel, evaluate_velocity, whole
 from .objective import Acquisition, fwi_objective, rom_objective
 from .rom import OperatorRom
 
 
-#: What the residual of an infeasible trial velocity raises: its candidate
-#: ROM has a mass matrix that is not SPD, or its operator overflows.
+#: What the residual of an infeasible trial velocity raises: its ROM mass
+#: matrix is not SPD, or the velocity or its operator leaves the float range.
 INFEASIBLE = (MassNotSPD, OperatorOverflow)
 
 
@@ -65,7 +65,8 @@ class GnConfig:
     Gauss-Newton limit, for Python callers only.  alpha_max caps the
     line-search step (positive and finite) and fd_step is the
     finite-difference velocity step in m/s (positive and below C_MIN, the
-    clamp on trial velocities).
+    clamp on trial velocities).  Load also refuses an fd_step under which
+    some bump of the config's search moves no node of its background.
     """
 
     gamma: float = 0.3
@@ -174,7 +175,7 @@ def gn_step(svd, qtr: np.ndarray, mu: float) -> np.ndarray:
     Warns JacobianRankWarning when sigma_N / sigma_1 < 1e-14; with mu = 0
     a rank-deficient J (sigma_N at or below the least-squares cutoff
     eps * max(M, N) * sigma_1, with M the residual length) raises
-    SingularSystem.
+    WaveromError.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
@@ -189,7 +190,7 @@ def gn_step(svd, qtr: np.ndarray, mu: float) -> np.ndarray:
         )
     cutoff = np.finfo(float).eps * max(qtr.size, vt.shape[1]) * sigma[0]
     if mu == 0.0 and sigma[-1] <= cutoff:
-        raise SingularSystem("Jacobian rank deficient and mu = 0")
+        raise WaveromError("Jacobian rank deficient and mu = 0")
     return -(vt.T @ (sigma / (sigma**2 + mu) * (u.T @ qtr[: sigma.size])))
 
 
@@ -219,7 +220,9 @@ def line_search(
 
     def probe(alpha: float) -> float:
         nonlocal best_alpha, best_val
-        val = functional(eta + alpha * direction)
+        with np.errstate(over="ignore"):  # the functional refuses a trial beyond the float range
+            trial = eta + alpha * direction
+        val = functional(trial)
         if val < best_val:
             best_alpha, best_val = alpha, val
         return val
@@ -312,10 +315,6 @@ def run_inversion(
                     cache[key] = exc.with_traceback(None)
             return cache[key]
 
-        def objective_or_inf(eta: np.ndarray) -> float:
-            r = cached_residual(eta)
-            return math.inf if isinstance(r, Exception) else float(r @ r)
-
         for _ in range(schedule.q):
             anchor = eta
             base = cached_residual(anchor)
@@ -332,10 +331,14 @@ def run_inversion(
             direction = gn_step(svd, qtr, mu)
 
             # F_i penalizes the departure from the linearization point, the
-            # quadratic model the damped direction actually minimizes.
+            # quadratic model the damped direction actually minimizes; an
+            # infeasible trial scores +inf before its step is measured.
             def penalized(eta: np.ndarray) -> float:
+                r = cached_residual(eta)
+                if isinstance(r, Exception):
+                    return math.inf
                 step = eta - anchor
-                return objective_or_inf(eta) + mu * float(step @ step)
+                return float(r @ r) + mu * float(step @ step)
 
             alpha, f_new = line_search(anchor, direction, penalized, cfg.alpha_max)
             # A rejected step (alpha = 0) leaves eta bit for bit; the next

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, NonPositiveVelocity, WaveromError
+from .errors import ArtifactError, WaveromError
 from .forward import DataSet, TraceRecord
 from .model import GaussianBump, Grid2D, Parametrization, VelocityModel, whole
 from .rom import OperatorRom
@@ -73,7 +73,7 @@ def _parsing(path):
         yield
     except ArtifactError:
         raise
-    except (KeyError, TypeError, ValueError, csv.Error, NonPositiveVelocity) as exc:
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
         raise ArtifactError(f"{path}: malformed artifact: {exc!r}") from exc
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NonPositiveVelocity
+from .errors import OperatorOverflow
 
 #: Lower clamp on trial velocities (m/s), which keeps the wave operator
 #: well-posed during aggressive line-search trials.
@@ -116,7 +116,7 @@ class VelocityModel:
         if c.shape != (self.grid.nx, self.grid.nz):
             raise ValueError(f"c has shape {c.shape}, expected {(self.grid.nx, self.grid.nz)}")
         if not np.all(np.isfinite(c)) or np.any(c <= 0):
-            raise NonPositiveVelocity("velocity values must be positive and finite")
+            raise ValueError("velocity values must be positive and finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -194,10 +194,14 @@ class Parametrization:
 
 def evaluate_velocity(p: Parametrization, eta) -> VelocityModel:
     """Evaluate v(x; eta) = c_o(x) + sum_l eta_l phi_l(x) on the background grid,
-    each node clamped below at C_MIN."""
+    each node clamped below at C_MIN.  A v that leaves the float range at
+    some node, before the clamp, raises OperatorOverflow; numpy warns nothing."""
     g = p.background.grid
-    c = np.maximum(p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float), C_MIN)
-    return VelocityModel(g, c.reshape(g.nx, g.nz))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = p.background.c.ravel() + p.basis_matrix @ np.asarray(eta, dtype=float)
+    if not np.isfinite(c).all():
+        raise OperatorOverflow("trial velocity is not finite")
+    return VelocityModel(g, np.maximum(c, C_MIN).reshape(g.nx, g.nz))
 
 
 def make_constant_model(c0: float, g: Grid2D) -> VelocityModel:

@@ -3,7 +3,8 @@
 The program counts its syntheses (`forward.synth`), the sparse products
 of their Chebyshev moments (`forward.matvecs`) and the columns those
 products take (`forward.matvec_cols`), its ROM builds
-(`rom.build`), the Gauss-Newton trials whose ROM is infeasible
+(`rom.build`), the infeasible Gauss-Newton trials, whose ROM mass matrix
+is not SPD or whose velocity or operator leaves the float range
 (`inversion.infeasible`), the Jacobian columns taken as a backward
 difference because their forward trial was infeasible
 (`inversion.fd_backward`), its time-domain leapfrog records

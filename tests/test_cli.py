@@ -432,6 +432,8 @@ MALFORMED = [
     # one finite-difference column moves the velocity by up to fd_step m/s
     pytest.param(("gn",), {"fd_step": 1e300}, id="fd-step-beyond-c-min"),
     pytest.param(("gn",), {"fd_step": 300.0}, id="fd-step-at-c-min"),
+    # 1500 + 1e-14 phi rounds to 1500 at every node: each Jacobian column is 0
+    pytest.param(("gn",), {"fd_step": 1e-14}, id="fd-step-moving-no-node"),
     pytest.param(("search", "amplitude"), 1e300, id="amplitude-step-beyond-c-min"),
     # c^2 / h^2 beyond the float range: no synthesis of the model can run
     pytest.param(("model",), dict(CAMEMBERT, c_inside=1e200), id="c_inside-operator-overflows"),
@@ -754,9 +756,11 @@ def test_infeasible_anchor_exits_3_with_the_error_it_raised(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overflowing_line_search_trials_are_rejected(tmp_path):
-    # every probe alpha_max * 0.7^j puts c^2 / h^2 beyond the float range:
-    # each scores as infeasible and both steps are rejected
+@pytest.mark.parametrize("alpha_max", [1e300, 1e308])
+def test_overflowing_line_search_trials_are_rejected(tmp_path, capsys, alpha_max):
+    # every probe alpha_max * 0.7^j puts c^2 / h^2, or at 1e308 the trial
+    # iterate itself, beyond the float range: each scores as infeasible,
+    # silently, and both steps are rejected
     cfg = base_config(
         model={"factory": "camembert", "center": [800.0, 800.0], "radius": 400.0,
                "c_inside": 3600.0, "c_outside": 3000.0},
@@ -767,13 +771,14 @@ def test_overflowing_line_search_trials_are_rejected(tmp_path):
         },
         search={"background": {"kind": "constant", "c0": 3000.0}, "lattice": [3, 3]},
         schedule={"k": [4], "q": 2, "d": 4},
-        gn={"alpha_max": 1e300},
+        gn={"alpha_max": alpha_max},
     )
     out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    rc = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
     assert rc == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and printed.out.startswith("rom inversion: ")
+    assert printed.out.count("\n") == 1
     assert [row["alpha"] for row in io.load_state_csv(out / "state.csv")] == [0.0, 0.0]
     assert json.loads((out / "profile.json").read_text())["inversion.infeasible"] > 0
 

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverom.errors import NonPositiveVelocity
+from waverom.errors import OperatorOverflow
 from waverom.model import (
     C_MIN,
     C_TOP,
@@ -56,10 +58,11 @@ class TestGrid:
 
 
 class TestVelocityModel:
-    def test_rejects_nonpositive(self, grid):
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_nonpositive_or_nonfinite(self, grid, value):
         c = np.full((grid.nx, grid.nz), 1500.0)
-        c[3, 4] = 0.0
-        with pytest.raises(NonPositiveVelocity):
+        c[3, 4] = value
+        with pytest.raises(ValueError, match="velocity values must be positive and finite"):
             VelocityModel(grid, c)
 
     def test_immutable(self, grid):
@@ -99,6 +102,20 @@ class TestEvaluateVelocity:
     def test_clamp_floor(self, small_param):
         v = evaluate_velocity(small_param, [-5000.0, 0.0])
         assert v.c.min() == pytest.approx(C_MIN)
+
+    @pytest.mark.parametrize("eta", [[1e308, 1e308], [-1e308, -1e308], [np.inf, 0.0],
+                                     [-np.inf, 0.0], [np.inf, -np.inf], [np.nan, 0.0]],
+                             ids=["+inf", "-inf", "+inf-eta", "-inf-eta", "nan-sum", "nan-eta"])
+    def test_velocity_beyond_float_range_overflows_silently(self, grid, eta):
+        # two bumps on one center, so that 1e308 + 1e308 overflows there; the
+        # velocity leaves the float range before the clamp, whose floor would
+        # hide a -inf
+        bump = GaussianBump((600.0, 800.0), 200.0)
+        p = Parametrization(make_constant_model(2000.0, grid), (bump, bump))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflow, match="trial velocity is not finite"):
+                evaluate_velocity(p, eta)
 
     @given(
         a=st.floats(-30.0, 30.0),
