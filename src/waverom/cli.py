@@ -64,7 +64,8 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
     io.save_velocity(out / "truth.json", run.truth)
     manifest = _manifest_base("synthesize", run, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
-    manifest["path"] = args.path
+    # the default route runs the config's method
+    manifest["path"] = acq.method if args.path == "spectral" else args.path
     _save_manifest(out, manifest)
     print(f"wrote dataset (m={ds.m}, n={ds.n}, tau={ds.tau:g}) to {out}")
     return 0

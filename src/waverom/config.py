@@ -12,7 +12,8 @@ SECTION_KEYS field by field and refuses a key outside their list; the
 `gn` fields then go to GnConfig.  Each spec that names a constructor
 (the model, the search background, the sensor layout, the pulse and each
 sweep axis) is passed to it as keyword arguments, and the constructor
-holds the defaults and rejects unknown keys.  No config value is a boolean.
+holds the defaults and rejects unknown keys: `acquisition.pulse` goes to
+`Pulse` as it stands.  No config value is a boolean.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class Run:
         if method not in ("spectral", "chebyshev"):
             raise ConfigError(f"unknown method {method!r}")
         acquisition, sampling = self.stated["acquisition"], self.stated["sampling"]
-        pulse = Pulse.from_hz(**acquisition["pulse"])
+        pulse = Pulse(**acquisition["pulse"])
         layout = dict(acquisition["layout"])
         kind = layout.pop("kind", "line")
         if kind not in LAYOUTS:

@@ -23,7 +23,9 @@ Two independent routes produce the sampled data matrices:
   interval and laid out in whole steps by `record_layout`.
 
 Both share the same discrete operator, so their disagreement measures
-only time-discretization error.
+only time-discretization error.  A `DataSet` reads m and n from its
+sample stacks, and a `Pulse` holds the `freq_hz` and `bandwidth_hz` a
+config states.
 """
 
 from __future__ import annotations
@@ -66,35 +68,37 @@ def _sym(x: np.ndarray) -> np.ndarray:
 class Pulse:
     """Even band-limited probing pulse cos(omega0 t) exp(-(2 pi B)^2 t^2 / 2).
 
-    `omega0` is the angular central frequency (rad/s), `bandwidth` is B in
-    Hz.
+    `freq_hz` is the central frequency and `bandwidth_hz` is B, both in
+    Hz, as a config's `acquisition.pulse` states them; `omega0` is the
+    angular central frequency 2 pi freq_hz (rad/s).
     """
 
-    omega0: float
-    bandwidth: float
+    freq_hz: float
+    bandwidth_hz: float
 
     def __post_init__(self):
-        a = 2.0 * math.pi * self.bandwidth  # f_hat divides by a^2
-        if not (self.omega0 > 0 and self.bandwidth > 0 and math.isfinite(self.omega_ess)
+        a = 2.0 * math.pi * self.bandwidth_hz  # f_hat divides by a^2
+        if not (self.freq_hz > 0 and self.bandwidth_hz > 0 and math.isfinite(self.omega_ess)
                 and sys.float_info.min <= a * a < math.inf):
-            raise ValueError("pulse needs a finite omega0 > 0 and a bandwidth B > 0 "
-                             "whose (2 pi B)^2 is a normal double")
+            raise ValueError("pulse needs freq_hz > 0 and bandwidth_hz > 0 with "
+                             "2 pi (freq_hz + bandwidth_hz) finite and "
+                             "(2 pi bandwidth_hz)^2 a normal double")
 
-    @classmethod
-    def from_hz(cls, freq_hz: float, bandwidth_hz: float) -> "Pulse":
-        return cls(2.0 * math.pi * freq_hz, bandwidth_hz)
+    @property
+    def omega0(self) -> float:
+        return 2.0 * math.pi * self.freq_hz
 
     @property
     def tf(self) -> float:
         """Effective support half-width: the time beyond which the envelope
         drops below PULSE_SUPPORT_CUT of the peak."""
-        a = 2.0 * math.pi * self.bandwidth
+        a = 2.0 * math.pi * self.bandwidth_hz
         return math.sqrt(-2.0 * math.log(PULSE_SUPPORT_CUT)) / a
 
     @property
     def omega_ess(self) -> float:
         """Essential angular frequency omega0 + 2 pi B (rad/s)."""
-        return self.omega0 + 2.0 * math.pi * self.bandwidth
+        return self.omega0 + 2.0 * math.pi * self.bandwidth_hz
 
     @property
     def nyquist_tau(self) -> float:
@@ -107,7 +111,7 @@ class Pulse:
     def df(self, t):
         """Analytic derivative f'(t), the source time function."""
         t = np.asarray(t, dtype=float)
-        a = 2.0 * math.pi * self.bandwidth
+        a = 2.0 * math.pi * self.bandwidth_hz
         env = np.exp(-0.5 * (a * t) ** 2)
         return (-self.omega0 * np.sin(self.omega0 * t) - a**2 * t * np.cos(self.omega0 * t)) * env
 
@@ -117,7 +121,7 @@ class Pulse:
         A sum of two Gaussians centered at +-omega0; non-negative.
         """
         omega = np.asarray(omega, dtype=float)
-        a = 2.0 * math.pi * self.bandwidth
+        a = 2.0 * math.pi * self.bandwidth_hz
         scale = math.sqrt(2.0 * math.pi) / (2.0 * a)
         return scale * (
             np.exp(-((omega - self.omega0) ** 2) / (2.0 * a**2))
@@ -285,8 +289,7 @@ class DiscreteOperator:
 
     def __init__(self, velocity: VelocityModel):
         self.velocity = velocity
-        self.grid = velocity.grid
-        lap = _laplacian_2d(self.grid)
+        lap = _laplacian_2d(velocity.grid)
         data, self._bound = scaled_entries(velocity)
         self.matrix = sp.csr_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
         self._eig = None
@@ -502,37 +505,45 @@ def sample_coeffs(pulse, tau: float, count: int, lam_max: float) -> np.ndarray:
 @dataclass(frozen=True)
 class DataSet:
     """Sampled array data {D_j, Ddot_j}, j = 0..2n-2, each m x m, with m
-    and n whole numbers >= 1."""
+    and n whole numbers >= 1: `d` and `ddot` are (2n - 1, m, m) stacks of
+    one shape, which fixes m and n."""
 
     d: np.ndarray
     ddot: np.ndarray
     tau: float
-    m: int
-    n: int
 
     def __post_init__(self):
-        for name in ("m", "n"):
-            object.__setattr__(self, name, whole(getattr(self, name), name, 1))
-        shape = (2 * self.n - 1, self.m, self.m)
-        if self.d.shape != shape or self.ddot.shape != shape:
-            raise ValueError(f"data blocks must have shape {shape}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         for name in ("d", "ddot"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        shape = self.d.shape
+        if self.ddot.shape != shape:
+            raise ValueError(f"d has shape {shape} but ddot has shape {self.ddot.shape}")
+        if len(shape) != 3 or shape[0] % 2 == 0 or shape[1] != shape[2] or not shape[1]:
+            raise ValueError(f"data blocks must be (2n - 1, m, m) with n, m >= 1, "
+                             f"not {shape}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+
+    @property
+    def m(self) -> int:
+        return self.d.shape[1]
+
+    @property
+    def n(self) -> int:
+        return (self.d.shape[0] + 1) // 2
 
     @property
     def n_samples(self) -> int:
-        return 2 * self.n - 1
+        return self.d.shape[0]
 
 
 def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
     """First snapshot block u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s),
     through the dense eigendecomposition."""
     w, q = op.eig()
-    th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
+    th = arr.theta_matrix(op.velocity.grid) / arr.local_velocities(op.velocity)
     g = np.sqrt(np.maximum(pulse.f_hat(np.sqrt(np.maximum(w, 0.0))), 0.0))
     return q @ (g[:, None] * (q.T @ th))
 
@@ -599,7 +610,7 @@ def synthesize_dataset(
     profile.count("forward.synth")
     op = DiscreteOperator(v)
     lam_max = chebyshev_interval(op.lambda_upper())
-    th = arr.theta_matrix(op.grid) / arr.local_velocities(op.velocity)
+    th = arr.theta_matrix(op.velocity.grid) / arr.local_velocities(op.velocity)
     count = 2 * n - 1
     if method == "chebyshev":
         c = sample_coeffs(pulse, tau, count, lam_max)
@@ -609,7 +620,7 @@ def synthesize_dataset(
         c = sample_functions(pulse, tau, count, np.maximum(lam, 0.0))
         mu = p[:, :, None] * p[:, None, :]
     data = v.grid.quad_weight * np.tensordot(c, mu, axes=(0, 0))
-    return DataSet(_sym(data[0]), _sym(data[1]), tau, arr.m, n)
+    return DataSet(_sym(data[0]), _sym(data[1]), tau)
 
 
 # Time-domain measurement path -----------------------------------------------
@@ -749,4 +760,4 @@ def symmetrize_and_sample(
     idx = DT_FACTOR * np.arange(2 * n - 1)
     d = dpos[idx]
     ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / dt**2
-    return DataSet(_sym(d), _sym(ddot), rec.tau, arr.m, n)
+    return DataSet(_sym(d), _sym(ddot), rec.tau)

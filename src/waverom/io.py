@@ -180,7 +180,7 @@ def load_dataset(path) -> DataSet:
         blocks = payload(*[(2 * n - 1, m, m)] * 2)
         if not all((abs(block) <= SAMPLE_LIMIT).all() for block in blocks):
             raise ValueError(f"a sample is NaN, infinite or above {SAMPLE_LIMIT:.4g} in magnitude")
-        return DataSet(*blocks, h["tau"], m, n)
+        return DataSet(*blocks, h["tau"])
 
     return _load(path, "waverom-dataset-v1", build)
 
@@ -195,7 +195,7 @@ def save_rom(path, rom: OperatorRom):
 def load_rom(path) -> OperatorRom:
     def build(h, payload):
         m, n = whole(h["m"], "m", 1), whole(h["n"], "n", 1)
-        return OperatorRom(*payload((m * n, m * n), (m * n, m * n)), m, n)
+        return OperatorRom(*payload((m * n, m * n), (m * n, m * n)), m)
 
     return _load(path, "waverom-rom-v1", build)
 

@@ -4,7 +4,8 @@ The mass and stiffness matrices are assembled purely from the sampled
 data via the cosine product identity, factored by one LAPACK Cholesky
 (the unique block Cholesky factor of an SPD mass matrix), and combined
 into the projected operator A_rom = R^{-T} S R^{-1} without ever forming
-internal wavefields.
+internal wavefields.  An `OperatorRom` keeps A_rom, R and the block size
+m; its n is read from A_rom.
 """
 
 from __future__ import annotations
@@ -22,16 +23,20 @@ from .forward import DataSet, _check_info
 
 @dataclass(frozen=True)
 class OperatorRom:
-    """Projected wave operator with its block Cholesky provenance."""
+    """Projected wave operator A_rom, nm x nm, with its block Cholesky
+    factor R and the block size m, the sensor count; n is read from A_rom."""
 
     a_rom: np.ndarray
     r: np.ndarray
     m: int
-    n: int
 
     @property
     def dimension(self) -> int:
-        return self.n * self.m
+        return self.a_rom.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.dimension // self.m
 
 
 @lru_cache(maxsize=16)
@@ -92,7 +97,7 @@ def build_rom(data: DataSet) -> OperatorRom:
         a, info = scipy.linalg.lapack.dtrtrs(r, a, lower=0, trans=1)
         _check_info("dtrtrs", info)
         a = a.T
-    return OperatorRom(0.5 * (a + a.T), r, data.m, data.n)
+    return OperatorRom(0.5 * (a + a.T), r, data.m)
 
 
 def restrict(rom: OperatorRom, k: int) -> np.ndarray:

@@ -41,7 +41,7 @@ def truncate(ds: DataSet, k: int) -> DataSet:
         raise ValueError(f"truncation k={k} outside 1..{ds.n}")
     if k == ds.n:
         return ds
-    return DataSet(ds.d[: 2 * k - 1], ds.ddot[: 2 * k - 1], ds.tau, ds.m, k)
+    return DataSet(ds.d[: 2 * k - 1], ds.ddot[: 2 * k - 1], ds.tau)
 
 
 def velocity_at(v: VelocityModel, x: float, z: float) -> float:

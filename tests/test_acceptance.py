@@ -60,7 +60,7 @@ def spectral_reference():
     t0 = time.time()
     g = Grid2D(60, 60, 2000 / 61, 2000 / 61)
     v = make_camembert_model(g)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 4, depth=150.0)
     tau = pulse.default_tau()
     n = 8
@@ -157,7 +157,7 @@ def test_criterion_3_causality_of_restriction():
         ddot = np.array(ds.ddot)
         d[2 * k - 1 :] *= 1.1
         ddot[2 * k - 1 :] *= 1.1
-        rom_p = build_rom(DataSet(d, ddot, ds.tau, ds.m, ds.n))
+        rom_p = build_rom(DataSet(d, ddot, ds.tau))
         a, b = restrict(rom, k), restrict(rom_p, k)
         worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(a))
         # same causality, expressed through the truncated build
@@ -169,7 +169,7 @@ def test_criterion_3_causality_of_restriction():
 def test_criterion_4_data_interpolation():
     g = Grid2D(30, 30, 60.0, 60.0)
     v = make_constant_model(1500.0, g)
-    pulse = Pulse.from_hz(14.0, 0.4)
+    pulse = Pulse(14.0, 0.4)
     arr = line_array(g, 2, depth=200.0)
     tau = pulse.default_tau()
     n = 4
@@ -316,7 +316,7 @@ def test_criterion_9_identifiable_toy_recovery():
     t0 = time.time()
     g = Grid2D(24, 24, 1500 / 25, 1500 / 25)
     bg = make_constant_model(2000.0, g)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 4, depth=120.0)
     acq = Acquisition(arr, pulse, pulse.default_tau(), 6, method="chebyshev")
     bumps = tuple(

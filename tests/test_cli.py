@@ -140,6 +140,15 @@ class TestSynthesize:
         man_a.pop("timestamp"), man_b.pop("timestamp")
         assert man_a == man_b
 
+    @pytest.mark.parametrize("method", ["chebyshev", "spectral"])
+    def test_manifest_names_the_route_that_ran(self, tmp_path, method):
+        cfg_path = write_config(tmp_path, base_config(method=method))
+        for path, route in ((None, method), ("timedomain", "timedomain")):
+            out = tmp_path / route
+            flags = ["--path", path] if path else []
+            assert main(["synthesize", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+            assert json.loads((out / "manifest.json").read_text())["path"] == route
+
     def test_timedomain_path_with_traces(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         rc = main([
@@ -214,7 +223,7 @@ class TestRomCommand:
         ds = io.load_dataset(tmp_path / "d/dataset.json")
         bad = np.array(ds.d)
         bad[0] = -bad[0]  # negative-definite D_0 cannot be a Gram block
-        io.save_dataset(tmp_path / "d/dataset.json", type(ds)(bad, ds.ddot, ds.tau, ds.m, ds.n))
+        io.save_dataset(tmp_path / "d/dataset.json", type(ds)(bad, ds.ddot, ds.tau))
         rc = main(["rom", "--dataset", str(tmp_path / "d/dataset.json"), "--out", str(tmp_path / "r")])
         assert rc == 3
         assert not (tmp_path / "r").exists()
@@ -624,9 +633,16 @@ def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
     # the 4 hx = 40 m at which their sensor function is cut
     ("synthesize", ("grid",), {"nx": 60, "nz": 8, "hx": 10.0, "hz": 100.0},
      "bad acquisition section: sensor function has no support on the grid"),
+    # the refusal speaks of the keys a config states
+    ("synthesize", ("acquisition", "pulse", "bandwidth_hz"), 1e-200,
+     "bad acquisition section: pulse needs freq_hz > 0 and bandwidth_hz > 0 with "
+     "2 pi (freq_hz + bandwidth_hz) finite and (2 pi bandwidth_hz)^2 a normal double"),
+    ("synthesize", ("acquisition", "pulse", "freq"), 6.0,
+     "bad acquisition section: Pulse.__init__() got an unexpected keyword argument 'freq'"),
 ], ids=["nan-sweep-min", "infinite-sweep-max", "c_inside-operator-overflows",
         "sweep-candidate-operator-overflows", "camembert-disk-outside-domain",
-        "sensor-above-first-node-row", "negative-ring-inset", "sensor-function-without-support"])
+        "sensor-above-first-node-row", "negative-ring-inset", "sensor-function-without-support",
+        "pulse-bandwidth-square-underflows", "pulse-key-typo"])
 def test_refused_config_prints_only_its_error(tmp_path, capsys, command, path, value, message):
     cfg = base_config()
     set_key(cfg, path, value)

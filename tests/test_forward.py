@@ -53,7 +53,7 @@ def grid():
 
 @pytest.fixture
 def pulse():
-    return Pulse.from_hz(6.0, 4.0)
+    return Pulse(6.0, 4.0)
 
 
 def random_velocity(grid, seed=0, base=1500.0, spread=0.4):
@@ -79,7 +79,7 @@ def moment_case(case, pulse):
 def pulse_f(pulse, t):
     """The pulse in time, cos(omega0 t) exp(-(2 pi B t)^2 / 2)."""
     t = np.asarray(t, dtype=float)
-    a = 2.0 * math.pi * pulse.bandwidth
+    a = 2.0 * math.pi * pulse.bandwidth_hz
     return np.cos(pulse.omega0 * t) * np.exp(-0.5 * (a * t) ** 2)
 
 
@@ -116,6 +116,12 @@ class TestPulse:
         h = 1e-6
         fd = (pulse_f(pulse, t + h) - pulse_f(pulse, t - h)) / (2 * h)
         np.testing.assert_allclose(pulse.df(t), fd, rtol=1e-6, atol=1e-6)
+
+    def test_built_from_the_config_keys_with_the_angular_frequency_derived(self):
+        # every Chebyshev table key and f_hat value rests on this omega0
+        pulse = Pulse(**{"freq_hz": 6.0, "bandwidth_hz": 2.0})
+        assert pulse.omega0 == 2.0 * math.pi * 6.0
+        assert (pulse.freq_hz, pulse.bandwidth_hz) == (6.0, 2.0)
 
 
 class TestOperator:
@@ -423,7 +429,7 @@ class TestChebyshev:
         c = sample_coeffs(pulse, tau, count, lam)
         assert not c.flags.writeable
         assert c.base is None  # a compact copy, not a view of the DCT buffer
-        assert sample_coeffs(Pulse.from_hz(6.0, 4.0), tau, count, lam) is c
+        assert sample_coeffs(Pulse(6.0, 4.0), tau, count, lam) is c
         direct = sample_coeffs.__wrapped__(pulse, tau, count, lam)
         assert direct is not c
         assert c.shape == direct.shape
@@ -443,7 +449,7 @@ class TestChebyshev:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_table_cache_holds_cycled_buckets(self, grid):
-        pulse = Pulse.from_hz(5.0, 3.0)  # no other test builds a table for this pulse
+        pulse = Pulse(5.0, 3.0)  # no other test builds a table for this pulse
         v = random_velocity(grid, seed=11)
         models = [VelocityModel(grid, v.c * scale) for scale in (1.0, 1.01, 1.02)]
         lams = {chebyshev_interval(DiscreteOperator(u).lambda_upper()) for u in models}
@@ -536,7 +542,7 @@ class TestInitialStates:
         g = Grid2D(48, 48, 50.0, 50.0)
         v = make_constant_model(1500.0, g)
         op = DiscreteOperator(v)
-        pulse = Pulse.from_hz(6.0, 8.0)  # tight pulse so the ball fits
+        pulse = Pulse(6.0, 8.0)  # tight pulse so the ball fits
         arr = SensorArray(np.array([[1225.0, 1225.0]]), theta_width=g.hx)
         u0 = initial_states(op, arr, pulse).ravel()
         xx, zz = g.mesh()
@@ -655,16 +661,31 @@ class TestDataset:
         with pytest.warns(NyquistViolation):
             synthesize_dataset(v, arr, pulse, 1.2 * pulse.nyquist_tau, 2, method="chebyshev")
 
-    def test_dataset_validation(self):
-        with pytest.raises(ValueError):
-            DataSet(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), 0.05, 2, 2)
+    def test_sizes_read_from_the_stacks(self):
+        ds = DataSet(np.zeros((5, 2, 2)), np.zeros((5, 2, 2)), 0.05)
+        assert (ds.m, ds.n, ds.n_samples) == (2, 3, 5)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 2, 2), r"\(2n - 1, m, m\) with n, m >= 1, not \(4, 2, 2\)"),
+        ((3, 2, 3), r"not \(3, 2, 3\)"),
+        ((3, 0, 0), r"not \(3, 0, 0\)"),
+        ((3, 4), r"not \(3, 4\)"),
+    ], ids=["even-sample-count", "non-square-blocks", "no-sensor", "not-a-stack"])
+    def test_refuses_stacks_of_another_form(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            DataSet(np.zeros(shape), np.zeros(shape), 0.05)
+
+    def test_refuses_ddot_of_another_shape_naming_both(self):
+        with pytest.raises(ValueError, match=r"d has shape \(3, 2, 2\) but ddot has "
+                           r"shape \(5, 2, 2\)"):
+            DataSet(np.zeros((3, 2, 2)), np.zeros((5, 2, 2)), 0.05)
 
 
 @pytest.fixture(scope="module")
 def setup():
     g = Grid2D(30, 30, 2000 / 31, 2000 / 31)
     v = make_camembert_model(g, center=(1000.0, 1000.0), radius=500.0)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 3, depth=180.0)
     tau = pulse.default_tau()
     n = 5

@@ -292,7 +292,7 @@ class TestSchedule:
 def toy_problem():
     g = Grid2D(16, 16, 1200 / 17, 1200 / 17)
     bg = make_constant_model(2000.0, g)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 3, depth=150.0)
     acq = Acquisition(arr, pulse, pulse.default_tau(), 4, method="spectral")
     bumps = (

@@ -62,24 +62,27 @@ def test_parametrization_roundtrip(tmp_path, grid):
 
 def test_dataset_roundtrip(tmp_path, grid):
     v = make_constant_model(2000.0, grid)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(grid, 3, depth=200.0)
     ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 4, method="spectral")
     io.save_dataset(tmp_path / "d.json", ds)
     back = io.load_dataset(tmp_path / "d.json")
-    assert (back.m, back.n, back.tau) == (ds.m, ds.n, ds.tau)
+    header = json.loads((tmp_path / "d.json").read_text())
+    assert (back.m, back.n, back.tau) == (header["m"], header["n"], header["tau"]) == (3, 4, ds.tau)
     np.testing.assert_array_equal(back.d, ds.d)
     np.testing.assert_array_equal(back.ddot, ds.ddot)
 
 
 def test_rom_roundtrip(tmp_path, grid):
     v = make_constant_model(2000.0, grid)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(grid, 2, depth=200.0)
     ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="spectral")
     rom = build_rom(ds)
     io.save_rom(tmp_path / "r.json", rom)
     back = io.load_rom(tmp_path / "r.json")
+    header = json.loads((tmp_path / "r.json").read_text())
+    assert (back.m, back.n) == (header["m"], header["n"]) == (rom.m, rom.n) == (2, 3)
     np.testing.assert_array_equal(back.a_rom, rom.a_rom)
     np.testing.assert_array_equal(back.r, rom.r)
 
@@ -96,7 +99,7 @@ def test_wrong_schema_rejected(tmp_path):
 def artifacts(tmp_path, grid):
     """A velocity, dataset, ROM and parametrization on disk, by kind."""
     v = make_constant_model(2000.0, grid)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(grid, 2, depth=200.0)
     ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method="spectral")
     p = Parametrization(v, (GaussianBump((400.0, 600.0), 150.0),))

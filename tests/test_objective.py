@@ -27,7 +27,7 @@ def triu(x):
 def bundle():
     g = Grid2D(19, 24, 100.0, 100.0)
     truth = make_camembert_model(g)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 4, depth=200.0)
     acq = Acquisition(arr, pulse, pulse.default_tau(), 5, method="spectral")
     ref_ds = acq.dataset(truth)
@@ -131,7 +131,7 @@ class TestRelabeling:
         g = Grid2D(19, 24, 100.0, 100.0)
         truth = make_camembert_model(g)
         cand = make_constant_model(3000.0, g)
-        pulse = Pulse.from_hz(6.0, 4.0)
+        pulse = Pulse(6.0, 4.0)
         pos = np.array([[300.0, 200.0], [800.0, 200.0], [1300.0, 200.0], [1700.0, 300.0]])
         perm = [2, 0, 3, 1]
         values = []
@@ -148,7 +148,7 @@ class TestRelabeling:
         # permuting sensor labels conjugates every sample by the permutation
         g = Grid2D(16, 16, 100.0, 100.0)
         v = make_constant_model(2500.0, g)
-        pulse = Pulse.from_hz(6.0, 4.0)
+        pulse = Pulse(6.0, 4.0)
         pos = np.array([[300.0, 300.0], [900.0, 400.0], [1400.0, 300.0]])
         perm = np.array([1, 2, 0])
         tau = pulse.default_tau()

@@ -43,7 +43,7 @@ def synthetic_dataset(seed=0, m=2, n=4, tau=0.08, modes=60):
         ddj = -weights.T @ ((lam * cosj)[:, None] * weights)
         d[j] = 0.5 * (dj + dj.T)
         ddot[j] = 0.5 * (ddj + ddj.T)
-    return DataSet(d, ddot, tau, m, n)
+    return DataSet(d, ddot, tau)
 
 
 def decorrelated_dataset(n=5):
@@ -66,7 +66,7 @@ def decorrelated_dataset(n=5):
 def wave_setup():
     g = Grid2D(24, 30, 2000 / 25, 2500 / 31)
     v = make_camembert_model(g)
-    pulse = Pulse.from_hz(6.0, 4.0)
+    pulse = Pulse(6.0, 4.0)
     arr = line_array(g, 4, depth=150.0)
     tau = pulse.default_tau()
     n = 6
@@ -119,7 +119,7 @@ class TestAssembly:
         rng = np.random.default_rng(seed)
         d = rng.standard_normal((2 * n - 1, m, m))
         ddot = rng.standard_normal((2 * n - 1, m, m))
-        ds = DataSet(d, ddot, 1.0, m, n)
+        ds = DataSet(d, ddot, 1.0)
         mass = np.empty((n * m, n * m))
         stiff = np.empty_like(mass)
         for i in range(n):
@@ -219,12 +219,18 @@ class TestBlockCholesky:
 class TestBuildRom:
     def test_single_mode_stub(self):
         # 1-DOF medium: D_j = w^2 cos(j tau sqrt(lam)), ROM recovers lam
-        lam, weight, tau, n = 123.4, 0.7, 0.05, 1
+        lam, weight, tau = 123.4, 0.7, 0.05
         d = np.array([[[weight**2 * np.cos(j * tau * np.sqrt(lam))]] for j in range(1)])
         ddot = np.array([[[-lam * weight**2 * np.cos(j * tau * np.sqrt(lam))]] for j in range(1)])
-        rom = build_rom(DataSet(d, ddot, tau, 1, n))
+        rom = build_rom(DataSet(d, ddot, tau))
         assert rom.a_rom.shape == (1, 1)
         assert rom.a_rom[0, 0] == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (3, 2)])
+    def test_sizes_read_from_the_data(self, m, n):
+        ds = synthetic_dataset(m=m, n=n)
+        rom = build_rom(ds)
+        assert (rom.m, rom.n, rom.dimension) == (ds.m, ds.n, n * m) == (m, n, n * m)
 
     def test_full_span_matches_operator_spectrum(self):
         # snapshots span the whole 16-dim space: ROM is a conjugation of A
@@ -278,7 +284,7 @@ class TestBuildRom:
         # resolved-measure regime: ROM time response reproduces the samples
         g = Grid2D(30, 30, 60.0, 60.0)
         v = VelocityModel(g, np.full((30, 30), 1500.0))
-        pulse = Pulse.from_hz(14.0, 0.4)
+        pulse = Pulse(14.0, 0.4)
         arr = line_array(g, 2, depth=200.0)
         tau = pulse.default_tau()
         n = 4
@@ -342,7 +348,7 @@ class TestRestrict:
         ddot = np.array(ds.ddot)
         d[2 * k - 1 :] *= 1.1
         ddot[2 * k - 1 :] *= 1.1
-        rom2 = build_rom(DataSet(d, ddot, ds.tau, ds.m, ds.n))
+        rom2 = build_rom(DataSet(d, ddot, ds.tau))
         a, b = restrict(rom, k), restrict(rom2, k)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
 
@@ -361,7 +367,7 @@ class TestRestrict:
         d[2 * k - 1 :] *= scale
         ddot[2 * k - 1 :] *= scale
         try:
-            scaled = build_rom(DataSet(d, ddot, ds.tau, m, n))
+            scaled = build_rom(DataSet(d, ddot, ds.tau))
         except MassNotSPD as err:
             # the first k blocks of the mass matrix did not move, so the
             # scaled tail can break only the blocks beyond them
