@@ -28,10 +28,10 @@ Then times one ROM build on the reference model's dataset: `build_rom`
 on the assembled mass matrix.  Prints the median us of the repeats.
 
 Then times the dense route on the same reference operator: the
-eigenvalues with the sensor coordinates
-`DiscreteOperator.eig_coordinates(th)`, which the spectral synthesis
-calls.  Prints the median ms of DENSE_REPEATS warmed calls and the
-`tracemalloc` peak in MB of one more call.
+eigenvalues with the sensor coordinates `DiscreteOperator.eig(th)`,
+which the spectral synthesis calls.  Prints the median ms of
+DENSE_REPEATS warmed calls and the `tracemalloc` peak in MB of one more
+call.
 
 Then times the time-domain route on the same reference, DT_FACTOR
 leapfrog steps per sample interval: one record is
@@ -179,7 +179,7 @@ def bench(path: Path, repeats: int) -> dict:
     mass = assemble_mass(data)
 
     def coordinates():
-        return op.eig_coordinates(th)
+        return op.eig(th)
 
     def record():
         rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n)

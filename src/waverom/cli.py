@@ -53,7 +53,7 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
     if args.traces and args.path != "timedomain":
         raise ConfigError("--traces needs --path timedomain, the route that records traces")
     acq, ref = run.acquisition, run.reference
-    if args.path == "spectral":
+    if args.path is None:
         ds = acq.dataset(ref)
     else:
         rec = synthesize_measurements(ref, acq.array, acq.pulse, acq.tau, acq.n)
@@ -65,7 +65,7 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
     manifest = _manifest_base("synthesize", run, args)
     manifest["artifacts"] = {"dataset": "dataset.json", "truth": "truth.json"}
     # the default route runs the config's method
-    manifest["path"] = acq.method if args.path == "spectral" else args.path
+    manifest["path"] = args.path or acq.method
     _save_manifest(out, manifest)
     print(f"wrote dataset (m={ds.m}, n={ds.n}, tau={ds.tau:g}) to {out}")
     return 0
@@ -287,7 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="synthesize array data for a config")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--path", choices=("spectral", "timedomain"), default="spectral")
+    p.add_argument(
+        "--path", choices=("timedomain",),
+        help="run the leapfrog route instead of the config's method",
+    )
     p.add_argument("--traces", action="store_true", help="also export raw traces CSV (timedomain)")
 
     p = sub.add_parser("rom", help="build the operator ROM from a dataset file")

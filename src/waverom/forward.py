@@ -12,20 +12,22 @@ Two independent routes produce the sampled data matrices:
   the spectral method evaluates them at the eigenvalues of A and serves
   as the exact oracle.  It takes the eigenvalues and the coordinates of
   th in A's eigenbasis from one Householder tridiagonal reduction
-  (`DiscreteOperator.eig_coordinates`); the eigenvectors of A are never
-  formed.  The Chebyshev interval is the Gershgorin bound rounded up to a
-  geometric grid (`chebyshev_interval`), so all operators whose bounds
-  fall in one bucket of that grid share one cached table
-  (`sample_coeffs`).
+  (`DiscreteOperator.eig`, the only dense eigensolver here); the
+  eigenvectors of A are never formed.  The Chebyshev interval is the
+  Gershgorin bound rounded up to a geometric grid (`chebyshev_interval`),
+  so all operators whose bounds fall in one bucket of that grid share
+  one cached table (`sample_coeffs`).
 - The time-domain route leapfrogs the pressure equation, records sensor
   traces, and symmetrizes/samples them (`synthesize_measurements` +
   `symmetrize_and_sample`), in DT_FACTOR leapfrog steps per sample
   interval and laid out in whole steps by `record_layout`.
 
 Both share the same discrete operator, so their disagreement measures
-only time-discretization error.  A `DataSet` reads m and n from its
-sample stacks, and a `Pulse` holds the `freq_hz` and `bandwidth_hz` a
-config states.
+only time-discretization error.  The snapshot oracles `initial_states`
+and `propagate_snapshots`, which no command calls, take the eigenpairs
+(w, Q) of A from their caller, so the eigenvector matrix of A is never
+formed here.  A `DataSet` reads m and n from its sample stacks, and a
+`Pulse` holds the `freq_hz` and `bandwidth_hz` a config states.
 """
 
 from __future__ import annotations
@@ -292,7 +294,6 @@ class DiscreteOperator:
         lap = _laplacian_2d(velocity.grid)
         data, self._bound = scaled_entries(velocity)
         self.matrix = sp.csr_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
-        self._eig = None
 
     @property
     def dimension(self) -> int:
@@ -302,30 +303,7 @@ class DiscreteOperator:
         """Gershgorin upper bound on the spectrum (see `scaled_entries`)."""
         return self._bound
 
-    def _check_cap(self):
-        """Refuse a dense eigenproblem above SPECTRAL_CAP."""
-        if self.dimension > SPECTRAL_CAP:
-            raise ValueError(
-                f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
-                "use the Chebyshev path"
-            )
-
-    def eig(self):
-        """Dense eigendecomposition (ascending values), cached."""
-        if self._eig is None:
-            self._check_cap()
-            # evd (divide and conquer) on an F-ordered copy that LAPACK
-            # overwrites with the eigenvectors.
-            w, q = scipy.linalg.eigh(
-                self.matrix.toarray(order="F"),
-                driver="evd",
-                overwrite_a=True,
-                check_finite=False,
-            )
-            self._eig = (w, q)
-        return self._eig
-
-    def eig_coordinates(self, x: np.ndarray):
+    def eig(self, x: np.ndarray):
         """Ascending eigenvalues w of A and the coordinates V^T x of the
         block x in A's orthonormal eigenbasis V, without forming V.
 
@@ -335,13 +313,16 @@ class DiscreteOperator:
         Q^T x is row 0 of x stacked on `dormqr` of the other rows.  The
         copy is dropped before divide and conquer on the tridiagonal
         (`scipy.linalg.eigh_tridiagonal`, which runs `dstevd`) gives
-        T = S diag(w) S^T, and the result is
-        (w, S^T Q^T x).  `x` is only read and nothing is cached: unlike
-        `eig`, this never holds an n x n eigenvector matrix of A beside
-        its workspace.  Raises ValueError above SPECTRAL_CAP and
-        LinAlgError when LAPACK reports a failure.
+        T = S diag(w) S^T, and the result is (w, S^T Q^T x).  `x` is only
+        read and nothing is cached: no n x n eigenvector matrix of A is
+        ever held beside the workspace.  Raises ValueError above
+        SPECTRAL_CAP and LinAlgError when LAPACK reports a failure.
         """
-        self._check_cap()
+        if self.dimension > SPECTRAL_CAP:
+            raise ValueError(
+                f"n_dof {self.dimension} exceeds spectral cap {SPECTRAL_CAP}; "
+                "use the Chebyshev path"
+            )
         lapack = scipy.linalg.lapack
         lwork, info = lapack.dsytrd_lwork(self.dimension, lower=1)
         _check_info("dsytrd_lwork", info)
@@ -539,20 +520,19 @@ class DataSet:
         return self.d.shape[0]
 
 
-def initial_states(op: DiscreteOperator, arr: SensorArray, pulse) -> np.ndarray:
-    """First snapshot block u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s),
-    through the dense eigendecomposition."""
-    w, q = op.eig()
-    th = arr.theta_matrix(op.velocity.grid) / arr.local_velocities(op.velocity)
+def initial_states(eigenpairs, v: VelocityModel, arr: SensorArray, pulse) -> np.ndarray:
+    """First snapshot block u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s)
+    on the model v, through the eigenpairs A = Q diag(w) Q^T of its
+    operator, which the caller supplies as (w, Q)."""
+    w, q = eigenpairs
+    th = arr.theta_matrix(v.grid) / arr.local_velocities(v)
     g = np.sqrt(np.maximum(pulse.f_hat(np.sqrt(np.maximum(w, 0.0))), 0.0))
     return q @ (g[:, None] * (q.T @ th))
 
 
-def propagate_snapshots(
-    op: DiscreteOperator, u0: np.ndarray, tau: float, count: int
-) -> np.ndarray:
+def propagate_snapshots(eigenpairs, u0: np.ndarray, tau: float, count: int) -> np.ndarray:
     """Snapshots u_j = cos(j tau sqrt(A)) u_0 for j = 0..count-1, each
-    cosine evaluated exactly through the dense eigendecomposition.
+    cosine evaluated exactly through the eigenpairs (w, Q) of A.
 
     Returns the (n_dof, count m) block matrix whose block j holds the m
     states of the (n_dof, m) array u_0 at time j tau.
@@ -564,7 +544,7 @@ def propagate_snapshots(
     m = u0.shape[1]
     blocks = np.empty((u0.shape[0], count * m))
     blocks[:, :m] = u0
-    w, q = op.eig()
+    w, q = eigenpairs
     sq = np.sqrt(np.maximum(w, 0.0))
     p = q.T @ u0
     for j in range(1, count):
@@ -583,7 +563,7 @@ def synthesize_dataset(
     `sample_functions` against a spectral measure of th.  The spectral
     method evaluates them at the eigenvalues of A = V diag(lam) V^T and
     contracts with p = V^T th, so D_j = w p^T diag(f_j(lam)) p; lam and p
-    come from `DiscreteOperator.eig_coordinates`, one Householder
+    come from `DiscreteOperator.eig`, one Householder
     tridiagonal reduction that never forms V.  The chebyshev method
     expands them in one table of length K on [0, lam_max]
     and contracts it against the block moments th^T T_k(2A/lam_max - I) th,
@@ -616,7 +596,7 @@ def synthesize_dataset(
         c = sample_coeffs(pulse, tau, count, lam_max)
         mu = chebyshev_moments(op.matrix, th, c.shape[0], lam_max)
     else:
-        lam, p = op.eig_coordinates(th)
+        lam, p = op.eig(th)
         c = sample_functions(pulse, tau, count, np.maximum(lam, 0.0))
         mu = p[:, :, None] * p[:, None, :]
     data = v.grid.quad_weight * np.tensordot(c, mu, axes=(0, 0))

@@ -89,8 +89,9 @@ class Grid2D:
         return self.hz * np.arange(1, self.nz + 1)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinates as (nx, nz) arrays."""
-        return np.meshgrid(self.xs(), self.zs(), indexing="ij")
+        """Node coordinates as an (nx, 1) column of x and a (1, nz) row of
+        z, which broadcast to the (nx, nz) node block."""
+        return np.meshgrid(self.xs(), self.zs(), indexing="ij", sparse=True)
 
     def nearest_node(self, x: float, z: float) -> tuple[int, int]:
         i = int(round(x / self.hx)) - 1

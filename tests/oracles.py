@@ -1,15 +1,17 @@
 """Test oracles that no command of the program calls.
 
-A flat-spectrum pulse for operator-function identities, the blocks of a
-snapshot matrix, the truncated data set behind the causality checks,
-and the velocity at a point.
+A flat-spectrum pulse for operator-function identities, the dense
+eigenpairs of an operator, the blocks of a snapshot matrix, the
+truncated data set behind the causality checks, and the velocity at a
+point.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
-from waverom.forward import DataSet
+from waverom.forward import DataSet, DiscreteOperator
 from waverom.model import VelocityModel
 
 
@@ -22,6 +24,16 @@ class FlatPulse:
     @staticmethod
     def f_hat(omega):
         return np.ones_like(np.asarray(omega, dtype=float))
+
+
+def eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and orthonormal eigenvectors Q of the
+    operator's matrix, A = Q diag(w) Q^T: LAPACK's divide and conquer
+    (`evd`) on an F-ordered dense copy of A that it overwrites with Q.
+    The pairs `initial_states` and `propagate_snapshots` take."""
+    return scipy.linalg.eigh(
+        op.matrix.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False
+    )
 
 
 def block(snapshots: np.ndarray, m: int, j: int) -> np.ndarray:

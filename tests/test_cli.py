@@ -58,17 +58,18 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def assert_paths_agree(tmp_path, cfg, n):
-    """`synthesize` of cfg on both paths writes n samples that agree to 1e-3."""
+    """`synthesize` of cfg on the config's method and on the leapfrog route
+    writes n samples that agree to 1e-3."""
     cfg_path = write_config(tmp_path, cfg)
     ds = {}
-    for path in ("spectral", "timedomain"):
-        out = tmp_path / path
-        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out), "--path", path])
+    for route, flags in (("method", []), ("timedomain", ["--path", "timedomain"])):
+        out = tmp_path / route
+        rc = main(["synthesize", "--config", str(cfg_path), "--out", str(out), *flags])
         assert rc == 0
-        ds[path] = io.load_dataset(out / "dataset.json")
-        assert ds[path].n == n
+        ds[route] = io.load_dataset(out / "dataset.json")
+        assert ds[route].n == n
     for field in ("d", "ddot"):
-        a, b = getattr(ds["timedomain"], field), getattr(ds["spectral"], field)
+        a, b = getattr(ds["timedomain"], field), getattr(ds["method"], field)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-3, field
 
 
@@ -181,6 +182,19 @@ class TestSynthesize:
         ])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectral_path_is_refused_before_any_output(self, tmp_path, capsys):
+        # leaving --path out runs the config's method; no flag names it
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "synthesize", "--config", str(write_config(tmp_path, base_config())),
+                "--out", str(out), "--path", "spectral",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--path" in err and "spectral" in err
         assert not out.exists()
 
     def test_traces_without_timedomain_path_exits_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -41,7 +42,7 @@ from waverom.forward import (
 )
 from waverom.model import Grid2D, VelocityModel, make_camembert_model, make_constant_model
 
-from oracles import FlatPulse, block, velocity_at
+from oracles import FlatPulse, block, eigenpairs, velocity_at
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -153,8 +154,7 @@ class TestOperator:
 
     def test_smallest_eigenvalue_closed_form(self, grid):
         c0 = 1500.0
-        op = DiscreteOperator(make_constant_model(c0, grid))
-        w, _ = op.eig()
+        w, _ = eigenpairs(DiscreteOperator(make_constant_model(c0, grid)))
         lam_exact = c0**2 * (
             4 / grid.hx**2 * math.sin(math.pi / (2 * (grid.nx + 1))) ** 2
             + 4 / grid.hz**2 * math.sin(math.pi / (2 * (grid.nz + 1))) ** 2
@@ -164,7 +164,7 @@ class TestOperator:
 
     def test_gershgorin_bounds_spectrum(self, grid):
         op = DiscreteOperator(random_velocity(grid, seed=2))
-        w, _ = op.eig()
+        w, _ = eigenpairs(op)
         assert w[-1] <= op.lambda_upper() * (1 + 1e-12)
 
     @pytest.mark.parametrize("case", ["dirichlet", "camembert"])
@@ -189,7 +189,7 @@ class TestOperator:
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
         op = DiscreteOperator(random_velocity(grid))
         with pytest.raises(ValueError, match="exceeds spectral cap"):
-            op.eig()
+            op.eig(np.ones((grid.n_dof, 1)))
 
 
 def spectral_case(case):
@@ -203,10 +203,10 @@ def spectral_case(case):
     return v, line_array(g, 1 if case == "m1" else 3, depth=300.0)
 
 
-def dataset_through_eig(v, arr, pulse, tau, n):
+def dataset_through_eigenvectors(v, arr, pulse, tau, n):
     """D_j and Ddot_j contracted through the full eigenvector matrix of
-    `DiscreteOperator.eig`, p = Q^T th, symmetrized as the synthesis does."""
-    lam, q = DiscreteOperator(v).eig()
+    `eigenpairs`, p = Q^T th, symmetrized as the synthesis does."""
+    lam, q = eigenpairs(DiscreteOperator(v))
     p = q.T @ (arr.theta_matrix(v.grid) / arr.local_velocities(v))
     c = sample_functions(pulse, tau, 2 * n - 1, np.maximum(lam, 0.0))
     data = v.grid.quad_weight * np.einsum("kfj,kr,ks->fjrs", c, p, p)
@@ -218,11 +218,11 @@ class TestEigCoordinates:
     def test_spectral_data_match_the_full_eigenvectors(self, case, pulse):
         v, arr = spectral_case(case)
         if case == "camembert":
-            w, _ = DiscreteOperator(v).eig()
+            w, _ = eigenpairs(DiscreteOperator(v))
             assert np.sum(np.diff(w) < 1e-12 * w[-1]) > 10
         tau, n = pulse.default_tau(), 4
         ds = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
-        ref = dataset_through_eig(v, arr, pulse, tau, n)
+        ref = dataset_through_eigenvectors(v, arr, pulse, tau, n)
         for field, expected in zip(("d", "ddot"), ref):
             got = getattr(ds, field)
             err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
@@ -233,8 +233,8 @@ class TestEigCoordinates:
         v, arr = spectral_case(case)
         op = DiscreteOperator(v)
         x = arr.theta_matrix(v.grid) / arr.local_velocities(v)
-        w, p = op.eig_coordinates(x)
-        w_ref, _ = op.eig()
+        w, p = op.eig(x)
+        w_ref, _ = eigenpairs(op)
         assert p.shape == x.shape
         assert np.max(np.abs(w - w_ref)) <= 1e-12 * w_ref[-1]
         norms = np.linalg.norm(x, axis=0)
@@ -243,7 +243,7 @@ class TestEigCoordinates:
     def test_one_column(self, grid):
         op = DiscreteOperator(random_velocity(grid, seed=14))
         x = np.random.default_rng(15).standard_normal((grid.n_dof, 1))
-        w, p = op.eig_coordinates(x)
+        w, p = op.eig(x)
         assert p.shape == (grid.n_dof, 1)
         # x^T A^k x = sum_i w_i^k p_i^2, whatever the eigenvectors' signs
         ax = x
@@ -257,14 +257,31 @@ class TestEigCoordinates:
     def test_only_reads_x_and_caches_nothing(self, grid, order, cols):
         op = DiscreteOperator(random_velocity(grid, seed=16))
         x = np.array(np.random.default_rng(17).standard_normal((grid.n_dof, cols)), order=order)
-        kept = x.copy(order="A")
-        w, p = op.eig_coordinates(x)
+        kept, attributes = x.copy(order="A"), set(vars(op))
+        w, p = op.eig(x)
         assert x.tobytes(order="A") == kept.tobytes(order="A")
-        assert op._eig is None
+        assert set(vars(op)) == attributes
         x.flags.writeable = False
-        w2, p2 = op.eig_coordinates(x)
+        w2, p2 = op.eig(x)
         np.testing.assert_array_equal(w2, w)
         np.testing.assert_array_equal(p2, p)
+
+    def test_spectral_synthesis_calls_eig_once(self, grid, pulse, monkeypatch):
+        # perfbench's `forward.eig` span wraps the class attribute this way
+        calls = []
+        eig = DiscreteOperator.eig
+
+        @functools.wraps(eig)
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(DiscreteOperator, "eig", counted)
+        v, arr = random_velocity(grid, seed=18), line_array(grid, 2, depth=300.0)
+        for method, expected in (("spectral", 1), ("chebyshev", 0), ("spectral", 1)):
+            calls.clear()
+            synthesize_dataset(v, arr, pulse, pulse.default_tau(), 3, method)
+            assert len(calls) == expected, method
 
     def test_spectral_cap_through_the_synthesis(self, grid, pulse, monkeypatch):
         monkeypatch.setattr("waverom.forward.SPECTRAL_CAP", 10)
@@ -530,9 +547,8 @@ class TestSensorFunctions:
 class TestInitialStates:
     def test_flat_spectrum_identity(self, grid):
         v = random_velocity(grid, seed=3)
-        op = DiscreteOperator(v)
         arr = line_array(grid, 3, depth=300.0)
-        u0 = initial_states(op, arr, FlatPulse())
+        u0 = initial_states(eigenpairs(DiscreteOperator(v)), v, arr, FlatPulse())
         theta = arr.theta_matrix(grid)
         cs = arr.local_velocities(v)
         np.testing.assert_allclose(u0, theta / cs, atol=1e-12)
@@ -541,12 +557,11 @@ class TestInitialStates:
         # mass outside 3 c(x_s) tf below 1e-3 of total
         g = Grid2D(48, 48, 50.0, 50.0)
         v = make_constant_model(1500.0, g)
-        op = DiscreteOperator(v)
         pulse = Pulse(6.0, 8.0)  # tight pulse so the ball fits
         arr = SensorArray(np.array([[1225.0, 1225.0]]), theta_width=g.hx)
-        u0 = initial_states(op, arr, pulse).ravel()
+        u0 = initial_states(eigenpairs(DiscreteOperator(v)), v, arr, pulse).ravel()
         xx, zz = g.mesh()
-        r = np.hypot(xx.ravel() - 1225.0, zz.ravel() - 1225.0)
+        r = np.hypot(xx - 1225.0, zz - 1225.0).ravel()
         radius = 3 * 1500.0 * pulse.tf
         total = np.sum(np.abs(u0))
         outside = np.sum(np.abs(u0)[r > radius])
@@ -555,20 +570,20 @@ class TestInitialStates:
 
 class TestPropagation:
     def test_j0_identity(self, grid, pulse):
-        op = DiscreteOperator(random_velocity(grid))
+        v = random_velocity(grid)
+        pairs = eigenpairs(DiscreteOperator(v))
         arr = line_array(grid, 2, depth=300.0)
-        u0 = initial_states(op, arr, pulse)
-        snaps = propagate_snapshots(op, u0, 0.045, 1)
+        u0 = initial_states(pairs, v, arr, pulse)
+        snaps = propagate_snapshots(pairs, u0, 0.045, 1)
         np.testing.assert_array_equal(block(snaps, 2, 0), u0)
 
     def test_eigenmode_oscillates_exactly(self, grid):
         c0 = 1700.0
-        op = DiscreteOperator(make_constant_model(c0, grid))
-        w, q = op.eig()
+        w, q = eigenpairs(DiscreteOperator(make_constant_model(c0, grid)))
         k = 7
         u0 = q[:, [k]]
         tau = 0.01
-        snaps = propagate_snapshots(op, u0, tau, 9)
+        snaps = propagate_snapshots((w, q), u0, tau, 9)
         for j in range(9):
             expected = math.cos(j * tau * math.sqrt(w[k]))
             assert block(snaps, 1, j)[:, 0] @ q[:, k] == pytest.approx(expected, abs=1e-11)
@@ -597,11 +612,11 @@ class TestDataset:
 
     def test_symmetry_before_symmetrization(self, grid, pulse):
         v = random_velocity(grid, seed=6)
-        op = DiscreteOperator(v)
+        pairs = eigenpairs(DiscreteOperator(v))
         arr = line_array(grid, 3, depth=300.0)
-        u0 = initial_states(op, arr, pulse)
+        u0 = initial_states(pairs, v, arr, pulse)
         tau = pulse.default_tau()
-        snaps = propagate_snapshots(op, u0, tau, 5)
+        snaps = propagate_snapshots(pairs, u0, tau, 5)
         for j in range(5):
             raw = grid.quad_weight * (u0.T @ block(snaps, 3, j))
             assert np.linalg.norm(raw - raw.T) / np.linalg.norm(raw) < 1e-10
@@ -613,9 +628,9 @@ class TestDataset:
         tau = pulse.default_tau()
         n = 4
         ds = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
-        op = DiscreteOperator(v)
-        u0 = initial_states(op, arr, pulse)
-        snaps = propagate_snapshots(op, u0, tau, n)
+        pairs = eigenpairs(DiscreteOperator(v))
+        u0 = initial_states(pairs, v, arr, pulse)
+        snaps = propagate_snapshots(pairs, u0, tau, n)
         for i in range(n):
             for j in range(n):
                 direct = grid.quad_weight * (block(snaps, 2, i).T @ block(snaps, 2, j))
@@ -634,12 +649,11 @@ class TestDataset:
     def test_trace_energy_single_sensor(self, grid, pulse):
         # trace(D_j) equals the spectral sum of cos-weighted projections
         v = random_velocity(grid, seed=9)
-        op = DiscreteOperator(v)
         arr = line_array(grid, 1, depth=300.0)
         tau = pulse.default_tau()
         ds = synthesize_dataset(v, arr, pulse, tau, 3, method="spectral")
-        w, q = op.eig()
-        u0 = initial_states(op, arr, pulse).ravel()
+        w, q = eigenpairs(DiscreteOperator(v))
+        u0 = initial_states((w, q), v, arr, pulse).ravel()
         proj = (q.T @ u0) ** 2 * grid.quad_weight
         for j in range(5):
             expected = np.sum(proj * np.cos(j * tau * np.sqrt(np.maximum(w, 0.0))))
