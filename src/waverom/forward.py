@@ -290,7 +290,6 @@ class DiscreteOperator:
     """
 
     def __init__(self, velocity: VelocityModel):
-        self.velocity = velocity
         lap = _laplacian_2d(velocity.grid)
         data, self._bound = scaled_entries(velocity)
         self.matrix = sp.csr_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
@@ -590,7 +589,7 @@ def synthesize_dataset(
     profile.count("forward.synth")
     op = DiscreteOperator(v)
     lam_max = chebyshev_interval(op.lambda_upper())
-    th = arr.theta_matrix(op.velocity.grid) / arr.local_velocities(op.velocity)
+    th = arr.theta_matrix(v.grid) / arr.local_velocities(v)
     count = 2 * n - 1
     if method == "chebyshev":
         c = sample_coeffs(pulse, tau, count, lam_max)

@@ -56,23 +56,20 @@ class LayerSchedule:
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Gauss-Newton settings; a config's `gn` section sets all but
-    `regularization`.
+    """Gauss-Newton settings, the fields of a config's `gn` section.
 
     gamma is the Tikhonov quantile: mu_i is the squared floor(gamma N)-th
     largest singular value of the Jacobian (index clamped to 1 at the
-    low end).  Setting regularization="off" forces mu_i = 0, the plain
-    Gauss-Newton limit, for Python callers only.  alpha_max caps the
-    line-search step (positive and finite) and fd_step is the
-    finite-difference velocity step in m/s (positive and below C_MIN, the
-    clamp on trial velocities).  Load also refuses an fd_step under which
-    some bump of the config's search moves no node of its background.
+    low end).  alpha_max caps the line-search step (positive and finite)
+    and fd_step is the finite-difference velocity step in m/s (positive
+    and below C_MIN, the clamp on trial velocities).  Load also refuses
+    an fd_step under which some bump of the config's search moves no
+    node of its background.
     """
 
     gamma: float = 0.3
     alpha_max: float = 3.0
     fd_step: float = 1e-2
-    regularization: str = "adaptive"
 
     def __post_init__(self):
         if not 0.2 < self.gamma < 0.4:
@@ -81,8 +78,6 @@ class GnConfig:
             raise ValueError("alpha_max must be positive and finite")
         if not 0 < self.fd_step < C_MIN:
             raise ValueError(f"fd_step must be positive and below C_MIN = {C_MIN:g} m/s")
-        if self.regularization not in ("adaptive", "off"):
-            raise ValueError("regularization must be 'adaptive' or 'off'")
 
 
 class GnUpdate(NamedTuple):
@@ -160,7 +155,7 @@ def qr_svd(jac: np.ndarray, r: np.ndarray):
 def tikhonov_mu(sigma: np.ndarray, gamma: float) -> float:
     """Adaptive Tikhonov weight from the descending singular values of
     the Jacobian: square of the floor(gamma N)-th largest; a zero index
-    falls back to the largest (maximal regularization for the degenerate
+    falls back to the largest (the largest weight, for the degenerate
     small-N case)."""
     idx = max(int(math.floor(gamma * sigma.size)), 1)
     return float(sigma[idx - 1] ** 2)
@@ -203,36 +198,37 @@ LS_GOLDEN_ITERS = 8
 
 
 def line_search(
-    eta: np.ndarray, direction: np.ndarray, functional, alpha_max: float
-) -> tuple[float, float]:
+    eta: np.ndarray, direction: np.ndarray, functional, alpha_max: float, start: tuple
+) -> tuple:
     """Step length minimizing the functional along eta + alpha*direction.
 
-    Samples the geometric grid {alpha_max * LS_RHO^j, j < LS_GRID_SIZE}
-    and refines around the best grid point with LS_GOLDEN_ITERS
-    golden-section passes; the functional may return +inf for infeasible
-    trials.  Returns (alpha, value): the first probed alpha of least value
-    and the functional's value there, or (0, functional(eta)) when no
-    sampled step improves on the current value (step rejected).  A probe
-    is kept only when its value is strictly lower, so value never exceeds
-    functional(eta).
+    `functional` maps a trial to a (value, payload) pair, and `start` is
+    that pair at eta.  Samples the geometric grid
+    {alpha_max * LS_RHO^j, j < LS_GRID_SIZE} and refines around the best
+    grid point with LS_GOLDEN_ITERS golden-section passes; the functional
+    may return +inf for infeasible trials.  Returns (alpha, value, payload)
+    of the first probed alpha of least value, or (0, *start) when no
+    sampled step improves on start's value (step rejected).  A probe is
+    kept only when its value is strictly lower, so value never exceeds
+    start's.
     """
-    best_alpha, best_val = 0.0, functional(eta)
+    best = (0.0, *start)
 
     def probe(alpha: float) -> float:
-        nonlocal best_alpha, best_val
+        nonlocal best
         with np.errstate(over="ignore"):  # the functional refuses a trial beyond the float range
             trial = eta + alpha * direction
-        val = functional(trial)
-        if val < best_val:
-            best_alpha, best_val = alpha, val
+        val, payload = functional(trial)
+        if val < best[1]:
+            best = (alpha, val, payload)
         return val
 
     for j in range(LS_GRID_SIZE):
         probe(alpha_max * LS_RHO**j)
-    if best_alpha == 0.0:
-        return 0.0, best_val
+    if best[0] == 0.0:
+        return best
 
-    a, b = best_alpha * LS_RHO, min(best_alpha / LS_RHO, alpha_max)
+    a, b = best[0] * LS_RHO, min(best[0] / LS_RHO, alpha_max)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = probe(x1), probe(x2)
@@ -245,7 +241,7 @@ def line_search(
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = probe(x2)
-    return best_alpha, best_val
+    return best
 
 
 def make_residual_fn(reference, param: Parametrization, acq: Acquisition, d: int, k: int):
@@ -276,10 +272,13 @@ def run_inversion(
     minimizes; a rejected step (alpha = 0) advances i without changing
     eta.  Returns the estimate v(eta^(Lq)) and one GnUpdate per update,
     whose penalized pair leads with the value the line search accepted.
-    An infeasible trial (INFEASIBLE) scores +inf in the line search; an
-    update whose anchor eta^(i-1) is infeasible raises the error that its
-    residual raised.  An update that starts from a zero objective records
-    itself and takes no step.
+    Each layer synthesizes the residual at its first anchor once; every
+    later anchor's residual is the one the line search hands back with
+    the step it accepts, so no anchor is synthesized twice.  An
+    infeasible trial (INFEASIBLE) scores +inf in the line search and adds
+    one to `inversion.infeasible` in `profile`; a layer whose first anchor
+    is infeasible raises the error that its residual raised.  An update
+    that starts from a zero objective records itself and takes no step.
     """
     if not isinstance(reference, (OperatorRom, DataSet)):
         raise TypeError(f"reference is a {type(reference).__name__}, not an OperatorRom or DataSet")
@@ -292,34 +291,17 @@ def run_inversion(
 
     for layer_k in schedule.k:
         residual_fn = make_residual_fn(reference, param, acq, schedule.d, layer_k)
-
-        # Residual cache, valid within one layer (the residual map changes
-        # with k_l).  Line-search probes land here, so a repeated probe is a
-        # lookup and the accepted point's residual is free at the next
-        # iteration.  An infeasible trial is stored as the error it raised,
-        # its traceback cleared so that no frame or array stays alive.
-        cache: dict[bytes, np.ndarray | Exception] = {}
         # One Jacobian array per layer: each update of the layer assembles
         # and factors J in it.  Allocating J per update instead raised the
         # peak RSS of the desk ROM inversion by 1.6-3.3 MB, from about 68 MB
         # (seed 0, 2 vCPUs).
         jac = None
-
-        def cached_residual(eta: np.ndarray):
-            key = eta.tobytes()
-            if key not in cache:
-                try:
-                    cache[key] = residual_fn(eta)
-                except INFEASIBLE as exc:
-                    profile.count("inversion.infeasible")
-                    cache[key] = exc.with_traceback(None)
-            return cache[key]
+        # The residual at eta: computed at the layer's start (the residual
+        # map changes with k_l), then handed back by each line search.
+        base = residual_fn(eta)
 
         for _ in range(schedule.q):
             anchor = eta
-            base = cached_residual(anchor)
-            if isinstance(base, Exception):
-                raise base
             obj0 = float(base @ base)
             if obj0 == 0.0:
                 updates.append(GnUpdate(layer_k, obj0, 0.0, 0.0, (obj0, obj0), eta))
@@ -327,28 +309,27 @@ def run_inversion(
             if jac is None:
                 jac = np.empty((base.size, param.n_params), order="F")
             svd, qtr = qr_svd(jacobian(residual_fn, anchor, cfg.fd_step, base=base, out=jac), base)
-            mu = tikhonov_mu(svd[1], cfg.gamma) if cfg.regularization == "adaptive" else 0.0
+            mu = tikhonov_mu(svd[1], cfg.gamma)
             direction = gn_step(svd, qtr, mu)
 
             # F_i penalizes the departure from the linearization point, the
             # quadratic model the damped direction actually minimizes; an
             # infeasible trial scores +inf before its step is measured.
-            def penalized(eta: np.ndarray) -> float:
-                r = cached_residual(eta)
-                if isinstance(r, Exception):
-                    return math.inf
-                step = eta - anchor
-                return float(r @ r) + mu * float(step @ step)
+            def penalized(trial: np.ndarray):
+                try:
+                    r = residual_fn(trial)
+                except INFEASIBLE:
+                    profile.count("inversion.infeasible")
+                    return math.inf, None
+                step = trial - anchor
+                return float(r @ r) + mu * float(step @ step), r
 
-            alpha, f_new = line_search(anchor, direction, penalized, cfg.alpha_max)
-            # A rejected step (alpha = 0) leaves eta bit for bit; the next
-            # update reads only the new iterate's residual.
+            alpha, f_new, base = line_search(
+                anchor, direction, penalized, cfg.alpha_max, start=(obj0, base)
+            )
+            # A rejected step (alpha = 0) leaves eta bit for bit.
             eta = anchor + alpha * direction
             eta.flags.writeable = False
-            key = eta.tobytes()
-            r = cache[key]
-            cache.clear()
-            cache[key] = r
-            updates.append(GnUpdate(layer_k, float(r @ r), mu, alpha, (f_new, obj0), eta))
+            updates.append(GnUpdate(layer_k, float(base @ base), mu, alpha, (f_new, obj0), eta))
 
     return evaluate_velocity(param, eta), updates

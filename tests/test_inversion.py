@@ -228,28 +228,37 @@ class TestGnStep:
 
 
 class TestLineSearch:
+    # Each functional returns (value, payload) with a payload that names its
+    # trial, so the payload handed back shows which probe was accepted.
+
     def test_quadratic_minimum(self):
         eta = np.zeros(1)
         d = np.ones(1)
-        f = lambda e: float((e[0] - 1.0) ** 2)
-        alpha, value = line_search(eta, d, f, alpha_max=3.0)
+        f = lambda e: (float((e[0] - 1.0) ** 2), e)
+        alpha, value, trial = line_search(eta, d, f, alpha_max=3.0, start=f(eta))
         assert alpha == pytest.approx(1.0, rel=0.05)
-        assert value == f(eta + alpha * d)
+        np.testing.assert_array_equal(trial, eta + alpha * d)
+        assert value == f(trial)[0]
 
     def test_increasing_rejected(self):
-        f = lambda e: float(e[0]) + 2.0
-        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == (0.0, 2.0)
+        f = lambda e: (float(e[0]) + 2.0, e)
+        start = (2.0, object())
+        alpha, value, payload = line_search(np.zeros(1), np.ones(1), f, 3.0, start)
+        assert (alpha, value) == (0.0, 2.0)
+        assert payload is start[1]
 
     def test_infeasible_prefix_masked(self):
         def f(e):
             if e[0] > 1.0:
-                return float("inf")
-            return float((e[0] - 0.8) ** 2)
+                return float("inf"), None
+            return float((e[0] - 0.8) ** 2), e
 
-        alpha, value = line_search(np.zeros(1), np.ones(1), f, 3.0)
+        eta = np.zeros(1)
+        alpha, value, trial = line_search(eta, np.ones(1), f, 3.0, start=f(eta))
         assert 0.0 < alpha <= 1.0
         assert alpha == pytest.approx(0.8, rel=0.1)
-        assert value == f([alpha])
+        np.testing.assert_array_equal(trial, [alpha])
+        assert value == f(trial)[0]
 
     @pytest.mark.parametrize("golden", [inversion.GOLDEN, 0.5], ids=["golden", "midpoint"])
     @pytest.mark.parametrize("level, expected", [
@@ -265,9 +274,12 @@ class TestLineSearch:
         def f(e):
             alpha = float(e[0])
             probes.append(alpha)
-            return 0.0 if alpha == 0.0 else level(alpha)
+            return level(alpha), alpha
 
-        assert line_search(np.zeros(1), np.ones(1), f, 3.0) == (expected, level(expected))
+        start = (0.0, "start")
+        assert line_search(np.zeros(1), np.ones(1), f, 3.0, start) == (
+            expected, level(expected), expected
+        )
         assert (len(set(probes)) < len(probes)) == (golden == 0.5)
 
 
@@ -307,12 +319,17 @@ def toy_problem():
     return param, eta_star, v_true, ref_rom, acq
 
 
+@pytest.fixture
+def plain_gauss_newton(monkeypatch):
+    """mu_i = 0 at every update: the plain Gauss-Newton limit."""
+    monkeypatch.setattr(inversion, "tikhonov_mu", lambda sigma, gamma: 0.0)
+
+
 class TestRunInversion:
-    def test_identifiable_toy_recovery(self, toy_problem):
+    def test_identifiable_toy_recovery(self, toy_problem, plain_gauss_newton):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
-        cfg = GnConfig(regularization="off")
-        est, updates = run_inversion(ref_rom, param, sched, cfg, acq)
+        est, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
         assert np.linalg.norm(updates[-1].eta - eta_star) / np.linalg.norm(eta_star) < 1e-4
         assert len(updates) == 8
 
@@ -366,23 +383,62 @@ class TestRunInversion:
             with pytest.raises(ValueError):
                 u.eta[0] = 1.0
 
-    def test_rejected_step_keeps_eta(self, toy_problem):
+    def test_rejected_step_keeps_eta(self, toy_problem, plain_gauss_newton):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         # shift the background so eta=0 is already optimal: steps reject
         sched = LayerSchedule((acq.n,), q=2, d=acq.n)
-        cfg = GnConfig(regularization="off")
         bg_star = evaluate_velocity(param, eta=eta_star)
         param0 = Parametrization(bg_star, param.basis)
-        est, updates = run_inversion(ref_rom, param0, sched, cfg, acq)
+        est, updates = run_inversion(ref_rom, param0, sched, GnConfig(), acq)
         np.testing.assert_array_equal(updates[-1].eta, np.zeros(3))
         assert all(u.alpha == 0.0 for u in updates)
 
-    def test_fwi_mode_runs_and_recovers(self, toy_problem):
+    @pytest.mark.parametrize("k, q, mu", [((2, 4), 2, "adaptive"), ((4,), 8, "zero")],
+                             ids=["adaptive-two-layers", "zero-mu-rejecting"])
+    def test_each_update_synthesizes_only_its_columns_and_probes(
+        self, toy_problem, monkeypatch, request, k, q, mu
+    ):
+        # A layer synthesizes its first anchor, then per update N Jacobian
+        # columns (one more per backward column) and its probes: 13 grid
+        # points, and 10 golden-section points after an accepted step.  The
+        # anchor of a later update is the point its predecessor accepted,
+        # and is not synthesized again.
+        param, eta_star, v_true, ref_rom, acq = toy_problem
+        if mu == "zero":
+            request.getfixturevalue("plain_gauss_newton")
+        evaluated = []  # (k_l, trial velocity) of each residual evaluation
+        rom_objective = inversion.rom_objective
+
+        def recording(v, reference, d, k, acq):
+            evaluated.append((k, v.c.tobytes()))
+            return rom_objective(v, reference, d, k, acq)
+
+        monkeypatch.setattr(inversion, "rom_objective", recording)
+        sched = LayerSchedule(k, q=q, d=2)
+        profile.reset()
+        _, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        counts = profile.counts()
+
+        def work(u):
+            return param.n_params + (23 if u.alpha > 0 else 13)
+
+        assert counts["forward.synth"] == len(evaluated) == (
+            len(sched.k) + counts.get("inversion.fd_backward", 0) + sum(map(work, updates))
+        )
+        # A rejected step leaves eta, so the next update of its layer repeats
+        # it bit for bit; no other trial is evaluated twice in one layer.
+        repeated = sum(
+            work(u) for before, u in zip(updates, updates[1:])
+            if u.k == before.k and before.alpha == 0.0
+        )
+        assert len(set(evaluated)) == len(evaluated) - repeated
+        assert (repeated > 0) == (mu == "zero")
+
+    def test_fwi_mode_runs_and_recovers(self, toy_problem, plain_gauss_newton):
         param, eta_star, v_true, ref_rom, acq = toy_problem
         ref_ds = acq.dataset(v_true)
         sched = LayerSchedule((acq.n,), q=8, d=acq.n)
-        cfg = GnConfig(regularization="off")
-        est, updates = run_inversion(ref_ds, param, sched, cfg, acq)
+        est, updates = run_inversion(ref_ds, param, sched, GnConfig(), acq)
         assert np.linalg.norm(updates[-1].eta - eta_star) / np.linalg.norm(eta_star) < 1e-3
 
     def test_mode_reference_type_checked(self, toy_problem):
