@@ -68,18 +68,18 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Even band-limited probing pulse cos(omega0 t) exp(-(2 pi B)^2 t^2 / 2).
+    """Even band-limited probing pulse cos(omega0 t) exp(-(omega_b t)^2 / 2).
 
     `freq_hz` is the central frequency and `bandwidth_hz` is B, both in
-    Hz, as a config's `acquisition.pulse` states them; `omega0` is the
-    angular central frequency 2 pi freq_hz (rad/s).
+    Hz, as a config's `acquisition.pulse` states them; `omega0` = 2 pi
+    freq_hz and `omega_b` = 2 pi B are their angular values (rad/s).
     """
 
     freq_hz: float
     bandwidth_hz: float
 
     def __post_init__(self):
-        a = 2.0 * math.pi * self.bandwidth_hz  # f_hat divides by a^2
+        a = self.omega_b  # f_hat divides by a^2
         if not (self.freq_hz > 0 and self.bandwidth_hz > 0 and math.isfinite(self.omega_ess)
                 and sys.float_info.min <= a * a < math.inf):
             raise ValueError("pulse needs freq_hz > 0 and bandwidth_hz > 0 with "
@@ -91,16 +91,19 @@ class Pulse:
         return 2.0 * math.pi * self.freq_hz
 
     @property
+    def omega_b(self) -> float:
+        return 2.0 * math.pi * self.bandwidth_hz
+
+    @property
     def tf(self) -> float:
         """Effective support half-width: the time beyond which the envelope
         drops below PULSE_SUPPORT_CUT of the peak."""
-        a = 2.0 * math.pi * self.bandwidth_hz
-        return math.sqrt(-2.0 * math.log(PULSE_SUPPORT_CUT)) / a
+        return math.sqrt(-2.0 * math.log(PULSE_SUPPORT_CUT)) / self.omega_b
 
     @property
     def omega_ess(self) -> float:
         """Essential angular frequency omega0 + 2 pi B (rad/s)."""
-        return self.omega0 + 2.0 * math.pi * self.bandwidth_hz
+        return self.omega0 + self.omega_b
 
     @property
     def nyquist_tau(self) -> float:
@@ -113,7 +116,7 @@ class Pulse:
     def df(self, t):
         """Analytic derivative f'(t), the source time function."""
         t = np.asarray(t, dtype=float)
-        a = 2.0 * math.pi * self.bandwidth_hz
+        a = self.omega_b
         env = np.exp(-0.5 * (a * t) ** 2)
         return (-self.omega0 * np.sin(self.omega0 * t) - a**2 * t * np.cos(self.omega0 * t)) * env
 
@@ -123,7 +126,7 @@ class Pulse:
         A sum of two Gaussians centered at +-omega0; non-negative.
         """
         omega = np.asarray(omega, dtype=float)
-        a = 2.0 * math.pi * self.bandwidth_hz
+        a = self.omega_b
         scale = math.sqrt(2.0 * math.pi) / (2.0 * a)
         return scale * (
             np.exp(-((omega - self.omega0) ** 2) / (2.0 * a**2))

@@ -1,13 +1,13 @@
 """Layer-stripping Gauss-Newton minimization of ROM or FWI misfit.
 
-The outer loop runs exactly L*q regularized Gauss-Newton updates.  Each
-update linearizes the residual by forward finite differences (backward
-where the forward trial is infeasible), one synthesis per column in index
-order, into a single M x N Jacobian.  It factors that Jacobian in place
-with one Householder QR and takes the SVD of the N x N triangle, which
-gives the adaptive Tikhonov weight, the rank check and the damped
-direction.  The update then line-searches the penalized functional with
-a rejection fallback so accepted steps never increase it.
+The outer loop records exactly L*q regularized Gauss-Newton updates and
+computes those that can move the iterate.  Each linearizes the residual
+by forward finite differences (backward where the forward trial is
+infeasible), one synthesis per column in index order, into one M x N
+Jacobian, factored in place by one Householder QR; the SVD of the N x N
+triangle gives the adaptive Tikhonov weight, the rank check and the
+damped direction.  The update then line-searches the penalized
+functional with a rejection fallback so accepted steps never increase it.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class GnUpdate(NamedTuple):
     """One Gauss-Newton update: its restriction size k_l, the objective at
     its iterate, mu, the accepted step alpha, the pair
     (F_i(eta^(i)), F_i(eta^(i-1))) whose ordering the accepted-step
-    monotonicity contract promises, and the iterate eta^(i), read-only."""
+    monotonicity contract promises, and the iterate eta^(i), read-only.
+    Updates after one that leaves eta at its k_l repeat it (run_inversion)."""
 
     k: int
     objective: float
@@ -269,16 +270,17 @@ def run_inversion(
     i = (l-1)q + j line-searches the penalized functional
     F_i(eta) = O_{d,k_l}(eta) + mu_i |eta - eta^(i-1)|^2 along the damped
     Gauss-Newton direction, the same quadratic model the direction solve
-    minimizes; a rejected step (alpha = 0) advances i without changing
-    eta.  Returns the estimate v(eta^(Lq)) and one GnUpdate per update,
-    whose penalized pair leads with the value the line search accepted.
-    Each layer synthesizes the residual at its first anchor once; every
-    later anchor's residual is the one the line search hands back with
-    the step it accepts, so no anchor is synthesized twice.  An
-    infeasible trial (INFEASIBLE) scores +inf in the line search and adds
-    one to `inversion.infeasible` in `profile`; a layer whose first anchor
-    is infeasible raises the error that its residual raised.  An update
-    that starts from a zero objective records itself and takes no step.
+    minimizes.  Returns the estimate v(eta^(Lq)) and one GnUpdate per
+    update, whose penalized pair leads with the value the line search
+    accepted.  The layers of one size k, consecutive as k is nondecreasing,
+    minimize one functional and form one stretch: it synthesizes the
+    residual at its first anchor, and each later anchor's is the one the
+    line search hands back with the step it accepts.  An update that
+    leaves eta (a rejected step, alpha = 0, or a zero objective) changes
+    no input of the next, so it is recorded again for the rest of its
+    stretch, which ends there.  An infeasible trial (INFEASIBLE) scores
+    +inf in the line search and adds one to `inversion.infeasible` in
+    `profile`; an infeasible first anchor raises its residual's error.
     """
     if not isinstance(reference, (OperatorRom, DataSet)):
         raise TypeError(f"reference is a {type(reference).__name__}, not an OperatorRom or DataSet")
@@ -289,47 +291,42 @@ def run_inversion(
     eta.flags.writeable = False
     updates: list[GnUpdate] = []
 
-    for layer_k in schedule.k:
-        residual_fn = make_residual_fn(reference, param, acq, schedule.d, layer_k)
-        # One Jacobian array per layer: each update of the layer assembles
-        # and factors J in it.  Allocating J per update instead raised the
-        # peak RSS of the desk ROM inversion by 1.6-3.3 MB, from about 68 MB
-        # (seed 0, 2 vCPUs).
-        jac = None
-        # The residual at eta: computed at the layer's start (the residual
-        # map changes with k_l), then handed back by each line search.
-        base = residual_fn(eta)
-
-        for _ in range(schedule.q):
+    for k in dict.fromkeys(schedule.k):
+        residual_fn = make_residual_fn(reference, param, acq, schedule.d, k)
+        base = residual_fn(eta)  # then handed back by each line search
+        # One Jacobian array per stretch: one per update raised the desk ROM
+        # inversion's peak RSS by 1.6-3.3 MB from about 68 MB (seed 0, 2 vCPUs).
+        jac = np.empty((base.size, param.n_params), order="F")
+        for left in range(schedule.q * schedule.k.count(k), 0, -1):
             anchor = eta
             obj0 = float(base @ base)
             if obj0 == 0.0:
-                updates.append(GnUpdate(layer_k, obj0, 0.0, 0.0, (obj0, obj0), eta))
-                continue
-            if jac is None:
-                jac = np.empty((base.size, param.n_params), order="F")
-            svd, qtr = qr_svd(jacobian(residual_fn, anchor, cfg.fd_step, base=base, out=jac), base)
-            mu = tikhonov_mu(svd[1], cfg.gamma)
-            direction = gn_step(svd, qtr, mu)
+                update = GnUpdate(k, obj0, 0.0, 0.0, (obj0, obj0), eta)
+            else:
+                svd, qtr = qr_svd(jacobian(residual_fn, anchor, cfg.fd_step, base, jac), base)
+                mu = tikhonov_mu(svd[1], cfg.gamma)
+                direction = gn_step(svd, qtr, mu)
 
-            # F_i penalizes the departure from the linearization point, the
-            # quadratic model the damped direction actually minimizes; an
-            # infeasible trial scores +inf before its step is measured.
-            def penalized(trial: np.ndarray):
-                try:
-                    r = residual_fn(trial)
-                except INFEASIBLE:
-                    profile.count("inversion.infeasible")
-                    return math.inf, None
-                step = trial - anchor
-                return float(r @ r) + mu * float(step @ step), r
+                # F_i penalizes the departure from the linearization point, the
+                # quadratic model the damped direction actually minimizes; an
+                # infeasible trial scores +inf before its step is measured.
+                def penalized(trial: np.ndarray):
+                    try:
+                        r = residual_fn(trial)
+                    except INFEASIBLE:
+                        profile.count("inversion.infeasible")
+                        return math.inf, None
+                    step = trial - anchor
+                    return float(r @ r) + mu * float(step @ step), r
 
-            alpha, f_new, base = line_search(
-                anchor, direction, penalized, cfg.alpha_max, start=(obj0, base)
-            )
-            # A rejected step (alpha = 0) leaves eta bit for bit.
-            eta = anchor + alpha * direction
-            eta.flags.writeable = False
-            updates.append(GnUpdate(layer_k, float(base @ base), mu, alpha, (f_new, obj0), eta))
+                alpha, f_new, base = line_search(anchor, direction, penalized,
+                                                 cfg.alpha_max, start=(obj0, base))
+                eta = anchor + alpha * direction
+                eta.flags.writeable = False
+                update = GnUpdate(k, float(base @ base), mu, alpha, (f_new, obj0), eta)
+            if update.alpha == 0.0:  # eta stays: the rest of the stretch repeats this update
+                updates += [update] * left
+                break
+            updates.append(update)
 
     return evaluate_velocity(param, eta), updates

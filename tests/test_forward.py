@@ -122,6 +122,7 @@ class TestPulse:
         # every Chebyshev table key and f_hat value rests on this omega0
         pulse = Pulse(**{"freq_hz": 6.0, "bandwidth_hz": 2.0})
         assert pulse.omega0 == 2.0 * math.pi * 6.0
+        assert pulse.omega_b == 2.0 * math.pi * 2.0
         assert (pulse.freq_hz, pulse.bandwidth_hz) == (6.0, 2.0)
 
 

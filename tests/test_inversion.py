@@ -325,6 +325,21 @@ def plain_gauss_newton(monkeypatch):
     monkeypatch.setattr(inversion, "tikhonov_mu", lambda sigma, gamma: 0.0)
 
 
+def repeated_rejections(updates):
+    """Indices of the updates after the first rejected one at their k_l,
+    each asserted equal to that one field by field, eta by array."""
+    rejected = {}
+    repeats = []
+    for i, u in enumerate(updates):
+        if u.k in rejected:
+            assert u[:-1] == rejected[u.k][:-1]
+            np.testing.assert_array_equal(u.eta, rejected[u.k].eta)
+            repeats.append(i)
+        elif u.alpha == 0.0:
+            rejected[u.k] = u
+    return repeats
+
+
 class TestRunInversion:
     def test_identifiable_toy_recovery(self, toy_problem, plain_gauss_newton):
         param, eta_star, v_true, ref_rom, acq = toy_problem
@@ -392,17 +407,22 @@ class TestRunInversion:
         est, updates = run_inversion(ref_rom, param0, sched, GnConfig(), acq)
         np.testing.assert_array_equal(updates[-1].eta, np.zeros(3))
         assert all(u.alpha == 0.0 for u in updates)
+        assert repeated_rejections(updates) == [1]
 
-    @pytest.mark.parametrize("k, q, mu", [((2, 4), 2, "adaptive"), ((4,), 8, "zero")],
-                             ids=["adaptive-two-layers", "zero-mu-rejecting"])
+    @pytest.mark.parametrize(
+        "k, q, mu",
+        [((2, 4), 2, "adaptive"), ((4, 4), 2, "adaptive"), ((4,), 8, "zero")],
+        ids=["adaptive-two-layers", "adaptive-equal-k", "zero-mu-rejecting"],
+    )
     def test_each_update_synthesizes_only_its_columns_and_probes(
         self, toy_problem, monkeypatch, request, k, q, mu
     ):
-        # A layer synthesizes its first anchor, then per update N Jacobian
-        # columns (one more per backward column) and its probes: 13 grid
-        # points, and 10 golden-section points after an accepted step.  The
-        # anchor of a later update is the point its predecessor accepted,
-        # and is not synthesized again.
+        # Each restriction size synthesizes its first anchor once, then per
+        # update N Jacobian columns (one more per backward column) and its
+        # probes: 13 grid points, and 10 golden-section points after an
+        # accepted step.  The anchor of a later update is the point its
+        # predecessor accepted, and is not synthesized again; an update that
+        # repeats the rejected one before it synthesizes nothing.
         param, eta_star, v_true, ref_rom, acq = toy_problem
         if mu == "zero":
             request.getfixturevalue("plain_gauss_newton")
@@ -419,20 +439,17 @@ class TestRunInversion:
         _, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
         counts = profile.counts()
 
-        def work(u):
-            return param.n_params + (23 if u.alpha > 0 else 13)
-
+        repeats = repeated_rejections(updates)
+        work = sum(
+            param.n_params + (23 if u.alpha > 0 else 13)
+            for i, u in enumerate(updates) if i not in repeats
+        )
+        assert len(updates) == len(sched.k) * sched.q
         assert counts["forward.synth"] == len(evaluated) == (
-            len(sched.k) + counts.get("inversion.fd_backward", 0) + sum(map(work, updates))
+            len(set(sched.k)) + counts.get("inversion.fd_backward", 0) + work
         )
-        # A rejected step leaves eta, so the next update of its layer repeats
-        # it bit for bit; no other trial is evaluated twice in one layer.
-        repeated = sum(
-            work(u) for before, u in zip(updates, updates[1:])
-            if u.k == before.k and before.alpha == 0.0
-        )
-        assert len(set(evaluated)) == len(evaluated) - repeated
-        assert (repeated > 0) == (mu == "zero")
+        assert len(set(evaluated)) == len(evaluated)  # no trial twice at one k
+        assert bool(repeats) == (mu == "zero")
 
     def test_fwi_mode_runs_and_recovers(self, toy_problem, plain_gauss_newton):
         param, eta_star, v_true, ref_rom, acq = toy_problem
