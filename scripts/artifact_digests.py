@@ -10,8 +10,8 @@ desk_rom's dataset, `compare` of desk_rom against desk_fwi,
 `synthesize --path timedomain --traces` on the spectral_ref config and a
 `synthesize` of the desk config with `reference.refine` 2.  It also
 writes the Marmousi smoke case with TREE's `scripts/make_marmousi_smoke.py`
-and runs `invert` on it in both modes, whose schedule k = 2, 4, 6 rebuilds
-the residual map for each larger k.  It writes
+and runs `invert` on it in both modes, with schedule k = 2, 4, 6: only the
+ROM mode rebuilds its residual map for each larger k.  It writes
 `OUT/digests.json`, the sha256 of every file under OUT by relative path.
 A manifest is hashed without its `timestamp` and `compare.json` without
 the two run paths, the fields that differ between identical runs in

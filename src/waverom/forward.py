@@ -223,19 +223,12 @@ def ring_array(grid: Grid2D, m: int, inset: float) -> SensorArray:
     if not (px > 0 and pz > 0):
         raise ValueError(f"inset {inset} leaves no rectangle inside the {lx} x {lz} domain")
     perimeter = 2 * (px + pz)
-    ds = np.arange(m) * perimeter / m
-    pos = []
-    for s in ds:
-        if s < px:
-            x, z = inset + s, inset
-        elif s < px + pz:
-            x, z = lx - inset, inset + (s - px)
-        elif s < 2 * px + pz:
-            x, z = lx - inset - (s - px - pz), lz - inset
-        else:
-            x, z = inset, lz - inset - (s - 2 * px - pz)
-        pos.append((x, z))
-    return SensorArray(np.array(pos), grid.hx)
+    s = np.arange(m) * perimeter / m
+    # top, right and bottom edges; the left edge is the default
+    edges = [s < px, s < px + pz, s < 2 * px + pz]
+    x = np.select(edges, [inset + s, lx - inset, lx - inset - (s - px - pz)], inset)
+    z = np.select(edges, [inset, inset + (s - px), lz - inset], lz - inset - (s - 2 * px - pz))
+    return SensorArray(np.column_stack([x, z]), grid.hx)
 
 
 # Discrete operator ----------------------------------------------------------

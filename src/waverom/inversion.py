@@ -1,17 +1,19 @@
 """Layer-stripping Gauss-Newton minimization of ROM or FWI misfit.
 
 The outer loop records exactly L*q regularized Gauss-Newton updates and
-computes those that can move the iterate.  Each linearizes the residual
-by forward finite differences (backward where the forward trial is
-infeasible), one synthesis per column in index order, into one M x N
-Jacobian, factored in place by one Householder QR; the SVD of the N x N
-triangle gives the adaptive Tikhonov weight, the rank check and the
-damped direction.  The update then line-searches the penalized
+computes those that can move the iterate, in stretches of one residual
+map: one per k for the ROM misfit, one per run for FWI.  Each linearizes
+the residual by forward finite differences (backward where the forward
+trial is infeasible), one synthesis per column in index order, into one
+M x N Jacobian, factored in place by one Householder QR; the SVD of the
+N x N triangle gives the adaptive Tikhonov weight, the rank check and
+the damped direction.  The update then line-searches the penalized
 functional with a rejection fallback so accepted steps never increase it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,7 +87,8 @@ class GnUpdate(NamedTuple):
     its iterate, mu, the accepted step alpha, the pair
     (F_i(eta^(i)), F_i(eta^(i-1))) whose ordering the accepted-step
     monotonicity contract promises, and the iterate eta^(i), read-only.
-    Updates after one that leaves eta at its k_l repeat it (run_inversion)."""
+    Updates after one that leaves eta in its stretch repeat it at their own
+    k_l (run_inversion)."""
 
     k: int
     objective: float
@@ -248,8 +251,8 @@ def line_search(
 def make_residual_fn(reference, param: Parametrization, acq: Acquisition, d: int, k: int):
     """Residual map eta -> r(v(eta)) of the layer with restriction size k.
 
-    An OperatorRom reference gives the banded ROM misfit O_{d,k}, a DataSet
-    the FWI data misfit over all its samples.
+    An OperatorRom reference gives the banded ROM misfit O_{d,k}, which reads
+    d and k; a DataSet the FWI data misfit over all its samples, reading neither.
     """
     if isinstance(reference, OperatorRom):
         return lambda eta: rom_objective(evaluate_velocity(param, eta), reference, d, k, acq)
@@ -272,15 +275,16 @@ def run_inversion(
     Gauss-Newton direction, the same quadratic model the direction solve
     minimizes.  Returns the estimate v(eta^(Lq)) and one GnUpdate per
     update, whose penalized pair leads with the value the line search
-    accepted.  The layers of one size k, consecutive as k is nondecreasing,
-    minimize one functional and form one stretch: it synthesizes the
-    residual at its first anchor, and each later anchor's is the one the
-    line search hands back with the step it accepts.  An update that
-    leaves eta (a rejected step, alpha = 0, or a zero objective) changes
-    no input of the next, so it is recorded again for the rest of its
-    stretch, which ends there.  An infeasible trial (INFEASIBLE) scores
-    +inf in the line search and adds one to `inversion.infeasible` in
-    `profile`; an infeasible first anchor raises its residual's error.
+    accepted.  Consecutive updates with one residual map form a stretch:
+    those of one k for an OperatorRom (k is nondecreasing), all L*q for a
+    DataSet, whose map reads no k.  A stretch synthesizes the residual at
+    its first anchor; each later anchor's is the one the line search hands
+    back with the step it accepts.  An update that leaves eta (a rejected
+    step, alpha = 0, or a zero objective) changes no input of the next, so
+    it is recorded again, at each k_l, for the rest of its stretch, which
+    ends there.  An infeasible trial (INFEASIBLE) scores +inf in the line
+    search and adds one to `inversion.infeasible` in `profile`; an
+    infeasible first anchor raises its residual's error.
     """
     if not isinstance(reference, (OperatorRom, DataSet)):
         raise TypeError(f"reference is a {type(reference).__name__}, not an OperatorRom or DataSet")
@@ -291,13 +295,16 @@ def run_inversion(
     eta.flags.writeable = False
     updates: list[GnUpdate] = []
 
-    for k in dict.fromkeys(schedule.k):
-        residual_fn = make_residual_fn(reference, param, acq, schedule.d, k)
+    ks = [k for k in schedule.k for _ in range(schedule.q)]  # k_l of each update
+    rom = isinstance(reference, OperatorRom)
+    for _, stretch in itertools.groupby(ks, key=lambda k: k if rom else None):
+        stretch = list(stretch)
+        residual_fn = make_residual_fn(reference, param, acq, schedule.d, stretch[0])
         base = residual_fn(eta)  # then handed back by each line search
         # One Jacobian array per stretch: one per update raised the desk ROM
         # inversion's peak RSS by 1.6-3.3 MB from about 68 MB (seed 0, 2 vCPUs).
         jac = np.empty((base.size, param.n_params), order="F")
-        for left in range(schedule.q * schedule.k.count(k), 0, -1):
+        for i, k in enumerate(stretch):
             anchor = eta
             obj0 = float(base @ base)
             if obj0 == 0.0:
@@ -325,7 +332,7 @@ def run_inversion(
                 eta.flags.writeable = False
                 update = GnUpdate(k, float(base @ base), mu, alpha, (f_new, obj0), eta)
             if update.alpha == 0.0:  # eta stays: the rest of the stretch repeats this update
-                updates += [update] * left
+                updates += [update._replace(k=k_l) for k_l in stretch[i:]]
                 break
             updates.append(update)
 

@@ -6,6 +6,7 @@ inversions) are built once per session.
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from waverom import inversion
+from waverom import inversion, io
 from waverom.cli import local_minima_census, main as cli_main
 from waverom.config import load_config, run_from_dict
 from waverom.forward import (
@@ -350,11 +351,21 @@ def test_marmousi_smoke_runs_end_to_end(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    rc = cli_main([
-        "invert",
-        "--config", str(tmp_path / "marmousi_smoke.json"),
-        "--out", str(tmp_path / "run"),
-        "--mode", "rom",
-    ])
-    ok = rc == 0 and (tmp_path / "run" / "estimate.bin").exists()
-    report("marmousi-smoke", ok, f"cropped-section smoke run exit code {rc} (need 0)")
+    config = tmp_path / "marmousi_smoke.json"
+    cfg = json.loads(config.read_text())
+    n_params = math.prod(cfg["search"]["lattice"])
+    # A ROM residual map is rebuilt for each larger k; FWI's reads no k.
+    for mode, anchors in (("rom", len(set(cfg["schedule"]["k"]))), ("fwi", 1)):
+        out = tmp_path / mode
+        rc = cli_main(["invert", "--config", str(config), "--out", str(out), "--mode", mode])
+        ok = rc == 0 and (out / "estimate.bin").exists()
+        report("marmousi-smoke", ok, f"cropped-section {mode} smoke run exit code {rc} (need 0)")
+        # one reference synthesis, one per anchor, and per update its N
+        # Jacobian columns and probes: 23 after an accepted step, 13 after a
+        # rejected one
+        counts = json.loads((out / "profile.json").read_text())
+        work = sum(n_params + (23 if row["alpha"] > 0 else 13)
+                   for row in io.load_state_csv(out / "state.csv"))
+        assert counts["forward.synth"] == (
+            1 + anchors + counts.get("inversion.fd_backward", 0) + work
+        ), (mode, counts)

@@ -522,6 +522,14 @@ class TestSensorFunctions:
             with pytest.raises(ValueError, match="inset must be positive and finite"):
                 ring_array(grid, 4, inset)
 
+    def test_ring_puts_one_of_four_sensors_on_each_edge(self):
+        # 800 x 1800 rectangle inset 100 in a 1000 x 2000 domain: sensors
+        # every 1300 m of perimeter, clockwise from the top-left corner
+        arr = ring_array(Grid2D(9, 19, 100.0, 100.0), 4, 100.0)
+        np.testing.assert_array_equal(
+            arr.positions, [[100.0, 100.0], [900.0, 600.0], [900.0, 1900.0], [100.0, 1400.0]]
+        )
+
     def test_repeated_position_raises(self):
         positions = np.array([[500.0, 500.0], [700.0, 500.0], [500.0, 500.0]])
         with pytest.raises(ValueError, match="share a position"):

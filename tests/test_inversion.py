@@ -325,18 +325,20 @@ def plain_gauss_newton(monkeypatch):
     monkeypatch.setattr(inversion, "tikhonov_mu", lambda sigma, gamma: 0.0)
 
 
-def repeated_rejections(updates):
-    """Indices of the updates after the first rejected one at their k_l,
-    each asserted equal to that one field by field, eta by array."""
+def repeated_rejections(updates, stretch=lambda u: u.k):
+    """Indices of the updates after the first rejected one of their stretch,
+    the key `stretch` gives (k_l for a ROM reference), each asserted equal
+    to that one in every field but k_l, eta by array."""
     rejected = {}
     repeats = []
     for i, u in enumerate(updates):
-        if u.k in rejected:
-            assert u[:-1] == rejected[u.k][:-1]
-            np.testing.assert_array_equal(u.eta, rejected[u.k].eta)
+        key = stretch(u)
+        if key in rejected:
+            assert u[1:-1] == rejected[key][1:-1]
+            np.testing.assert_array_equal(u.eta, rejected[key].eta)
             repeats.append(i)
         elif u.alpha == 0.0:
-            rejected[u.k] = u
+            rejected[key] = u
     return repeats
 
 
@@ -410,45 +412,66 @@ class TestRunInversion:
         assert repeated_rejections(updates) == [1]
 
     @pytest.mark.parametrize(
-        "k, q, mu",
-        [((2, 4), 2, "adaptive"), ((4, 4), 2, "adaptive"), ((4,), 8, "zero")],
-        ids=["adaptive-two-layers", "adaptive-equal-k", "zero-mu-rejecting"],
+        "mode, k, q, mu",
+        [
+            ("rom", (2, 4), 2, "adaptive"),
+            ("rom", (4, 4), 2, "adaptive"),
+            ("rom", (4,), 8, "zero"),
+            ("fwi", (2, 4), 2, "adaptive"),
+            ("fwi", (2, 4), 7, "zero"),
+        ],
+        ids=["adaptive-two-layers", "adaptive-equal-k", "zero-mu-rejecting",
+             "fwi-two-layers", "fwi-zero-mu-rejecting"],
     )
     def test_each_update_synthesizes_only_its_columns_and_probes(
-        self, toy_problem, monkeypatch, request, k, q, mu
+        self, toy_problem, monkeypatch, request, mode, k, q, mu
     ):
-        # Each restriction size synthesizes its first anchor once, then per
-        # update N Jacobian columns (one more per backward column) and its
-        # probes: 13 grid points, and 10 golden-section points after an
-        # accepted step.  The anchor of a later update is the point its
-        # predecessor accepted, and is not synthesized again; an update that
-        # repeats the rejected one before it synthesizes nothing.
+        # Each stretch of updates sharing one residual map (one per
+        # restriction size for the ROM misfit, the whole run for FWI, whose
+        # map reads no k) synthesizes its first anchor once, then per update
+        # N Jacobian columns (one more per backward column) and its probes:
+        # 13 grid points, and 10 golden-section points after an accepted
+        # step.  The anchor of a later update is the point its predecessor
+        # accepted, and is not synthesized again; an update that repeats the
+        # rejected one before it synthesizes nothing.
         param, eta_star, v_true, ref_rom, acq = toy_problem
         if mu == "zero":
             request.getfixturevalue("plain_gauss_newton")
-        evaluated = []  # (k_l, trial velocity) of each residual evaluation
-        rom_objective = inversion.rom_objective
+        evaluated = []  # (stretch, trial velocity) of each residual evaluation
+        if mode == "rom":
+            reference, stretch = ref_rom, (lambda u: u.k)
+            rom_objective = inversion.rom_objective
 
-        def recording(v, reference, d, k, acq):
-            evaluated.append((k, v.c.tobytes()))
-            return rom_objective(v, reference, d, k, acq)
+            def recording(v, reference, d, k, acq):
+                evaluated.append((k, v.c.tobytes()))
+                return rom_objective(v, reference, d, k, acq)
 
-        monkeypatch.setattr(inversion, "rom_objective", recording)
+            monkeypatch.setattr(inversion, "rom_objective", recording)
+        else:
+            reference, stretch = acq.dataset(v_true), (lambda u: None)
+            fwi_objective = inversion.fwi_objective
+
+            def recording(v, reference, acq):
+                evaluated.append((None, v.c.tobytes()))
+                return fwi_objective(v, reference, acq)
+
+            monkeypatch.setattr(inversion, "fwi_objective", recording)
         sched = LayerSchedule(k, q=q, d=2)
         profile.reset()
-        _, updates = run_inversion(ref_rom, param, sched, GnConfig(), acq)
+        _, updates = run_inversion(reference, param, sched, GnConfig(), acq)
         counts = profile.counts()
 
-        repeats = repeated_rejections(updates)
+        repeats = repeated_rejections(updates, stretch)
         work = sum(
             param.n_params + (23 if u.alpha > 0 else 13)
             for i, u in enumerate(updates) if i not in repeats
         )
-        assert len(updates) == len(sched.k) * sched.q
+        anchors = len(set(sched.k)) if mode == "rom" else 1
+        assert [u.k for u in updates] == [k_l for k_l in sched.k for _ in range(q)]
         assert counts["forward.synth"] == len(evaluated) == (
-            len(set(sched.k)) + counts.get("inversion.fd_backward", 0) + work
+            anchors + counts.get("inversion.fd_backward", 0) + work
         )
-        assert len(set(evaluated)) == len(evaluated)  # no trial twice at one k
+        assert len(set(evaluated)) == len(evaluated)  # no trial twice in one stretch
         assert bool(repeats) == (mu == "zero")
 
     def test_fwi_mode_runs_and_recovers(self, toy_problem, plain_gauss_newton):
