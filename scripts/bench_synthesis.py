@@ -183,7 +183,7 @@ def bench(path: Path, repeats: int) -> dict:
 
     def record():
         rec = synthesize_measurements(v, acq.array, acq.pulse, acq.tau, acq.n)
-        return symmetrize_and_sample(rec, acq.array, v, acq.n)
+        return symmetrize_and_sample(rec, acq.array, v)
 
     return {
         "config": path.stem,

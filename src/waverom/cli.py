@@ -20,7 +20,7 @@ from .errors import ConfigError, WaveromError
 from .forward import synthesize_measurements, symmetrize_and_sample
 from .inversion import run_inversion
 from .objective import fwi_residual, residual_length, rom_residual
-from .rom import assemble_mass, build_rom
+from .rom import build_rom
 
 
 def _manifest_base(command: str, run: Run, args) -> dict:
@@ -59,7 +59,7 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
         rec = synthesize_measurements(ref, acq.array, acq.pulse, acq.tau, acq.n)
         if args.traces:
             io.save_traces_csv(out / "traces.csv", rec)
-        ds = symmetrize_and_sample(rec, acq.array, ref, acq.n)
+        ds = symmetrize_and_sample(rec, acq.array, ref)
     io.save_dataset(out / "dataset.json", ds)
     io.save_velocity(out / "truth.json", run.truth)
     manifest = _manifest_base("synthesize", run, args)
@@ -76,10 +76,10 @@ def cmd_synthesize(run: Run, out: Path, args) -> int:
 
 def cmd_rom(dataset_path: Path, out: Path) -> int:
     ds = io.load_dataset(dataset_path)
-    mass = assemble_mass(ds)
     rom = build_rom(ds)
     io.save_rom(out / "rom.json", rom)
-    cond = float(np.linalg.cond(mass))  # inf when the singular values' ratio overflows
+    with np.errstate(over="ignore"):  # cond(M) = cond(R)^2 for M = R^T R, inf on overflow
+        cond = float(np.linalg.cond(rom.r) ** 2)
     report = {"m": ds.m, "n": ds.n, "mass_condition_number": cond if np.isfinite(cond) else None}
     io.save_manifest(out / "rom_report.json", report)
     print(f"wrote ROM (nm={rom.dimension}) to {out}; cond(M) = {cond:.3e}")
@@ -140,7 +140,7 @@ def cmd_sweep(run: Run, out: Path, args) -> int:
 
     def evaluate(candidate) -> tuple[float, float]:
         ds = acq.dataset(candidate)  # one synthesis shared by both objectives
-        r_rom = rom_residual(build_rom(ds), ref_rom, acq.n, acq.n)
+        r_rom = rom_residual(build_rom(ds), ref_rom, acq.n)
         r_fwi = fwi_residual(ds, ref_ds)
         return float(r_rom @ r_rom), float(r_fwi @ r_fwi)
 

@@ -30,6 +30,7 @@ from .errors import ConfigError, OperatorOverflow
 from .forward import (
     SPECTRAL_CAP,
     Pulse,
+    SensorArray,
     chebyshev_interval,
     line_array,
     record_layout,
@@ -177,7 +178,9 @@ class Run:
             truth = self.build_model()
             _check_operator(truth)
             section = "acquisition"
-            acq = self.build_acquisition(grid)
+            array, pulse = self.build_array_and_pulse(grid)
+            section = "sampling"
+            acq = self.build_sampling(array, pulse)
             search = schedule = sweep = None
             if cfg.get("search"):
                 section = "search"
@@ -267,16 +270,14 @@ class Run:
         return self._velocity(self.stated["model"], "factory", self.build_grid())
 
     def build_acquisition(self, grid: Grid2D) -> Acquisition:
-        """The sensor array on `grid`, whose sensors must each have their
-        nearest node in the node block and a sensor function with support
-        on the grid, the pulse, its interval tau (`Pulse.default_tau` at
-        sampling.nyquist_factor, if given) and the sample count sampling.n,
-        whose time-domain record (`record_layout`) must have a finite length
-        that fits in memory."""
-        method = self.stated.get("method", "chebyshev")
-        if method not in ("spectral", "chebyshev"):
-            raise ConfigError(f"unknown method {method!r}")
-        acquisition, sampling = self.stated["acquisition"], self.stated["sampling"]
+        """The acquisition bundle on `grid`, as load builds it."""
+        return self.build_sampling(*self.build_array_and_pulse(grid))
+
+    def build_array_and_pulse(self, grid: Grid2D) -> tuple[SensorArray, Pulse]:
+        """The acquisition section's sensor array on `grid`, whose sensors
+        must each have their nearest node in the node block and a sensor
+        function with support on the grid, and its pulse."""
+        acquisition = self.stated["acquisition"]
         pulse = Pulse(**acquisition["pulse"])
         layout = dict(acquisition["layout"])
         kind = layout.pop("kind", "line")
@@ -284,6 +285,16 @@ class Run:
             raise ConfigError(f"layout 'kind' must be one of {sorted(LAYOUTS)}, got {kind!r}")
         array = LAYOUTS[kind](grid, **layout)
         array.theta_matrix(grid)  # places each sensor, for every synthesis on `grid`
+        return array, pulse
+
+    def build_sampling(self, array: SensorArray, pulse: Pulse) -> Acquisition:
+        """The bundle of `array`, `pulse` and the method, at the sampling section's
+        tau (`Pulse.default_tau` at nyquist_factor, if given) and n, whose leapfrog
+        record (`record_layout`) must have a finite length that fits in memory."""
+        method = self.stated.get("method", "chebyshev")
+        if method not in ("spectral", "chebyshev"):
+            raise ConfigError(f"unknown method {method!r}")
+        sampling = self.stated["sampling"]
         tau = pulse.default_tau(**{k: v for k, v in sampling.items() if k != "n"})
         n = whole(sampling["n"], "sampling.n")
         if not 1 <= n <= sys.maxsize // 2:  # the 2n - 1 samples must be indexable

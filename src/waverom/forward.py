@@ -3,31 +3,23 @@
 Two independent routes produce the sampled data matrices:
 
 - `synthesize_dataset` works with the symmetrized operator A = C L C and
-  never forms a wavefield.  Both its methods contract the sample
-  functions f_hat(sqrt(lam)) cos(j tau sqrt(lam)) and their -lam multiples
-  against a spectral measure of the scaled sensor functions th.  The
-  chebyshev method expands them in Chebyshev polynomials once, with a
-  DCT-II that runs on `numpy.fft` (no `scipy.fft`), and uses the block
-  moments th^T T_k(A~) th from the kernel polynomial doubling;
-  the spectral method evaluates them at the eigenvalues of A and serves
-  as the exact oracle.  It takes the eigenvalues and the coordinates of
-  th in A's eigenbasis from one Householder tridiagonal reduction
-  (`DiscreteOperator.eig`, the only dense eigensolver here); the
-  eigenvectors of A are never formed.  The Chebyshev interval is the
-  Gershgorin bound rounded up to a geometric grid (`chebyshev_interval`),
-  so all operators whose bounds fall in one bucket of that grid share
-  one cached table (`sample_coeffs`).
-- The time-domain route leapfrogs the pressure equation, records sensor
-  traces, and symmetrizes/samples them (`synthesize_measurements` +
-  `symmetrize_and_sample`), in DT_FACTOR leapfrog steps per sample
-  interval and laid out in whole steps by `record_layout`.
+  never forms a wavefield.  Its chebyshev method contracts one cached
+  Chebyshev table of the sample functions (`sample_coeffs`, a DCT-II on
+  `numpy.fft`) with block moments of A; its spectral method, the exact
+  oracle, evaluates them at the eigenvalues from `DiscreteOperator.eig`,
+  the only dense eigensolver here, which never forms A's eigenvectors.
+- The time-domain route leapfrogs the pressure equation in DT_FACTOR
+  steps per sample interval and records sensor traces
+  (`synthesize_measurements`) laid out in whole steps by `record_layout`;
+  `symmetrize_and_sample` folds and samples them, one sample per
+  interval that the record holds.
 
 Both share the same discrete operator, so their disagreement measures
 only time-discretization error.  The snapshot oracles `initial_states`
 and `propagate_snapshots`, which no command calls, take the eigenpairs
-(w, Q) of A from their caller, so the eigenvector matrix of A is never
-formed here.  A `DataSet` reads m and n from its sample stacks, and a
-`Pulse` holds the `freq_hz` and `bandwidth_hz` a config states.
+(w, Q) of A from their caller.  A `DataSet` reads m and n from its
+sample stacks, and a `Pulse` holds the `freq_hz` and `bandwidth_hz` a
+config states.
 """
 
 from __future__ import annotations
@@ -510,10 +502,6 @@ class DataSet:
     def n(self) -> int:
         return (self.d.shape[0] + 1) // 2
 
-    @property
-    def n_samples(self) -> int:
-        return self.d.shape[0]
-
 
 def initial_states(eigenpairs, v: VelocityModel, arr: SensorArray, pulse) -> np.ndarray:
     """First snapshot block u_0^(s) = f_hat^(1/2)(sqrt(A)) theta_s / c(x_s)
@@ -700,39 +688,29 @@ def synthesize_measurements(
     return TraceRecord(tau, k0, traces)
 
 
-def symmetrize_and_sample(
-    rec: TraceRecord, arr: SensorArray, v: VelocityModel, n: int
-) -> DataSet:
+def symmetrize_and_sample(rec: TraceRecord, arr: SensorArray, v: VelocityModel) -> DataSet:
     """Build the sampled DataSet of interval rec.tau from recorded traces.
 
     D(t) = [M(t) + M(-t)] / (c(x_r) c(x_s)) on the non-negative time grid,
     with M(-t) taken as zero beyond the k0 recorded steps before t = 0.
-    Sample j lies at step i = j DT_FACTOR after t = 0, and each Ddot_j is
-    the central second difference (D[i+1] - 2 D[i] + D[i-1]) / dt^2 there,
-    the difference the leapfrog itself satisfies; the source terms are odd
-    in t and cancel in the fold, and at i = 0 the fold's evenness gives
-    D[-1] = D[1].  The record must reach one step past the last sample,
-    j = 2n - 2, or ValueError is raised.
+    Sample j lies at step i = j DT_FACTOR after t = 0, at every such step
+    with a successor in the record, and each Ddot_j is the central second
+    difference (D[i+1] - 2 D[i] + D[i-1]) / dt^2 there, the difference the
+    leapfrog itself satisfies; the source terms are odd in t and cancel in
+    the fold, and at i = 0 the fold's evenness gives D[-1] = D[1].  A
+    record laid out by `record_layout` for n gives the 2n - 1 samples of
+    n; `DataSet` refuses the even sample count of a record cut short.
     """
     if rec.m != arr.m:
         raise ValueError("trace record and sensor array disagree on m")
-    dt, i0 = rec.dt, rec.k0
-    need = (2 * n - 2) * DT_FACTOR
-    if need + 1 >= rec.nt - i0:
-        raise ValueError(
-            f"need the record through t={(need + 1) * dt:g}s but it ends at "
-            f"t={(rec.nt - i0 - 1) * dt:g}s"
-        )
-
+    i0 = rec.k0
     cs = arr.local_velocities(v)
-    norm = np.outer(cs, cs)
-    dpos = np.array(rec.data[i0 : i0 + need + 2], copy=True)
-    k = np.arange(1, min(i0, need + 1) + 1)
+    dpos = np.array(rec.data[i0:], copy=True)
+    k = np.arange(1, min(i0, len(dpos) - 1) + 1)
     dpos[k] += rec.data[i0 - k]
-    dpos[0] *= 2.0
-    dpos /= norm
-
-    idx = DT_FACTOR * np.arange(2 * n - 1)
+    dpos[:1] *= 2.0  # t = 0, if the record reaches it
+    dpos /= np.outer(cs, cs)
+    idx = np.arange(0, len(dpos) - 1, DT_FACTOR)
     d = dpos[idx]
-    ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / dt**2
+    ddot = (dpos[idx + 1] - 2.0 * d + dpos[np.abs(idx - 1)]) / rec.dt**2
     return DataSet(_sym(d), _sym(ddot), rec.tau)

@@ -1,4 +1,4 @@
-"""ROM-misfit and FWI data-misfit objectives and their residual vectors."""
+"""ROM-misfit and FWI data-misfit objectives, and their residuals of whole operands."""
 
 from __future__ import annotations
 
@@ -36,12 +36,11 @@ class Acquisition:
         return synthesize_dataset(v, self.array, self.pulse, self.tau, n, method=self.method)
 
 
-def rom_residual(candidate: OperatorRom, reference_rom: OperatorRom, d: int, k: int) -> np.ndarray:
-    """rest_dk at band depth d of the difference of the two ROMs restricted
-    to size k; `restrict` refuses a k outside 1..n, `rest_dk` a d outside
-    1..k."""
-    diff = restrict(candidate, k) - restrict(reference_rom, k)
-    return rest_dk(diff, d, candidate.m)
+def rom_residual(candidate: OperatorRom, reference_rom: OperatorRom, d: int) -> np.ndarray:
+    """rest_dk at band depth d of the candidate ROM, of some size k, less the
+    reference restricted to that k; `restrict` refuses a candidate larger
+    than the reference, `rest_dk` a d outside 1..k."""
+    return rest_dk(candidate.a_rom - restrict(reference_rom, candidate.n), d, candidate.m)
 
 
 def rom_objective(
@@ -50,20 +49,22 @@ def rom_objective(
     """Residual of the ROM misfit O_{d,k}(v) = r @ r.
 
     Synthesizes candidate data for v under the acquisition bundle, builds
-    its ROM, and measures the banded restricted difference against the
-    reference.  By causality the restriction [A_rom(v)]_k only needs the
-    first 2k-1 samples, so that is all the candidate synthesis produces.
+    its ROM, and measures the banded difference against the reference
+    restricted to k.  By causality the ROM of the first 2k-1 samples is
+    [A_rom(v)]_k, so those are all the samples the synthesis produces.
     MassNotSPD from the candidate propagates to the caller, which signals
     an infeasible trial velocity.
     """
-    return rom_residual(build_rom(acq.dataset(v, k)), reference_rom, d, k)
+    return rom_residual(build_rom(acq.dataset(v, k)), reference_rom, d)
 
 
 def fwi_residual(candidate: DataSet, reference: DataSet) -> np.ndarray:
-    """Stacked upper triangles of D_j(v) - D_j over the candidate's samples."""
+    """Stacked upper triangles of D_j(v) - D_j over all samples; ValueError
+    unless both stacks have one shape."""
+    if candidate.d.shape != reference.d.shape:
+        raise ValueError(f"candidate samples {candidate.d.shape} differ from {reference.d.shape}")
     iu, ju = np.triu_indices(candidate.m)
-    diff = candidate.d - reference.d[: candidate.n_samples]
-    return diff[:, iu, ju].ravel()
+    return (candidate.d - reference.d)[:, iu, ju].ravel()
 
 
 def residual_length(mode: str, m: int, n: int, d: int, k: int) -> int:

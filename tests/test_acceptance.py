@@ -194,7 +194,7 @@ def test_criterion_5_cross_path_consistency(spectral_reference):
     t0 = time.time()
     tau, n = s["tau"], s["n"]
     rec = synthesize_measurements(s["model"], s["array"], s["pulse"], tau, n)
-    ds_time = symmetrize_and_sample(rec, s["array"], s["model"], n)
+    ds_time = symmetrize_and_sample(rec, s["array"], s["model"])
     errs = {}
     for field in ("d", "ddot"):
         a = getattr(ds_time, field)

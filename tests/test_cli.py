@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import shutil
+import sys
 import warnings
 from pathlib import Path
 
@@ -653,10 +654,19 @@ def test_retired_key_is_refused_by_name(tmp_path, capsys, path, value):
      "2 pi (freq_hz + bandwidth_hz) finite and (2 pi bandwidth_hz)^2 a normal double"),
     ("synthesize", ("acquisition", "pulse", "freq"), 6.0,
      "bad acquisition section: Pulse.__init__() got an unexpected keyword argument 'freq'"),
+    # the sampling section sets tau and n, although the pulse sets tau's scale
+    ("synthesize", ("sampling", "n"), DELETED, "sampling section missing 'n'"),
+    ("synthesize", ("sampling", "nyquist_factor"), -1,
+     "bad sampling section: tau must be positive and finite, got -0.05"),
+    ("synthesize", ("sampling", "nyquist_factor"), "x",
+     "bad sampling section: can't multiply sequence by non-int of type 'float'"),
+    ("synthesize", ("sampling", "n"), 0,
+     f"bad sampling section: sampling.n must be in [1, {sys.maxsize // 2}], got 0"),
 ], ids=["nan-sweep-min", "infinite-sweep-max", "c_inside-operator-overflows",
         "sweep-candidate-operator-overflows", "camembert-disk-outside-domain",
         "sensor-above-first-node-row", "negative-ring-inset", "sensor-function-without-support",
-        "pulse-bandwidth-square-underflows", "pulse-key-typo"])
+        "pulse-bandwidth-square-underflows", "pulse-key-typo", "sampling-without-n",
+        "negative-nyquist-factor", "string-nyquist-factor", "zero-n"])
 def test_refused_config_prints_only_its_error(tmp_path, capsys, command, path, value, message):
     cfg = base_config()
     set_key(cfg, path, value)
@@ -704,6 +714,31 @@ def test_file_model_off_its_grid_section_exits_2(tmp_path, capsys, shape, walls,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def assert_refused(capsys, argv, out, message):
+    """`waverom` with `argv` exits 2, prints only the config error `message`
+    and writes no `out`."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_file_model_refined_exits_2(tmp_path, capsys):
+    io.save_velocity(tmp_path / "v.json", make_constant_model(1500.0, Grid2D(12, 15, 100.0, 100.0)))
+    cfg = base_config(model={"factory": "file", "path": "v.json"}, reference={"refine": 2})
+    out = tmp_path / "o"
+    assert_refused(capsys, ["synthesize", "--config", str(write_config(tmp_path, cfg)),
+                            "--out", str(out)], out, "file-backed models cannot be re-gridded")
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    path, out = tmp_path / name, tmp_path / "o"
+    with pytest.raises(OSError) as refusal:
+        path.read_text()
+    assert_refused(capsys, ["synthesize", "--config", str(path), "--out", str(out)], out,
+                   f"cannot read config {path}: {refusal.value}")
 
 
 def test_fd_step_below_c_min_runs(tmp_path):
@@ -856,10 +891,11 @@ def test_record_ends_one_step_past_the_last_sample(n):
     ), ".")
     truth, acq = run.truth, run.acquisition
     rec = synthesize_measurements(truth, acq.array, acq.pulse, acq.tau, n)
-    assert symmetrize_and_sample(rec, acq.array, truth, n).n == n
+    assert symmetrize_and_sample(rec, acq.array, truth).n == n
+    # one step short, the record holds an even number of samples
     cut = TraceRecord(rec.tau, rec.k0, rec.data[:-1])
-    with pytest.raises(ValueError, match="need the record through"):
-        symmetrize_and_sample(cut, acq.array, truth, n)
+    with pytest.raises(ValueError, match=rf"\(2n - 1, m, m\) with n, m >= 1, not \({2 * n - 2}, 3, 3\)"):
+        symmetrize_and_sample(cut, acq.array, truth)
 
 
 def test_record_counts_whole_steps():
@@ -1087,6 +1123,23 @@ class TestInvertCommand:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("replaced, shape, message", [
+        (["estimate"], (10, 12), "compare: {run} has estimate and truth on different grids"),
+        (["truth", "estimate"], (10, 12), "compare: runs use different grids"),
+        (["truth"], (12, 15), "compare: runs use different true models"),
+    ], ids=["estimate-off-the-truth-grid", "other-grid", "other-truth"])
+    def test_compare_runs_that_disagree_exits_2(self, invert_runs, tmp_path, capsys,
+                                                 replaced, shape, message):
+        run, out = tmp_path / "run", tmp_path / "o"
+        shutil.copytree(invert_runs / "rom", run)
+        for name in replaced:
+            io.save_velocity(run / f"{name}.json",
+                             make_constant_model(1700.0, Grid2D(*shape, 100.0, 100.0)))
+        assert_refused(capsys, [
+            "compare", "--run-a", str(run / "manifest.json"),
+            "--run-b", str(invert_runs / "fwi/manifest.json"), "--out", str(out),
+        ], out, message.format(run=run / "manifest.json"))
 
     def test_invert_deterministic(self, invert_runs, tmp_path):
         cfg = base_config(

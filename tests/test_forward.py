@@ -652,7 +652,7 @@ class TestDataset:
         arr = line_array(grid, 3, depth=300.0)
         ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 5, method="spectral")
         bound = np.max(np.diag(ds.d[0]))
-        for j in range(ds.n_samples):
+        for j in range(len(ds.d)):
             assert np.max(np.abs(ds.d[j])) <= bound * (1 + 1e-12)
 
     def test_trace_energy_single_sensor(self, grid, pulse):
@@ -686,7 +686,7 @@ class TestDataset:
 
     def test_sizes_read_from_the_stacks(self):
         ds = DataSet(np.zeros((5, 2, 2)), np.zeros((5, 2, 2)), 0.05)
-        assert (ds.m, ds.n, ds.n_samples) == (2, 3, 5)
+        assert (ds.m, ds.n) == (2, 3)
 
     @pytest.mark.parametrize("shape, message", [
         ((4, 2, 2), r"\(2n - 1, m, m\) with n, m >= 1, not \(4, 2, 2\)"),
@@ -784,18 +784,13 @@ class TestTimeDomain:
 
     def test_cross_path_consistency(self, setup):
         g, v, pulse, arr, tau, n, rec = setup
-        ds_time = symmetrize_and_sample(rec, arr, v, n)
+        ds_time = symmetrize_and_sample(rec, arr, v)
         ds_spec = synthesize_dataset(v, arr, pulse, tau, n, method="spectral")
         for field in ("d", "ddot"):
             a = getattr(ds_time, field)
             b = getattr(ds_spec, field)
             err = np.sqrt(np.sum((a - b) ** 2)) / np.sqrt(np.sum(b**2))
             assert err < 1e-3
-
-    def test_insufficient_record(self, setup):
-        g, v, pulse, arr, tau, n, rec = setup
-        with pytest.raises(ValueError, match="need the record through"):
-            symmetrize_and_sample(rec, arr, v, 4 * n)
 
 
 class TestSymmetrizeAndSample:
@@ -804,16 +799,17 @@ class TestSymmetrizeAndSample:
 
     @pytest.fixture
     def even_cosine(self):
-        """The DataSet of the even trace cos(omega t), recorded on [-0.4, 0.8]
-        at one sensor where c = 2000."""
+        """The DataSet of the even trace cos(omega t), recorded at one sensor
+        where c = 2000 on [-0.4, 0.201], the record `record_layout` lays out
+        for n = 3."""
         g = Grid2D(10, 10, 100.0, 100.0)
         v = make_constant_model(2000.0, g)
         arr = SensorArray(np.array([[500.0, 500.0]]), theta_width=100.0)
-        k0, nt = 400, 1201
+        k0, nt = 400, 400 + 4 * DT_FACTOR + 2
         times = -k0 * self.DT + self.DT * np.arange(nt)
         trace = np.cos(self.OMEGA * times)
         rec = TraceRecord(DT_FACTOR * self.DT, k0, trace.reshape(-1, 1, 1))
-        return symmetrize_and_sample(rec, arr, v, n=3)
+        return symmetrize_and_sample(rec, arr, v)
 
     def test_even_trace_fixed_point(self, even_cosine):
         # an even recorded trace comes back shape-unchanged, scaled by velocities
@@ -838,6 +834,6 @@ def test_serialized_dataset_is_symmetric_invariant(grid, pulse):
     v = random_velocity(grid, seed=11)
     arr = line_array(grid, 3, depth=250.0)
     ds = synthesize_dataset(v, arr, pulse, pulse.default_tau(), 4, method="spectral")
-    for j in range(ds.n_samples):
+    for j in range(len(ds.d)):
         np.testing.assert_array_equal(ds.d[j], ds.d[j].T)
         np.testing.assert_array_equal(ds.ddot[j], ds.ddot[j].T)

@@ -139,6 +139,7 @@ MALFORMED_HEADERS = [
     pytest.param("rom", lambda h: h.update(n=2.5), id="rom-fractional-n"),
     pytest.param("parametrization", lambda h: h.pop("eta"), id="parametrization-missing-field"),
     pytest.param("parametrization", lambda h: h.update(basis=5), id="parametrization-wrong-type"),
+    pytest.param("parametrization", lambda h: h.update(basis=[]), id="parametrization-no-basis"),
     pytest.param("parametrization", lambda h: h["basis"][0].update(width=-1.0),
                  id="parametrization-rejected-value"),
     pytest.param("parametrization", lambda h: h["basis"][0].update(amplitude=2.0),

@@ -77,10 +77,14 @@ class TestRomObjective:
 
     @pytest.mark.parametrize("d, k", [(3, 2), (0, 2), (2, None)], ids=["d>k", "d=0", "k>n"])
     def test_residual_refuses_out_of_range(self, bundle, d, k):
-        *_, ref_rom = bundle
-        k = ref_rom.n + 1 if k is None else k
+        # k > n: a candidate of the reference's size n against a reference of size n - 1
+        *_, ref_ds, ref_rom = bundle
+        if k is None:
+            candidate, reference = ref_rom, build_rom(truncate(ref_ds, ref_rom.n - 1))
+        else:
+            candidate, reference = build_rom(truncate(ref_ds, k)), ref_rom
         with pytest.raises(ValueError):
-            rom_residual(ref_rom, ref_rom, d, k)
+            rom_residual(candidate, reference, d)
 
 
 class TestFwiObjective:
@@ -89,11 +93,11 @@ class TestFwiObjective:
         r = fwi_objective(truth, ref_ds, acq)
         scale = sum(
             float(triu(ref_ds.d[j]) @ triu(ref_ds.d[j]))
-            for j in range(ref_ds.n_samples)
+            for j in range(len(ref_ds.d))
         )
         assert r @ r < 1e-10 * scale
         m = acq.array.m
-        assert r.size == ref_ds.n_samples * m * (m + 1) // 2
+        assert r.size == len(ref_ds.d) * m * (m + 1) // 2
 
     def test_smooth_under_small_shift(self, bundle):
         g, truth, acq, ref_ds, _ = bundle
@@ -106,22 +110,18 @@ class TestFwiObjective:
         d2 = (vals[2] - vals[1]) / 0.005
         assert d2 == pytest.approx(d1, rel=0.5)  # no wild jump at this scale
 
-    def test_truncation_matches_manual_sum(self, bundle):
+    @pytest.mark.parametrize("k", [1, 3], ids=["one-sample", "five-samples"])
+    def test_residual_refuses_a_candidate_of_another_shape(self, bundle, k):
+        # one sample would broadcast against the reference's nine silently
         g, truth, acq, ref_ds, _ = bundle
-        cand = make_constant_model(3100.0, g)
-        k = 3
-        # a candidate of the first 2k-1 samples is compared with as many of
-        # the reference's
-        r_k = fwi_residual(acq.dataset(cand, k), ref_ds)
-        cand_ds = acq.dataset(cand)
-        manual = fwi_residual(truncate(cand_ds, k), ref_ds)
-        np.testing.assert_allclose(r_k, manual, rtol=1e-12, atol=1e-15)
+        with pytest.raises(ValueError, match=r"candidate samples \(\d+, 4, 4\) differ"):
+            fwi_residual(truncate(ref_ds, k), ref_ds)
 
     def test_residual_matches_triu_vec_loop(self, bundle):
         g, truth, acq, ref_ds, _ = bundle
         cand_ds = acq.dataset(make_constant_model(3100.0, g))
         loop = np.concatenate(
-            [triu(cand_ds.d[j] - ref_ds.d[j]) for j in range(ref_ds.n_samples)]
+            [triu(cand_ds.d[j] - ref_ds.d[j]) for j in range(len(ref_ds.d))]
         )
         np.testing.assert_array_equal(fwi_residual(cand_ds, ref_ds), loop)
 
@@ -154,7 +154,7 @@ class TestRelabeling:
         tau = pulse.default_tau()
         a = synthesize_dataset(v, SensorArray(pos, 100.0), pulse, tau, 3, method="spectral")
         b = synthesize_dataset(v, SensorArray(pos[perm], 100.0), pulse, tau, 3, method="spectral")
-        for j in range(a.n_samples):
+        for j in range(len(a.d)):
             np.testing.assert_allclose(
                 b.d[j], a.d[j][np.ix_(perm, perm)], rtol=1e-11, atol=1e-20
             )
@@ -164,8 +164,9 @@ def test_residual_length_is_the_size_of_each_residual(bundle):
     *_, acq, ref_ds, ref_rom = bundle
     m, n = acq.array.m, acq.n
     for k in range(1, n + 1):
+        candidate = build_rom(truncate(ref_ds, k))
         for d in range(1, k + 1):
-            r = rom_residual(ref_rom, ref_rom, d, k)
+            r = rom_residual(candidate, ref_rom, d)
             assert residual_length("rom", m, n, d, k) == r.size
             assert residual_length("fwi", m, n, d, k) == fwi_residual(ref_ds, ref_ds).size
     # the command-line tests' invert config: m = 3, n = 4, d = k = 4
